@@ -10,7 +10,7 @@ Run: python3 demos/demo_governor.py
 
 import numpy as np
 
-from cgms.governor import AffineTorqueSplit, TorqueLimits, beta_star, beta_star_detail
+from cgms.governor import AffineTorqueSplit, TorqueLimits, beta_star_detail
 
 
 def main():

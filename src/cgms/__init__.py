@@ -16,7 +16,6 @@ from .errors import (
     InfeasibleFloorError,
     IntegrationDivergedError,
     MarginTooSmallError,
-    ModelingBugError,
     SingularConfigurationError,
 )
 from .gains import (
@@ -27,7 +26,6 @@ from .gains import (
     certificate_margins,
     constant_slack_params,
     integrate_cholesky_flow,
-    slack_eval,
     slack_trace,
     tri_dim,
     vec_triangle,
@@ -36,10 +34,8 @@ from .gains import (
 from .governor import (
     AffineTorqueSplit,
     TorqueLimits,
-    apply_governor,
     beta_star,
     beta_star_detail,
-    governed_torque,
 )
 from .learning import (
     MODE_CERTIFIED,

@@ -2,7 +2,7 @@
 governor traces, robustness reports, and the uncertified ablation.
 
 Exit codes: 0 success, 2 configuration error, 3 certification failure in
-certified mode.
+certified mode or a torque floor that no resampled attempt could meet.
 """
 
 from __future__ import annotations
@@ -17,8 +17,13 @@ import numpy as np
 
 from . import robustness as rb
 from .config import compile_setup, load_config, save_config
-from .errors import CertifiedFloorError, ConfigError, MarginTooSmallError
-from .gains import SlackParams, build_gain_schedule
+from .errors import (
+    CertifiedFloorError,
+    ConfigError,
+    InfeasibleFloorError,
+    MarginTooSmallError,
+)
+from .gains import SlackParams, build_gain_schedule, write_csv
 from .learning import (
     MODE_UNCERTIFIED_AFTER_VIA,
     initial_policy,
@@ -30,18 +35,6 @@ from .learning import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CERTIFICATION = 3
-
-
-def _fmt(v):
-    return format(float(v), ".17g")
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if not isinstance(v, int) else str(v)
-                              for v in row) + "\n")
 
 
 def _write_json(path, obj):
@@ -78,10 +71,10 @@ TRACE_HEADER = ["update", "rollout", "cost", "cost_K", "cost_acc",
 
 
 def _write_trace(path, rows):
-    _write_csv(path, TRACE_HEADER,
-               [[r["update"], r["rollout"], r["cost"], r["cost_K"],
-                 r["cost_acc"], r["cost_track"], r["lamA_max"], r["lamC_max"],
-                 r["beta_star_min"]] for r in rows])
+    write_csv(path, TRACE_HEADER,
+              [[r["update"], r["rollout"], r["cost"], r["cost_K"],
+                r["cost_acc"], r["cost_track"], r["lamA_max"], r["lamC_max"],
+                r["beta_star_min"]] for r in rows])
 
 
 def _summary(cfg, setup, result, wall_time):
@@ -136,7 +129,7 @@ def cmd_rollout(args):
               + [f"xd{i + 1}" for i in range(setup.m)]
               + [f"tau{i + 1}" for i in range(setup.model.n)] + ["beta"])
     rows = np.column_stack([ro.t, ro.x, ro.x_d, ro.torque, ro.beta])
-    _write_csv(out / "trajectory.csv", header, rows)
+    write_csv(out / "trajectory.csv", header, rows)
     schedule_from_rollout(ro, setup).to_csv(out / "gains.csv")
     return EXIT_OK
 
@@ -149,8 +142,8 @@ def cmd_certify(args):
     schedule = _policy_schedule(policy, setup)
     report = schedule.report()
     _write_json(out / "certificate.json", report.to_dict())
-    _write_csv(out / "eigtrace.csv", ["t", "lamA", "lamC"],
-               np.column_stack([schedule.t, schedule.lam_A, schedule.lam_C]))
+    write_csv(out / "eigtrace.csv", ["t", "lamA", "lamC"],
+              np.column_stack([schedule.t, schedule.lam_A, schedule.lam_C]))
     if not report.passes:
         return EXIT_CERTIFICATION
     return EXIT_OK
@@ -162,8 +155,8 @@ def cmd_govern(args):
     setup, _ = compile_setup(cfg)
     policy = _policy_arg(args, setup)
     ro = rollout(policy, None, setup)
-    _write_csv(out / "beta_trace.csv", ["t", "beta_star"],
-               np.column_stack([ro.t, ro.beta]))
+    write_csv(out / "beta_trace.csv", ["t", "beta_star"],
+              np.column_stack([ro.t, ro.beta]))
     _write_json(out / "saturation_events.json", ro.saturation_events)
     return EXIT_OK
 
@@ -217,9 +210,9 @@ def cmd_ablate(args):
                    beta_softmax=cfg.learning_softmax_sharpness,
                    rollout_hook=hook)
     wall = time.perf_counter() - t0
-    _write_csv(out / "ablate_eigs.csv",
-               ["update", "rollout", "lamA_max_post_via", "lamC_max_post_via"],
-               eig_rows)
+    write_csv(out / "ablate_eigs.csv",
+              ["update", "rollout", "lamA_max_post_via", "lamC_max_post_via"],
+              eig_rows)
     _write_trace(out / "learning_trace.csv", result.trace_rows())
     _write_json(out / "summary.json", _summary(cfg, setup, result, wall))
     save_config(cfg, out / "resolved_config.ini")
@@ -281,6 +274,9 @@ def main(argv=None):
         return EXIT_CONFIG
     except CertifiedFloorError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
+        return EXIT_CERTIFICATION
+    except InfeasibleFloorError as exc:
+        print(f"infeasible torque floor: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
 
 

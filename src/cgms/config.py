@@ -11,8 +11,7 @@ noise 8.0 / 1.3 / 0.6).
 from __future__ import annotations
 
 import configparser
-import io
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -109,6 +108,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown mode {self.run_mode!r}")
         if self.run_dt <= 0 or self.run_horizon <= 0:
             raise ConfigError("horizon and dt must be positive")
+        if self.run_dt > self.run_horizon:
+            raise ConfigError(
+                f"dt {self.run_dt} exceeds the horizon {self.run_horizon}; "
+                f"the time grid needs at least two points")
         if self.run_updates < 0 or self.run_rollouts < 1:
             raise ConfigError("updates must be >= 0 and rollouts >= 1")
         if self.plants_kind != "point-mass-task":
@@ -151,8 +154,6 @@ def _parse_value(text, default):
     try:
         if isinstance(default, tuple):
             return tuple(float(x) for x in text.split())
-        if isinstance(default, bool):
-            return text.strip().lower() in ("1", "true", "yes", "on")
         if isinstance(default, int):
             return int(text)
         if isinstance(default, float):

@@ -105,13 +105,6 @@ class DmpParams:
         if self.d is None:
             object.__setattr__(self, "d", 2.0 * math.sqrt(self.k * self.m_dmp))
 
-    def goal_at(self, t):
-        g = np.asarray(self.goal, float)
-        if g.ndim == 1:
-            return g
-        idx = min(int(round(t / self.tau * (len(g) - 1))), len(g) - 1)
-        return g[idx]
-
 
 @dataclass(frozen=True)
 class DmpState:
@@ -127,7 +120,7 @@ def dmp_accel(params, state, xi_traj=None):
     if xi_traj is not None:
         theta = theta + xi_traj
     forcing = params.basis.eval(s) @ theta
-    g = params.goal_at(state.t)
+    g = np.asarray(params.goal, float)
     rhs = (params.k * (g - state.x) - params.tau * params.d * state.xdot
            + s * forcing)
     return rhs / (params.tau ** 2 * params.m_dmp)
@@ -149,10 +142,14 @@ def rollout_reference(params, start, xi_traj, tgrid):
     """Integrate the DMP over tgrid; returns (x_d, xdot_d, xddot_d) arrays.
 
     Sample i holds the state at tgrid[i]; the acceleration is the RHS
-    evaluated there.  The basis matrix over all phases is evaluated once.
-    For a constant goal the semi-implicit update is a constant-coefficient
-    second-order recurrence and is evaluated as an IIR filter.
+    evaluated there.  The basis matrix over all phases is evaluated once,
+    and the semi-implicit update, a constant-coefficient second-order
+    recurrence for the constant goal, is evaluated as an IIR filter.
     """
+    # Eliminating the velocity from the semi-implicit update gives
+    # x[i+1] = a1 x[i] + a2 x[i-1] + (dt^2/scale)(k g + gamma f)[i].
+    from scipy.signal import lfilter, lfiltic
+
     n = len(tgrid)
     D = len(start)
     dt = tgrid[1] - tgrid[0] if n > 1 else 0.0
@@ -161,28 +158,7 @@ def rollout_reference(params, start, xi_traj, tgrid):
     forcing = s_all[:, None] * (params.basis.eval(s_all) @ theta)   # (n, D)
     scale = params.tau ** 2 * params.m_dmp
     g = np.asarray(params.goal, float)
-    if g.ndim == 1 and n >= 3:
-        return _reference_filtered(params, np.array(start, float), g,
-                                   forcing, dt, scale, n, D)
-    x = np.empty((n, D))
-    xd = np.empty((n, D))
-    xdd = np.empty((n, D))
-    xi, vi = np.array(start, float), np.zeros(D)
-    for i in range(n):
-        gi = params.goal_at(tgrid[i])
-        a = (params.k * (gi - xi) - params.tau * params.d * vi
-             + forcing[i]) / scale
-        x[i], xd[i], xdd[i] = xi, vi, a
-        vi = vi + a * dt
-        xi = xi + vi * dt
-    return x, xd, xdd
-
-
-def _reference_filtered(params, start, g, forcing, dt, scale, n, D):
-    # Eliminating the velocity from the semi-implicit update gives
-    # x[i+1] = a1 x[i] + a2 x[i-1] + (dt^2/scale)(k g + gamma f)[i].
-    from scipy.signal import lfilter, lfiltic
-
+    start = np.array(start, float)
     kd = params.tau * params.d * dt / scale
     kk = params.k * dt * dt / scale
     a1 = 2.0 - kk - kd
@@ -190,12 +166,13 @@ def _reference_filtered(params, start, g, forcing, dt, scale, n, D):
     w = (dt * dt / scale) * (params.k * g + forcing)
     x = np.empty((n, D))
     x[0] = start
-    x[1] = start + w[0] - kk * start
-    a_coef = np.array([1.0, -a1, -a2])
-    b_coef = np.array([1.0])
-    for j in range(D):
-        zi = lfiltic(b_coef, a_coef, y=[x[1, j], x[0, j]])
-        x[2:, j], _ = lfilter(b_coef, a_coef, w[1:-1, j], zi=zi)
+    if n > 1:
+        x[1] = start + w[0] - kk * start
+        a_coef = np.array([1.0, -a1, -a2])
+        b_coef = np.array([1.0])
+        for j in range(D):
+            zi = lfiltic(b_coef, a_coef, y=[x[1, j], x[0, j]])
+            x[2:, j], _ = lfilter(b_coef, a_coef, w[1:-1, j], zi=zi)
     xd = np.empty((n, D))
     xd[0] = 0.0
     xd[1:] = (x[1:] - x[:-1]) / dt

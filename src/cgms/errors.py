@@ -18,7 +18,7 @@ class DegenerateBasisError(CgmsError):
 
 
 class CertifiedFloorError(CgmsError):
-    """The Cholesky factor's diagonal fell below the positivity floor.
+    """The stiffness schedule's smallest eigenvalue fell below the floor.
 
     Raised instead of clamping: a near-singular stiffness schedule is
     rejected so that every accepted schedule stays on the certified manifold.
@@ -27,10 +27,6 @@ class CertifiedFloorError(CgmsError):
 
 class InfeasibleFloorError(CgmsError):
     """Even the beta = 0 gain floor saturates the actuators."""
-
-
-class ModelingBugError(CgmsError):
-    """The torque command failed the affinity-in-beta self check."""
 
 
 class ContractViolationError(CgmsError):

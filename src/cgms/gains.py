@@ -1,20 +1,19 @@
-"""The certified gain manifold: slack-variable damping, the Cholesky flow
-for the stiffness schedule, analytic gain rates, and certificate margins.
+"""The certified gain manifold: slack-variable damping, the stiffness flow,
+analytic gain rates, and certificate margins.
 
 The two stability inequalities
 
     alpha H - D(t)                        <= 0
     Kdot(t) + alpha Ddot(t) - 2 alpha K(t) <= 0
 
-are enforced by construction: D = alpha H + S_D S_D^T and K evolves through
-its Cholesky factor so that Kdot = 2 alpha K + B with
-B = -alpha Ddot - S_K S_K^T.  Any slack sample therefore yields a schedule
-with both left-hand sides equal to -S S^T <= 0.
+are enforced by construction: D = alpha H + S_D S_D^T and K follows the
+flow Kdot = 2 alpha K + B with B = -alpha Ddot - S_K S_K^T.  Any slack
+sample therefore yields a schedule with both left-hand sides equal to
+-S S^T <= 0.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ import numpy as np
 from .dmp import RbfBasis
 from .errors import CertifiedFloorError, ContractViolationError
 
-Q_DIAG_FLOOR = 1e-6
+K_EIG_FLOOR = 1e-12   # smallest admissible stiffness eigenvalue
 SYMMETRY_TOL = 1e-9
 
 
@@ -90,28 +89,6 @@ class SlackParams:
             raise ValueError("theta_k shape mismatch")
 
 
-@dataclass(frozen=True)
-class SlackSample:
-    """Lower-triangular slack matrices at one phase."""
-
-    S_D: np.ndarray
-    S_K: np.ndarray
-    s: float
-
-
-def slack_eval(sp, s, xi_d=None, xi_k=None):
-    """Evaluate both slack channels at phase s.
-
-    vec(S_D) = Phi(s) (theta_d + xi_d) and likewise for S_K; the noise is
-    paired with its own channel.
-    """
-    td = sp.theta_d if xi_d is None else sp.theta_d + xi_d
-    tk = sp.theta_k if xi_k is None else sp.theta_k + xi_k
-    ph = sp.basis.eval(s)
-    return SlackSample(S_D=vec_triangle_inverse(ph @ td, sp.m),
-                       S_K=vec_triangle_inverse(ph @ tk, sp.m), s=float(s))
-
-
 def slack_trace(sp, s_all, xi_d=None, xi_k=None):
     """Vectorized slack evaluation over an array of phases.
 
@@ -127,68 +104,6 @@ def slack_trace(sp, s_all, xi_d=None, xi_k=None):
             vec_triangle_inverse(ph @ tk, sp.m),
             vec_triangle_inverse(dph @ td, sp.m),
             vec_triangle_inverse(dph @ tk, sp.m))
-
-
-def damping_from_slack(S_D, alpha, H):
-    """D = alpha H + S_D S_D^T; alpha H - D = -S_D S_D^T <= 0 by construction."""
-    return alpha * H + S_D @ S_D.T
-
-
-def damping_rate(sp, s, sdot, xi_d=None):
-    """Analytic Ddot = Sdot S^T + S Sdot^T at phase s."""
-    td = sp.theta_d if xi_d is None else sp.theta_d + xi_d
-    S = vec_triangle_inverse(sp.basis.eval(s) @ td, sp.m)
-    Sdot = vec_triangle_inverse(sp.basis.eval_deriv(s) @ td, sp.m) * sdot
-    return Sdot @ S.T + S @ Sdot.T
-
-
-# ---------------------------------------------------------------------------
-# Cholesky flow
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GainState:
-    """Stiffness Cholesky factor plus the damping pair at time t."""
-
-    Q: np.ndarray        # upper triangular, K = Q^T Q
-    D: np.ndarray
-    Ddot: np.ndarray
-    t: float
-
-    @property
-    def K(self):
-        return self.Q.T @ self.Q
-
-
-def _q_rhs(Q, B, alpha):
-    return alpha * Q + 0.5 * np.linalg.solve(Q.T, B)
-
-
-def cholesky_flow_step(Q, S_K, Ddot, alpha, dt):
-    """Advance the stiffness Cholesky factor one RK4 step.
-
-    B = -alpha Ddot - S_K S_K^T is held over the step.  The result is
-    re-triangularized through a Cholesky retraction of K = Q^T Q (K is
-    invariant under it); a diagonal below the positivity floor rejects the
-    schedule rather than clamping it.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    B = -alpha * Ddot - S_K @ S_K.T
-    k1 = _q_rhs(Q, B, alpha)
-    k2 = _q_rhs(Q + 0.5 * dt * k1, B, alpha)
-    k3 = _q_rhs(Q + 0.5 * dt * k2, B, alpha)
-    k4 = _q_rhs(Q + dt * k3, B, alpha)
-    Qn = Q + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    K = Qn.T @ Qn
-    try:
-        L = np.linalg.cholesky(0.5 * (K + K.T))
-    except np.linalg.LinAlgError as exc:
-        raise CertifiedFloorError("stiffness lost positive definiteness") from exc
-    if np.diag(L).min() < Q_DIAG_FLOOR:
-        raise CertifiedFloorError(
-            f"Cholesky diagonal below floor {Q_DIAG_FLOOR}")
-    return L.T
 
 
 # ---------------------------------------------------------------------------
@@ -288,29 +203,16 @@ class GainSchedule:
             self.t, self.K.reshape(n, -1), self.D.reshape(n, -1),
             self.lam_A, self.lam_C,
         ])
-        _write_csv(path_or_buf, names, data)
-
-    @staticmethod
-    def from_csv(path, alpha, H):
-        raw = np.genfromtxt(path, delimiter=",", names=True)
-        names = raw.dtype.names
-        m = int(np.sqrt((len(names) - 3) / 2))
-        n = len(raw)
-        arr = np.column_stack([raw[c] for c in names])
-        t = arr[:, 0]
-        K = arr[:, 1:1 + m * m].reshape(n, m, m)
-        D = arr[:, 1 + m * m:1 + 2 * m * m].reshape(n, m, m)
-        lam_A, lam_C = arr[:, -2], arr[:, -1]
-        zeros = np.zeros_like(K)
-        return GainSchedule(t=t, K=K, D=D, Kdot=zeros, Ddot=zeros,
-                            lam_A=lam_A, lam_C=lam_C, alpha=alpha,
-                            H=np.asarray(H, float))
+        write_csv(path_or_buf, names, data)
 
 
-def _write_csv(path_or_buf, names, data):
-    header = ",".join(names)
-    rows = "\n".join(",".join(format(v, ".17g") for v in row) for row in data)
-    text = header + "\n" + rows + "\n"
+def write_csv(path_or_buf, header, rows):
+    """Write a header line and one line per row: ints as they are, every
+    other value as a round-tripping %.17g float."""
+    lines = [",".join(header)]
+    lines += [",".join(str(v) if isinstance(v, int) else format(float(v), ".17g")
+                       for v in row) for row in rows]
+    text = "\n".join(lines) + "\n"
     if hasattr(path_or_buf, "write"):
         path_or_buf.write(text)
     else:
@@ -324,11 +226,10 @@ def integrate_cholesky_flow(B, alpha, K0, dt, clamp=False):
     Returns the (n, m, m) stiffness trace.  With B held constant over each
     step the flow Kdot = 2 alpha K + B has the exact update
     K_next = r K + c B with r = exp(2 alpha dt) and c = (r - 1) / (2 alpha),
-    which matches the per-step Cholesky factor integration to round-off and
-    vectorizes over the grid.  A minimum eigenvalue below the positivity
-    floor rejects the schedule; with clamp=True it is floored pointwise
-    instead, a path that exists only for explicitly uncertified (ablation)
-    runs.
+    which vectorizes over the grid.  A minimum eigenvalue below the
+    positivity floor rejects the schedule; with clamp=True it is floored
+    pointwise instead, a path that exists only for explicitly uncertified
+    (ablation) runs.
     """
     B = np.asarray(B, float)
     n, m = B.shape[0], B.shape[-1]
@@ -345,35 +246,28 @@ def integrate_cholesky_flow(B, alpha, K0, dt, clamp=False):
     K = r ** idx[:, None, None] * (K0 + c * acc)
     K = 0.5 * (K + np.swapaxes(K, 1, 2))
     eigs = np.linalg.eigvalsh(K)
-    if eigs[..., 0].min() < Q_DIAG_FLOOR ** 2:
+    if eigs[..., 0].min() < K_EIG_FLOOR:
         if not clamp:
             raise CertifiedFloorError(
                 f"stiffness eigenvalue below positivity floor "
-                f"{Q_DIAG_FLOOR ** 2}")
+                f"{K_EIG_FLOOR}")
         w, V = np.linalg.eigh(K)
-        w = np.maximum(w, Q_DIAG_FLOOR ** 2)
+        w = np.maximum(w, K_EIG_FLOOR)
         K = np.einsum("nij,nj,nkj->nik", V, w, V)
         K = 0.5 * (K + np.swapaxes(K, 1, 2))
     return K
 
 
-def build_gain_schedule(sp, alpha, H, tau, K0, tgrid, xi_d=None, xi_k=None,
-                        beta=1.0):
-    """Integrate the slack construction into an executed gain schedule.
+def build_gain_schedule(sp, alpha, H, tau, K0, tgrid):
+    """Integrate the slack construction into a gain schedule.
 
-    The slacks may be uniformly scaled by sqrt(beta) (the governor
-    contraction); beta = 0 yields the certified floor D = alpha H,
+    Zero slacks yield the certified floor D = alpha H,
     K(t) = exp(2 alpha t) K0.
     """
     tgrid = np.asarray(tgrid, float)
-    n = len(tgrid)
     dt = tgrid[1] - tgrid[0]
     s_all = 1.0 - tgrid / tau
-    S_D, S_K, Sd_D, _ = slack_trace(sp, s_all, xi_d, xi_k)
-    if beta != 1.0:
-        S_D = np.sqrt(beta) * S_D
-        S_K = np.sqrt(beta) * S_K
-        Sd_D = np.sqrt(beta) * Sd_D
+    S_D, S_K, Sd_D, _ = slack_trace(sp, s_all)
     Sd_D = Sd_D * (-1.0 / tau)
     D = alpha * H + S_D @ np.swapaxes(S_D, 1, 2)
     Ddot = Sd_D @ np.swapaxes(S_D, 1, 2) + S_D @ np.swapaxes(Sd_D, 1, 2)

@@ -13,11 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleFloorError, ModelingBugError
-from .plants import ReferenceSample, commanded_accel, osid_wrench, wrench_to_torque
+from .errors import InfeasibleFloorError
 
 ZERO_SLOPE_TOL = 1e-12
-AFFINITY_CHECK_TOL = 1e-6
 
 FR3_TORQUE_LIMITS = np.array([87.0, 87.0, 87.0, 87.0, 12.0, 12.0, 12.0])
 
@@ -39,11 +37,6 @@ class TorqueLimits:
         return TorqueLimits(tau_min=-lim, tau_max=lim)
 
     @staticmethod
-    def fr3_default():
-        return TorqueLimits(tau_min=-FR3_TORQUE_LIMITS,
-                            tau_max=FR3_TORQUE_LIMITS)
-
-    @staticmethod
     def fr3_half():
         return TorqueLimits(tau_min=-FR3_TORQUE_LIMITS / 2,
                             tau_max=FR3_TORQUE_LIMITS / 2)
@@ -62,31 +55,6 @@ class AffineTorqueSplit:
 
     def at(self, beta):
         return self.tau0 + beta * self.tau1
-
-
-def governed_torque(Lam, mu, p, J, H, state, ref, f_e, D0, K0, D1, K1):
-    """Affine torque split from the gain endpoints beta = 0 and beta = 1.
-
-    The beta = 0 gains are the certified floor (D0 = alpha H, K0 from the
-    zero-slack flow); beta = 1 are the sampled gains.  A midpoint check
-    guards against a non-affine term leaking into the chain.
-    """
-    def torque(D, K):
-        acc = commanded_accel(state, ref, D, K, H)
-        fc = osid_wrench(Lam, mu, p, f_e, H, acc)
-        return wrench_to_torque(J, fc)
-
-    tau0 = torque(D0, K0)
-    tau1 = torque(D1, K1) - tau0
-    mid = torque(0.5 * (D0 + D1), 0.5 * (K0 + K1))
-    err = np.abs(mid - (tau0 + 0.5 * tau1)).max()
-    if err > AFFINITY_CHECK_TOL:
-        raise ModelingBugError(f"torque not affine in beta (midpoint err {err:.3e})")
-    return AffineTorqueSplit(tau0=tau0, tau1=tau1)
-
-
-# Backwards-friendly alias matching the operation name used in docs.
-torque_split = governed_torque
 
 
 def beta_star_detail(split, limits):
@@ -115,11 +83,3 @@ def beta_star_detail(split, limits):
 def beta_star(split, limits):
     """Largest admissible uniform gain scaling; see beta_star_detail."""
     return beta_star_detail(split, limits)[0]
-
-
-def apply_governor(S_D, S_K, beta):
-    """Uniformly scale the slack pair by sqrt(beta)."""
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must lie in [0, 1]")
-    root = np.sqrt(beta)
-    return root * S_D, root * S_K

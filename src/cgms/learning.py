@@ -10,14 +10,13 @@ command would leave the actuator box.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import plants
-from .dmp import DmpParams, DmpState, fit_min_jerk, min_jerk, rollout_reference
+from .dmp import DmpParams, fit_min_jerk, min_jerk, rollout_reference
 from .errors import CertifiedFloorError, InfeasibleFloorError
 from .gains import (
     CertificateReport,
@@ -26,11 +25,10 @@ from .gains import (
     constant_slack_params,
     integrate_cholesky_flow,
     slack_trace,
-    tri_dim,
     vec_triangle_inverse,
 )
 from .governor import AffineTorqueSplit, TorqueLimits, beta_star_detail
-from .plants import PlantModel, ReferenceSample
+from .plants import PlantModel
 
 MODE_CERTIFIED = "certified"
 MODE_UNCERTIFIED_AFTER_VIA = "uncertified-after-via"
@@ -202,7 +200,13 @@ def build_setup(model, H, alpha, T, dt, start, goal, x_via, dmp_basis,
                 mode=MODE_CERTIFIED, dmp_k=150.0, sigma_via_frac=0.05,
                 via_window_sigmas=2.0):
     """Assemble a TaskSetup: nominal min-jerk reference, via time at the
-    closest nominal approach, and the via-substituted cost reference."""
+    closest nominal approach, and the via-substituted cost reference.
+
+    The rollout integrates the constant-inertia point-mass plant only.
+    """
+    if model.kind != plants.POINT_MASS:
+        raise ValueError(f"rollouts need a {plants.POINT_MASS!r} plant, "
+                         f"got {model.kind!r}")
     tgrid = np.arange(0.0, T + dt / 2, dt)
     start = np.asarray(start, float)
     goal = np.asarray(goal, float)
@@ -257,7 +261,7 @@ class Rollout:
 
     @property
     def beta_min(self):
-        return float(self.beta.min()) if len(self.beta) else 1.0
+        return float(self.beta.min())
 
 
 def _gain_products(setup, policy, xi):
@@ -296,7 +300,7 @@ def _gain_products(setup, policy, xi):
     return G_D, G_K, Ddot
 
 
-def rollout(policy, xi, setup, f_e=None):
+def rollout(policy, xi, setup):
     """Simulate one governed episode of the closed loop.
 
     Pipeline: DMP reference -> slack products -> stiffness flow at the
@@ -308,19 +312,6 @@ def rollout(policy, xi, setup, f_e=None):
     m = setup.m
     dt = setup.dt
     alpha, H = setup.alpha, setup.H
-    if n == 0:
-        empty = np.zeros((0, m))
-        zero_eig = np.zeros(0)
-        return Rollout(policy=policy, xi=xi, t=tg, x=empty, x_d=empty,
-                       torque=np.zeros((0, setup.model.n)), beta=np.zeros(0),
-                       K=np.zeros((0, m, m)), D=np.zeros((0, m, m)),
-                       lam_A=zero_eig, lam_C=zero_eig, cost=0.0,
-                       cost_terms={"cost_K": 0.0, "cost_acc": 0.0,
-                                   "cost_track": 0.0},
-                       certificate=CertificateReport(
-                           lam_A=np.array([-np.inf]), lam_C=np.array([-np.inf]),
-                           alpha=alpha),
-                       saturation_events=[])
 
     dmp = replace(setup.dmp, theta_traj=policy.theta_traj)
     xi_traj = None if xi is None else xi.theta_traj
@@ -340,10 +331,7 @@ def rollout(policy, xi, setup, f_e=None):
     lamA1 = np.linalg.eigvalsh(-G_D)[..., -1]
     lamC1 = np.linalg.eigvalsh(-G_K)[..., -1]
 
-    fe = np.zeros(m) if f_e is None else np.asarray(f_e, float)
-    Hinv = np.linalg.inv(H)
-    state = plants.initial_state(setup.model, *_joint_coords(setup.model,
-                                                            setup.start))
+    state = plants.initial_state(setup.model, setup.start)
     x_trace = np.empty((n, m))
     a_trace = np.empty((n, m))
     tau_trace = np.empty((n, setup.model.n))
@@ -352,78 +340,45 @@ def rollout(policy, xi, setup, f_e=None):
     D_exec = np.empty((n, m, m))
     events = []
     tmin, tmax = setup.limits.tau_min, setup.limits.tau_max
-    static = setup.model.kind == plants.POINT_MASS
-    if static:
-        # Constant task-space terms: hoist them and fold the control law
-        # into per-step matrices so the loop body is two small matvecs.
-        Lam, mu, p, J = plants.operational_space_terms(setup.model, state)
-        Minv = np.linalg.inv(Lam)
-        ff = Lam @ (Hinv @ fe) - fe
-        A = J.T @ Lam
-        c_vec = J.T @ (mu + p + ff)
-        u_ff = xdd_d @ A.T + c_vec                    # (n, n_joints)
-        AHi = A @ Hinv
-        AD1 = AHi @ D1                                # batched (n, ., m)
-        AK1 = AHi @ K1
-        AD0 = AHi @ D_floor
-        AK0 = AHi @ K_floor
-        a_bias = Minv @ (fe - np.asarray(setup.model.gravity_wrench, float))
-        x_cur, v_cur = state.x, state.xdot
-        for i in range(n):
-            xt = x_cur - x_d[i]
-            xtd = v_cur - xd_d[i]
-            tau = u_ff[i] - AD1[i] @ xtd - AK1[i] @ xt
-            if ((tau < tmin) | (tau > tmax)).any():
-                tau0 = u_ff[i] - AD0 @ xtd - AK0[i] @ xt
-                split = AffineTorqueSplit(tau0=tau0, tau1=tau - tau0)
-                beta, binding = beta_star_detail(split, setup.limits)
-                if binding is not None:
-                    events.append({"t": float(tg[i]), "joint": binding,
-                                   "beta_star": beta, "limited": True})
-                tau = split.at(beta)
-                K_exec[i] = K_floor[i] + beta * (K1[i] - K_floor[i])
-                D_exec[i] = D_floor + beta * (D1[i] - D_floor)
-                beta_trace[i] = beta
-            else:
-                # Unsaturated fast path: the sampled gains run as drawn.
-                K_exec[i] = K1[i]
-                D_exec[i] = D1[i]
-                beta_trace[i] = 1.0
-            x_trace[i] = x_cur
-            tau_trace[i] = tau
-            a = Minv @ tau + a_bias
-            a_trace[i] = a
-            v_cur = v_cur + a * dt
-            x_cur = x_cur + v_cur * dt
-    else:
-        for i in range(n):
-            Lam, mu, p, J = plants.operational_space_terms(setup.model, state)
-            xt = state.x - x_d[i]
-            xtd = state.xdot - xd_d[i]
-            ff = Lam @ (Hinv @ fe) - fe
-            acc1 = xdd_d[i] - Hinv @ (D1[i] @ xtd + K1[i] @ xt)
-            tau = J.T @ (Lam @ acc1 + mu + p + ff)
-            if ((tau < tmin) | (tau > tmax)).any():
-                acc0 = xdd_d[i] - Hinv @ (D_floor @ xtd + K_floor[i] @ xt)
-                tau0 = J.T @ (Lam @ acc0 + mu + p + ff)
-                split = AffineTorqueSplit(tau0=tau0, tau1=tau - tau0)
-                beta, binding = beta_star_detail(split, setup.limits)
-                if binding is not None:
-                    events.append({"t": float(tg[i]), "joint": binding,
-                                   "beta_star": beta, "limited": True})
-                tau = split.at(beta)
-                K_exec[i] = K_floor[i] + beta * (K1[i] - K_floor[i])
-                D_exec[i] = D_floor + beta * (D1[i] - D_floor)
-                beta_trace[i] = beta
-            else:
-                K_exec[i] = K1[i]
-                D_exec[i] = D1[i]
-                beta_trace[i] = 1.0
-            x_trace[i] = state.x
-            tau_trace[i] = tau
-            prev_xdot = state.xdot
-            state = plants.plant_step(setup.model, state, tau, fe, dt)
-            a_trace[i] = (state.xdot - prev_xdot) / dt
+    # The point-mass task terms are constant: hoist them and fold the
+    # control law into per-step matrices so the loop body is two matvecs.
+    Lam, mu, p, J = plants.operational_space_terms(setup.model, state)
+    Minv = np.linalg.inv(Lam)
+    A = J.T @ Lam
+    u_ff = xdd_d @ A.T + J.T @ (mu + p)              # (n, n_joints)
+    AHi = A @ np.linalg.inv(H)
+    AD1 = AHi @ D1                                # batched (n, ., m)
+    AK1 = AHi @ K1
+    AD0 = AHi @ D_floor
+    AK0 = AHi @ K_floor
+    a_bias = -Minv @ setup.model.gravity_wrench
+    x_cur, v_cur = state.x, state.xdot
+    for i in range(n):
+        xt = x_cur - x_d[i]
+        xtd = v_cur - xd_d[i]
+        tau = u_ff[i] - AD1[i] @ xtd - AK1[i] @ xt
+        if ((tau < tmin) | (tau > tmax)).any():
+            tau0 = u_ff[i] - AD0 @ xtd - AK0[i] @ xt
+            split = AffineTorqueSplit(tau0=tau0, tau1=tau - tau0)
+            beta, binding = beta_star_detail(split, setup.limits)
+            if binding is not None:
+                events.append({"t": float(tg[i]), "joint": binding,
+                               "beta_star": beta, "limited": True})
+            tau = split.at(beta)
+            K_exec[i] = K_floor[i] + beta * (K1[i] - K_floor[i])
+            D_exec[i] = D_floor + beta * (D1[i] - D_floor)
+            beta_trace[i] = beta
+        else:
+            # Unsaturated fast path: the sampled gains run as drawn.
+            K_exec[i] = K1[i]
+            D_exec[i] = D1[i]
+            beta_trace[i] = 1.0
+        x_trace[i] = x_cur
+        tau_trace[i] = tau
+        a = Minv @ tau + a_bias
+        a_trace[i] = a
+        v_cur = v_cur + a * dt
+        x_cur = x_cur + v_cur * dt
     if not np.all(np.isfinite(x_trace)):
         raise plants.IntegrationDivergedError("rollout state diverged")
 
@@ -437,21 +392,6 @@ def rollout(policy, xi, setup, f_e=None):
                    beta=beta_trace, K=K_exec, D=D_exec, lam_A=lam_A,
                    lam_C=lam_C, cost=cost, cost_terms=terms,
                    certificate=report, saturation_events=events)
-
-
-def _joint_coords(model, x_start):
-    """Joint coordinates placing the end effector at x_start (rest)."""
-    if model.kind == plants.POINT_MASS:
-        return np.asarray(x_start, float), np.zeros(model.n)
-    # Two-link analytic IK, elbow-up branch.
-    l1, l2 = model.link_lengths
-    x, y = x_start
-    r2 = x * x + y * y
-    c2 = (r2 - l1 * l1 - l2 * l2) / (2 * l1 * l2)
-    c2 = min(1.0, max(-1.0, c2))
-    q2 = math.acos(c2)
-    q1 = math.atan2(y, x) - math.atan2(l2 * math.sin(q2), l1 + l2 * c2)
-    return np.array([q1, q2]), np.zeros(2)
 
 
 def schedule_from_rollout(ro, setup):
@@ -542,21 +482,29 @@ def train(setup, policy=None, noise=None, updates=50, rollouts_per_update=12,
         rows = []
         count = 1 if evaluate_only else rollouts_per_update
         for r_idx in range(count):
-            ro = None
+            rejects = {}
             for attempt in range(MAX_RESAMPLE_ATTEMPTS):
                 xi = (None if evaluate_only
                       else sample_noise(noise, policy, u, r_idx, attempt))
                 try:
                     ro = rollout(policy, xi, setup)
                     break
-                except (CertifiedFloorError, InfeasibleFloorError):
+                except (CertifiedFloorError, InfeasibleFloorError) as exc:
                     if evaluate_only:
                         raise
-                    continue
-            if ro is None:
-                raise CertifiedFloorError(
-                    f"update {u} rollout {r_idx}: no certified sample in "
-                    f"{MAX_RESAMPLE_ATTEMPTS} attempts")
+                    name = type(exc).__name__
+                    rejects[name] = rejects.get(name, 0) + 1
+                    # Give up with the class that rejected the last attempt.
+                    # Raising here, rather than keeping the exception for
+                    # after the loop, lets each rejected rollout's frame
+                    # (and its arrays) go before the next attempt runs.
+                    if attempt + 1 == MAX_RESAMPLE_ATTEMPTS:
+                        counts = ", ".join(f"{k} x{v}"
+                                           for k, v in rejects.items())
+                        raise type(exc)(
+                            f"update {u} rollout {r_idx}: no accepted sample "
+                            f"in {MAX_RESAMPLE_ATTEMPTS} attempts "
+                            f"({counts})") from exc
             ros.append(ro)
             if rollout_hook is not None:
                 rollout_hook(u, r_idx, ro)

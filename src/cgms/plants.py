@@ -1,19 +1,19 @@
-"""Analytic plants, the OSID variable-impedance control law, and fixed-step
-integration of both the full plant and the ideal closed-loop error dynamics.
+"""Analytic plants, the OSID variable-impedance control law, and
+fixed-step integrators.
 
-Two plants are provided:
-
-* a task-space point mass with constant inertia (default desk-scale plant,
-  identity Jacobian, joint space == task space), and
-* a planar two-link arm with point masses at the link tips, which exercises
-  a configuration-dependent inertia, Coriolis and gravity terms.
+The training rollout runs on a task-space point mass with constant inertia
+(identity Jacobian, joint space == task space).  The planar two-link arm
+with point masses at the link tips, the RK4 plant step and the closed-loop
+error step are oracles: tests compare the control law and the integrators
+against them on a configuration-dependent inertia with Coriolis and
+gravity terms.
 
 All functions are pure; identical inputs give bit-identical outputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,17 +82,6 @@ class PlantState:
     x: np.ndarray
     xdot: np.ndarray
     t: float = 0.0
-
-
-@dataclass(frozen=True)
-class Wrench:
-    """Task-space force vector."""
-
-    f: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.f)):
-            raise ValueError("wrench entries must be finite")
 
 
 @dataclass(frozen=True)
@@ -213,22 +202,21 @@ def osid_wrench(Lam, mu, p, f_e, H, xddot_cmd):
     f_c = Lam xdd_cmd + mu + p + (Lam H^-1 - I) f_e; the last term is the
     external-wrench feedforward and vanishes when Lam == H.
     """
-    fe = f_e.f if isinstance(f_e, Wrench) else np.asarray(f_e, float)
+    fe = np.asarray(f_e, float)
     ff = Lam @ np.linalg.solve(H, fe) - fe
-    return Wrench(f=Lam @ xddot_cmd + mu + p + ff)
+    return Lam @ xddot_cmd + mu + p + ff
 
 
 def wrench_to_torque(J, f_c):
     """Map a task wrench to joint torques: tau = J^T f."""
-    f = f_c.f if isinstance(f_c, Wrench) else np.asarray(f_c, float)
-    return J.T @ f
+    return J.T @ np.asarray(f_c, float)
 
 
 def plant_step(model, state, tau_c, f_e, dt):
     """One semi-implicit Euler step of the joint-space dynamics."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    fe = f_e.f if isinstance(f_e, Wrench) else np.asarray(f_e, float)
+    fe = np.asarray(f_e, float)
     M, Cqd, grav = joint_space_terms(model, state.q, state.qdot)
     J = jacobian(model, state.q)
     qdd = np.linalg.solve(M, tau_c + J.T @ fe - Cqd - grav)
@@ -251,7 +239,7 @@ def plant_rhs(model, q, qdot, tau_c, fe):
 def plant_step_rk4(model, state, tau_c, f_e, dt):
     """Classical RK4 step (zero-order-hold torque); reference integrator for
     oracle runs only, not used on the control path."""
-    fe = f_e.f if isinstance(f_e, Wrench) else np.asarray(f_e, float)
+    fe = np.asarray(f_e, float)
     q, qd = state.q, state.qdot
 
     k1 = plant_rhs(model, q, qd, tau_c, fe)
@@ -272,7 +260,7 @@ def closed_loop_error_step(xt, xtd, H, D, K, f_e, dt):
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    fe = f_e.f if isinstance(f_e, Wrench) else np.asarray(f_e, float)
+    fe = np.asarray(f_e, float)
     xtdd = np.linalg.solve(H, fe - D @ xtd - K @ xt)
     xtd_next = xtd + xtdd * dt
     xt_next = xt + xtd_next * dt

@@ -93,12 +93,11 @@ def uub_constants(inp):
                      decay_rate=c1 / m2p, radius=radius)
 
 
-def inputs_from_schedule(schedule, u_bar, gamma=None, eta=None,
-                         optimize=False):
+def inputs_from_schedule(schedule, u_bar, optimize=False):
     """Extract the schedule-dependent bounds over its time grid.
 
-    gamma and eta default to eps_D/2 and eps_D/4; with optimize=True a
-    coarse grid search over admissible (gamma, eta) maximizes c1.
+    gamma and eta are eps_D/2 and eps_D/4; with optimize=True a coarse grid
+    search over admissible (gamma, eta) maximizes c1.
     """
     H = schedule.H
     h_eigs = np.linalg.eigvalsh(H)
@@ -110,10 +109,6 @@ def inputs_from_schedule(schedule, u_bar, gamma=None, eta=None,
                 h_max=float(h_eigs.max()), k_lower=float(k_eigs.min()),
                 k_upper=float(k_eigs.max()), d_upper=float(d_norm),
                 eps_D=eps_D, eps_K=eps_K, u_bar=u_bar)
-    if gamma is not None or eta is not None:
-        return RobustnessInputs(gamma=gamma if gamma is not None else eps_D / 2,
-                                eta=eta if eta is not None else eps_D / 4,
-                                **base)
     if not optimize:
         return RobustnessInputs(gamma=eps_D / 2, eta=eps_D / 4, **base)
     best, best_c1 = None, -np.inf
@@ -153,17 +148,16 @@ def _gain_interp(schedule):
     return (lambda ti: at(ti, schedule.K)), (lambda ti: at(ti, schedule.D))
 
 
-def simulate_error_dynamics(schedule, u_res, z0=None, dt=None):
+def simulate_error_dynamics(schedule, u_res, z0=None):
     """RK4 integration of H xtdd + D(t) xtd + K(t) xt = u_res(t).
 
     u_res is a callable t -> vector.  Returns (t, xt, xtd) arrays sampled
-    on the integration grid (the schedule grid by default).
+    on the schedule grid.
     """
     m = schedule.m
     Hinv = np.linalg.inv(schedule.H)
     K_at, D_at = _gain_interp(schedule)
-    tgrid = schedule.t if dt is None else np.arange(schedule.t[0],
-                                                   schedule.t[-1] + dt / 2, dt)
+    tgrid = schedule.t
     h = tgrid[1] - tgrid[0]
     xt = np.zeros(m) if z0 is None else np.array(z0[m:], float)
     xtd = np.zeros(m) if z0 is None else np.array(z0[:m], float)

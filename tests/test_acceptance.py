@@ -5,15 +5,12 @@ run) are session fixtures shared with the unit tests, so the gate adds
 little beyond the checks themselves.
 """
 
-import json
-
 import numpy as np
-import pytest
 
 from cgms import cli
 from cgms.config import compile_setup, load_config
 from cgms.dmp import DmpParams, build_basis, fit_min_jerk, min_jerk, rollout_reference
-from cgms.gains import SlackParams, build_gain_schedule, integrate_cholesky_flow, slack_trace, tri_dim
+from cgms.gains import SlackParams, integrate_cholesky_flow, slack_trace
 from cgms.governor import AffineTorqueSplit, TorqueLimits, beta_star
 from cgms.learning import PolicyParams, initial_policy, pi2_update, pi2_weights, rollout
 from cgms.plants import (

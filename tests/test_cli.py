@@ -123,6 +123,27 @@ def test_exit_code_certification_failure(tmp_path, capsys):
     assert "certification" in capsys.readouterr().err
 
 
+def test_dt_longer_than_horizon_is_config_error(tmp_path, capsys):
+    # A one-point time grid would otherwise fail deep in the rollout.
+    with pytest.raises(ConfigError, match="horizon"):
+        load_config(None, overrides={"run_horizon": 5.0, "run_dt": 11.0})
+    path = tmp_path / "dt.ini"
+    path.write_text("[run]\nhorizon = 5\ndt = 11\n")
+    rc = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    assert "dt" in capsys.readouterr().err
+
+
+def test_exit_code_infeasible_floor(tmp_path, capsys):
+    # A 1e-6 N box rejects every attempt at its first step.
+    path = tmp_path / "box.ini"
+    path.write_text("[run]\nhorizon = 0.5\nupdates = 1\nrollouts = 1\n"
+                    "[governor]\nlimit = 1e-6\n")
+    rc = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CERTIFICATION
+    assert "InfeasibleFloorError x100" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # Subcommand artifacts
 # ---------------------------------------------------------------------------

@@ -8,20 +8,16 @@ import pytest
 from cgms.dmp import build_basis
 from cgms.errors import CertifiedFloorError, ContractViolationError
 from cgms.gains import (
-    GainSchedule,
     SlackParams,
     build_gain_schedule,
     certificate_margins,
-    cholesky_flow_step,
     constant_slack_params,
-    damping_from_slack,
-    damping_rate,
     integrate_cholesky_flow,
-    slack_eval,
     slack_trace,
     tri_dim,
     vec_triangle,
     vec_triangle_inverse,
+    write_csv,
 )
 
 ALPHA = 0.05
@@ -34,6 +30,23 @@ def random_slack_params(rng, m=3, scale=1.0, basis=None):
     return SlackParams(theta_d=scale * rng.standard_normal((basis.count, d)),
                        theta_k=scale * rng.standard_normal((basis.count, d)),
                        basis=basis, m=m)
+
+
+def slack_at(sp, s, xi_d=None):
+    """(S_D, S_K) of slack_trace at the single phase s."""
+    S_D, S_K, _, _ = slack_trace(sp, np.array([s]), xi_d)
+    return S_D[0], S_K[0]
+
+
+def constant_slack(S_D):
+    """Single-basis slack params holding a constant S_D and a zero S_K."""
+    row = vec_triangle(S_D)[None]
+    return SlackParams(theta_d=row, theta_k=np.zeros_like(row),
+                       basis=build_basis(1, 0.5), m=S_D.shape[0])
+
+
+def short_schedule(sp, tgrid=np.arange(0.0, 0.01, 1e-3), tau=1.0):
+    return build_gain_schedule(sp, ALPHA, H3, tau, 200 * np.eye(3), tgrid)
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +89,9 @@ def test_slack_zero_params():
     basis = build_basis(7, 0.7)
     sp = SlackParams(theta_d=np.zeros((7, 6)), theta_k=np.zeros((7, 6)),
                      basis=basis, m=3)
-    sample = slack_eval(sp, 0.4)
-    assert np.array_equal(sample.S_D, np.zeros((3, 3)))
-    assert np.array_equal(sample.S_K, np.zeros((3, 3)))
+    S_D, S_K = slack_at(sp, 0.4)
+    assert np.array_equal(S_D, np.zeros((3, 3)))
+    assert np.array_equal(S_K, np.zeros((3, 3)))
 
 
 def test_slack_constant_single_basis(rng):
@@ -86,16 +99,16 @@ def test_slack_constant_single_basis(rng):
     row = vec_triangle(np.tril(rng.standard_normal((3, 3))))
     sp = SlackParams(theta_d=row[None], theta_k=row[None], basis=basis, m=3)
     for s in (0.0, 0.5, 1.0):
-        sample = slack_eval(sp, s)
-        assert np.allclose(vec_triangle(sample.S_D), row, atol=1e-14)
+        S_D, _ = slack_at(sp, s)
+        assert np.allclose(vec_triangle(S_D), row, atol=1e-14)
 
 
 def test_slack_derivative_finite_difference(rng):
     sp = random_slack_params(rng)
     h = 1e-6
     for s in (0.2, 0.55, 0.9):
-        plus = slack_eval(sp, s + h).S_D
-        minus = slack_eval(sp, s - h).S_D
+        plus = slack_at(sp, s + h)[0]
+        minus = slack_at(sp, s - h)[0]
         fd = (plus - minus) / (2 * h)
         _, _, Sd_D, _ = slack_trace(sp, np.array([s]))
         assert np.abs(Sd_D[0] - fd).max() < 1e-5
@@ -104,62 +117,62 @@ def test_slack_derivative_finite_difference(rng):
 def test_slack_noise_pairing(rng):
     sp = random_slack_params(rng)
     xi_d = rng.standard_normal(sp.theta_d.shape)
-    sample = slack_eval(sp, 0.3, xi_d=xi_d)
+    S_D, S_K = slack_at(sp, 0.3, xi_d=xi_d)
     shifted = SlackParams(theta_d=sp.theta_d + xi_d, theta_k=sp.theta_k,
                           basis=sp.basis, m=3)
-    ref = slack_eval(shifted, 0.3)
-    assert np.allclose(sample.S_D, ref.S_D, atol=1e-15)
-    assert np.allclose(sample.S_K, ref.S_K, atol=1e-15)
+    ref_D, ref_K = slack_at(shifted, 0.3)
+    assert np.allclose(S_D, ref_D, atol=1e-15)
+    assert np.allclose(S_K, ref_K, atol=1e-15)
 
 
 def test_damping_from_slack():
-    D = damping_from_slack(np.zeros((3, 3)), ALPHA, H3)
+    D = short_schedule(constant_slack(np.zeros((3, 3)))).D
     assert np.allclose(D, 0.05 * np.eye(3))
     S = np.sqrt(29.95) * np.eye(3)
-    D = damping_from_slack(S, ALPHA, H3)
+    D = short_schedule(constant_slack(S)).D
     assert np.allclose(D, 30.0 * np.eye(3), atol=1e-12)
 
 
 def test_damping_lmi_by_construction(rng):
     for _ in range(20):
         S = np.tril(rng.standard_normal((3, 3)))
-        D = damping_from_slack(S, ALPHA, H3)
+        D = short_schedule(constant_slack(S)).D
         lam = np.linalg.eigvalsh(ALPHA * H3 - D).max()
         assert lam <= 1e-12
 
 
 def test_damping_rate_finite_difference(rng):
+    # The analytic Ddot of a schedule against central differences of its D.
     sp = random_slack_params(rng)
     tau = 5.0
-    sdot = -1.0 / tau
     h = 1e-6
     for s in (0.3, 0.7):
-        Dd = damping_rate(sp, s, sdot)
+        tgrid = tau * (1.0 - s) + h * np.arange(-1.0, 2.0)
+        sched = short_schedule(sp, tgrid, tau)
+        Dd = sched.Ddot[1]
         assert np.abs(Dd - Dd.T).max() < 1e-12
-        D_plus = damping_from_slack(slack_eval(sp, s + h * sdot).S_D, ALPHA, H3)
-        D_minus = damping_from_slack(slack_eval(sp, s - h * sdot).S_D, ALPHA, H3)
-        fd = (D_plus - D_minus) / (2 * h)
+        fd = (sched.D[2] - sched.D[0]) / (tgrid[2] - tgrid[0])
         assert np.abs(Dd - fd).max() < 1e-5
 
 
 def test_constant_slack_rate_is_zero(rng):
     basis = build_basis(1, 0.5)
     sp = random_slack_params(rng, basis=basis)
-    assert np.allclose(damping_rate(sp, 0.4, -0.2), 0.0, atol=1e-12)
+    assert np.allclose(short_schedule(sp).Ddot, 0.0, atol=1e-12)
     sp0 = SlackParams(theta_d=np.zeros((7, 6)), theta_k=np.zeros((7, 6)),
                       basis=build_basis(7, 0.7), m=3)
-    assert np.array_equal(damping_rate(sp0, 0.4, -0.2), np.zeros((3, 3)))
+    assert np.array_equal(short_schedule(sp0).Ddot, np.zeros((10, 3, 3)))
 
 
 # ---------------------------------------------------------------------------
-# Cholesky flow
+# Stiffness flow
 # ---------------------------------------------------------------------------
 
 def test_flow_step_zero_b_is_exponential():
-    Q = np.sqrt(200.0) * np.eye(3)
-    Qn = cholesky_flow_step(Q, np.zeros((3, 3)), np.zeros((3, 3)), ALPHA, 1e-3)
+    K = integrate_cholesky_flow(np.zeros((2, 3, 3)), ALPHA,
+                                200.0 * np.eye(3), 1e-3)
     K_expected = np.exp(2 * ALPHA * 1e-3) * 200.0 * np.eye(3)
-    assert np.abs(Qn.T @ Qn - K_expected).max() / 200.0 < 1e-12
+    assert np.abs(K[1] - K_expected).max() / 200.0 < 1e-12
 
 
 def test_flow_zero_slack_certificate_boundary():
@@ -210,14 +223,11 @@ def test_flow_clamp_mode_stays_finite():
 
 
 def test_flow_step_rejects_floor():
-    # A factor at 1e-13 keeps the post-step Cholesky diagonal below the
-    # 1e-12 positivity floor, which must reject rather than continue.
-    Q = 1e-13 * np.eye(2)
+    # A stiffness of 1e-13 already sits below the 1e-12 eigenvalue floor,
+    # which must reject rather than continue.
     with pytest.raises(CertifiedFloorError):
-        cholesky_flow_step(Q, np.zeros((2, 2)), np.zeros((2, 2)), ALPHA, 1e-3)
-    with pytest.raises(ValueError):
-        cholesky_flow_step(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)),
-                           ALPHA, 0.0)
+        integrate_cholesky_flow(np.zeros((2, 2, 2)), ALPHA, 1e-13 * np.eye(2),
+                                1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -278,15 +288,16 @@ def test_schedule_certified_by_construction(rng):
 def test_scale_beta_closure(rng):
     basis = build_basis(7, 0.7)
     tgrid = np.arange(0.0, 1.0, 1e-3)
+    # The slacks are linear in theta, so scaling theta by sqrt(beta) is the
+    # governor's contraction of both slack products by beta.
     for beta in (0.0, 0.25, 0.5, 1.0):
-        sp = random_slack_params(rng, scale=0.8, basis=basis)
+        sp = random_slack_params(rng, scale=0.8 * np.sqrt(beta), basis=basis)
         sched = build_gain_schedule(sp, ALPHA, H3, 1.0, 200 * np.eye(3),
-                                    tgrid, beta=beta)
+                                    tgrid)
         assert sched.report().passes
     # beta = 0 is the certified floor: D = alpha H, K = exp(2 alpha t) K0.
-    sp = random_slack_params(rng, scale=0.8, basis=basis)
-    sched0 = build_gain_schedule(sp, ALPHA, H3, 1.0, 200 * np.eye(3),
-                                 tgrid, beta=0.0)
+    sp = random_slack_params(rng, scale=0.0, basis=basis)
+    sched0 = build_gain_schedule(sp, ALPHA, H3, 1.0, 200 * np.eye(3), tgrid)
     assert np.abs(sched0.D - ALPHA * H3).max() < 1e-14
     expected = np.exp(2 * ALPHA * tgrid)[:, None, None] * 200 * np.eye(3)
     assert np.abs(sched0.K - expected).max() / 200.0 < 1e-10
@@ -315,8 +326,19 @@ def test_schedule_csv_round_trip(rng):
     assert header.startswith("t,K11,K12,K13,K21")
     assert header.endswith("lamA,lamC")
     buf.seek(0)
-    back = GainSchedule.from_csv(buf, ALPHA, H3)
-    assert np.allclose(back.t, sched.t)
-    assert np.allclose(back.K, sched.K)
-    assert np.allclose(back.D, sched.D)
-    assert np.allclose(back.lam_A, sched.lam_A)
+    back = np.genfromtxt(buf, delimiter=",", skip_header=1)
+    n = len(tgrid)
+    assert np.allclose(back[:, 0], sched.t)
+    assert np.allclose(back[:, 1:10].reshape(n, 3, 3), sched.K)
+    assert np.allclose(back[:, 10:19].reshape(n, 3, 3), sched.D)
+    assert np.allclose(back[:, -2], sched.lam_A)
+
+
+def test_write_csv_format():
+    # Ints verbatim, floats round-tripping; no rows gives the header alone.
+    buf = io.StringIO()
+    write_csv(buf, ["update", "cost"], [[3, 0.1], [4, np.float64(2.0)]])
+    assert buf.getvalue() == "update,cost\n3,0.10000000000000001\n4,2\n"
+    buf = io.StringIO()
+    write_csv(buf, ["update", "cost"], [])
+    assert buf.getvalue() == "update,cost\n"

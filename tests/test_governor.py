@@ -6,83 +6,15 @@ import pytest
 from cgms.dmp import build_basis
 from cgms.errors import InfeasibleFloorError
 from cgms.gains import build_gain_schedule, tri_dim, SlackParams
-from cgms.governor import (
-    AffineTorqueSplit,
-    TorqueLimits,
-    apply_governor,
-    beta_star,
-    beta_star_detail,
-    governed_torque,
-)
-from cgms.plants import PlantState, ReferenceSample
+from cgms.governor import AffineTorqueSplit, TorqueLimits, beta_star, beta_star_detail
 
 
 def test_limit_presets():
-    full = TorqueLimits.fr3_default()
     half = TorqueLimits.fr3_half()
-    assert np.array_equal(full.tau_max, [87, 87, 87, 87, 12, 12, 12])
-    assert np.array_equal(half.tau_max, np.asarray(full.tau_max) / 2)
-    assert np.array_equal(full.tau_min, -np.asarray(full.tau_max))
+    assert np.array_equal(half.tau_max, [43.5, 43.5, 43.5, 43.5, 6, 6, 6])
+    assert np.array_equal(half.tau_min, -np.asarray(half.tau_max))
     with pytest.raises(ValueError):
         TorqueLimits(tau_min=np.array([1.0]), tau_max=np.array([0.0]))
-
-
-def test_torque_split_zero_error_zero_slope():
-    state = PlantState(q=np.zeros(3), qdot=np.zeros(3),
-                       x=np.array([0.1, 0.2, 0.3]),
-                       xdot=np.array([0.0, 0.1, 0.0]))
-    ref = ReferenceSample(x_d=state.x, xdot_d=state.xdot,
-                          xddot_d=np.array([1.0, 0.0, 0.0]))
-    I = np.eye(3)
-    z = np.zeros(3)
-    D0, K0 = 0.05 * I, 200.0 * I
-    D1, K1 = 40.0 * I, 500.0 * I
-    split = governed_torque(I, z, z, I, I, state, ref, z, D0, K0, D1, K1)
-    assert np.abs(split.tau1).max() < 1e-12
-
-
-def test_torque_split_hand_example():
-    # x_err = (0.1, 0, 0), no velocity error, J = Lam = H = I:
-    # tau1 = -(K1 - K0) @ x_err = -(10, 0, 0) for a 100 N/m stiffness gap.
-    state = PlantState(q=np.zeros(3), qdot=np.zeros(3),
-                       x=np.array([0.1, 0.0, 0.0]), xdot=np.zeros(3))
-    ref = ReferenceSample(x_d=np.zeros(3), xdot_d=np.zeros(3),
-                          xddot_d=np.zeros(3))
-    I = np.eye(3)
-    z = np.zeros(3)
-    K0 = 200.0 * I
-    K1 = 300.0 * I
-    split = governed_torque(I, z, z, I, I, state, ref, z, 30.0 * I, K0,
-                            55.0 * I, K1)
-    assert np.allclose(split.tau1, [-10.0, 0.0, 0.0], atol=1e-12)
-    assert np.allclose(split.tau0, -K0 @ state.x, atol=1e-12)
-
-
-def test_torque_split_affine_at_random_betas(rng):
-    I = np.eye(3)
-
-    def make_spd(scale):
-        A = rng.standard_normal((3, 3))
-        return A @ A.T + scale * I
-
-    for _ in range(10):
-        state = PlantState(q=np.zeros(3), qdot=np.zeros(3),
-                           x=rng.standard_normal(3),
-                           xdot=rng.standard_normal(3))
-        ref = ReferenceSample(x_d=rng.standard_normal(3),
-                              xdot_d=rng.standard_normal(3),
-                              xddot_d=rng.standard_normal(3))
-        D0, K0 = 0.05 * I, make_spd(100.0)
-        D1, K1 = make_spd(10.0), make_spd(200.0)
-        fe = rng.standard_normal(3)
-        split = governed_torque(I, z := np.zeros(3), z, I, I, state, ref,
-                                fe, D0, K0, D1, K1)
-        for beta in rng.uniform(0.0, 1.0, 5):
-            Db = D0 + beta * (D1 - D0)
-            Kb = K0 + beta * (K1 - K0)
-            direct = governed_torque(I, z, z, I, I, state, ref, fe,
-                                     D0, K0, Db, Kb)
-            assert np.abs(split.at(beta) - direct.at(1.0)).max() < 1e-9
 
 
 def test_beta_star_single_ratio():
@@ -148,27 +80,16 @@ def test_beta_star_maximality(rng):
             assert not limits.contains(split.at(beta + 1e-6), tol=1e-9)
 
 
-def test_apply_governor_scaling(rng):
-    S_D = np.tril(rng.standard_normal((3, 3)))
-    S_K = np.tril(rng.standard_normal((3, 3)))
-    sd, sk = apply_governor(S_D, S_K, 1.0)
-    assert np.array_equal(sd, S_D) and np.array_equal(sk, S_K)
-    sd, sk = apply_governor(S_D, S_K, 0.0)
-    assert np.array_equal(sd, np.zeros((3, 3)))
-    assert np.array_equal(sk, np.zeros((3, 3)))
-    sd, sk = apply_governor(S_D, S_K, 0.5)
-    assert np.allclose(sd @ sd.T, 0.5 * S_D @ S_D.T, atol=1e-14)
-    with pytest.raises(ValueError):
-        apply_governor(S_D, S_K, 1.5)
-
-
 def test_governed_schedule_still_certified(rng):
+    # Governing at beta = 0.5 scales both slack products by beta, which is
+    # the schedule of slack weights scaled by sqrt(beta).
     basis = build_basis(7, 0.7)
     d = tri_dim(3)
-    sp = SlackParams(theta_d=rng.standard_normal((7, d)),
-                     theta_k=rng.standard_normal((7, d)),
+    root = np.sqrt(0.5)
+    sp = SlackParams(theta_d=root * rng.standard_normal((7, d)),
+                     theta_k=root * rng.standard_normal((7, d)),
                      basis=basis, m=3)
     tgrid = np.arange(0.0, 1.0, 1e-3)
     sched = build_gain_schedule(sp, 0.05, np.eye(3), 1.0, 200 * np.eye(3),
-                                tgrid, beta=0.5)
+                                tgrid)
     assert sched.report().passes

@@ -3,10 +3,16 @@
 import numpy as np
 import pytest
 
+from cgms.config import compile_setup, load_config
+from cgms.dmp import build_basis
+from cgms.errors import InfeasibleFloorError
+from cgms.governor import TorqueLimits
 from cgms.learning import (
+    MAX_RESAMPLE_ATTEMPTS,
     CostWeights,
     ExplorationNoise,
     PolicyParams,
+    build_setup,
     decay_covariance,
     initial_policy,
     pi2_update,
@@ -14,9 +20,11 @@ from cgms.learning import (
     rollout,
     sample_noise,
     schedule_from_rollout,
+    train,
     trajectory_cost,
     via_weight,
 )
+from cgms.plants import PlantModel
 
 
 def random_policy(rng):
@@ -255,3 +263,29 @@ def test_initial_policy_blocks(handover_setup):
     assert np.allclose(pol.theta_d, pol.theta_d[0])
     assert np.allclose(pol.theta_d[0, :3], np.sqrt(29.95))
     assert np.allclose(pol.theta_k[0, :3], np.sqrt(2 * 0.05 * 200.0))
+
+
+def test_build_setup_rejects_non_point_mass_plant():
+    with pytest.raises(ValueError, match="planar-two-link"):
+        build_setup(PlantModel.planar_two_link(), np.eye(2), 0.05, 1.0, 1e-3,
+                    start=[0.5, 0.3], goal=[0.3, 0.5], x_via=[0.4, 0.4],
+                    dmp_basis=build_basis(7, 0.95),
+                    slack_basis=build_basis(7, 0.7),
+                    limits=TorqueLimits.box(43.5, 2))
+
+
+# ---------------------------------------------------------------------------
+# Training
+# ---------------------------------------------------------------------------
+
+def test_train_gives_up_with_the_rejecting_class():
+    # A 1e-6 N box: even the beta = 0 floor saturates at the first step of
+    # every attempt, so training gives up with InfeasibleFloorError.
+    cfg = load_config(overrides={"run_horizon": 0.5, "governor_limit": 1e-6})
+    setup, noise = compile_setup(cfg)
+    with pytest.raises(InfeasibleFloorError) as info:
+        train(setup, noise=noise, updates=1, rollouts_per_update=1)
+    msg = str(info.value)
+    assert f"{MAX_RESAMPLE_ATTEMPTS} attempts" in msg
+    assert f"InfeasibleFloorError x{MAX_RESAMPLE_ATTEMPTS}" in msg
+    assert isinstance(info.value.__cause__, InfeasibleFloorError)

@@ -9,7 +9,6 @@ from cgms.plants import (
     PlantModel,
     PlantState,
     ReferenceSample,
-    Wrench,
     closed_loop_error_step,
     commanded_accel,
     forward_kinematics,
@@ -170,13 +169,13 @@ def test_osid_feedforward_vanishes_when_lambda_equals_h(rng):
     mu = rng.standard_normal(3)
     p = rng.standard_normal(3)
     fc = osid_wrench(H, mu, p, fe, H, acc)
-    assert np.allclose(fc.f, H @ acc + mu + p, atol=1e-12)
+    assert np.allclose(fc, H @ acc + mu + p, atol=1e-12)
 
 
 def test_osid_free_space():
     fc = osid_wrench(np.eye(3), np.zeros(3), np.zeros(3), np.zeros(3),
                      np.eye(3), np.array([1.0, 2.0, 3.0]))
-    assert np.allclose(fc.f, [1.0, 2.0, 3.0])
+    assert np.allclose(fc, [1.0, 2.0, 3.0])
 
 
 def test_osid_substitution_reproduces_error_dynamics(rng):
@@ -199,7 +198,7 @@ def test_osid_substitution_reproduces_error_dynamics(rng):
                               xddot_d=rng.standard_normal(3))
         acc_cmd = commanded_accel(state, ref, D, K, H)
         fc = osid_wrench(Lam, mu, p, fe, H, acc_cmd)
-        xdd = np.linalg.solve(Lam, fc.f + fe - mu - p)
+        xdd = np.linalg.solve(Lam, fc + fe - mu - p)
         xt = state.x - ref.x_d
         xtd = state.xdot - ref.xdot_d
         residual = H @ (xdd - ref.xddot_d) + D @ xtd + K @ xt - fe
@@ -212,7 +211,7 @@ def test_wrench_to_torque(rng):
     assert np.allclose(wrench_to_torque(np.eye(2), np.zeros(2)), 0.0)
     model = PlantModel.planar_two_link()
     J = plants._two_link_jacobian(model, np.array([0.4, 1.1]))
-    assert np.array_equal(wrench_to_torque(J, Wrench(f=f)), J.T @ f)
+    assert np.array_equal(wrench_to_torque(J, f), J.T @ f)
 
 
 # ---------------------------------------------------------------------------
