@@ -71,17 +71,14 @@ TRACE_HEADER = ["update", "rollout", "cost", "cost_K", "cost_acc",
 
 
 def _write_trace(path, rows):
-    write_csv(path, TRACE_HEADER,
-              [[r["update"], r["rollout"], r["cost"], r["cost_K"],
-                r["cost_acc"], r["cost_track"], r["lamA_max"], r["lamC_max"],
-                r["beta_star_min"]] for r in rows])
+    write_csv(path, TRACE_HEADER, [[r[h] for h in TRACE_HEADER] for r in rows])
 
 
-def _summary(cfg, setup, result, wall_time):
+def _summary(cfg, result, wall_time):
     rows = result.trace_rows()
     lam_a = max(r["lamA_max"] for r in rows)
     lam_c = max(r["lamC_max"] for r in rows)
-    final_ro = rollout(result.policy, None, setup)
+    final_ro = result.evaluation
     rmse = np.sqrt(((final_ro.x - final_ro.x_d) ** 2).mean(axis=0))
     return {
         "schema_version": 1,
@@ -113,7 +110,7 @@ def cmd_train(args):
     _write_trace(out / "learning_trace.csv", result.trace_rows())
     _write_json(out / "theta_initial.json", result.records[0].theta.to_dict())
     _write_json(out / "theta_final.json", result.policy.to_dict())
-    _write_json(out / "summary.json", _summary(cfg, setup, result, wall))
+    _write_json(out / "summary.json", _summary(cfg, result, wall))
     _write_json(out / "saturation_events.json", result.saturation_events)
     save_config(cfg, out / "resolved_config.ini")
     return EXIT_OK
@@ -214,7 +211,7 @@ def cmd_ablate(args):
               ["update", "rollout", "lamA_max_post_via", "lamC_max_post_via"],
               eig_rows)
     _write_trace(out / "learning_trace.csv", result.trace_rows())
-    _write_json(out / "summary.json", _summary(cfg, setup, result, wall))
+    _write_json(out / "summary.json", _summary(cfg, result, wall))
     save_config(cfg, out / "resolved_config.ini")
     return EXIT_OK
 

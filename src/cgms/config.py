@@ -122,6 +122,26 @@ class ExperimentConfig:
             v = getattr(self, name)
             if v and len(v) != 3:
                 raise ConfigError(f"{name} needs exactly 3 coordinates")
+        # Values that compile but fail in the first rollout or update.
+        for name in ("dmp_rbf_count", "dmp_stiffness", "gains_slack_rbf_count",
+                     "gains_k_init", "governor_limit", "cost_sigma_via_frac"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive, "
+                                  f"got {getattr(self, name)!r}")
+        for name in ("run_seed", "gains_alpha", "learning_covariance_decay"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be non-negative, "
+                                  f"got {getattr(self, name)!r}")
+        for name in ("dmp_intersection_height",
+                     "gains_slack_intersection_height"):
+            if not 0 < getattr(self, name) < 1:
+                raise ConfigError(f"{name} must lie in (0, 1), "
+                                  f"got {getattr(self, name)!r}")
+        if not self.gains_d_init > self.gains_alpha:
+            # d_init I - alpha H must be positive definite (H = I).
+            raise ConfigError(
+                f"gains_d_init {self.gains_d_init!r} must exceed gains_alpha "
+                f"{self.gains_alpha!r}")
         return self
 
     # -- geometry ----------------------------------------------------------

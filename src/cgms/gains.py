@@ -92,18 +92,16 @@ class SlackParams:
 def slack_trace(sp, s_all, xi_d=None, xi_k=None):
     """Vectorized slack evaluation over an array of phases.
 
-    Returns (S_D, S_K, Sdot_D, Sdot_K) with shape (n, m, m); the rates use
-    the analytic basis derivative times ds/dt = -1/tau (tau supplied by the
-    caller through sdot).
+    Returns (S_D, S_K, Sdot_D) with shape (n, m, m).  Sdot_D is the damping
+    slack's derivative in the phase s; the caller multiplies it by
+    ds/dt = -1/tau.  No gain rate needs the stiffness slack's derivative.
     """
     td = sp.theta_d if xi_d is None else sp.theta_d + xi_d
     tk = sp.theta_k if xi_k is None else sp.theta_k + xi_k
     ph = sp.basis.eval(s_all)
-    dph = sp.basis.eval_deriv(s_all)
     return (vec_triangle_inverse(ph @ td, sp.m),
             vec_triangle_inverse(ph @ tk, sp.m),
-            vec_triangle_inverse(dph @ td, sp.m),
-            vec_triangle_inverse(dph @ tk, sp.m))
+            vec_triangle_inverse(sp.basis.eval_deriv(s_all) @ td, sp.m))
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +265,7 @@ def build_gain_schedule(sp, alpha, H, tau, K0, tgrid):
     tgrid = np.asarray(tgrid, float)
     dt = tgrid[1] - tgrid[0]
     s_all = 1.0 - tgrid / tau
-    S_D, S_K, Sd_D, _ = slack_trace(sp, s_all)
+    S_D, S_K, Sd_D = slack_trace(sp, s_all)
     Sd_D = Sd_D * (-1.0 / tau)
     D = alpha * H + S_D @ np.swapaxes(S_D, 1, 2)
     Ddot = Sd_D @ np.swapaxes(S_D, 1, 2) + S_D @ np.swapaxes(Sd_D, 1, 2)

@@ -64,11 +64,6 @@ class PolicyParams:
             theta_d=v[a:b].reshape(self.theta_d.shape),
             theta_k=v[b:].reshape(self.theta_k.shape))
 
-    def add(self, xi):
-        return PolicyParams(theta_traj=self.theta_traj + xi.theta_traj,
-                            theta_d=self.theta_d + xi.theta_d,
-                            theta_k=self.theta_k + xi.theta_k)
-
     def to_dict(self):
         return {
             "layout": {
@@ -279,7 +274,7 @@ def _gain_products(setup, policy, xi):
                      basis=setup.slack_basis, m=setup.m)
     xi_d = None if xi is None else xi.theta_d
     xi_k = None if xi is None else xi.theta_k
-    S_D, S_K, Sd_D, _ = slack_trace(sp, s_all, xi_d, xi_k)
+    S_D, S_K, Sd_D = slack_trace(sp, s_all, xi_d, xi_k)
     Sd_D = Sd_D * (-1.0 / tau)
     SDt = np.swapaxes(S_D, 1, 2)
     G_D = S_D @ SDt
@@ -335,9 +330,10 @@ def rollout(policy, xi, setup):
     x_trace = np.empty((n, m))
     a_trace = np.empty((n, m))
     tau_trace = np.empty((n, setup.model.n))
-    beta_trace = np.empty(n)
-    K_exec = np.empty((n, m, m))
-    D_exec = np.empty((n, m, m))
+    # The executed gains are the sampled ones, overwritten in place on
+    # governed steps; step i reads K1[i] and D1[i] before it writes them.
+    beta_trace = np.ones(n)
+    K_exec, D_exec = K1, D1
     events = []
     tmin, tmax = setup.limits.tau_min, setup.limits.tau_max
     # The point-mass task terms are constant: hoist them and fold the
@@ -368,11 +364,6 @@ def rollout(policy, xi, setup):
             K_exec[i] = K_floor[i] + beta * (K1[i] - K_floor[i])
             D_exec[i] = D_floor + beta * (D1[i] - D_floor)
             beta_trace[i] = beta
-        else:
-            # Unsaturated fast path: the sampled gains run as drawn.
-            K_exec[i] = K1[i]
-            D_exec[i] = D1[i]
-            beta_trace[i] = 1.0
         x_trace[i] = x_cur
         tau_trace[i] = tau
         a = Minv @ tau + a_bias
@@ -422,15 +413,16 @@ def pi2_weights(costs, beta_softmax=20.0):
     return w / w.sum()
 
 
-def pi2_update(policy, rollouts, beta_softmax=20.0):
-    """Episodic PI2 (PI-BB) parameter update from certified rollouts."""
-    if not rollouts:
+def pi2_update(policy, costs, noises, beta_softmax=20.0):
+    """Episodic PI2 (PI-BB) parameter update from the costs of certified
+    rollouts and the exploration noise each one ran with."""
+    if len(costs) == 0:
         raise ValueError("need at least one rollout")
-    w = pi2_weights([r.cost for r in rollouts], beta_softmax)
+    w = pi2_weights(costs, beta_softmax)
     flat = policy.flatten()
     step = np.zeros_like(flat)
-    for wi, r in zip(w, rollouts):
-        step += wi * r.xi.flatten()
+    for wi, xi in zip(w, noises, strict=True):
+        step += wi * xi.flatten()
     return policy.unflatten(flat + step), w
 
 
@@ -438,10 +430,6 @@ def pi2_update(policy, rollouts, beta_softmax=20.0):
 class UpdateRecord:
     update: int
     costs: list
-    cost_terms: list
-    lam_A_max: float
-    lam_C_max: float
-    beta_min: float
     theta: PolicyParams
     rollout_rows: list
 
@@ -450,6 +438,7 @@ class UpdateRecord:
 class TrainResult:
     records: list
     policy: PolicyParams
+    evaluation: Rollout             # noise-free rollout of the final policy
     initial_mean_cost: float
     final_mean_cost: float
     saturation_events: list
@@ -469,7 +458,8 @@ def train(setup, policy=None, noise=None, updates=50, rollouts_per_update=12,
     Rollouts rejected by the certified floor or the infeasible torque floor
     are resampled with the next attempt index, never dropped.  rollout_hook,
     when given, is called with (update, rollout_index, rollout) for every
-    accepted rollout.
+    accepted rollout.  Only the noise-free evaluation rollout outlives its
+    hook call; of the others, the cost, the noise and the trace row are kept.
     """
     policy = policy if policy is not None else initial_policy(setup)
     noise = noise or ExplorationNoise()
@@ -478,8 +468,7 @@ def train(setup, policy=None, noise=None, updates=50, rollouts_per_update=12,
     initial_mean = None
     for u in range(updates + 1):
         evaluate_only = u == updates
-        ros = []
-        rows = []
+        costs, noises, rows = [], [], []
         count = 1 if evaluate_only else rollouts_per_update
         for r_idx in range(count):
             rejects = {}
@@ -505,10 +494,11 @@ def train(setup, policy=None, noise=None, updates=50, rollouts_per_update=12,
                             f"update {u} rollout {r_idx}: no accepted sample "
                             f"in {MAX_RESAMPLE_ATTEMPTS} attempts "
                             f"({counts})") from exc
-            ros.append(ro)
             if rollout_hook is not None:
                 rollout_hook(u, r_idx, ro)
             all_events.extend(ro.saturation_events)
+            costs.append(ro.cost)
+            noises.append(xi)
             rows.append({
                 "update": u, "rollout": r_idx, "cost": ro.cost,
                 "cost_K": ro.cost_terms["cost_K"],
@@ -518,25 +508,19 @@ def train(setup, policy=None, noise=None, updates=50, rollouts_per_update=12,
                 "lamC_max": float(ro.lam_C.max()),
                 "beta_star_min": ro.beta_min,
             })
-        costs = [ro.cost for ro in ros]
-        records.append(UpdateRecord(
-            update=u, costs=costs,
-            cost_terms=[ro.cost_terms for ro in ros],
-            lam_A_max=max(float(ro.lam_A.max()) for ro in ros),
-            lam_C_max=max(float(ro.lam_C.max()) for ro in ros),
-            beta_min=min(ro.beta_min for ro in ros),
-            theta=policy, rollout_rows=rows))
+        records.append(UpdateRecord(update=u, costs=costs, theta=policy,
+                                    rollout_rows=rows))
         if initial_mean is None:
             initial_mean = float(np.mean(costs))
         if evaluate_only:
             break
-        policy, _ = pi2_update(policy, ros, beta_softmax)
+        policy, _ = pi2_update(policy, costs, noises, beta_softmax)
         noise = decay_covariance(noise)
     # Mean cost of the last sampled update; falls back to the noise-free
     # evaluation when no updates were run.
     final_mean = (float(np.mean(records[-2].costs)) if len(records) > 1
                   else float(np.mean(records[-1].costs)))
-    return TrainResult(records=records, policy=policy,
+    return TrainResult(records=records, policy=policy, evaluation=ro,
                        initial_mean_cost=initial_mean,
                        final_mean_cost=final_mean,
                        saturation_events=all_events)

@@ -78,7 +78,7 @@ def test_criterion_4_stiffness_flow_identity():
         sp = SlackParams(theta_d=0.5 * rng.standard_normal((7, 6)),
                          theta_k=0.5 * rng.standard_normal((7, 6)),
                          basis=basis, m=3)
-        S_D, S_K, Sd_D, _ = slack_trace(sp, s_all)
+        S_D, S_K, Sd_D = slack_trace(sp, s_all)
         Sd_D = -Sd_D
         Ddot = Sd_D @ np.swapaxes(S_D, 1, 2) + S_D @ np.swapaxes(Sd_D, 1, 2)
         B = -0.05 * Ddot - S_K @ np.swapaxes(S_K, 1, 2)
@@ -214,14 +214,10 @@ def test_criterion_9_component_oracles():
                             theta_d=rng.standard_normal((7, 6)),
                             theta_k=rng.standard_normal((7, 6)))
 
-    class Stub:
-        def __init__(self, cost, xi):
-            self.cost, self.xi = cost, xi
-
     pol = rand_pol()
     xis = [rand_pol() for _ in range(5)]
     costs = [3.0, 1.0, 7.0, 2.0, 5.0]
-    new, w = pi2_update(pol, [Stub(c, xi) for c, xi in zip(costs, xis)])
+    new, w = pi2_update(pol, costs, xis)
     step = new.flatten() - pol.flatten()
     hull = sum(wi * xi.flatten() for wi, xi in zip(w, xis))
     order = np.argsort(costs)

@@ -134,6 +134,36 @@ def test_dt_longer_than_horizon_is_config_error(tmp_path, capsys):
     assert "dt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("cost_sigma_via_frac", 0),
+    ("gains_d_init", 0.05),
+    ("gains_k_init", -5),
+    ("gains_alpha", -0.1),
+    ("governor_limit", 0),
+    ("dmp_rbf_count", 0),
+    ("gains_slack_rbf_count", 0),
+    ("dmp_intersection_height", 1.0),
+    ("gains_slack_intersection_height", 0.0),
+    ("dmp_stiffness", 0),
+    ("learning_covariance_decay", -1),
+    ("run_seed", -1),
+])
+def test_values_that_fail_in_training_are_config_errors(tmp_path, capsys,
+                                                        key, value):
+    # Each of these used to compile and then crash the first rollout or
+    # update with a traceback and exit code 1.
+    section, name = key.split("_", 1)
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[{section}]\n{name} = {value}\n")
+    rc = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
+def test_zero_alpha_is_accepted():
+    assert load_config(None, overrides={"gains_alpha": 0.0}).gains_alpha == 0.0
+
+
 def test_exit_code_infeasible_floor(tmp_path, capsys):
     # A 1e-6 N box rejects every attempt at its first step.
     path = tmp_path / "box.ini"

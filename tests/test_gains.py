@@ -34,7 +34,7 @@ def random_slack_params(rng, m=3, scale=1.0, basis=None):
 
 def slack_at(sp, s, xi_d=None):
     """(S_D, S_K) of slack_trace at the single phase s."""
-    S_D, S_K, _, _ = slack_trace(sp, np.array([s]), xi_d)
+    S_D, S_K, _ = slack_trace(sp, np.array([s]), xi_d)
     return S_D[0], S_K[0]
 
 
@@ -110,7 +110,7 @@ def test_slack_derivative_finite_difference(rng):
         plus = slack_at(sp, s + h)[0]
         minus = slack_at(sp, s - h)[0]
         fd = (plus - minus) / (2 * h)
-        _, _, Sd_D, _ = slack_trace(sp, np.array([s]))
+        _, _, Sd_D = slack_trace(sp, np.array([s]))
         assert np.abs(Sd_D[0] - fd).max() < 1e-5
 
 
@@ -193,7 +193,7 @@ def test_flow_kdot_identity_finite_difference(rng):
     sp = random_slack_params(rng, scale=0.5)
     tau = 1.0
     s_all = 1.0 - tgrid / tau
-    S_D, S_K, Sd_D, _ = slack_trace(sp, s_all)
+    S_D, S_K, Sd_D = slack_trace(sp, s_all)
     Sd_D = Sd_D * (-1.0 / tau)
     SDt = np.swapaxes(S_D, 1, 2)
     Ddot = Sd_D @ SDt + S_D @ np.swapaxes(Sd_D, 1, 2)
@@ -279,7 +279,7 @@ def test_schedule_certified_by_construction(rng):
         assert sched.lam_C.max() <= 1e-12
         assert np.linalg.eigvalsh(sched.K)[..., 0].min() > 0
         s_all = 1.0 - tgrid / tau
-        _, S_K, _, _ = slack_trace(sp, s_all)
+        _, S_K, _ = slack_trace(sp, s_all)
         SSK = S_K @ np.swapaxes(S_K, 1, 2)
         residual = sched.Kdot + ALPHA * sched.Ddot - 2 * ALPHA * sched.K + SSK
         assert np.abs(residual).max() < 1e-8

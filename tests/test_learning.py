@@ -1,8 +1,13 @@
 """Policy parameters, exploration noise, cost, rollouts, and the update."""
 
+import gc
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from cgms import learning
 from cgms.config import compile_setup, load_config
 from cgms.dmp import build_basis
 from cgms.errors import InfeasibleFloorError
@@ -183,16 +188,10 @@ def test_weights_monotone(rng):
         assert np.all(np.diff(w[order]) <= 1e-15)
 
 
-class FakeRollout:
-    def __init__(self, cost, xi):
-        self.cost = cost
-        self.xi = xi
-
-
 def test_update_single_rollout(rng):
     pol = random_policy(rng)
     xi = random_policy(rng)
-    new, w = pi2_update(pol, [FakeRollout(3.0, xi)])
+    new, w = pi2_update(pol, [3.0], [xi])
     assert np.allclose(new.theta_traj, pol.theta_traj + xi.theta_traj)
     assert np.allclose(w, [1.0])
 
@@ -200,15 +199,16 @@ def test_update_single_rollout(rng):
 def test_update_in_convex_hull(rng):
     pol = random_policy(rng)
     xis = [random_policy(rng) for _ in range(3)]
-    ros = [FakeRollout(c, xi) for c, xi in zip((1.0, 2.0, 10.0), xis)]
-    new, w = pi2_update(pol, ros)
+    new, w = pi2_update(pol, [1.0, 2.0, 10.0], xis)
     assert np.all(w >= 0) and abs(w.sum() - 1.0) < 1e-12
     assert w[0] > w[1] > w[2]
     step = new.flatten() - pol.flatten()
     hull = sum(wi * xi.flatten() for wi, xi in zip(w, xis))
     assert np.allclose(step, hull, atol=1e-12)
     with pytest.raises(ValueError):
-        pi2_update(pol, [])
+        pi2_update(pol, [], [])
+    with pytest.raises(ValueError):
+        pi2_update(pol, [1.0, 2.0], xis)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +243,43 @@ def test_noisy_rollout_still_certified(handover_setup, handover_policy):
         assert ro.lam_A.max() <= 1e-9
         assert ro.lam_C.max() <= 1e-9
         assert ro.certificate.passes
+
+
+def test_governed_steps_scale_the_sampled_gains(monkeypatch):
+    # A constant 1 cm offset of x_d gives the feedback gains a tracking
+    # error to act on, so a box just under the free run's peak torque
+    # makes the governor scale the gains on some steps.
+    reference = learning.rollout_reference
+
+    def offset_reference(*args):
+        x_d, xd_d, xdd_d = reference(*args)
+        return x_d + np.array([0.01, -0.01, 0.01]), xd_d, xdd_d
+
+    monkeypatch.setattr(learning, "rollout_reference", offset_reference)
+    setup, _ = compile_setup(load_config(overrides={"run_horizon": 1.0}))
+    policy = initial_policy(setup)
+    xi = sample_noise(ExplorationNoise(sigma_traj=0.0), policy, 0, 0, 0)
+    free = rollout(policy, xi,
+                   replace(setup, limits=TorqueLimits.box(1e3, setup.m)))
+    assert np.all(free.beta == 1.0) and free.saturation_events == []
+    limits = TorqueLimits.box(0.95 * np.abs(free.torque).max(), setup.m)
+    ro = rollout(policy, xi, replace(setup, limits=limits))
+
+    g = ro.beta < 1.0
+    assert g.sum() > 0
+    assert len(ro.saturation_events) == g.sum()
+    assert all(limits.contains(tau, tol=1e-9) for tau in ro.torque[g])
+    beta = ro.beta[g][:, None, None]
+    K_floor = (np.exp(2.0 * setup.alpha * setup.tgrid)[:, None, None]
+               * (setup.k_init * np.eye(setup.m)))
+    D_floor = setup.alpha * setup.H
+    assert np.array_equal(ro.K[g], K_floor[g] + beta * (free.K[g] - K_floor[g]))
+    assert np.array_equal(ro.D[g], D_floor + beta * (free.D[g] - D_floor))
+    assert np.array_equal(ro.K[~g], free.K[~g])
+    assert np.array_equal(ro.D[~g], free.D[~g])
+    assert np.array_equal(ro.lam_A, ro.beta * free.lam_A)
+    assert np.array_equal(ro.lam_C, ro.beta * free.lam_C)
+    assert ro.certificate.passes
 
 
 def test_schedule_from_rollout_consistent(handover_setup, nominal_rollout):
@@ -289,3 +326,22 @@ def test_train_gives_up_with_the_rejecting_class():
     assert f"{MAX_RESAMPLE_ATTEMPTS} attempts" in msg
     assert f"InfeasibleFloorError x{MAX_RESAMPLE_ATTEMPTS}" in msg
     assert isinstance(info.value.__cause__, InfeasibleFloorError)
+
+
+def test_train_keeps_no_finished_rollout():
+    # Each hook call counts the earlier rollouts of the run still alive.
+    setup, noise = compile_setup(load_config(overrides={"run_horizon": 1.0}))
+    refs, live = [], []
+
+    def hook(update, r_idx, ro):
+        gc.collect()
+        live.append(sum(ref() is not None for ref in refs))
+        refs.append(weakref.ref(ro))
+
+    result = train(setup, noise=noise, updates=2, rollouts_per_update=4,
+                   rollout_hook=hook)
+    assert live == [0] * 9
+    # The last one is the noise-free evaluation of the final policy.
+    assert refs[-1]() is result.evaluation
+    assert result.evaluation.xi is None
+    assert result.evaluation.policy is result.policy
