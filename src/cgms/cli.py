@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import robustness as rb
-from .config import compile_setup, load_config, save_config
+from .config import SCENARIOS, compile_setup, load_config, save_config
 from .errors import (
     CertifiedFloorError,
     ConfigError,
@@ -159,6 +159,9 @@ def cmd_govern(args):
 
 
 def cmd_robustness(args):
+    if not (np.isfinite(args.u_bar) and args.u_bar >= 0):
+        raise ConfigError(
+            f"--u-bar must be finite and nonnegative, got {args.u_bar}")
     cfg = _load(args)
     out = _out_dir(args)
     setup, _ = compile_setup(cfg)
@@ -250,8 +253,7 @@ def build_parser():
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--scenario", default=None,
-                       choices=sorted(set(list("s" + str(i) for i in range(1, 6))
-                                          + ["handover"])))
+                       choices=sorted(SCENARIOS))
         if name in ("rollout", "certify", "govern", "robustness"):
             p.add_argument("--policy", default=None,
                            help="policy parameters JSON (default: initial)")

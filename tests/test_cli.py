@@ -174,6 +174,17 @@ def test_exit_code_infeasible_floor(tmp_path, capsys):
     assert "InfeasibleFloorError x100" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("u_bar", ["-0.01", "nan", "inf"])
+def test_bad_u_bar_is_config_error(tmp_path, capsys, u_bar):
+    # These used to exit 0: a negative bound as a report "error", nan and
+    # inf as NaN/Infinity, which is not JSON, in robustness.json.
+    out = tmp_path / "o"
+    rc = cli.main(["robustness", "--out", str(out), "--u-bar", u_bar])
+    assert rc == cli.EXIT_CONFIG
+    assert "--u-bar" in capsys.readouterr().err
+    assert not (out / "robustness.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # Subcommand artifacts
 # ---------------------------------------------------------------------------
@@ -260,6 +271,24 @@ def test_robustness_artifacts(tmp_path):
     assert rep["schedule"]["passes"] is True
     # Either the full constant chain or a named precondition failure.
     assert ("constants" in rep) != ("error" in rep)
+
+
+def test_robustness_full_chain_on_wider_margin(tmp_path):
+    # The initial policy has eps_K = 2 alpha k_init = 20, below the
+    # 20.15 floor, so it stops at the precondition; a stiffness slack
+    # scaled by 1.5 clears it and runs the dissipation and bound checks.
+    setup, _ = compile_setup(load_config(None))
+    d = initial_policy(setup).to_dict()
+    d["theta_k"] = (np.sqrt(1.5) * np.asarray(d["theta_k"])).tolist()
+    path = tmp_path / "policy.json"
+    path.write_text(json.dumps(d))
+    out = tmp_path / "o"
+    rc = cli.main(["robustness", "--policy", str(path), "--out", str(out)])
+    assert rc == cli.EXIT_OK
+    rep = json.loads((out / "robustness.json").read_text())
+    assert "constants" in rep and "error" not in rep
+    assert rep["dissipation"]["passes"] is True
+    assert rep["uub"]["inside"] is True
 
 
 def test_ablate_artifacts(tmp_path, small_config):

@@ -1,7 +1,11 @@
 """Boundedness constants, the dissipation inequality, and the ultimate bound."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.interpolate import make_interp_spline
 
 from cgms.dmp import build_basis
 from cgms.errors import MarginTooSmallError
@@ -106,9 +110,89 @@ def test_inputs_from_schedule_bounds(schedules):
     assert c_opt >= c_def - 1e-12
 
 
+class StubSchedule:
+    """Constant gains with given margins: what inputs_from_schedule reads."""
+
+    def __init__(self, eps_K, eps_D=1.0, k=50.0, d=30.0):
+        self.alpha, self.H = ALPHA, H3
+        self.K = np.stack([k * np.eye(3)] * 2)
+        self.D = np.stack([d * np.eye(3)] * 2)
+        self.eps_D, self.eps_K = eps_D, eps_K
+
+    def report(self):
+        return self
+
+
+def grid_search_oracle(schedule, u_bar):
+    """The full 19 x 19 (gamma, eta) search that optimize=True reduces."""
+    best = inputs_from_schedule(schedule, u_bar)
+    best_c1 = -np.inf
+    eps_D = best.eps_D
+    for gfrac in np.linspace(0.05, 0.95, 19):
+        g = gfrac * eps_D
+        for efrac in np.linspace(0.05, 0.95, 19):
+            cand = replace(best, gamma=g, eta=efrac * (eps_D - g))
+            try:
+                c1 = uub_constants(cand).c1
+            except MarginTooSmallError:
+                continue
+            if c1 > best_c1:
+                best, best_c1 = cand, c1
+    return best
+
+
+def test_optimize_matches_full_grid_search(schedules):
+    # eps_K = 10 with k = 50, d = 30: the floor 5 + 2.25 / gamma rejects
+    # gamma <= 0.45 and admits larger gamma; eps_K = 5 admits none.
+    wide, none = StubSchedule(eps_K=10.0), StubSchedule(eps_K=5.0)
+    assert grid_search_oracle(wide, 0.01).gamma > 0.45
+    for sched in schedules + [wide, none]:
+        opt = inputs_from_schedule(sched, 0.01, optimize=True)
+        ref = grid_search_oracle(sched, 0.01)
+        assert opt == ref
+        if sched is not none:
+            assert uub_constants(opt).c1 == uub_constants(ref).c1
+    with pytest.raises(MarginTooSmallError):
+        uub_constants(inputs_from_schedule(none, 0.01, optimize=True))
+
+
 # ---------------------------------------------------------------------------
 # Simulation checks
 # ---------------------------------------------------------------------------
+
+def test_rk4_matches_reference_and_samples_residual_once():
+    # A 0.5 s, 1 ms certified schedule against a tight DOP853 solve with K
+    # and D linearly interpolated between grid points.  The residual is
+    # sampled once per grid point and once per half-step: 2n - 1 calls.
+    sched = certified_schedule(np.random.default_rng(3), T=0.5, dt=1e-3)
+    residual = standard_residuals(0.01, sched.m)[2]
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return residual(t)
+
+    z0 = np.array([0.1, -0.05, 0.08, 0.02, 0.0, -0.03])
+    t, XT, XTD = simulate_error_dynamics(sched, counted, z0=z0)
+    assert len(calls) == 2 * len(t) - 1
+
+    m = sched.m
+    Hinv = np.linalg.inv(sched.H)
+    K_at = make_interp_spline(t, sched.K, k=1, axis=0)
+    D_at = make_interp_spline(t, sched.D, k=1, axis=0)
+
+    def rhs(ti, y):
+        xt, xtd = y[:m], y[m:]
+        return np.concatenate(
+            [xtd, Hinv @ (residual(ti) - D_at(ti) @ xtd - K_at(ti) @ xt)])
+
+    ref = solve_ivp(rhs, (t[0], t[-1]), np.concatenate([z0[m:], z0[:m]]),
+                    method="DOP853", t_eval=t, rtol=1e-12, atol=1e-14,
+                    max_step=t[1] - t[0])
+    assert ref.success
+    err = np.abs(np.hstack([XT, XTD]) - ref.y.T).max()
+    assert err <= 1e-9, err
+
 
 def test_unforced_storage_nonincreasing(schedules):
     sched = schedules[0]
