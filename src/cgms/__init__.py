@@ -16,7 +16,6 @@ from .errors import (
     InfeasibleFloorError,
     IntegrationDivergedError,
     MarginTooSmallError,
-    SingularConfigurationError,
 )
 from .gains import (
     CertificateReport,
@@ -57,7 +56,7 @@ from .learning import (
     trajectory_cost,
     via_weight,
 )
-from .plants import PlantModel, PlantState, operational_space_terms, plant_step
+from .plants import PlantModel, PlantState, operational_space_terms
 from .robustness import (
     RobustnessInputs,
     UubResult,

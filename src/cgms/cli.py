@@ -23,9 +23,10 @@ from .errors import (
     InfeasibleFloorError,
     MarginTooSmallError,
 )
-from .gains import SlackParams, build_gain_schedule, write_csv
+from .gains import SlackParams, build_gain_schedule, tri_dim, write_csv
 from .learning import (
     MODE_UNCERTIFIED_AFTER_VIA,
+    PolicyParams,
     initial_policy,
     rollout,
     schedule_from_rollout,
@@ -124,7 +125,7 @@ def cmd_rollout(args):
     ro = rollout(policy, None, setup)
     header = (["t"] + [f"x{i + 1}" for i in range(setup.m)]
               + [f"xd{i + 1}" for i in range(setup.m)]
-              + [f"tau{i + 1}" for i in range(setup.model.n)] + ["beta"])
+              + [f"tau{i + 1}" for i in range(setup.m)] + ["beta"])
     rows = np.column_stack([ro.t, ro.x, ro.x_d, ro.torque, ro.beta])
     write_csv(out / "trajectory.csv", header, rows)
     schedule_from_rollout(ro, setup).to_csv(out / "gains.csv")
@@ -220,11 +221,28 @@ def cmd_ablate(args):
 
 
 def _policy_arg(args, setup):
-    if getattr(args, "policy", None):
-        from .learning import PolicyParams
+    if not getattr(args, "policy", None):
+        return initial_policy(setup)
+    try:
         with open(args.policy) as fh:
-            return PolicyParams.from_dict(json.load(fh))
-    return initial_policy(setup)
+            policy = PolicyParams.from_dict(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(
+            f"--policy {args.policy}: {type(exc).__name__}: {exc}") from exc
+    d_tri = tri_dim(setup.m)
+    shapes = {"theta_traj": (setup.dmp.basis.count, setup.m),
+              "theta_d": (setup.slack_basis.count, d_tri),
+              "theta_k": (setup.slack_basis.count, d_tri)}
+    for name, shape in shapes.items():
+        block = getattr(policy, name)
+        if block.shape != shape:
+            raise ConfigError(
+                f"--policy {args.policy}: {name} has shape {block.shape}, "
+                f"the setup needs {shape}")
+        if not np.all(np.isfinite(block)):
+            raise ConfigError(
+                f"--policy {args.policy}: {name} has non-finite entries")
+    return policy
 
 
 def _policy_schedule(policy, setup):

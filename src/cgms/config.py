@@ -11,6 +11,7 @@ noise 8.0 / 1.3 / 0.6).
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -102,6 +103,11 @@ class ExperimentConfig:
     scenario_goal: tuple = ()
 
     def validate(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if any(isinstance(x, float) and not math.isfinite(x)
+                   for x in (v if isinstance(v, tuple) else (v,))):
+                raise ConfigError(f"{f.name} must be finite, got {v!r}")
         if self.run_scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.run_scenario!r}")
         if self.run_mode not in (MODE_CERTIFIED, MODE_UNCERTIFIED_AFTER_VIA):
@@ -124,7 +130,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} needs exactly 3 coordinates")
         # Values that compile but fail in the first rollout or update.
         for name in ("dmp_rbf_count", "dmp_stiffness", "gains_slack_rbf_count",
-                     "gains_k_init", "governor_limit", "cost_sigma_via_frac"):
+                     "gains_k_init", "governor_limit", "cost_sigma_via_frac",
+                     "learning_softmax_sharpness"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive, "
                                   f"got {getattr(self, name)!r}")

@@ -5,10 +5,6 @@ class CgmsError(Exception):
     """Base class for all package errors."""
 
 
-class SingularConfigurationError(CgmsError):
-    """Jacobian lost row rank; operational-space terms are undefined."""
-
-
 class IntegrationDivergedError(CgmsError):
     """A simulated state became non-finite."""
 

@@ -17,7 +17,11 @@ import numpy as np
 
 from . import plants
 from .dmp import DmpParams, fit_min_jerk, min_jerk, rollout_reference
-from .errors import CertifiedFloorError, InfeasibleFloorError
+from .errors import (
+    CertifiedFloorError,
+    InfeasibleFloorError,
+    IntegrationDivergedError,
+)
 from .gains import (
     CertificateReport,
     GainSchedule,
@@ -195,13 +199,7 @@ def build_setup(model, H, alpha, T, dt, start, goal, x_via, dmp_basis,
                 mode=MODE_CERTIFIED, dmp_k=150.0, sigma_via_frac=0.05,
                 via_window_sigmas=2.0):
     """Assemble a TaskSetup: nominal min-jerk reference, via time at the
-    closest nominal approach, and the via-substituted cost reference.
-
-    The rollout integrates the constant-inertia point-mass plant only.
-    """
-    if model.kind != plants.POINT_MASS:
-        raise ValueError(f"rollouts need a {plants.POINT_MASS!r} plant, "
-                         f"got {model.kind!r}")
+    closest nominal approach, and the via-substituted cost reference."""
     tgrid = np.arange(0.0, T + dt / 2, dt)
     start = np.asarray(start, float)
     goal = np.asarray(goal, float)
@@ -329,7 +327,7 @@ def rollout(policy, xi, setup):
     state = plants.initial_state(setup.model, setup.start)
     x_trace = np.empty((n, m))
     a_trace = np.empty((n, m))
-    tau_trace = np.empty((n, setup.model.n))
+    tau_trace = np.empty((n, m))
     # The executed gains are the sampled ones, overwritten in place on
     # governed steps; step i reads K1[i] and D1[i] before it writes them.
     beta_trace = np.ones(n)
@@ -371,7 +369,7 @@ def rollout(policy, xi, setup):
         v_cur = v_cur + a * dt
         x_cur = x_cur + v_cur * dt
     if not np.all(np.isfinite(x_trace)):
-        raise plants.IntegrationDivergedError("rollout state diverged")
+        raise IntegrationDivergedError("rollout state diverged")
 
     lam_A = beta_trace * lamA1
     lam_C = beta_trace * lamC1

@@ -15,7 +15,7 @@ the bound on simulated trajectories.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,6 +39,10 @@ class RobustnessInputs:
     u_bar: float
 
     def validate(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise MarginTooSmallError(
+                    f"{f.name} must be finite, got {getattr(self, f.name)}")
         if min(self.alpha, self.h_min, self.h_max, self.k_lower,
                self.k_upper, self.d_upper, self.u_bar) < 0:
             raise MarginTooSmallError("all bounds must be nonnegative")

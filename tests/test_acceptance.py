@@ -13,17 +13,6 @@ from cgms.dmp import DmpParams, build_basis, fit_min_jerk, min_jerk, rollout_ref
 from cgms.gains import SlackParams, integrate_cholesky_flow, slack_trace
 from cgms.governor import AffineTorqueSplit, TorqueLimits, beta_star
 from cgms.learning import PolicyParams, initial_policy, pi2_update, pi2_weights, rollout
-from cgms.plants import (
-    PlantModel,
-    ReferenceSample,
-    closed_loop_error_step,
-    commanded_accel,
-    initial_state,
-    operational_space_terms,
-    osid_wrench,
-    plant_step,
-    wrench_to_torque,
-)
 from cgms.robustness import (
     RobustnessInputs,
     dissipation_check,
@@ -32,6 +21,7 @@ from cgms.robustness import (
     uub_constants,
     uub_empirical,
 )
+from test_learning import error_equation_deviation, offset_reference
 from test_robustness import certified_schedule
 
 
@@ -174,24 +164,14 @@ def test_criterion_8_reproducibility(tmp_path):
             ok, f"{len(traces[0])} bytes compared")
 
 
-def test_criterion_9_component_oracles():
-    # (a) the operational-space controller on the exact point-mass plant
-    # reproduces the second-order error equation over 5 s.
-    model = PlantModel.point_mass(m=3)
-    H, D, K = np.eye(3), 30 * np.eye(3), 200 * np.eye(3)
-    dt = 1e-3
-    ref = ReferenceSample(x_d=np.zeros(3), xdot_d=np.zeros(3),
-                          xddot_d=np.zeros(3))
-    state = initial_state(model, np.array([0.1, -0.05, 0.02]))
-    xt, xtd = state.x.copy(), state.xdot.copy()
-    dev = 0.0
-    for _ in range(5000):
-        Lam, mu, p, J = operational_space_terms(model, state)
-        acc = commanded_accel(state, ref, D, K, H)
-        tau = wrench_to_torque(J, osid_wrench(Lam, mu, p, np.zeros(3), H, acc))
-        state = plant_step(model, state, tau, np.zeros(3), dt)
-        xt, xtd = closed_loop_error_step(xt, xtd, H, D, K, np.zeros(3), dt)
-        dev = max(dev, float(np.abs(state.x - xt).max()))
+def test_criterion_9_component_oracles(monkeypatch):
+    # (a) the training rollout's closed loop, started off its reference,
+    # reproduces the second-order error equation under its executed gains
+    # over 5 s.
+    offset_reference(monkeypatch, np.array([0.1, -0.05, 0.02]))
+    setup, _ = compile_setup(load_config())
+    ro = rollout(initial_policy(setup), None, setup)
+    dev = error_equation_deviation(ro, setup.H)
     plant_ok = dev < 1e-5
     # (b) minimum-jerk fit round trip.
     basis = build_basis(51, 0.95)

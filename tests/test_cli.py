@@ -147,6 +147,15 @@ def test_dt_longer_than_horizon_is_config_error(tmp_path, capsys):
     ("dmp_stiffness", 0),
     ("learning_covariance_decay", -1),
     ("run_seed", -1),
+    ("learning_softmax_sharpness", -20),
+    ("run_horizon", "nan"),
+    ("run_dt", "nan"),
+    ("cost_lambda_k", "nan"),
+    ("learning_softmax_sharpness", "nan"),
+    ("cost_w0", "inf"),
+    ("learning_sigma_traj", "nan"),
+    ("dmp_regularization", "nan"),
+    ("scenario_start", "nan 0 0.1"),
 ])
 def test_values_that_fail_in_training_are_config_errors(tmp_path, capsys,
                                                         key, value):
@@ -183,6 +192,31 @@ def test_bad_u_bar_is_config_error(tmp_path, capsys, u_bar):
     assert rc == cli.EXIT_CONFIG
     assert "--u-bar" in capsys.readouterr().err
     assert not (out / "robustness.json").exists()
+
+
+GOOD_BLOCKS = {"theta_d": np.zeros((7, 6)).tolist(),
+               "theta_k": np.zeros((7, 6)).tolist()}
+
+
+@pytest.mark.parametrize("command, content", [
+    ("certify", None),
+    ("certify", "{"),
+    ("certify", json.dumps({"theta_traj": [[1.0]], "theta_d": [[1.0]]})),
+    ("certify", json.dumps(dict(GOOD_BLOCKS, theta_traj=[[1.0]]))),
+    ("rollout", json.dumps(dict(GOOD_BLOCKS, theta_traj=[[1.0]]))),
+    ("rollout", json.dumps([1.0])),
+    ("rollout", json.dumps(dict(GOOD_BLOCKS, theta_traj=[[np.nan] * 3] * 51))),
+])
+def test_bad_policy_file_is_config_error(tmp_path, capsys, command, content):
+    # A missing file, malformed JSON, a missing block, a block shape that
+    # does not fit the setup's bases or a NaN entry used to exit 1 with a
+    # traceback.
+    path = tmp_path / "policy.json"
+    if content is not None:
+        path.write_text(content)
+    rc = cli.main([command, "--policy", str(path), "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    assert "--policy" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

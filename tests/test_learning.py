@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cgms import learning
-from cgms.config import compile_setup, load_config
+from cgms.config import SCENARIOS, compile_setup, load_config
 from cgms.dmp import build_basis
 from cgms.errors import InfeasibleFloorError
 from cgms.governor import TorqueLimits
@@ -29,7 +29,7 @@ from cgms.learning import (
     trajectory_cost,
     via_weight,
 )
-from cgms.plants import PlantModel
+from cgms.plants import PlantModel, closed_loop_error_step
 
 
 def random_policy(rng):
@@ -245,17 +245,39 @@ def test_noisy_rollout_still_certified(handover_setup, handover_policy):
         assert ro.certificate.passes
 
 
-def test_governed_steps_scale_the_sampled_gains(monkeypatch):
-    # A constant 1 cm offset of x_d gives the feedback gains a tracking
-    # error to act on, so a box just under the free run's peak torque
-    # makes the governor scale the gains on some steps.
+def offset_reference(monkeypatch, offset):
+    """Shift the rollout's x_d by a constant, so the feedback gains have a
+    tracking error to act on from the first step."""
     reference = learning.rollout_reference
 
-    def offset_reference(*args):
+    def shifted(*args):
         x_d, xd_d, xdd_d = reference(*args)
-        return x_d + np.array([0.01, -0.01, 0.01]), xd_d, xdd_d
+        return x_d + offset, xd_d, xdd_d
 
-    monkeypatch.setattr(learning, "rollout_reference", offset_reference)
+    monkeypatch.setattr(learning, "rollout_reference", shifted)
+
+
+def error_equation_deviation(ro, H):
+    """Largest gap between a rollout's tracking error and the error equation
+    H xtdd + D xtd + K xt = 0 stepped with the rollout's executed D and K.
+
+    The reference starts at rest, so the error velocity starts at zero.
+    """
+    xt = ro.x[0] - ro.x_d[0]
+    xtd = np.zeros_like(xt)
+    dt = ro.t[1] - ro.t[0]
+    dev = 0.0
+    for i in range(len(ro.t) - 1):
+        xt, xtd = closed_loop_error_step(xt, xtd, H, ro.D[i], ro.K[i],
+                                         np.zeros_like(xt), dt)
+        dev = max(dev, float(np.abs(ro.x[i + 1] - ro.x_d[i + 1] - xt).max()))
+    return dev
+
+
+def test_governed_steps_scale_the_sampled_gains(monkeypatch):
+    # A constant 1 cm offset of x_d and a box just under the free run's
+    # peak torque make the governor scale the gains on some steps.
+    offset_reference(monkeypatch, np.array([0.01, -0.01, 0.01]))
     setup, _ = compile_setup(load_config(overrides={"run_horizon": 1.0}))
     policy = initial_policy(setup)
     xi = sample_noise(ExplorationNoise(sigma_traj=0.0), policy, 0, 0, 0)
@@ -302,13 +324,25 @@ def test_initial_policy_blocks(handover_setup):
     assert np.allclose(pol.theta_k[0, :3], np.sqrt(2 * 0.05 * 200.0))
 
 
-def test_build_setup_rejects_non_point_mass_plant():
-    with pytest.raises(ValueError, match="planar-two-link"):
-        build_setup(PlantModel.planar_two_link(), np.eye(2), 0.05, 1.0, 1e-3,
-                    start=[0.5, 0.3], goal=[0.3, 0.5], x_via=[0.4, 0.4],
-                    dmp_basis=build_basis(7, 0.95),
-                    slack_basis=build_basis(7, 0.7),
-                    limits=TorqueLimits.box(43.5, 2))
+def test_rollout_follows_the_error_equation_with_model_terms(monkeypatch):
+    # With a task inertia other than H and a gravity wrench, the control
+    # law's inertia shaping and gravity feedforward must cancel both, so
+    # the tracking error follows the error equation under the executed gains.
+    offset_reference(monkeypatch, np.array([0.1, -0.05, 0.02]))
+    lam = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, 0.1], [0.0, 0.1, 1.2]])
+    H = np.array([[1.2, 0.1, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 0.8]])
+    model = PlantModel.point_mass(lambda0=lam,
+                                  gravity_wrench=[0.0, 0.0, -2.0 * 9.81])
+    geo = SCENARIOS["handover"]
+    setup = build_setup(model, H, 0.05, 5.0, 1e-3, start=geo["start"],
+                        goal=geo["goal"], x_via=geo["via"],
+                        dmp_basis=build_basis(51, 0.95),
+                        slack_basis=build_basis(7, 0.7),
+                        limits=TorqueLimits.box(1e3, 3))
+    ro = rollout(initial_policy(setup), None, setup)
+    assert np.all(ro.beta == 1.0)
+    assert np.abs(ro.x - ro.x_d).max() > 0.01
+    assert error_equation_deviation(ro, H) < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,14 @@ def test_young_parameter_ranges():
         uub_constants(RobustnessInputs(**dict(WORKED, eps_D=-1.0)))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", list(WORKED))
+def test_non_finite_inputs_rejected(name, value):
+    # NaN slips through every ordered comparison of the range checks.
+    with pytest.raises(MarginTooSmallError, match=name):
+        uub_constants(RobustnessInputs(**dict(WORKED, **{name: value})))
+
+
 def test_radius_monotone_in_margins_and_linear_in_ubar():
     base = uub_constants(RobustnessInputs(**WORKED))
     # Larger margins never increase the radius (gamma, eta rescaled with
