@@ -2,12 +2,28 @@
 
 import numpy as np
 
+from cgms.config import SCENARIOS
+from cgms.dmp import build_basis
+from cgms.governor import TorqueLimits
+from cgms.learning import build_setup, initial_policy, rollout
 from cgms.plants import (
     PlantModel,
     closed_loop_error_step,
     initial_state,
     operational_space_terms,
 )
+from test_learning import error_equation_deviation, offset_reference
+
+
+def handover_rollout(model, H, T=1.0):
+    """The initial policy's ungoverned handover rollout on ``model``."""
+    geo = SCENARIOS["handover"]
+    setup = build_setup(model, H, 0.05, T, 1e-3, start=geo["start"],
+                        goal=geo["goal"], x_via=geo["via"],
+                        dmp_basis=build_basis(51, 0.95),
+                        slack_basis=build_basis(7, 0.7),
+                        limits=TorqueLimits.box(1e3, 3))
+    return rollout(initial_policy(setup), None, setup)
 
 
 def test_point_mass_terms_are_identity():
@@ -18,6 +34,38 @@ def test_point_mass_terms_are_identity():
     assert np.array_equal(mu, np.zeros(3))
     assert np.array_equal(p, np.zeros(3))
     assert np.array_equal(J, np.eye(3))
+
+
+def test_osid_substitution_reproduces_error_dynamics(rng, monkeypatch):
+    # Substituting the rollout's commanded wrench into the task dynamics
+    # Lam xdd + p = f_c must reduce to H xtdd + D xtd + K xt = 0 for any
+    # SPD task inertia Lam != H.
+    offset_reference(monkeypatch, np.array([0.05, 0.02, -0.03]))
+    for _ in range(3):
+        A = rng.standard_normal((3, 3))
+        B = rng.standard_normal((3, 3))
+        lam = A @ A.T + np.eye(3)
+        H = 0.1 * B @ B.T + np.eye(3)
+        ro = handover_rollout(PlantModel.point_mass(lambda0=lam), H)
+        assert np.all(ro.beta == 1.0)
+        assert error_equation_deviation(ro, H) < 1e-9
+
+
+def test_point_mass_osid_matches_error_dynamics(monkeypatch):
+    # Closed loop on the unit point mass vs. direct integration of the
+    # error dynamics with the executed gains; identical update ordering
+    # makes them agree to round-off over 1 s.
+    offset_reference(monkeypatch, np.array([0.1, -0.05, 0.02]))
+    H = np.eye(3)
+    ro = handover_rollout(PlantModel.point_mass(m=3), H)
+    assert np.all(ro.beta == 1.0)
+    xt = ro.x[0] - ro.x_d[0]
+    xtd = np.zeros(3)
+    for i in range(len(ro.t) - 1):
+        xt, xtd = closed_loop_error_step(xt, xtd, H, ro.D[i], ro.K[i],
+                                         np.zeros(3), ro.t[1] - ro.t[0])
+        assert np.abs(ro.x[i + 1] - ro.x_d[i + 1] - xt).max() < 1e-6
+    assert np.abs(xt).max() < 0.1 * np.abs(ro.x[0] - ro.x_d[0]).max()
 
 
 def test_error_step_equilibrium_and_spring_balance():
