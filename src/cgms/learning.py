@@ -293,12 +293,50 @@ def _gain_products(setup, policy, xi):
     return G_D, G_K, Ddot
 
 
+def _governed_tail(j, setup, x_trace, v, tau_trace, beta_trace, K1, D1,
+                   x_d, xd_d, u_ff, AHi, AD1, AK1, Minv, a_bias):
+    """Per-step loop with the governor from step j on: rewrites rows j.. of
+    the traces and, in place, the gains of governed steps; returns events."""
+    tg, dt, lim = setup.tgrid, setup.dt, setup.limits
+    K_floor = (np.exp(2.0 * setup.alpha * tg)[:, None, None]
+               * (setup.k_init * np.eye(setup.m)))
+    D_floor = setup.alpha * setup.H
+    events = []
+    x_cur, v_cur = x_trace[j], v[j]
+    for i in range(j, len(tg)):
+        xt = x_cur - x_d[i]
+        xtd = v_cur - xd_d[i]
+        tau = u_ff[i] - AD1[i] @ xtd - AK1[i] @ xt
+        if ((tau < lim.tau_min) | (tau > lim.tau_max)).any():
+            tau0 = u_ff[i] - AHi @ (D_floor @ xtd + K_floor[i] @ xt)
+            split = AffineTorqueSplit(tau0=tau0, tau1=tau - tau0)
+            beta, binding = beta_star_detail(split, lim)
+            if binding is not None:
+                events.append({"t": float(tg[i]), "joint": binding,
+                               "beta_star": beta, "limited": True})
+            tau = split.at(beta)
+            K1[i] = K_floor[i] + beta * (K1[i] - K_floor[i])
+            D1[i] = D_floor + beta * (D1[i] - D_floor)
+            beta_trace[i] = beta
+        x_trace[i] = x_cur
+        tau_trace[i] = tau
+        v_cur = v_cur + (Minv @ tau + a_bias) * dt
+        x_cur = x_cur + v_cur * dt
+    return events
+
+
 def rollout(policy, xi, setup):
     """Simulate one governed episode of the closed loop.
 
     Pipeline: DMP reference -> slack products -> stiffness flow at the
-    sampled (beta = 1) and floor (beta = 0) gains -> per-step torque split,
-    governor, and plant step -> certificate trace and cost.
+    sampled gains (beta = 1) -> closed loop -> certificate trace and cost.
+
+    The closed loop takes one of two paths.  At beta = 1 the semi-implicit
+    Euler loop is affine in s = (x, v, 1): s[i+1] = T[i] s[i] with
+    precomputed maps, and torques and accelerations are batched.  That run
+    stands if every torque is in the box; else _governed_tail steps the loop
+    with the governor from the first step j out of it; rows before j and
+    state j depend only on earlier steps, so they stand.
     """
     tg = setup.tgrid
     n = len(tg)
@@ -316,26 +354,16 @@ def rollout(policy, xi, setup):
     K0_mat = setup.k_init * np.eye(m)
     clamp = setup.mode == MODE_UNCERTIFIED_AFTER_VIA
     K1 = integrate_cholesky_flow(B1, alpha, K0_mat, dt, clamp=clamp)
-    K_floor = np.exp(2.0 * alpha * tg)[:, None, None] * K0_mat
-    D_floor = alpha * H
 
     # Eigenvalues of the two certificate matrices at beta = 1; the executed
     # values scale linearly with the per-step beta.
     lamA1 = np.linalg.eigvalsh(-G_D)[..., -1]
     lamC1 = np.linalg.eigvalsh(-G_K)[..., -1]
+    del G_D, G_K, Ddot, B1       # freed before the per-step maps are built
 
     state = plants.initial_state(setup.model, setup.start)
-    x_trace = np.empty((n, m))
-    a_trace = np.empty((n, m))
-    tau_trace = np.empty((n, m))
-    # The executed gains are the sampled ones, overwritten in place on
-    # governed steps; step i reads K1[i] and D1[i] before it writes them.
     beta_trace = np.ones(n)
-    K_exec, D_exec = K1, D1
-    events = []
-    tmin, tmax = setup.limits.tau_min, setup.limits.tau_max
-    # The point-mass task terms are constant: hoist them and fold the
-    # control law into per-step matrices so the loop body is two matvecs.
+    # Constant point-mass task terms, folded into per-step control matrices.
     Lam, mu, p, J = plants.operational_space_terms(setup.model, state)
     Minv = np.linalg.inv(Lam)
     A = J.T @ Lam
@@ -343,42 +371,39 @@ def rollout(policy, xi, setup):
     AHi = A @ np.linalg.inv(H)
     AD1 = AHi @ D1                                # batched (n, ., m)
     AK1 = AHi @ K1
-    AD0 = AHi @ D_floor
-    AK0 = AHi @ K_floor
     a_bias = -Minv @ setup.model.gravity_wrench
-    x_cur, v_cur = state.x, state.xdot
-    for i in range(n):
-        xt = x_cur - x_d[i]
-        xtd = v_cur - xd_d[i]
-        tau = u_ff[i] - AD1[i] @ xtd - AK1[i] @ xt
-        if ((tau < tmin) | (tau > tmax)).any():
-            tau0 = u_ff[i] - AD0 @ xtd - AK0[i] @ xt
-            split = AffineTorqueSplit(tau0=tau0, tau1=tau - tau0)
-            beta, binding = beta_star_detail(split, setup.limits)
-            if binding is not None:
-                events.append({"t": float(tg[i]), "joint": binding,
-                               "beta_star": beta, "limited": True})
-            tau = split.at(beta)
-            K_exec[i] = K_floor[i] + beta * (K1[i] - K_floor[i])
-            D_exec[i] = D_floor + beta * (D1[i] - D_floor)
-            beta_trace[i] = beta
-        x_trace[i] = x_cur
-        tau_trace[i] = tau
-        a = Minv @ tau + a_bias
-        a_trace[i] = a
-        v_cur = v_cur + a * dt
-        x_cur = x_cur + v_cur * dt
+    # beta = 1: a = b - Minv (AK1 x + AD1 v), v' = v + dt a, x' = x + dt v'.
+    mv = lambda M, x: np.einsum("nij,nj->ni", M, x)
+    b = (u_ff + mv(AD1, xd_d) + mv(AK1, x_d)) @ Minv.T + a_bias
+    T = np.zeros((n - 1, 2 * m + 1, 2 * m + 1))
+    T[:, m:-1, :m] = -dt * (Minv @ AK1[:-1])
+    T[:, m:-1, m:-1] = -dt * (Minv @ AD1[:-1])
+    T[:, m:-1, -1] = dt * b[:-1]
+    T += np.eye(2 * m + 1)
+    T[:, :m] += dt * T[:, m:-1]
+    s = np.empty((n, 2 * m + 1))
+    s[0] = np.r_[state.x, state.xdot, 1.0]
+    for Ti, si, s_next in zip(T, s, s[1:]):
+        np.matmul(Ti, si, out=s_next)
+    x_trace, v = s[:, :m], s[:, m:-1]
+    tau_trace = u_ff - mv(AD1, v - xd_d) - mv(AK1, x_trace - x_d)
+    lim = setup.limits
+    out = ((tau_trace < lim.tau_min) | (tau_trace > lim.tau_max)).any(axis=1)
+    events = [] if not out.any() else _governed_tail(
+        int(out.argmax()), setup, x_trace, v, tau_trace, beta_trace, K1, D1,
+        x_d, xd_d, u_ff, AHi, AD1, AK1, Minv, a_bias)
     if not np.all(np.isfinite(x_trace)):
         raise IntegrationDivergedError("rollout state diverged")
 
     lam_A = beta_trace * lamA1
     lam_C = beta_trace * lamC1
     report = CertificateReport(lam_A=lam_A, lam_C=lam_C, alpha=alpha)
-    cost, terms = trajectory_cost(tg, x_trace, setup.x_ref, a_trace, K_exec,
+    cost, terms = trajectory_cost(tg, x_trace, setup.x_ref,
+                                  tau_trace @ Minv.T + a_bias, K1,
                                   setup.weights)
     return Rollout(policy=policy, xi=xi, t=tg, x=x_trace, x_d=x_d,
                    torque=tau_trace,
-                   beta=beta_trace, K=K_exec, D=D_exec, lam_A=lam_A,
+                   beta=beta_trace, K=K1, D=D1, lam_A=lam_A,
                    lam_C=lam_C, cost=cost, cost_terms=terms,
                    certificate=report, saturation_events=events)
 

@@ -10,10 +10,12 @@ import pytest
 from cgms import learning
 from cgms.config import SCENARIOS, compile_setup, load_config
 from cgms.dmp import build_basis
-from cgms.errors import InfeasibleFloorError
-from cgms.governor import TorqueLimits
+from cgms.errors import InfeasibleFloorError, IntegrationDivergedError
+from cgms.gains import integrate_cholesky_flow
+from cgms.governor import AffineTorqueSplit, TorqueLimits, beta_star_detail
 from cgms.learning import (
     MAX_RESAMPLE_ATTEMPTS,
+    MODE_UNCERTIFIED_AFTER_VIA,
     CostWeights,
     ExplorationNoise,
     PolicyParams,
@@ -274,9 +276,12 @@ def error_equation_deviation(ro, H):
     return dev
 
 
-def test_governed_steps_scale_the_sampled_gains(monkeypatch):
-    # A constant 1 cm offset of x_d and a box just under the free run's
-    # peak torque make the governor scale the gains on some steps.
+def governed_scenario(monkeypatch):
+    """A constant 1 cm offset of x_d and a box just under the free run's
+    peak torque, so the governor scales the gains on some steps.
+
+    Returns (setup with that box, policy, noise, free run under a 1e3 N box).
+    """
     offset_reference(monkeypatch, np.array([0.01, -0.01, 0.01]))
     setup, _ = compile_setup(load_config(overrides={"run_horizon": 1.0}))
     policy = initial_policy(setup)
@@ -285,7 +290,60 @@ def test_governed_steps_scale_the_sampled_gains(monkeypatch):
                    replace(setup, limits=TorqueLimits.box(1e3, setup.m)))
     assert np.all(free.beta == 1.0) and free.saturation_events == []
     limits = TorqueLimits.box(0.95 * np.abs(free.torque).max(), setup.m)
-    ro = rollout(policy, xi, replace(setup, limits=limits))
+    return replace(setup, limits=limits), policy, xi, free
+
+
+def per_step_rollout(policy, xi, setup):
+    """The rollout's closed loop stepped one control step at a time, with
+    the governor on every step whose torque leaves the box: the reference
+    for the rollout's affine recurrence and its governed tail.
+
+    Returns (x, torque, beta, K, D, saturation events).
+    """
+    tg, m, dt, alpha, H = setup.tgrid, setup.m, setup.dt, setup.alpha, setup.H
+    dmp = replace(setup.dmp, theta_traj=policy.theta_traj)
+    x_d, xd_d, xdd_d = learning.rollout_reference(
+        dmp, setup.start, None if xi is None else xi.theta_traj, tg)
+    G_D, G_K, Ddot = learning._gain_products(setup, policy, xi)
+    K = integrate_cholesky_flow(-alpha * Ddot - G_K, alpha,
+                                setup.k_init * np.eye(m), dt,
+                                clamp=setup.mode == MODE_UNCERTIFIED_AFTER_VIA)
+    D = alpha * H + G_D
+    K_floor = (np.exp(2.0 * alpha * tg)[:, None, None]
+               * (setup.k_init * np.eye(m)))
+    D_floor = alpha * H
+    # Point mass: identity Jacobian, no Coriolis wrench.
+    Lam, grav = setup.model.lambda0, setup.model.gravity_wrench
+    Minv = np.linalg.inv(Lam)
+    AHi = Lam @ np.linalg.inv(H)
+    x_cur, v_cur = setup.start.copy(), np.zeros(m)
+    xs, taus, beta, events = [], [], np.ones(len(tg)), []
+    for i in range(len(tg)):
+        xt = x_cur - x_d[i]
+        xtd = v_cur - xd_d[i]
+        u_ff = Lam @ xdd_d[i] + grav
+        tau = u_ff - AHi @ D[i] @ xtd - AHi @ K[i] @ xt
+        if not setup.limits.contains(tau):
+            tau0 = u_ff - AHi @ D_floor @ xtd - AHi @ K_floor[i] @ xt
+            split = AffineTorqueSplit(tau0=tau0, tau1=tau - tau0)
+            beta[i], binding = beta_star_detail(split, setup.limits)
+            if binding is not None:
+                events.append({"t": float(tg[i]), "joint": binding,
+                               "beta_star": beta[i], "limited": True})
+            tau = split.at(beta[i])
+            K[i] = K_floor[i] + beta[i] * (K[i] - K_floor[i])
+            D[i] = D_floor + beta[i] * (D[i] - D_floor)
+        xs.append(x_cur)
+        taus.append(tau)
+        v_cur = v_cur + (Minv @ (tau - grav)) * dt
+        x_cur = x_cur + v_cur * dt
+    return np.array(xs), np.array(taus), beta, K, D, events
+
+
+def test_governed_steps_scale_the_sampled_gains(monkeypatch):
+    setup, policy, xi, free = governed_scenario(monkeypatch)
+    limits = setup.limits
+    ro = rollout(policy, xi, setup)
 
     g = ro.beta < 1.0
     assert g.sum() > 0
@@ -302,6 +360,92 @@ def test_governed_steps_scale_the_sampled_gains(monkeypatch):
     assert np.array_equal(ro.lam_A, ro.beta * free.lam_A)
     assert np.array_equal(ro.lam_C, ro.beta * free.lam_C)
     assert ro.certificate.passes
+
+
+def model_terms_setup():
+    """Task inertia other than H, H other than I, a gravity wrench and a
+    1e3 N box, on the 5 s handover."""
+    lam = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, 0.1], [0.0, 0.1, 1.2]])
+    H = np.array([[1.2, 0.1, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 0.8]])
+    model = PlantModel.point_mass(lambda0=lam,
+                                  gravity_wrench=[0.0, 0.0, -2.0 * 9.81])
+    geo = SCENARIOS["handover"]
+    return build_setup(model, H, 0.05, 5.0, 1e-3, start=geo["start"],
+                       goal=geo["goal"], x_via=geo["via"],
+                       dmp_basis=build_basis(51, 0.95),
+                       slack_basis=build_basis(7, 0.7),
+                       limits=TorqueLimits.box(1e3, 3))
+
+
+@pytest.mark.parametrize("case", ["noisy", "offset", "model_terms",
+                                  "governed", "stiff"])
+def test_affine_rollout_matches_per_step_loop(case, monkeypatch,
+                                              handover_setup, handover_policy):
+    if case == "noisy":
+        noise = ExplorationNoise(seed=3)
+        runs = [(handover_policy, sample_noise(noise, handover_policy, 0, r),
+                 handover_setup) for r in range(4)]
+    elif case == "offset":
+        offset_reference(monkeypatch, np.array([0.1, -0.05, 0.02]))
+        runs = [(handover_policy, None, handover_setup)]
+    elif case == "model_terms":
+        offset_reference(monkeypatch, np.array([0.1, -0.05, 0.02]))
+        setup = model_terms_setup()
+        runs = [(initial_policy(setup), None, setup)]
+    elif case == "governed":
+        setup, policy, xi, _ = governed_scenario(monkeypatch)
+        runs = [(policy, xi, setup)]
+    else:
+        # alpha T = 20: the initial schedule's stiffness reaches 4.4e5.
+        setup, _ = compile_setup(load_config(
+            overrides={"gains_alpha": 2.0, "run_horizon": 10.0}))
+        runs = [(initial_policy(setup), None, setup)]
+    for policy, xi, setup in runs:
+        ro = rollout(policy, xi, setup)
+        x, tau, beta, K, D, events = per_step_rollout(policy, xi, setup)
+        assert np.abs(ro.x - x).max() <= 1e-12
+        assert np.abs(ro.torque - tau).max() <= 1e-9
+        g = beta < 1.0
+        assert g.any() == (case == "governed")
+        assert np.array_equal(ro.beta < 1.0, g)
+        assert np.array_equal(ro.K[~g], K[~g])
+        assert np.array_equal(ro.D[~g], D[~g])
+        assert ([(e["t"], e["joint"]) for e in ro.saturation_events]
+                == [(e["t"], e["joint"]) for e in events])
+        # The first governed state comes from the recurrence, the loop's
+        # from per-step updates: beta and the gains differ in rounding only.
+        assert np.abs(ro.beta - beta).max() <= 1e-12
+        assert np.abs(ro.K - K).max() <= 1e-12 * np.abs(K).max()
+        assert np.abs(ro.D - D).max() <= 1e-12 * np.abs(D).max()
+
+
+def test_governed_tail_starts_at_the_first_saturated_step(monkeypatch):
+    setup, policy, xi, free = governed_scenario(monkeypatch)
+    ro = rollout(policy, xi, setup)
+    lim = setup.limits
+    j = int(np.argmax(((free.torque < lim.tau_min)
+                       | (free.torque > lim.tau_max)).any(axis=1)))
+    assert j > 0 and ro.beta[j] < 1.0
+    assert np.all(ro.beta[:j] == 1.0)
+    assert np.array_equal(ro.x[:j + 1], free.x[:j + 1])
+    assert np.array_equal(ro.torque[:j], free.torque[:j])
+
+
+@pytest.mark.parametrize("block", ["policy", "noise"])
+def test_nan_reference_raises_integration_diverged(block, handover_setup,
+                                                   handover_policy):
+    # A NaN torque passes the box test (every comparison is false), so
+    # only the finiteness check keeps it from reaching the cost.
+    bad = handover_policy.theta_traj.copy()
+    bad[5, 1] = np.nan
+    pol, xi = handover_policy, sample_noise(ExplorationNoise(seed=1),
+                                            handover_policy, 0, 0)
+    if block == "policy":
+        pol = replace(pol, theta_traj=bad)
+    else:
+        xi = replace(xi, theta_traj=bad)
+    with pytest.raises(IntegrationDivergedError):
+        rollout(pol, xi, handover_setup)
 
 
 def test_schedule_from_rollout_consistent(handover_setup, nominal_rollout):
@@ -329,20 +473,11 @@ def test_rollout_follows_the_error_equation_with_model_terms(monkeypatch):
     # law's inertia shaping and gravity feedforward must cancel both, so
     # the tracking error follows the error equation under the executed gains.
     offset_reference(monkeypatch, np.array([0.1, -0.05, 0.02]))
-    lam = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, 0.1], [0.0, 0.1, 1.2]])
-    H = np.array([[1.2, 0.1, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 0.8]])
-    model = PlantModel.point_mass(lambda0=lam,
-                                  gravity_wrench=[0.0, 0.0, -2.0 * 9.81])
-    geo = SCENARIOS["handover"]
-    setup = build_setup(model, H, 0.05, 5.0, 1e-3, start=geo["start"],
-                        goal=geo["goal"], x_via=geo["via"],
-                        dmp_basis=build_basis(51, 0.95),
-                        slack_basis=build_basis(7, 0.7),
-                        limits=TorqueLimits.box(1e3, 3))
+    setup = model_terms_setup()
     ro = rollout(initial_policy(setup), None, setup)
     assert np.all(ro.beta == 1.0)
     assert np.abs(ro.x - ro.x_d).max() > 0.01
-    assert error_equation_deviation(ro, H) < 1e-9
+    assert error_equation_deviation(ro, setup.H) < 1e-9
 
 
 # ---------------------------------------------------------------------------
