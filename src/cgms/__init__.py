@@ -51,7 +51,6 @@ from .learning import (
     pi2_weights,
     rollout,
     sample_noise,
-    schedule_from_rollout,
     train,
     trajectory_cost,
     via_weight,

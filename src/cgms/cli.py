@@ -23,13 +23,12 @@ from .errors import (
     InfeasibleFloorError,
     MarginTooSmallError,
 )
-from .gains import SlackParams, build_gain_schedule, tri_dim, write_csv
+from .gains import tri_dim, write_csv
 from .learning import (
     MODE_UNCERTIFIED_AFTER_VIA,
     PolicyParams,
     initial_policy,
     rollout,
-    schedule_from_rollout,
     train,
 )
 
@@ -128,7 +127,7 @@ def cmd_rollout(args):
               + [f"tau{i + 1}" for i in range(setup.m)] + ["beta"])
     rows = np.column_stack([ro.t, ro.x, ro.x_d, ro.torque, ro.beta])
     write_csv(out / "trajectory.csv", header, rows)
-    schedule_from_rollout(ro, setup).to_csv(out / "gains.csv")
+    ro.schedule.to_csv(out / "gains.csv")
     return EXIT_OK
 
 
@@ -136,8 +135,7 @@ def cmd_certify(args):
     cfg = _load(args)
     out = _out_dir(args)
     setup, _ = compile_setup(cfg)
-    policy = _policy_arg(args, setup)
-    schedule = _policy_schedule(policy, setup)
+    schedule = rollout(_policy_arg(args, setup), None, setup).schedule
     report = schedule.report()
     _write_json(out / "certificate.json", report.to_dict())
     write_csv(out / "eigtrace.csv", ["t", "lamA", "lamC"],
@@ -166,8 +164,7 @@ def cmd_robustness(args):
     cfg = _load(args)
     out = _out_dir(args)
     setup, _ = compile_setup(cfg)
-    policy = _policy_arg(args, setup)
-    schedule = _policy_schedule(policy, setup)
+    schedule = rollout(_policy_arg(args, setup), None, setup).schedule
     report = {"u_bar": args.u_bar, "schedule": schedule.report().to_dict()}
     try:
         inp = rb.inputs_from_schedule(schedule, args.u_bar, optimize=True)
@@ -243,13 +240,6 @@ def _policy_arg(args, setup):
             raise ConfigError(
                 f"--policy {args.policy}: {name} has non-finite entries")
     return policy
-
-
-def _policy_schedule(policy, setup):
-    sp = SlackParams(theta_d=policy.theta_d, theta_k=policy.theta_k,
-                     basis=setup.slack_basis, m=setup.m)
-    return build_gain_schedule(sp, setup.alpha, setup.H, setup.dmp.tau,
-                               setup.k_init * np.eye(setup.m), setup.tgrid)
 
 
 def build_parser():

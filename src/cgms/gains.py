@@ -256,6 +256,30 @@ def integrate_cholesky_flow(B, alpha, K0, dt, clamp=False):
     return K
 
 
+def slack_products(S_D, S_K, Sd_D):
+    """Slack products (G_D, G_K, Ddot) = (S_D S_D^T, S_K S_K^T, d/dt G_D)
+    of (n, m, m) slack stacks; Sd_D is the damping slack's time derivative."""
+    Ddot = Sd_D @ np.swapaxes(S_D, 1, 2) + S_D @ np.swapaxes(Sd_D, 1, 2)
+    return S_D @ np.swapaxes(S_D, 1, 2), S_K @ np.swapaxes(S_K, 1, 2), Ddot
+
+
+def schedule_from_products(G_D, G_K, Ddot, alpha, H, K0, tgrid, clamp=False):
+    """The gain schedule of the slack construction, from its products.
+
+    D = alpha H + G_D, and K follows the flow Kdot = 2 alpha K + B with
+    B = -alpha Ddot - G_K, so the two certificate matrices are -G_D and
+    -G_K; their largest eigenvalues are the schedule's lam_A and lam_C.
+    clamp is integrate_cholesky_flow's.
+    """
+    D = alpha * H + G_D
+    B = -alpha * Ddot - G_K
+    K = integrate_cholesky_flow(B, alpha, K0, tgrid[1] - tgrid[0], clamp=clamp)
+    return GainSchedule(t=tgrid, K=K, D=D, Kdot=2.0 * alpha * K + B,
+                        Ddot=Ddot, lam_A=np.linalg.eigvalsh(-G_D)[..., -1],
+                        lam_C=np.linalg.eigvalsh(-G_K)[..., -1], alpha=alpha,
+                        H=np.asarray(H, float))
+
+
 def build_gain_schedule(sp, alpha, H, tau, K0, tgrid):
     """Integrate the slack construction into a gain schedule.
 
@@ -263,21 +287,9 @@ def build_gain_schedule(sp, alpha, H, tau, K0, tgrid):
     K(t) = exp(2 alpha t) K0.
     """
     tgrid = np.asarray(tgrid, float)
-    dt = tgrid[1] - tgrid[0]
-    s_all = 1.0 - tgrid / tau
-    S_D, S_K, Sd_D = slack_trace(sp, s_all)
-    Sd_D = Sd_D * (-1.0 / tau)
-    D = alpha * H + S_D @ np.swapaxes(S_D, 1, 2)
-    Ddot = Sd_D @ np.swapaxes(S_D, 1, 2) + S_D @ np.swapaxes(Sd_D, 1, 2)
-    SSK = S_K @ np.swapaxes(S_K, 1, 2)
-    B = -alpha * Ddot - SSK
-    K = integrate_cholesky_flow(B, alpha, K0, dt)
-    Kdot = 2.0 * alpha * K + B
-    lam_A = np.linalg.eigvalsh(alpha * H - D)[..., -1]
-    lam_C = np.linalg.eigvalsh(Kdot + alpha * Ddot - 2.0 * alpha * K)[..., -1]
-    return GainSchedule(t=tgrid, K=K, D=D, Kdot=Kdot, Ddot=Ddot,
-                        lam_A=lam_A, lam_C=lam_C, alpha=alpha,
-                        H=np.asarray(H, float))
+    S_D, S_K, Sd_D = slack_trace(sp, 1.0 - tgrid / tau)
+    return schedule_from_products(*slack_products(S_D, S_K, Sd_D * (-1.0 / tau)),
+                                  alpha, H, K0, tgrid)
 
 
 def constant_slack_params(basis, m, d_init, k_init, alpha, H):

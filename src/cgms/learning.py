@@ -23,13 +23,14 @@ from .errors import (
     IntegrationDivergedError,
 )
 from .gains import (
-    CertificateReport,
     GainSchedule,
     SlackParams,
     constant_slack_params,
-    integrate_cholesky_flow,
+    # Unused here; kept so perfbench/tracer.py can wrap it under this name.
+    integrate_cholesky_flow,  # noqa: F401
+    schedule_from_products,
+    slack_products,
     slack_trace,
-    vec_triangle_inverse,
 )
 from .governor import AffineTorqueSplit, TorqueLimits, beta_star_detail
 from .plants import PlantModel
@@ -234,7 +235,8 @@ def initial_policy(setup):
 
 @dataclass(frozen=True)
 class Rollout:
-    """One simulated episode with its certificate and cost breakdown."""
+    """One simulated episode with the gain schedule it executed and its cost
+    breakdown."""
 
     policy: PolicyParams
     xi: PolicyParams | None
@@ -243,64 +245,62 @@ class Rollout:
     x_d: np.ndarray
     torque: np.ndarray
     beta: np.ndarray
-    K: np.ndarray
-    D: np.ndarray
-    lam_A: np.ndarray
-    lam_C: np.ndarray
+    schedule: GainSchedule
     cost: float
     cost_terms: dict
-    certificate: CertificateReport
     saturation_events: list
+
+    @property
+    def lam_A(self):
+        return self.schedule.lam_A
+
+    @property
+    def lam_C(self):
+        return self.schedule.lam_C
 
     @property
     def beta_min(self):
         return float(self.beta.min())
 
 
-def _gain_products(setup, policy, xi):
-    """Per-step slack products and damping rate at beta = 1.
+def sampled_schedule(setup, policy, xi):
+    """The gain schedule of a sample at beta = 1.
 
-    Returns (G_D, G_K, Ddot) stacks where D1 = alpha H + G_D and
-    B1 = -alpha Ddot - G_K.  In certified mode G = S S^T >= 0 always; in
-    uncertified-after-via mode the quadratic map is linearized about the
-    noise-free slack at the via time for t > t_hat, so the products become
-    sign-indefinite (unconstrained Gaussian sampling in gain space).
+    In certified mode the slack products are G = S S^T >= 0.  In
+    uncertified-after-via mode S S^T is linearized about the noise-free slack
+    Sn at the via time for t > t_hat, which subtracts (S - Sn)(S - Sn)^T, so
+    the products become sign-indefinite (unconstrained Gaussian sampling in
+    gain space) and the stiffness flow clamps instead of rejecting.
     """
     tau = setup.dmp.tau
-    s_all = 1.0 - setup.tgrid / tau
     sp = SlackParams(theta_d=policy.theta_d, theta_k=policy.theta_k,
                      basis=setup.slack_basis, m=setup.m)
-    xi_d = None if xi is None else xi.theta_d
-    xi_k = None if xi is None else xi.theta_k
-    S_D, S_K, Sd_D = slack_trace(sp, s_all, xi_d, xi_k)
+    S_D, S_K, Sd_D = slack_trace(sp, 1.0 - setup.tgrid / tau,
+                                 None if xi is None else xi.theta_d,
+                                 None if xi is None else xi.theta_k)
     Sd_D = Sd_D * (-1.0 / tau)
-    SDt = np.swapaxes(S_D, 1, 2)
-    G_D = S_D @ SDt
-    G_K = S_K @ np.swapaxes(S_K, 1, 2)
-    Ddot = Sd_D @ SDt + S_D @ np.swapaxes(Sd_D, 1, 2)
-    if setup.mode == MODE_UNCERTIFIED_AFTER_VIA:
-        after = setup.tgrid > setup.weights.t_hat
-        if np.any(after):
-            s_hat = 1.0 - setup.weights.t_hat / tau
-            phi = setup.slack_basis.eval(s_hat)
-            Sn_D = vec_triangle_inverse(phi @ policy.theta_d, setup.m)
-            Sn_K = vec_triangle_inverse(phi @ policy.theta_k, setup.m)
-            lin = lambda Sn, S: Sn @ np.swapaxes(S, 1, 2) + S @ Sn.T - Sn @ Sn.T
-            G_D = np.where(after[:, None, None], lin(Sn_D, S_D), G_D)
-            G_K = np.where(after[:, None, None], lin(Sn_K, S_K), G_K)
-            Ddot_lin = Sn_D @ np.swapaxes(Sd_D, 1, 2) + Sd_D @ Sn_D.T
-            Ddot = np.where(after[:, None, None], Ddot_lin, Ddot)
-    return G_D, G_K, Ddot
+    products = slack_products(S_D, S_K, Sd_D)
+    clamp = setup.mode == MODE_UNCERTIFIED_AFTER_VIA
+    after = setup.tgrid > setup.weights.t_hat
+    if clamp and after.any():
+        Sn_D, Sn_K, _ = slack_trace(sp, np.array([1.0 - setup.weights.t_hat / tau]))
+        lin = slack_products(S_D[after] - Sn_D, S_K[after] - Sn_K, Sd_D[after])
+        for G, dG in zip(products, lin):
+            G[after] -= dG
+    return schedule_from_products(*products, setup.alpha, setup.H,
+                                  setup.k_init * np.eye(setup.m), setup.tgrid,
+                                  clamp=clamp)
 
 
-def _governed_tail(j, setup, x_trace, v, tau_trace, beta_trace, K1, D1,
+def _governed_tail(j, setup, x_trace, v, tau_trace, beta_trace, sched,
                    x_d, xd_d, u_ff, AHi, AD1, AK1, Minv, a_bias):
     """Per-step loop with the governor from step j on: rewrites rows j.. of
-    the traces and, in place, the gains of governed steps; returns events."""
-    tg, dt, lim = setup.tgrid, setup.dt, setup.limits
-    K_floor = (np.exp(2.0 * setup.alpha * tg)[:, None, None]
+    the traces and, in place, blends every array of the schedule toward the
+    certified floor by beta on governed steps; returns events."""
+    tg, dt, lim, alpha = setup.tgrid, setup.dt, setup.limits, setup.alpha
+    K_floor = (np.exp(2.0 * alpha * tg)[:, None, None]
                * (setup.k_init * np.eye(setup.m)))
-    D_floor = setup.alpha * setup.H
+    D_floor = alpha * setup.H
     events = []
     x_cur, v_cur = x_trace[j], v[j]
     for i in range(j, len(tg)):
@@ -315,8 +315,11 @@ def _governed_tail(j, setup, x_trace, v, tau_trace, beta_trace, K1, D1,
                 events.append({"t": float(tg[i]), "joint": binding,
                                "beta_star": beta, "limited": True})
             tau = split.at(beta)
-            K1[i] = K_floor[i] + beta * (K1[i] - K_floor[i])
-            D1[i] = D_floor + beta * (D1[i] - D_floor)
+            for arr, floor in ((sched.K, K_floor[i]),
+                               (sched.Kdot, 2.0 * alpha * K_floor[i]),
+                               (sched.D, D_floor), (sched.Ddot, 0.0),
+                               (sched.lam_A, 0.0), (sched.lam_C, 0.0)):
+                arr[i] = floor + beta * (arr[i] - floor)
             beta_trace[i] = beta
         x_trace[i] = x_cur
         tau_trace[i] = tau
@@ -328,8 +331,10 @@ def _governed_tail(j, setup, x_trace, v, tau_trace, beta_trace, K1, D1,
 def rollout(policy, xi, setup):
     """Simulate one governed episode of the closed loop.
 
-    Pipeline: DMP reference -> slack products -> stiffness flow at the
-    sampled gains (beta = 1) -> closed loop -> certificate trace and cost.
+    Pipeline: DMP reference -> the sampled gain schedule at beta = 1
+    (sampled_schedule) -> closed loop -> cost.  The returned Rollout carries
+    the schedule as executed: on governed steps (beta < 1) its gains, rates
+    and certificate trace are blended toward the certified floor by beta.
 
     The closed loop takes one of two paths.  At beta = 1 the semi-implicit
     Euler loop is affine in s = (x, v, 1): s[i+1] = T[i] s[i] with
@@ -342,24 +347,12 @@ def rollout(policy, xi, setup):
     n = len(tg)
     m = setup.m
     dt = setup.dt
-    alpha, H = setup.alpha, setup.H
 
     dmp = replace(setup.dmp, theta_traj=policy.theta_traj)
     xi_traj = None if xi is None else xi.theta_traj
     x_d, xd_d, xdd_d = rollout_reference(dmp, setup.start, xi_traj, tg)
 
-    G_D, G_K, Ddot = _gain_products(setup, policy, xi)
-    D1 = alpha * H + G_D
-    B1 = -alpha * Ddot - G_K
-    K0_mat = setup.k_init * np.eye(m)
-    clamp = setup.mode == MODE_UNCERTIFIED_AFTER_VIA
-    K1 = integrate_cholesky_flow(B1, alpha, K0_mat, dt, clamp=clamp)
-
-    # Eigenvalues of the two certificate matrices at beta = 1; the executed
-    # values scale linearly with the per-step beta.
-    lamA1 = np.linalg.eigvalsh(-G_D)[..., -1]
-    lamC1 = np.linalg.eigvalsh(-G_K)[..., -1]
-    del G_D, G_K, Ddot, B1       # freed before the per-step maps are built
+    sched = sampled_schedule(setup, policy, xi)
 
     state = plants.initial_state(setup.model, setup.start)
     beta_trace = np.ones(n)
@@ -368,9 +361,9 @@ def rollout(policy, xi, setup):
     Minv = np.linalg.inv(Lam)
     A = J.T @ Lam
     u_ff = xdd_d @ A.T + J.T @ (mu + p)              # (n, n_joints)
-    AHi = A @ np.linalg.inv(H)
-    AD1 = AHi @ D1                                # batched (n, ., m)
-    AK1 = AHi @ K1
+    AHi = A @ np.linalg.inv(setup.H)
+    AD1 = AHi @ sched.D                           # batched (n, ., m)
+    AK1 = AHi @ sched.K
     a_bias = -Minv @ setup.model.gravity_wrench
     # beta = 1: a = b - Minv (AK1 x + AD1 v), v' = v + dt a, x' = x + dt v'.
     mv = lambda M, x: np.einsum("nij,nj->ni", M, x)
@@ -390,38 +383,17 @@ def rollout(policy, xi, setup):
     lim = setup.limits
     out = ((tau_trace < lim.tau_min) | (tau_trace > lim.tau_max)).any(axis=1)
     events = [] if not out.any() else _governed_tail(
-        int(out.argmax()), setup, x_trace, v, tau_trace, beta_trace, K1, D1,
+        int(out.argmax()), setup, x_trace, v, tau_trace, beta_trace, sched,
         x_d, xd_d, u_ff, AHi, AD1, AK1, Minv, a_bias)
     if not np.all(np.isfinite(x_trace)):
         raise IntegrationDivergedError("rollout state diverged")
 
-    lam_A = beta_trace * lamA1
-    lam_C = beta_trace * lamC1
-    report = CertificateReport(lam_A=lam_A, lam_C=lam_C, alpha=alpha)
     cost, terms = trajectory_cost(tg, x_trace, setup.x_ref,
-                                  tau_trace @ Minv.T + a_bias, K1,
+                                  tau_trace @ Minv.T + a_bias, sched.K,
                                   setup.weights)
     return Rollout(policy=policy, xi=xi, t=tg, x=x_trace, x_d=x_d,
-                   torque=tau_trace,
-                   beta=beta_trace, K=K1, D=D1, lam_A=lam_A,
-                   lam_C=lam_C, cost=cost, cost_terms=terms,
-                   certificate=report, saturation_events=events)
-
-
-def schedule_from_rollout(ro, setup):
-    """Executed gain schedule of a rollout as a GainSchedule value object.
-
-    Executed rates correspond to the per-step frozen beta; the jump terms
-    from the stepwise beta changes are not part of the pointwise certificate.
-    """
-    G_D, G_K, Ddot1 = _gain_products(setup, ro.policy, ro.xi)
-    beta = ro.beta[:, None, None]
-    Ddot = beta * Ddot1
-    B1 = -setup.alpha * Ddot1 - G_K
-    Kdot = 2.0 * setup.alpha * ro.K + beta * B1
-    return GainSchedule(t=ro.t, K=ro.K, D=ro.D, Kdot=Kdot, Ddot=Ddot,
-                        lam_A=ro.lam_A, lam_C=ro.lam_C, alpha=setup.alpha,
-                        H=setup.H)
+                   torque=tau_trace, beta=beta_trace, schedule=sched,
+                   cost=cost, cost_terms=terms, saturation_events=events)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from cgms.config import (
     save_config,
 )
 from cgms.errors import ConfigError
-from cgms.learning import initial_policy
+from cgms.learning import ExplorationNoise, initial_policy, sample_noise
 
 SMALL_CONFIG = """\
 [run]
@@ -283,6 +283,30 @@ def test_certify_artifacts(tmp_path):
     eig = (out / "eigtrace.csv").read_text().splitlines()
     assert eig[0] == "t,lamA,lamC"
     assert len(eig) == 1 + 5001
+
+
+def test_certify_audits_the_ablation_schedule(tmp_path):
+    # A slack that varies in time.  After the via time the ablation runs it
+    # linearized about its via-time value, which leaves the certified cone;
+    # certify must audit that executed schedule in the configured mode.
+    setup, _ = compile_setup(load_config(None))
+    pol = initial_policy(setup)
+    xi = sample_noise(ExplorationNoise(seed=5, sigma_traj=0.0), pol, 0, 1)
+    d = pol.to_dict()
+    d["theta_d"] = (pol.theta_d + xi.theta_d).tolist()
+    d["theta_k"] = (pol.theta_k + xi.theta_k).tolist()
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps(d))
+    ablate = tmp_path / "ablate.ini"
+    ablate.write_text("[run]\nmode = uncertified-after-via\n")
+    rc = cli.main(["certify", "--config", str(ablate), "--policy", str(policy),
+                   "--out", str(tmp_path / "u")])
+    assert rc == cli.EXIT_CERTIFICATION
+    cert = json.loads((tmp_path / "u" / "certificate.json").read_text())
+    assert cert["passes"] is False and cert["lam_C_max"] > 0
+    rc = cli.main(["certify", "--policy", str(policy),
+                   "--out", str(tmp_path / "c")])
+    assert rc == cli.EXIT_OK
 
 
 def test_govern_artifacts(tmp_path):

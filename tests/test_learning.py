@@ -11,11 +11,10 @@ from cgms import learning
 from cgms.config import SCENARIOS, compile_setup, load_config
 from cgms.dmp import build_basis
 from cgms.errors import InfeasibleFloorError, IntegrationDivergedError
-from cgms.gains import integrate_cholesky_flow
+from cgms.gains import certificate_margins
 from cgms.governor import AffineTorqueSplit, TorqueLimits, beta_star_detail
 from cgms.learning import (
     MAX_RESAMPLE_ATTEMPTS,
-    MODE_UNCERTIFIED_AFTER_VIA,
     CostWeights,
     ExplorationNoise,
     PolicyParams,
@@ -26,7 +25,7 @@ from cgms.learning import (
     pi2_weights,
     rollout,
     sample_noise,
-    schedule_from_rollout,
+    sampled_schedule,
     train,
     trajectory_cost,
     via_weight,
@@ -221,7 +220,7 @@ def test_initial_rollout_certificate(handover_setup, nominal_rollout):
     ro = nominal_rollout
     assert np.abs(ro.lam_A + 29.95).max() < 1e-6
     assert np.abs(ro.lam_C + 20.0).max() < 1e-6
-    assert ro.certificate.passes
+    assert ro.schedule.report().passes
     assert np.all(ro.beta == 1.0)
     # Trajectory approximately min-jerk: endpoint at the goal.
     assert np.linalg.norm(ro.x[-1] - handover_setup.goal) < 1e-3
@@ -244,7 +243,7 @@ def test_noisy_rollout_still_certified(handover_setup, handover_policy):
         ro = rollout(handover_policy, xi, handover_setup)
         assert ro.lam_A.max() <= 1e-9
         assert ro.lam_C.max() <= 1e-9
-        assert ro.certificate.passes
+        assert ro.schedule.report().passes
 
 
 def offset_reference(monkeypatch, offset):
@@ -270,8 +269,9 @@ def error_equation_deviation(ro, H):
     dt = ro.t[1] - ro.t[0]
     dev = 0.0
     for i in range(len(ro.t) - 1):
-        xt, xtd = closed_loop_error_step(xt, xtd, H, ro.D[i], ro.K[i],
-                                         np.zeros_like(xt), dt)
+        xt, xtd = closed_loop_error_step(xt, xtd, H, ro.schedule.D[i],
+                                         ro.schedule.K[i], np.zeros_like(xt),
+                                         dt)
         dev = max(dev, float(np.abs(ro.x[i + 1] - ro.x_d[i + 1] - xt).max()))
     return dev
 
@@ -304,11 +304,8 @@ def per_step_rollout(policy, xi, setup):
     dmp = replace(setup.dmp, theta_traj=policy.theta_traj)
     x_d, xd_d, xdd_d = learning.rollout_reference(
         dmp, setup.start, None if xi is None else xi.theta_traj, tg)
-    G_D, G_K, Ddot = learning._gain_products(setup, policy, xi)
-    K = integrate_cholesky_flow(-alpha * Ddot - G_K, alpha,
-                                setup.k_init * np.eye(m), dt,
-                                clamp=setup.mode == MODE_UNCERTIFIED_AFTER_VIA)
-    D = alpha * H + G_D
+    sched = sampled_schedule(setup, policy, xi)
+    K, D = sched.K, sched.D
     K_floor = (np.exp(2.0 * alpha * tg)[:, None, None]
                * (setup.k_init * np.eye(m)))
     D_floor = alpha * H
@@ -353,13 +350,29 @@ def test_governed_steps_scale_the_sampled_gains(monkeypatch):
     K_floor = (np.exp(2.0 * setup.alpha * setup.tgrid)[:, None, None]
                * (setup.k_init * np.eye(setup.m)))
     D_floor = setup.alpha * setup.H
-    assert np.array_equal(ro.K[g], K_floor[g] + beta * (free.K[g] - K_floor[g]))
-    assert np.array_equal(ro.D[g], D_floor + beta * (free.D[g] - D_floor))
-    assert np.array_equal(ro.K[~g], free.K[~g])
-    assert np.array_equal(ro.D[~g], free.D[~g])
+    sched, free_sched = ro.schedule, free.schedule
+    assert np.array_equal(sched.K[g],
+                          K_floor[g] + beta * (free_sched.K[g] - K_floor[g]))
+    assert np.array_equal(sched.D[g],
+                          D_floor + beta * (free_sched.D[g] - D_floor))
+    assert np.array_equal(sched.K[~g], free_sched.K[~g])
+    assert np.array_equal(sched.D[~g], free_sched.D[~g])
     assert np.array_equal(ro.lam_A, ro.beta * free.lam_A)
     assert np.array_equal(ro.lam_C, ro.beta * free.lam_C)
-    assert ro.certificate.passes
+    assert ro.schedule.report().passes
+
+
+def test_executed_schedule_satisfies_the_inequalities(monkeypatch):
+    # On governed steps every array of the schedule is blended toward the
+    # floor by beta, the rates too: the two inequalities evaluated on the
+    # executed D, Ddot, K and Kdot must give the certificate trace reported.
+    setup, policy, xi, _ = governed_scenario(monkeypatch)
+    ro = rollout(policy, xi, setup)
+    assert (ro.beta < 1.0).any()
+    s = ro.schedule
+    rep = certificate_margins(setup.H, setup.alpha, s.D, s.Ddot, s.K, s.Kdot)
+    assert np.abs(rep.lam_A - ro.lam_A).max() <= 1e-9
+    assert np.abs(rep.lam_C - ro.lam_C).max() <= 1e-9
 
 
 def model_terms_setup():
@@ -408,15 +421,15 @@ def test_affine_rollout_matches_per_step_loop(case, monkeypatch,
         g = beta < 1.0
         assert g.any() == (case == "governed")
         assert np.array_equal(ro.beta < 1.0, g)
-        assert np.array_equal(ro.K[~g], K[~g])
-        assert np.array_equal(ro.D[~g], D[~g])
+        assert np.array_equal(ro.schedule.K[~g], K[~g])
+        assert np.array_equal(ro.schedule.D[~g], D[~g])
         assert ([(e["t"], e["joint"]) for e in ro.saturation_events]
                 == [(e["t"], e["joint"]) for e in events])
         # The first governed state comes from the recurrence, the loop's
         # from per-step updates: beta and the gains differ in rounding only.
         assert np.abs(ro.beta - beta).max() <= 1e-12
-        assert np.abs(ro.K - K).max() <= 1e-12 * np.abs(K).max()
-        assert np.abs(ro.D - D).max() <= 1e-12 * np.abs(D).max()
+        assert np.abs(ro.schedule.K - K).max() <= 1e-12 * np.abs(K).max()
+        assert np.abs(ro.schedule.D - D).max() <= 1e-12 * np.abs(D).max()
 
 
 def test_governed_tail_starts_at_the_first_saturated_step(monkeypatch):
@@ -449,9 +462,10 @@ def test_nan_reference_raises_integration_diverged(block, handover_setup,
 
 
 def test_schedule_from_rollout_consistent(handover_setup, nominal_rollout):
-    sched = schedule_from_rollout(nominal_rollout, handover_setup)
-    assert np.array_equal(sched.K, nominal_rollout.K)
-    assert np.array_equal(sched.D, nominal_rollout.D)
+    sched = nominal_rollout.schedule
+    sampled = sampled_schedule(handover_setup, nominal_rollout.policy, None)
+    assert np.array_equal(sched.K, sampled.K)
+    assert np.array_equal(sched.D, sampled.D)
     rep = sched.report()
     assert rep.passes
     assert abs(rep.eps_D - 29.95) < 1e-6

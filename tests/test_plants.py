@@ -62,8 +62,9 @@ def test_point_mass_osid_matches_error_dynamics(monkeypatch):
     xt = ro.x[0] - ro.x_d[0]
     xtd = np.zeros(3)
     for i in range(len(ro.t) - 1):
-        xt, xtd = closed_loop_error_step(xt, xtd, H, ro.D[i], ro.K[i],
-                                         np.zeros(3), ro.t[1] - ro.t[0])
+        xt, xtd = closed_loop_error_step(xt, xtd, H, ro.schedule.D[i],
+                                         ro.schedule.K[i], np.zeros(3),
+                                         ro.t[1] - ro.t[0])
         assert np.abs(ro.x[i + 1] - ro.x_d[i + 1] - xt).max() < 1e-6
     assert np.abs(xt).max() < 0.1 * np.abs(ro.x[0] - ro.x_d[0]).max()
 
