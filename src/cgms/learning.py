@@ -258,10 +258,6 @@ class Rollout:
     def lam_C(self):
         return self.schedule.lam_C
 
-    @property
-    def beta_min(self):
-        return float(self.beta.min())
-
 
 def sampled_schedule(setup, policy, xi):
     """The gain schedule of a sample at beta = 1.
@@ -501,7 +497,7 @@ def train(setup, policy=None, noise=None, updates=50, rollouts_per_update=12,
                 "cost_track": ro.cost_terms["cost_track"],
                 "lamA_max": float(ro.lam_A.max()),
                 "lamC_max": float(ro.lam_C.max()),
-                "beta_star_min": ro.beta_min,
+                "beta_star_min": float(ro.beta.min()),
             })
         records.append(UpdateRecord(update=u, costs=costs, theta=policy,
                                     rollout_rows=rows))

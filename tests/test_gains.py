@@ -206,6 +206,35 @@ def test_flow_kdot_identity_finite_difference(rng):
     assert np.linalg.eigvalsh(K)[..., 0].min() > 0
 
 
+def test_flow_holds_the_nominal_stiffness_at_large_alpha_T():
+    # alpha T = 20: the constant slack of K = 200 I drives the flow at its
+    # equilibrium, which grows any deviation by e**40.  The closed form's
+    # cancellation gave eigenvalues from 103 to 4.4e5; the update applied
+    # step by step keeps 200 I.
+    alpha, T = 2.0, 10.0
+    basis = build_basis(7, 0.7)
+    sp = constant_slack_params(basis, 3, 30.0, 200.0, alpha, H3)
+    tgrid = np.arange(0.0, T + 5e-4, 1e-3)
+    K = build_gain_schedule(sp, alpha, H3, T, 200 * np.eye(3), tgrid).K
+    assert np.abs(K - 200.0 * np.eye(3)).max() <= 1e-9 * 200.0
+
+
+@pytest.mark.parametrize("alpha", [0.05, 1.0])
+def test_flow_matches_the_step_update(alpha, rng):
+    # 2 alpha T = 0.2 takes the closed form, 2 alpha T = 4 the step-by-step
+    # recurrence; both must be K[i+1] = r K[i] + c B[i] applied per step.
+    n, dt = 2001, 1e-3
+    B = rng.standard_normal((n, 3, 3))
+    B = B + np.swapaxes(B, 1, 2)
+    K = integrate_cholesky_flow(B, alpha, 200.0 * np.eye(3), dt)
+    r = np.exp(2 * alpha * dt)
+    c = (r - 1) / (2 * alpha)
+    Ki = 200.0 * np.eye(3)
+    for i in range(n - 1):
+        Ki = r * Ki + c * B[i]
+        assert np.abs(K[i + 1] - Ki).max() <= 1e-12 * np.abs(Ki).max()
+
+
 def test_flow_rejects_lost_definiteness():
     # Strongly negative B drives K through zero; must reject, not clamp.
     n = 2000

@@ -409,7 +409,7 @@ def test_affine_rollout_matches_per_step_loop(case, monkeypatch,
         setup, policy, xi, _ = governed_scenario(monkeypatch)
         runs = [(policy, xi, setup)]
     else:
-        # alpha T = 20: the initial schedule's stiffness reaches 4.4e5.
+        # alpha T = 20: the flow's step-by-step branch.
         setup, _ = compile_setup(load_config(
             overrides={"gains_alpha": 2.0, "run_horizon": 10.0}))
         runs = [(initial_policy(setup), None, setup)]
