@@ -241,7 +241,6 @@ def integrate_cholesky_flow(B, alpha, K0, dt, clamp=False):
     K = np.empty((n, m, m))
     K[0] = K0
     if 2.0 * alpha * dt * (n - 1) <= 2.0:
-        # K[k] = r^k (K0 + c sum_{i<k} r^{-(i+1)} B[i])
         idx = np.arange(1, n)[:, None, None]
         K[1:] = r ** idx * (K0 + c * np.cumsum(r ** -idx * B[:-1], axis=0))
     else:
@@ -294,8 +293,8 @@ def build_gain_schedule(sp, alpha, H, tau, K0, tgrid):
     """
     tgrid = np.asarray(tgrid, float)
     S_D, S_K, Sd_D = slack_trace(sp, 1.0 - tgrid / tau)
-    return schedule_from_products(*slack_products(S_D, S_K, Sd_D * (-1.0 / tau)),
-                                  alpha, H, K0, tgrid)
+    products = slack_products(S_D, S_K, Sd_D * (-1.0 / tau))
+    return schedule_from_products(*products, alpha, H, K0, tgrid)
 
 
 def constant_slack_params(basis, m, d_init, k_init, alpha, H):

@@ -26,8 +26,7 @@ from .gains import (
     GainSchedule,
     SlackParams,
     constant_slack_params,
-    # Unused here; kept so perfbench/tracer.py can wrap it under this name.
-    integrate_cholesky_flow,  # noqa: F401
+    integrate_cholesky_flow,  # noqa: F401  (wrapped by perfbench/tracer.py)
     schedule_from_products,
     slack_products,
     slack_trace,
@@ -235,8 +234,7 @@ def initial_policy(setup):
 
 @dataclass(frozen=True)
 class Rollout:
-    """One simulated episode with the gain schedule it executed and its cost
-    breakdown."""
+    """One simulated episode, the gain schedule it executed, and its cost."""
 
     policy: PolicyParams
     xi: PolicyParams | None
@@ -268,7 +266,7 @@ def sampled_schedule(setup, policy, xi):
     the products become sign-indefinite (unconstrained Gaussian sampling in
     gain space) and the stiffness flow clamps instead of rejecting.
     """
-    tau = setup.dmp.tau
+    tau, t_hat = setup.dmp.tau, setup.weights.t_hat
     sp = SlackParams(theta_d=policy.theta_d, theta_k=policy.theta_k,
                      basis=setup.slack_basis, m=setup.m)
     S_D, S_K, Sd_D = slack_trace(sp, 1.0 - setup.tgrid / tau,
@@ -277,9 +275,9 @@ def sampled_schedule(setup, policy, xi):
     Sd_D = Sd_D * (-1.0 / tau)
     products = slack_products(S_D, S_K, Sd_D)
     clamp = setup.mode == MODE_UNCERTIFIED_AFTER_VIA
-    after = setup.tgrid > setup.weights.t_hat
+    after = setup.tgrid > t_hat
     if clamp and after.any():
-        Sn_D, Sn_K, _ = slack_trace(sp, np.array([1.0 - setup.weights.t_hat / tau]))
+        Sn_D, Sn_K, _ = slack_trace(sp, np.array([1.0 - t_hat / tau]))
         lin = slack_products(S_D[after] - Sn_D, S_K[after] - Sn_K, Sd_D[after])
         for G, dG in zip(products, lin):
             G[after] -= dG
@@ -331,6 +329,8 @@ def rollout(policy, xi, setup):
     (sampled_schedule) -> closed loop -> cost.  The returned Rollout carries
     the schedule as executed: on governed steps (beta < 1) its gains, rates
     and certificate trace are blended toward the certified floor by beta.
+    The rates hold each step's beta fixed; the terms of beta's changes from
+    step to step are not in them, nor in the pointwise certificate.
 
     The closed loop takes one of two paths.  At beta = 1 the semi-implicit
     Euler loop is affine in s = (x, v, 1): s[i+1] = T[i] s[i] with
@@ -463,6 +463,7 @@ def train(setup, policy=None, noise=None, updates=50, rollouts_per_update=12,
         count = 1 if evaluate_only else rollouts_per_update
         for r_idx in range(count):
             rejects = {}
+            ro = None    # the last rollout's arrays go before the next runs
             for attempt in range(MAX_RESAMPLE_ATTEMPTS):
                 xi = (None if evaluate_only
                       else sample_noise(noise, policy, u, r_idx, attempt))
