@@ -10,7 +10,7 @@ Run: python3 demos/demo_governor.py
 
 import numpy as np
 
-from cgms.governor import AffineTorqueSplit, TorqueLimits, beta_star_detail
+from cgms.governor import TorqueLimits, beta_star_detail
 
 
 def main():
@@ -20,11 +20,10 @@ def main():
     for trial in range(5):
         tau0 = rng.uniform(0.3 * limits.tau_min, 0.3 * limits.tau_max)
         tau1 = rng.uniform(-60.0, 60.0, 7)
-        split = AffineTorqueSplit(tau0=tau0, tau1=tau1)
-        beta, joint = beta_star_detail(split, limits)
+        beta, joint = beta_star_detail(tau0, tau1, limits)
         tag = "no scaling needed" if beta == 1.0 else f"limited by joint {joint}"
         print(f"trial {trial}: beta* = {beta:.6f}  ({tag})")
-        tau = split.at(beta)
+        tau = tau0 + beta * tau1
         assert limits.contains(tau, tol=1e-9)
         print(f"  governed torque: {np.round(tau, 2)}")
 

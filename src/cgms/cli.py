@@ -62,8 +62,7 @@ def _load(args, mode=None):
         overrides["run_scenario"] = args.scenario
     if mode is not None:
         overrides["run_mode"] = mode
-    cfg = load_config(args.config, overrides=overrides)
-    return cfg
+    return load_config(args.config, overrides=overrides)
 
 
 TRACE_HEADER = ["update", "rollout", "cost", "cost_K", "cost_acc",
@@ -98,15 +97,30 @@ def _summary(cfg, result, wall_time):
     }
 
 
-def cmd_train(args):
-    cfg = _load(args)
+def cmd_train(args, mode=None):
+    """Train; in the uncertified-after-via mode (``cgms ablate``) also write
+    each accepted rollout's certificate maxima after the via time."""
+    cfg = _load(args, mode)
     out = _out_dir(args)
     setup, noise = compile_setup(cfg)
+    ablation = cfg.run_mode == MODE_UNCERTIFIED_AFTER_VIA
+    post = setup.tgrid > setup.weights.t_hat
+    eig_rows = []
+
+    def hook(update, r_idx, ro):
+        eig_rows.append([update, r_idx, float(ro.lam_A[post].max()),
+                         float(ro.lam_C[post].max())])
+
     t0 = time.perf_counter()
     result = train(setup, noise=noise, updates=cfg.run_updates,
                    rollouts_per_update=cfg.run_rollouts,
-                   beta_softmax=cfg.learning_softmax_sharpness)
+                   beta_softmax=cfg.learning_softmax_sharpness,
+                   rollout_hook=hook if ablation and post.any() else None)
     wall = time.perf_counter() - t0
+    if ablation:
+        write_csv(out / "ablate_eigs.csv",
+                  ["update", "rollout", "lamA_max_post_via",
+                   "lamC_max_post_via"], eig_rows)
     _write_trace(out / "learning_trace.csv", result.trace_rows())
     _write_json(out / "theta_initial.json", result.records[0].theta.to_dict())
     _write_json(out / "theta_final.json", result.policy.to_dict())
@@ -116,12 +130,15 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def cmd_rollout(args):
-    cfg = _load(args)
-    out = _out_dir(args)
+def _noise_free_rollout(args):
+    """(out, setup, noise-free rollout of the --policy or initial policy)."""
+    cfg, out = _load(args), _out_dir(args)
     setup, _ = compile_setup(cfg)
-    policy = _policy_arg(args, setup)
-    ro = rollout(policy, None, setup)
+    return out, setup, rollout(_policy_arg(args, setup), None, setup)
+
+
+def cmd_rollout(args):
+    out, setup, ro = _noise_free_rollout(args)
     header = (["t"] + [f"x{i + 1}" for i in range(setup.m)]
               + [f"xd{i + 1}" for i in range(setup.m)]
               + [f"tau{i + 1}" for i in range(setup.m)] + ["beta"])
@@ -132,10 +149,8 @@ def cmd_rollout(args):
 
 
 def cmd_certify(args):
-    cfg = _load(args)
-    out = _out_dir(args)
-    setup, _ = compile_setup(cfg)
-    schedule = rollout(_policy_arg(args, setup), None, setup).schedule
+    out, _, ro = _noise_free_rollout(args)
+    schedule = ro.schedule
     report = schedule.report()
     _write_json(out / "certificate.json", report.to_dict())
     write_csv(out / "eigtrace.csv", ["t", "lamA", "lamC"],
@@ -146,11 +161,7 @@ def cmd_certify(args):
 
 
 def cmd_govern(args):
-    cfg = _load(args)
-    out = _out_dir(args)
-    setup, _ = compile_setup(cfg)
-    policy = _policy_arg(args, setup)
-    ro = rollout(policy, None, setup)
+    out, _, ro = _noise_free_rollout(args)
     write_csv(out / "beta_trace.csv", ["t", "beta_star"],
               np.column_stack([ro.t, ro.beta]))
     _write_json(out / "saturation_events.json", ro.saturation_events)
@@ -161,10 +172,8 @@ def cmd_robustness(args):
     if not (np.isfinite(args.u_bar) and args.u_bar >= 0):
         raise ConfigError(
             f"--u-bar must be finite and nonnegative, got {args.u_bar}")
-    cfg = _load(args)
-    out = _out_dir(args)
-    setup, _ = compile_setup(cfg)
-    schedule = rollout(_policy_arg(args, setup), None, setup).schedule
+    out, setup, ro = _noise_free_rollout(args)
+    schedule = ro.schedule
     report = {"u_bar": args.u_bar, "schedule": schedule.report().to_dict()}
     try:
         inp = rb.inputs_from_schedule(schedule, args.u_bar, optimize=True)
@@ -185,35 +194,6 @@ def cmd_robustness(args):
     except MarginTooSmallError as exc:
         report["error"] = str(exc)
     _write_json(out / "robustness.json", report)
-    return EXIT_OK
-
-
-def cmd_ablate(args):
-    cfg = _load(args, mode=MODE_UNCERTIFIED_AFTER_VIA)
-    out = _out_dir(args)
-    setup, noise = compile_setup(cfg)
-    t_hat = setup.weights.t_hat
-    post = setup.tgrid > t_hat
-    eig_rows = []
-
-    def hook(update, r_idx, ro):
-        if np.any(post):
-            eig_rows.append([update, r_idx,
-                             float(ro.lam_A[post].max()),
-                             float(ro.lam_C[post].max())])
-
-    t0 = time.perf_counter()
-    result = train(setup, noise=noise, updates=cfg.run_updates,
-                   rollouts_per_update=cfg.run_rollouts,
-                   beta_softmax=cfg.learning_softmax_sharpness,
-                   rollout_hook=hook)
-    wall = time.perf_counter() - t0
-    write_csv(out / "ablate_eigs.csv",
-              ["update", "rollout", "lamA_max_post_via", "lamC_max_post_via"],
-              eig_rows)
-    _write_trace(out / "learning_trace.csv", result.trace_rows())
-    _write_json(out / "summary.json", _summary(cfg, result, wall))
-    save_config(cfg, out / "resolved_config.ini")
     return EXIT_OK
 
 
@@ -253,7 +233,7 @@ def build_parser():
         "certify": cmd_certify,
         "govern": cmd_govern,
         "robustness": cmd_robustness,
-        "ablate": cmd_ablate,
+        "ablate": lambda args: cmd_train(args, MODE_UNCERTIFIED_AFTER_VIA),
     }
     for name, fn in commands.items():
         p = sub.add_parser(name)

@@ -1,5 +1,5 @@
-"""Canonical phase, normalized RBF bases, DMP transformation dynamics, and
-fitting to a minimum-jerk demonstration.
+"""Normalized RBF bases, DMP transformation dynamics, and fitting to a
+minimum-jerk demonstration.
 
 The transformation dynamics are
 
@@ -20,13 +20,6 @@ import numpy as np
 from .errors import DegenerateBasisError
 
 ACTIVATION_FLOOR = 1e-300
-
-
-def phase(t, tau):
-    """Canonical phase s = 1 - t/tau on the horizon [0, tau]."""
-    if not 0.0 <= t <= tau:
-        raise ValueError(f"t={t} outside horizon [0, {tau}]")
-    return 1.0 - t / tau
 
 
 @dataclass(frozen=True)
@@ -104,38 +97,6 @@ class DmpParams:
             raise ValueError("tau, k, m must be positive")
         if self.d is None:
             object.__setattr__(self, "d", 2.0 * math.sqrt(self.k * self.m_dmp))
-
-
-@dataclass(frozen=True)
-class DmpState:
-    x: np.ndarray
-    xdot: np.ndarray
-    t: float
-
-
-def dmp_accel(params, state, xi_traj=None):
-    """Right-hand side acceleration of the transformation dynamics."""
-    s = phase(state.t, params.tau)
-    theta = params.theta_traj
-    if xi_traj is not None:
-        theta = theta + xi_traj
-    forcing = params.basis.eval(s) @ theta
-    g = np.asarray(params.goal, float)
-    rhs = (params.k * (g - state.x) - params.tau * params.d * state.xdot
-           + s * forcing)
-    return rhs / (params.tau ** 2 * params.m_dmp)
-
-
-def dmp_step(params, state, xi_traj, dt):
-    """Semi-implicit Euler step; returns (new state, reference accel)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    xdd = dmp_accel(params, state, xi_traj)
-    xdot = state.xdot + xdd * dt
-    x = state.x + xdot * dt
-    if not np.all(np.isfinite(x)):
-        raise ValueError("DMP state diverged")
-    return DmpState(x=x, xdot=xdot, t=state.t + dt), xdd
 
 
 def rollout_reference(params, start, xi_traj, tgrid):

@@ -46,25 +46,13 @@ class TorqueLimits:
                     and np.all(tau <= self.tau_max + tol))
 
 
-@dataclass(frozen=True)
-class AffineTorqueSplit:
-    """Torque command decomposed as tau(beta) = tau0 + beta tau1."""
-
-    tau0: np.ndarray
-    tau1: np.ndarray
-
-    def at(self, beta):
-        return self.tau0 + beta * self.tau1
-
-
-def beta_star_detail(split, limits):
+def beta_star_detail(tau0, tau1, limits):
     """Largest beta in [0, 1] keeping tau0 + beta tau1 inside the box,
     plus the binding joint (None when beta = 1).
 
     Joints with zero slope impose no bound.  An infeasible tau0 (the beta=0
     floor already saturates) raises rather than clamping.
     """
-    tau0, tau1 = split.tau0, split.tau1
     if not limits.contains(tau0, tol=1e-12):
         raise InfeasibleFloorError("torque at beta = 0 violates the box limits")
     beta, joint = 1.0, None
@@ -78,8 +66,3 @@ def beta_star_detail(split, limits):
         if bound < beta:
             beta, joint = bound, i
     return float(min(max(beta, 0.0), 1.0)), joint
-
-
-def beta_star(split, limits):
-    """Largest admissible uniform gain scaling; see beta_star_detail."""
-    return beta_star_detail(split, limits)[0]

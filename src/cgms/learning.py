@@ -31,13 +31,16 @@ from .gains import (
     slack_products,
     slack_trace,
 )
-from .governor import AffineTorqueSplit, TorqueLimits, beta_star_detail
+from .governor import TorqueLimits, beta_star_detail
 from .plants import PlantModel
 
 MODE_CERTIFIED = "certified"
 MODE_UNCERTIFIED_AFTER_VIA = "uncertified-after-via"
 
 MAX_RESAMPLE_ATTEMPTS = 100
+
+# Half-width of the cost reference's via window, in via-kernel sigmas.
+VIA_WINDOW_SIGMAS = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +199,7 @@ class TaskSetup:
 
 def build_setup(model, H, alpha, T, dt, start, goal, x_via, dmp_basis,
                 slack_basis, limits, weights=None, k_init=200.0, d_init=30.0,
-                mode=MODE_CERTIFIED, dmp_k=150.0, sigma_via_frac=0.05,
-                via_window_sigmas=2.0):
+                mode=MODE_CERTIFIED, dmp_k=150.0, sigma_via_frac=0.05):
     """Assemble a TaskSetup: nominal min-jerk reference, via time at the
     closest nominal approach, and the via-substituted cost reference."""
     tgrid = np.arange(0.0, T + dt / 2, dt)
@@ -210,7 +212,7 @@ def build_setup(model, H, alpha, T, dt, start, goal, x_via, dmp_basis,
     base = weights or CostWeights()
     weights = replace(base, t_hat=t_hat, x_via=x_via, sigma_via=sigma_via)
     x_ref = x_nom.copy()
-    window = np.abs(tgrid - t_hat) <= via_window_sigmas * sigma_via
+    window = np.abs(tgrid - t_hat) <= VIA_WINDOW_SIGMAS * sigma_via
     x_ref[window] = x_via
     dmp = DmpParams(tau=T, k=dmp_k, goal=goal,
                     theta_traj=np.zeros((dmp_basis.count, len(start))),
@@ -303,12 +305,12 @@ def _governed_tail(j, setup, x_trace, v, tau_trace, beta_trace, sched,
         tau = u_ff[i] - AD1[i] @ xtd - AK1[i] @ xt
         if ((tau < lim.tau_min) | (tau > lim.tau_max)).any():
             tau0 = u_ff[i] - AHi @ (D_floor @ xtd + K_floor[i] @ xt)
-            split = AffineTorqueSplit(tau0=tau0, tau1=tau - tau0)
-            beta, binding = beta_star_detail(split, lim)
+            tau1 = tau - tau0
+            beta, binding = beta_star_detail(tau0, tau1, lim)
             if binding is not None:
                 events.append({"t": float(tg[i]), "joint": binding,
                                "beta_star": beta, "limited": True})
-            tau = split.at(beta)
+            tau = tau0 + beta * tau1
             for arr, floor in ((sched.K, K_floor[i]),
                                (sched.Kdot, 2.0 * alpha * K_floor[i]),
                                (sched.D, D_floor), (sched.Ddot, 0.0),

@@ -1,10 +1,7 @@
-"""The task-space point-mass plant and the closed-loop error equation.
+"""The task-space point-mass plant and its operational-space terms.
 
 The training rollout runs on a point mass with constant task inertia
-(identity Jacobian, joint space == task space).  The closed-loop error step
-integrates H xtdd + D xtd + K xt = f_e directly; tests drive it with a
-rollout's executed gains and compare it against the rollout's tracking
-error.
+(identity Jacobian, joint space == task space).
 
 All functions are pure; identical inputs give bit-identical outputs.
 """
@@ -14,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import IntegrationDivergedError
 
 
 @dataclass(frozen=True)
@@ -66,20 +61,3 @@ def operational_space_terms(model, state):
     """
     return (np.array(model.lambda0), np.zeros(model.m),
             np.array(model.gravity_wrench), np.eye(model.m))
-
-
-def closed_loop_error_step(xt, xtd, H, D, K, f_e, dt):
-    """One semi-implicit Euler step of H xtdd + D xtd + K xt = f_e.
-
-    Uses the same update ordering as the rollout's plant step, so the
-    point-mass closed loop and this direct integration agree to round-off.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    fe = np.asarray(f_e, float)
-    xtdd = np.linalg.solve(H, fe - D @ xtd - K @ xt)
-    xtd_next = xtd + xtdd * dt
-    xt_next = xt + xtd_next * dt
-    if not (np.all(np.isfinite(xt_next)) and np.all(np.isfinite(xtd_next))):
-        raise IntegrationDivergedError("error state diverged")
-    return xt_next, xtd_next

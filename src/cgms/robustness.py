@@ -21,6 +21,11 @@ import numpy as np
 
 from .errors import MarginTooSmallError
 
+# The largest storage-rate violation dissipation_check passes, and how far
+# past the radius uub_empirical lets a simulated trajectory go.
+DISSIPATION_TOL = 1e-5
+UUB_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class RobustnessInputs:
@@ -178,8 +183,7 @@ def simulate_error_dynamics(schedule, u_res, z0=None):
     return tgrid, XT, XTD
 
 
-def dissipation_check(schedule, inp, u_res, tol_int=1e-5, c1=None, c2=None,
-                      z0=None):
+def dissipation_check(schedule, inp, u_res, c1=None, c2=None, z0=None):
     """Verify Vdot_aug <= -c1 ||z||^2 + c2 ||u_res||^2 along a simulation.
 
     The storage derivative is taken by central differences of the sampled
@@ -206,14 +210,14 @@ def dissipation_check(schedule, inp, u_res, tol_int=1e-5, c1=None, c2=None,
     max_violation = float(violation.max())
     return {
         "max_violation": max_violation,
-        "passes": bool(max_violation <= tol_int),
-        "tol": tol_int,
+        "passes": bool(max_violation <= DISSIPATION_TOL),
+        "tol": DISSIPATION_TOL,
         "c1": c1,
         "c2": c2,
     }
 
 
-def uub_empirical(schedule, inp, u_res_family, tol=1e-6):
+def uub_empirical(schedule, inp, u_res_family):
     """Check the ultimate bound on simulated trajectories.
 
     Trajectories start at z = 0, for which the comparison-lemma bound
@@ -227,7 +231,7 @@ def uub_empirical(schedule, inp, u_res_family, tol=1e-6):
         _, XT, XTD = simulate_error_dynamics(schedule, u_res)
         znorm = np.sqrt((XT ** 2 + XTD ** 2).sum(axis=1)).max()
         worst = min(worst, res.radius - znorm)
-    return bool(worst >= -tol), float(worst)
+    return bool(worst >= -UUB_TOL), float(worst)
 
 
 def standard_residuals(u_bar, m, seed=0):

@@ -11,7 +11,7 @@ from cgms import cli
 from cgms.config import compile_setup, load_config
 from cgms.dmp import DmpParams, build_basis, fit_min_jerk, min_jerk, rollout_reference
 from cgms.gains import SlackParams, integrate_cholesky_flow, slack_trace
-from cgms.governor import AffineTorqueSplit, TorqueLimits, beta_star
+from cgms.governor import TorqueLimits, beta_star_detail
 from cgms.learning import PolicyParams, initial_policy, pi2_update, pi2_weights, rollout
 from cgms.robustness import (
     RobustnessInputs,
@@ -88,9 +88,9 @@ def test_criterion_5_governor_exactness(training_runs):
     rng = np.random.default_rng(5)
     limits = TorqueLimits.fr3_half()
 
-    def bisect(split):
+    def bisect(tau0, tau1):
         def feasible(b):
-            return limits.contains(split.at(b), tol=1e-15)
+            return limits.contains(tau0 + b * tau1, tol=1e-15)
         if feasible(1.0):
             return 1.0
         lo, hi = 0.0, 1.0
@@ -101,12 +101,11 @@ def test_criterion_5_governor_exactness(training_runs):
 
     worst = 0.0
     for _ in range(1000):
-        split = AffineTorqueSplit(
-            tau0=rng.uniform(limits.tau_min, limits.tau_max),
-            tau1=30.0 * rng.standard_normal(7))
-        b = beta_star(split, limits)
-        worst = max(worst, abs(b - bisect(split)))
-        assert limits.contains(split.at(b), tol=1e-9)
+        tau0 = rng.uniform(limits.tau_min, limits.tau_max)
+        tau1 = 30.0 * rng.standard_normal(7)
+        b, _ = beta_star_detail(tau0, tau1, limits)
+        worst = max(worst, abs(b - bisect(tau0, tau1)))
+        assert limits.contains(tau0 + b * tau1, tol=1e-9)
     events = sum(len(r.saturation_events) for _, r, _ in training_runs.values())
     ok = worst < 1e-9 and events == 0
     verdict(5, "closed-form gain scaling matches bisection, no saturation",

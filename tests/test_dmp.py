@@ -1,20 +1,66 @@
-"""Phase, RBF bases, DMP dynamics, and the minimum-jerk fit."""
+"""Phase, RBF bases, DMP dynamics, and the minimum-jerk fit.
+
+The phase and the semi-implicit DMP step below are the per-step oracle that
+the vectorized ``rollout_reference`` is checked against.
+"""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from cgms.dmp import (
     DmpParams,
-    DmpState,
     RbfBasis,
     build_basis,
-    dmp_step,
     fit_min_jerk,
     min_jerk,
-    phase,
     rollout_reference,
 )
 from cgms.errors import DegenerateBasisError
+
+
+# ---------------------------------------------------------------------------
+# per-step oracle
+# ---------------------------------------------------------------------------
+
+def phase(t, tau):
+    """Canonical phase s = 1 - t/tau on the horizon [0, tau]."""
+    if not 0.0 <= t <= tau:
+        raise ValueError(f"t={t} outside horizon [0, {tau}]")
+    return 1.0 - t / tau
+
+
+@dataclass(frozen=True)
+class DmpState:
+    x: np.ndarray
+    xdot: np.ndarray
+    t: float
+
+
+def dmp_accel(params, state, xi_traj=None):
+    """Right-hand side acceleration of the transformation dynamics."""
+    s = phase(state.t, params.tau)
+    theta = params.theta_traj
+    if xi_traj is not None:
+        theta = theta + xi_traj
+    forcing = params.basis.eval(s) @ theta
+    g = np.asarray(params.goal, float)
+    rhs = (params.k * (g - state.x) - params.tau * params.d * state.xdot
+           + s * forcing)
+    return rhs / (params.tau ** 2 * params.m_dmp)
+
+
+def dmp_step(params, state, xi_traj, dt):
+    """Semi-implicit Euler step; returns (new state, reference accel)."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    xdd = dmp_accel(params, state, xi_traj)
+    xdot = state.xdot + xdd * dt
+    x = state.x + xdot * dt
+    if not np.all(np.isfinite(x)):
+        raise ValueError("DMP state diverged")
+    return DmpState(x=x, xdot=xdot, t=state.t + dt), xdd
 
 
 # ---------------------------------------------------------------------------

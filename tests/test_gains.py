@@ -1,6 +1,10 @@
 """Slack parametrization, the stiffness flow, and certificate margins."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,6 +237,34 @@ def test_flow_matches_the_step_update(alpha, rng):
     for i in range(n - 1):
         Ki = r * Ki + c * B[i]
         assert np.abs(K[i + 1] - Ki).max() <= 1e-12 * np.abs(Ki).max()
+
+
+DEFAULT_SCHEDULE_IMPORTS = """
+import sys
+import numpy as np
+import cgms.cli
+from cgms.dmp import build_basis
+from cgms.gains import build_gain_schedule, constant_slack_params
+sp = constant_slack_params(build_basis(7, 0.7), 3, 30.0, 200.0, 0.05, np.eye(3))
+tgrid = np.arange(0.0, 5.0 + 5e-4, 1e-3)
+sched = build_gain_schedule(sp, 0.05, np.eye(3), 5.0, 200 * np.eye(3), tgrid)
+assert sched.report().passes
+print(sorted(name for name in sys.modules if name.startswith("scipy.signal")))
+"""
+
+
+def test_default_schedule_leaves_scipy_signal_unimported():
+    # The flow imports scipy.signal only past e^2 of growth.  A process that
+    # builds schedules but runs no rollout, such as the benchmark's
+    # robustness_ensemble, would pay about 1.3 s and 67 MB for the import.
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", DEFAULT_SCHEDULE_IMPORTS],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_flow_rejects_lost_definiteness():

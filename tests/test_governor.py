@@ -1,4 +1,4 @@
-"""Affine torque split and the closed-form gain scaling factor."""
+"""The closed-form gain scaling factor for the affine torque tau0 + beta tau1."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from cgms.dmp import build_basis
 from cgms.errors import InfeasibleFloorError
 from cgms.gains import build_gain_schedule, tri_dim, SlackParams
-from cgms.governor import AffineTorqueSplit, TorqueLimits, beta_star, beta_star_detail
+from cgms.governor import TorqueLimits, beta_star_detail
 
 
 def test_limit_presets():
@@ -18,34 +18,34 @@ def test_limit_presets():
 
 
 def test_beta_star_single_ratio():
-    split = AffineTorqueSplit(tau0=np.array([2.0]), tau1=np.array([6.0]))
     limits = TorqueLimits.box(5.0, 1)
-    beta, joint = beta_star_detail(split, limits)
+    beta, joint = beta_star_detail(np.array([2.0]), np.array([6.0]), limits)
     assert abs(beta - 0.5) < 1e-15
     assert joint == 0
 
 
 def test_beta_star_zero_slope():
-    split = AffineTorqueSplit(tau0=np.array([2.0, -3.0]), tau1=np.zeros(2))
-    beta, joint = beta_star_detail(split, TorqueLimits.box(5.0, 2))
+    beta, joint = beta_star_detail(np.array([2.0, -3.0]), np.zeros(2),
+                                   TorqueLimits.box(5.0, 2))
     assert beta == 1.0 and joint is None
 
 
 def test_beta_star_negative_slope():
-    split = AffineTorqueSplit(tau0=np.array([-2.0]), tau1=np.array([-6.0]))
-    assert abs(beta_star(split, TorqueLimits.box(5.0, 1)) - 0.5) < 1e-15
+    beta, _ = beta_star_detail(np.array([-2.0]), np.array([-6.0]),
+                               TorqueLimits.box(5.0, 1))
+    assert abs(beta - 0.5) < 1e-15
 
 
 def test_beta_star_infeasible_floor():
-    split = AffineTorqueSplit(tau0=np.array([6.0]), tau1=np.array([-1.0]))
     with pytest.raises(InfeasibleFloorError):
-        beta_star(split, TorqueLimits.box(5.0, 1))
+        beta_star_detail(np.array([6.0]), np.array([-1.0]),
+                         TorqueLimits.box(5.0, 1))
 
 
-def bisect_beta(split, limits, tol=1e-12):
+def bisect_beta(tau0, tau1, limits, tol=1e-12):
     """Bisection oracle on the saturation predicate."""
     def ok(b):
-        return limits.contains(split.at(b), tol=1e-15)
+        return limits.contains(tau0 + b * tau1, tol=1e-15)
     if ok(1.0):
         return 1.0
     lo, hi = 0.0, 1.0
@@ -63,10 +63,9 @@ def test_beta_star_matches_bisection_oracle(rng):
     for _ in range(1000):
         tau0 = rng.uniform(limits.tau_min, limits.tau_max)
         tau1 = 30.0 * rng.standard_normal(7)
-        split = AffineTorqueSplit(tau0=tau0, tau1=tau1)
-        beta = beta_star(split, limits)
-        assert abs(beta - bisect_beta(split, limits)) < 1e-9
-        assert limits.contains(split.at(beta), tol=1e-9)
+        beta, _ = beta_star_detail(tau0, tau1, limits)
+        assert abs(beta - bisect_beta(tau0, tau1, limits)) < 1e-9
+        assert limits.contains(tau0 + beta * tau1, tol=1e-9)
 
 
 def test_beta_star_maximality(rng):
@@ -74,10 +73,9 @@ def test_beta_star_maximality(rng):
     for _ in range(200):
         tau0 = rng.uniform(limits.tau_min, limits.tau_max)
         tau1 = 50.0 * rng.standard_normal(7)
-        split = AffineTorqueSplit(tau0=tau0, tau1=tau1)
-        beta = beta_star(split, limits)
+        beta, _ = beta_star_detail(tau0, tau1, limits)
         if beta < 1.0:
-            assert not limits.contains(split.at(beta + 1e-6), tol=1e-9)
+            assert not limits.contains(tau0 + (beta + 1e-6) * tau1, tol=1e-9)
 
 
 def test_governed_schedule_still_certified(rng):

@@ -12,7 +12,7 @@ from cgms.config import SCENARIOS, compile_setup, load_config
 from cgms.dmp import build_basis
 from cgms.errors import InfeasibleFloorError, IntegrationDivergedError
 from cgms.gains import certificate_margins
-from cgms.governor import AffineTorqueSplit, TorqueLimits, beta_star_detail
+from cgms.governor import TorqueLimits, beta_star_detail
 from cgms.learning import (
     MAX_RESAMPLE_ATTEMPTS,
     CostWeights,
@@ -30,7 +30,7 @@ from cgms.learning import (
     trajectory_cost,
     via_weight,
 )
-from cgms.plants import PlantModel, closed_loop_error_step
+from cgms.plants import PlantModel
 
 
 def random_policy(rng):
@@ -258,6 +258,23 @@ def offset_reference(monkeypatch, offset):
     monkeypatch.setattr(learning, "rollout_reference", shifted)
 
 
+def closed_loop_error_step(xt, xtd, H, D, K, f_e, dt):
+    """One semi-implicit Euler step of H xtdd + D xtd + K xt = f_e.
+
+    Uses the same update ordering as the rollout's plant step, so the
+    point-mass closed loop and this direct integration agree to round-off.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    fe = np.asarray(f_e, float)
+    xtdd = np.linalg.solve(H, fe - D @ xtd - K @ xt)
+    xtd_next = xtd + xtdd * dt
+    xt_next = xt + xtd_next * dt
+    if not (np.all(np.isfinite(xt_next)) and np.all(np.isfinite(xtd_next))):
+        raise IntegrationDivergedError("error state diverged")
+    return xt_next, xtd_next
+
+
 def error_equation_deviation(ro, H):
     """Largest gap between a rollout's tracking error and the error equation
     H xtdd + D xtd + K xt = 0 stepped with the rollout's executed D and K.
@@ -322,12 +339,12 @@ def per_step_rollout(policy, xi, setup):
         tau = u_ff - AHi @ D[i] @ xtd - AHi @ K[i] @ xt
         if not setup.limits.contains(tau):
             tau0 = u_ff - AHi @ D_floor @ xtd - AHi @ K_floor[i] @ xt
-            split = AffineTorqueSplit(tau0=tau0, tau1=tau - tau0)
-            beta[i], binding = beta_star_detail(split, setup.limits)
+            tau1 = tau - tau0
+            beta[i], binding = beta_star_detail(tau0, tau1, setup.limits)
             if binding is not None:
                 events.append({"t": float(tg[i]), "joint": binding,
                                "beta_star": beta[i], "limited": True})
-            tau = split.at(beta[i])
+            tau = tau0 + beta[i] * tau1
             K[i] = K_floor[i] + beta[i] * (K[i] - K_floor[i])
             D[i] = D_floor + beta[i] * (D[i] - D_floor)
         xs.append(x_cur)

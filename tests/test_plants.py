@@ -6,13 +6,12 @@ from cgms.config import SCENARIOS
 from cgms.dmp import build_basis
 from cgms.governor import TorqueLimits
 from cgms.learning import build_setup, initial_policy, rollout
-from cgms.plants import (
-    PlantModel,
+from cgms.plants import PlantModel, initial_state, operational_space_terms
+from test_learning import (
     closed_loop_error_step,
-    initial_state,
-    operational_space_terms,
+    error_equation_deviation,
+    offset_reference,
 )
-from test_learning import error_equation_deviation, offset_reference
 
 
 def handover_rollout(model, H, T=1.0):
