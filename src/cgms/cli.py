@@ -21,6 +21,7 @@ from .errors import (
     CertifiedFloorError,
     ConfigError,
     InfeasibleFloorError,
+    IntegrationDivergedError,
     MarginTooSmallError,
 )
 from .gains import tri_dim, write_csv
@@ -191,7 +192,7 @@ def cmd_robustness(args):
             "dissipation": diss,
             "uub": {"inside": inside, "margin": margin},
         })
-    except MarginTooSmallError as exc:
+    except (MarginTooSmallError, IntegrationDivergedError) as exc:
         report["error"] = str(exc)
     _write_json(out / "robustness.json", report)
     return EXIT_OK

@@ -19,12 +19,20 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import MarginTooSmallError
+from .errors import (
+    ContractViolationError,
+    IntegrationDivergedError,
+    MarginTooSmallError,
+)
 
 # The largest storage-rate violation dissipation_check passes, and how far
 # past the radius uub_empirical lets a simulated trajectory go.
 DISSIPATION_TOL = 1e-5
 UUB_TOL = 1e-6
+# Steps of affine RK4 maps simulate_error_dynamics builds at once: enough to
+# batch the build, few enough that a call's memory does not grow with the
+# horizon.
+SIM_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -150,37 +158,50 @@ def simulate_error_dynamics(schedule, u_res, z0=None):
     once at each half-step.  K and D at a half-step are the means of their
     grid neighbours, i.e. linear interpolation.  Returns (t, xt, xtd)
     arrays sampled on the schedule grid.
+
+    The dynamics are linear, so each RK4 step is an affine map
+    s[i+1] = T[i] s[i] of s = (xt, xtd, 1).  With A the homogeneous field
+    at t_i, the half-step and t_{i+1} (A1, A2, A3), T = I + h/6 (P1 + 2 P2
+    + 2 P3 + P4) where P1 = A1, P2 = A2 (I + h/2 P1), P3 = A2 (I + h/2 P2)
+    and P4 = A3 (I + h P3).  The maps are built batched, SIM_BLOCK steps at
+    a time so memory does not grow with the horizon, and applied with one
+    matrix-vector product per step.  Raises IntegrationDivergedError if the
+    state becomes non-finite.
     """
     m = schedule.m
     Hinv = np.linalg.inv(schedule.H)
     tgrid = schedule.t
+    n = len(tgrid)
     h = tgrid[1] - tgrid[0]
     K, D = schedule.K, schedule.D
-    K_half = 0.5 * (K[:-1] + K[1:])
-    D_half = 0.5 * (D[:-1] + D[1:])
     U = np.array([u_res(ti) for ti in tgrid], float)
     U_half = np.array([u_res(ti + h / 2) for ti in tgrid[:-1]], float)
-    xt = np.zeros(m) if z0 is None else np.array(z0[m:], float)
-    xtd = np.zeros(m) if z0 is None else np.array(z0[:m], float)
-    XT = np.empty((len(tgrid), m))
-    XTD = np.empty((len(tgrid), m))
-    XT[0], XTD[0] = xt, xtd
-
-    def stage(u, Dk, Kk, a, v):
-        return v, Hinv @ (u - Dk @ v - Kk @ a)
-
-    for i in range(len(tgrid) - 1):
-        k1 = stage(U[i], D[i], K[i], xt, xtd)
-        k2 = stage(U_half[i], D_half[i], K_half[i],
-                   xt + h / 2 * k1[0], xtd + h / 2 * k1[1])
-        k3 = stage(U_half[i], D_half[i], K_half[i],
-                   xt + h / 2 * k2[0], xtd + h / 2 * k2[1])
-        k4 = stage(U[i + 1], D[i + 1], K[i + 1],
-                   xt + h * k3[0], xtd + h * k3[1])
-        xt = xt + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        xtd = xtd + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        XT[i + 1], XTD[i + 1] = xt, xtd
-    return tgrid, XT, XTD
+    s = np.empty((n, 2 * m + 1))
+    s[0, :m] = 0.0 if z0 is None else z0[m:]
+    s[0, m:-1] = 0.0 if z0 is None else z0[:m]
+    s[0, -1] = 1.0
+    eye = np.eye(2 * m + 1)
+    for a in range(0, n - 1, SIM_BLOCK):
+        b = min(a + SIM_BLOCK, n - 1)
+        # The field at grid points a..b; at the half-steps K and D are the
+        # means of their neighbours and the residual has its own samples.
+        A = np.zeros((b - a + 1, 2 * m + 1, 2 * m + 1))
+        A[:, :m, m:-1] = np.eye(m)
+        A[:, m:-1, :m] = -Hinv @ K[a:b + 1]
+        A[:, m:-1, m:-1] = -Hinv @ D[a:b + 1]
+        A_half = 0.5 * (A[:-1] + A[1:])
+        A[:, m:-1, -1] = U[a:b + 1] @ Hinv.T
+        A_half[:, m:-1, -1] = U_half[a:b] @ Hinv.T
+        P1 = A[:-1]
+        P2 = A_half @ (eye + h / 2 * P1)
+        P3 = A_half @ (eye + h / 2 * P2)
+        P4 = A[1:] @ (eye + h * P3)
+        T = eye + h / 6 * (P1 + 2 * P2 + 2 * P3 + P4)
+        for Ti, si, s_next in zip(T, s[a:b], s[a + 1:b + 1]):
+            Ti.dot(si, out=s_next)
+    if not np.isfinite(s).all():
+        raise IntegrationDivergedError("error-dynamics state diverged")
+    return tgrid, s[:, :m], s[:, m:-1]
 
 
 def dissipation_check(schedule, inp, u_res, c1=None, c2=None, z0=None):
@@ -224,8 +245,13 @@ def uub_empirical(schedule, inp, u_res_family):
     ||z(t)|| <= radius holds for every t (the transient term vanishes), so
     the horizon needs not cover the analytic settling time 5 m2'/c1.
     Returns (all_inside, worst_margin) with margin = radius - max ||z||.
+    An empty family is a ContractViolationError, and a diverged trajectory
+    raises IntegrationDivergedError.
     """
     res = uub_constants(inp)
+    u_res_family = list(u_res_family)
+    if not u_res_family:
+        raise ContractViolationError("u_res_family is empty")
     worst = np.inf
     for u_res in u_res_family:
         _, XT, XTD = simulate_error_dynamics(schedule, u_res)

@@ -331,15 +331,21 @@ def test_robustness_artifacts(tmp_path):
     assert ("constants" in rep) != ("error" in rep)
 
 
-def test_robustness_full_chain_on_wider_margin(tmp_path):
-    # The initial policy has eps_K = 2 alpha k_init = 20, below the
-    # 20.15 floor, so it stops at the precondition; a stiffness slack
-    # scaled by 1.5 clears it and runs the dissipation and bound checks.
+def wider_margin_policy(tmp_path):
+    """The initial policy with its stiffness slack scaled by 1.5."""
     setup, _ = compile_setup(load_config(None))
     d = initial_policy(setup).to_dict()
     d["theta_k"] = (np.sqrt(1.5) * np.asarray(d["theta_k"])).tolist()
     path = tmp_path / "policy.json"
     path.write_text(json.dumps(d))
+    return path
+
+
+def test_robustness_full_chain_on_wider_margin(tmp_path):
+    # The initial policy has eps_K = 2 alpha k_init = 20, below the
+    # 20.15 floor, so it stops at the precondition; a stiffness slack
+    # scaled by 1.5 clears it and runs the dissipation and bound checks.
+    path = wider_margin_policy(tmp_path)
     out = tmp_path / "o"
     rc = cli.main(["robustness", "--policy", str(path), "--out", str(out)])
     assert rc == cli.EXIT_OK
@@ -347,6 +353,19 @@ def test_robustness_full_chain_on_wider_margin(tmp_path):
     assert "constants" in rep and "error" not in rep
     assert rep["dissipation"]["passes"] is True
     assert rep["uub"]["inside"] is True
+
+
+def test_robustness_records_a_diverged_simulation(tmp_path, monkeypatch):
+    # A residual family whose simulation diverges is reported by name in
+    # robustness.json, like a failed precondition, not as a passing bound.
+    monkeypatch.setattr(cli.rb, "standard_residuals",
+                        lambda u_bar, m: [lambda t: np.full(m, np.nan)] * 3)
+    path = wider_margin_policy(tmp_path)
+    out = tmp_path / "o"
+    rc = cli.main(["robustness", "--policy", str(path), "--out", str(out)])
+    assert rc == cli.EXIT_OK
+    rep = json.loads((out / "robustness.json").read_text())
+    assert "diverged" in rep["error"] and "uub" not in rep
 
 
 def test_ablate_artifacts(tmp_path, small_config):

@@ -1,6 +1,8 @@
 """Boundedness constants, the dissipation inequality, and the ultimate bound."""
 
+import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +10,11 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import make_interp_spline
 
 from cgms.dmp import build_basis
-from cgms.errors import MarginTooSmallError
+from cgms.errors import (
+    ContractViolationError,
+    IntegrationDivergedError,
+    MarginTooSmallError,
+)
 from cgms.gains import SlackParams, build_gain_schedule, vec_triangle
 from cgms.robustness import (
     RobustnessInputs,
@@ -167,6 +173,107 @@ def test_optimize_matches_full_grid_search(schedules):
 # ---------------------------------------------------------------------------
 # Simulation checks
 # ---------------------------------------------------------------------------
+
+def per_step_error_dynamics(schedule, u_res, z0=None):
+    """The error-dynamics RK4 stepped one stage at a time: the reference for
+    simulate_error_dynamics' affine step maps.  Same (t, xt, xtd) return.
+    """
+    m = schedule.m
+    Hinv = np.linalg.inv(schedule.H)
+    tgrid = schedule.t
+    h = tgrid[1] - tgrid[0]
+    K, D = schedule.K, schedule.D
+    K_half = 0.5 * (K[:-1] + K[1:])
+    D_half = 0.5 * (D[:-1] + D[1:])
+    U = np.array([u_res(ti) for ti in tgrid], float)
+    U_half = np.array([u_res(ti + h / 2) for ti in tgrid[:-1]], float)
+    xt = np.zeros(m) if z0 is None else np.array(z0[m:], float)
+    xtd = np.zeros(m) if z0 is None else np.array(z0[:m], float)
+    XT = np.empty((len(tgrid), m))
+    XTD = np.empty((len(tgrid), m))
+    XT[0], XTD[0] = xt, xtd
+
+    def stage(u, Dk, Kk, a, v):
+        return v, Hinv @ (u - Dk @ v - Kk @ a)
+
+    for i in range(len(tgrid) - 1):
+        k1 = stage(U[i], D[i], K[i], xt, xtd)
+        k2 = stage(U_half[i], D_half[i], K_half[i],
+                   xt + h / 2 * k1[0], xtd + h / 2 * k1[1])
+        k3 = stage(U_half[i], D_half[i], K_half[i],
+                   xt + h / 2 * k2[0], xtd + h / 2 * k2[1])
+        k4 = stage(U[i + 1], D[i + 1], K[i + 1],
+                   xt + h * k3[0], xtd + h * k3[1])
+        xt = xt + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        xtd = xtd + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        XT[i + 1], XTD[i + 1] = xt, xtd
+    return tgrid, XT, XTD
+
+
+@pytest.mark.parametrize("steps", [1, 255, 256, 257, 5000])
+def test_affine_maps_match_per_step_oracle(steps):
+    # Grids around and across the SIM_BLOCK = 256 block edges, with and
+    # without an initial error, under a constant and a sinusoid residual.
+    dt = 1e-3
+    sched = certified_schedule(np.random.default_rng(steps), T=steps * dt,
+                               dt=dt)
+    assert len(sched.t) == steps + 1
+    residuals = standard_residuals(0.01, sched.m, seed=steps)[1:]
+    for residual in residuals:
+        for z0 in (None, np.array([0.1, -0.05, 0.08, 0.02, 0.0, -0.03])):
+            t, XT, XTD = simulate_error_dynamics(sched, residual, z0=z0)
+            t_ref, XT_ref, XTD_ref = per_step_error_dynamics(
+                sched, residual, z0=z0)
+            assert np.array_equal(t, t_ref)
+            assert np.abs(XT - XT_ref).max() <= 1e-13
+            assert np.abs(XTD - XTD_ref).max() <= 1e-13
+
+
+def test_simulation_memory_does_not_grow_with_horizon():
+    # One call on a 5001-step schedule stays under 2 MB of traced memory;
+    # building every step's map at once would take about 14 MB.
+    sched = certified_schedule(np.random.default_rng(5), T=5.0, dt=1e-3)
+    residual = standard_residuals(0.01, sched.m)[2]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        simulate_error_dynamics(sched, residual)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6, peak
+
+
+def test_non_finite_state_raises():
+    sched = certified_schedule(np.random.default_rng(3), T=0.5, dt=1e-3)
+    nan = np.full(sched.m, np.nan)
+    with pytest.raises(IntegrationDivergedError):
+        simulate_error_dynamics(sched, lambda t: nan)
+    # Stiffness 1e8 puts h sqrt(k) = 10 outside RK4's stability region, so
+    # the state overflows within the 0.5 s horizon.
+    n = len(sched.t)
+    stiff = SimpleNamespace(m=3, H=H3, t=sched.t,
+                            K=np.broadcast_to(1e8 * H3, (n, 3, 3)),
+                            D=np.broadcast_to(1.0 * H3, (n, 3, 3)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationDivergedError):
+            simulate_error_dynamics(stiff, lambda t: np.zeros(3),
+                                    z0=np.full(6, 1e-3))
+
+
+def test_uub_rejects_diverged_and_empty_families():
+    # A diverged trajectory used to fold into the worst margin as NaN,
+    # which min() drops, and an empty family used to pass with margin inf.
+    sched = certified_schedule(np.random.default_rng(3), T=0.5, dt=1e-3)
+    inp = inputs_from_schedule(sched, 0.01, optimize=True)
+    finite = standard_residuals(0.01, sched.m)[1]
+    nan = np.full(sched.m, np.nan)
+    for family in ([lambda t: nan], [finite, lambda t: nan]):
+        with pytest.raises(IntegrationDivergedError):
+            uub_empirical(sched, inp, family)
+    with pytest.raises(ContractViolationError):
+        uub_empirical(sched, inp, [])
+
 
 def test_rk4_matches_reference_and_samples_residual_once():
     # A 0.5 s, 1 ms certified schedule against a tight DOP853 solve with K
