@@ -119,7 +119,9 @@ def inputs_from_schedule(schedule, u_bar, optimize=False):
     H = schedule.H
     h_eigs = np.linalg.eigvalsh(H)
     k_eigs = np.linalg.eigvalsh(schedule.K)
-    d_norm = np.linalg.norm(schedule.D, ord=2, axis=(1, 2)).max()
+    # D = alpha H + G_D is symmetric, so its 2-norm is its largest
+    # eigenvalue magnitude.
+    d_norm = np.abs(np.linalg.eigvalsh(schedule.D)).max()
     rep = schedule.report()
     eps_D, eps_K = rep.eps_D, rep.eps_K
     base = dict(alpha=schedule.alpha, h_min=float(h_eigs.min()),
@@ -151,12 +153,25 @@ def inputs_from_schedule(schedule, u_bar, optimize=False):
 # Simulation-based checks
 # ---------------------------------------------------------------------------
 
+def _sample(u_res, t, m):
+    """The residual sampled once on the times t, checked to be (len(t), m)."""
+    U = np.asarray(u_res(t), float)
+    if U.shape != (len(t), m):
+        raise ContractViolationError(
+            f"u_res(t) for t of shape {t.shape} must return shape "
+            f"{(len(t), m)}, got {U.shape}")
+    return U
+
+
 def simulate_error_dynamics(schedule, u_res, z0=None):
     """RK4 integration of H xtdd + D(t) xtd + K(t) xt = u_res(t).
 
-    u_res is a callable t -> vector, sampled once at each grid point and
-    once at each half-step.  K and D at a half-step are the means of their
-    grid neighbours, i.e. linear interpolation.  Returns (t, xt, xtd)
+    u_res maps an array of times of shape (k,) to forces of shape (k, m);
+    any other result shape is a ContractViolationError.  It is called twice,
+    once on the grid and once on the half-steps, so it is sampled exactly
+    once at each of those 2n - 1 times.  K and D at a half-step are the
+    means of their grid neighbours, i.e. linear interpolation.  The initial
+    error z0 = (xtd, xt) must have shape (2m,).  Returns (t, xt, xtd)
     arrays sampled on the schedule grid.
 
     The dynamics are linear, so each RK4 step is an affine map
@@ -169,13 +184,18 @@ def simulate_error_dynamics(schedule, u_res, z0=None):
     state becomes non-finite.
     """
     m = schedule.m
+    if z0 is not None:
+        z0 = np.asarray(z0, float)
+        if z0.shape != (2 * m,):
+            raise ContractViolationError(
+                f"z0 must have shape {(2 * m,)}, got {z0.shape}")
     Hinv = np.linalg.inv(schedule.H)
     tgrid = schedule.t
     n = len(tgrid)
     h = tgrid[1] - tgrid[0]
     K, D = schedule.K, schedule.D
-    U = np.array([u_res(ti) for ti in tgrid], float)
-    U_half = np.array([u_res(ti + h / 2) for ti in tgrid[:-1]], float)
+    U = _sample(u_res, tgrid, m)
+    U_half = _sample(u_res, tgrid[:-1] + h / 2, m)
     s = np.empty((n, 2 * m + 1))
     s[0, :m] = 0.0 if z0 is None else z0[m:]
     s[0, m:-1] = 0.0 if z0 is None else z0[:m]
@@ -208,13 +228,20 @@ def dissipation_check(schedule, inp, u_res, c1=None, c2=None, z0=None):
     """Verify Vdot_aug <= -c1 ||z||^2 + c2 ||u_res||^2 along a simulation.
 
     The storage derivative is taken by central differences of the sampled
-    augmented storage.  Returns a report dict with the maximum violation.
-    c1, c2, and the initial error z0 = (xtd, xt) can be overridden, which
-    allows falsification runs with deliberately wrong constants.
+    augmented storage, so the schedule grid needs at least 3 samples.
+    u_res follows simulate_error_dynamics' array contract, times (k,) to
+    forces (k, m); ||u_res||^2 comes from one more call on the interior
+    grid.  Returns a report dict with the maximum violation.  c1, c2, and
+    the initial error z0 = (xtd, xt) can be overridden, which allows
+    falsification runs with deliberately wrong constants.
     """
     rep = schedule.report()
     if not rep.passes_strict:
         raise MarginTooSmallError("schedule lacks strict certificate margins")
+    if len(schedule.t) < 3:
+        raise ContractViolationError(
+            f"central differences need at least 3 grid samples, got "
+            f"{len(schedule.t)}")
     res = uub_constants(inp)
     c1 = res.c1 if c1 is None else c1
     c2 = res.c2 if c2 is None else c2
@@ -226,7 +253,8 @@ def dissipation_check(schedule, inp, u_res, c1=None, c2=None, z0=None):
          + 0.5 * alpha * np.einsum("ni,nij,nj->n", XT, schedule.D, XT))
     vdot = (V[2:] - V[:-2]) / (2.0 * h)
     z2 = (XT ** 2 + XTD ** 2).sum(axis=1)[1:-1]
-    u2 = np.array([np.dot(u, u) for u in map(u_res, tgrid[1:-1])])
+    U = _sample(u_res, tgrid[1:-1], schedule.m)
+    u2 = np.einsum("ni,ni->n", U, U)
     violation = vdot - (-c1 * z2 + c2 * u2)
     max_violation = float(violation.max())
     return {
@@ -244,6 +272,8 @@ def uub_empirical(schedule, inp, u_res_family):
     Trajectories start at z = 0, for which the comparison-lemma bound
     ||z(t)|| <= radius holds for every t (the transient term vanishes), so
     the horizon needs not cover the analytic settling time 5 m2'/c1.
+    Each member of u_res_family follows simulate_error_dynamics' array
+    contract, times (k,) to forces (k, m).
     Returns (all_inside, worst_margin) with margin = radius - max ||z||.
     An empty family is a ContractViolationError, and a diverged trajectory
     raises IntegrationDivergedError.
@@ -261,14 +291,17 @@ def uub_empirical(schedule, inp, u_res_family):
 
 
 def standard_residuals(u_bar, m, seed=0):
-    """Three residual signals at the bound: zero, constant, and sinusoidal."""
+    """Three residual signals at the bound: zero, constant, and sinusoidal.
+
+    Each maps an array of times of shape (k,) to forces of shape (k, m).
+    """
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(m)
     direction /= np.linalg.norm(direction)
     e1 = np.zeros(m)
     e1[0] = 1.0
     return [
-        lambda t: np.zeros(m),
-        lambda t: u_bar * direction,
-        lambda t: u_bar * math.sin(2.0 * math.pi * t) * e1,
+        lambda t: np.zeros((len(t), m)),
+        lambda t: np.tile(u_bar * direction, (len(t), 1)),
+        lambda t: np.outer(u_bar * np.sin(2.0 * math.pi * t), e1),
     ]

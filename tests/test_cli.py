@@ -358,8 +358,10 @@ def test_robustness_full_chain_on_wider_margin(tmp_path):
 def test_robustness_records_a_diverged_simulation(tmp_path, monkeypatch):
     # A residual family whose simulation diverges is reported by name in
     # robustness.json, like a failed precondition, not as a passing bound.
-    monkeypatch.setattr(cli.rb, "standard_residuals",
-                        lambda u_bar, m: [lambda t: np.full(m, np.nan)] * 3)
+    def nan_residuals(u_bar, m):
+        return [lambda t: np.full((len(t), m), np.nan)] * 3
+
+    monkeypatch.setattr(cli.rb, "standard_residuals", nan_residuals)
     path = wider_margin_policy(tmp_path)
     out = tmp_path / "o"
     rc = cli.main(["robustness", "--policy", str(path), "--out", str(out)])

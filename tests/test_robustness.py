@@ -114,6 +114,8 @@ def test_inputs_from_schedule_bounds(schedules):
     assert abs(inp.k_lower - k_eigs.min()) < 1e-12
     assert abs(inp.k_upper - k_eigs.max()) < 1e-12
     assert inp.h_min == inp.h_max == 1.0
+    d_norm = np.linalg.norm(sched.D, ord=2, axis=(1, 2)).max()
+    assert abs(inp.d_upper - d_norm) <= 1e-12 * d_norm
     rep = sched.report()
     assert inp.eps_D == rep.eps_D
     assert inp.eps_K == rep.eps_K
@@ -185,8 +187,8 @@ def per_step_error_dynamics(schedule, u_res, z0=None):
     K, D = schedule.K, schedule.D
     K_half = 0.5 * (K[:-1] + K[1:])
     D_half = 0.5 * (D[:-1] + D[1:])
-    U = np.array([u_res(ti) for ti in tgrid], float)
-    U_half = np.array([u_res(ti + h / 2) for ti in tgrid[:-1]], float)
+    U = u_res(tgrid)
+    U_half = u_res(tgrid[:-1] + h / 2)
     xt = np.zeros(m) if z0 is None else np.array(z0[m:], float)
     xtd = np.zeros(m) if z0 is None else np.array(z0[:m], float)
     XT = np.empty((len(tgrid), m))
@@ -246,9 +248,9 @@ def test_simulation_memory_does_not_grow_with_horizon():
 
 def test_non_finite_state_raises():
     sched = certified_schedule(np.random.default_rng(3), T=0.5, dt=1e-3)
-    nan = np.full(sched.m, np.nan)
     with pytest.raises(IntegrationDivergedError):
-        simulate_error_dynamics(sched, lambda t: nan)
+        simulate_error_dynamics(
+            sched, lambda t: np.full((len(t), sched.m), np.nan))
     # Stiffness 1e8 puts h sqrt(k) = 10 outside RK4's stability region, so
     # the state overflows within the 0.5 s horizon.
     n = len(sched.t)
@@ -257,7 +259,7 @@ def test_non_finite_state_raises():
                             D=np.broadcast_to(1.0 * H3, (n, 3, 3)))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IntegrationDivergedError):
-            simulate_error_dynamics(stiff, lambda t: np.zeros(3),
+            simulate_error_dynamics(stiff, lambda t: np.zeros((len(t), 3)),
                                     z0=np.full(6, 1e-3))
 
 
@@ -267,29 +269,73 @@ def test_uub_rejects_diverged_and_empty_families():
     sched = certified_schedule(np.random.default_rng(3), T=0.5, dt=1e-3)
     inp = inputs_from_schedule(sched, 0.01, optimize=True)
     finite = standard_residuals(0.01, sched.m)[1]
-    nan = np.full(sched.m, np.nan)
-    for family in ([lambda t: nan], [finite, lambda t: nan]):
+
+    def nan(t):
+        return np.full((len(t), sched.m), np.nan)
+
+    for family in ([nan], [finite, nan]):
         with pytest.raises(IntegrationDivergedError):
             uub_empirical(sched, inp, family)
     with pytest.raises(ContractViolationError):
         uub_empirical(sched, inp, [])
 
 
+def test_residual_of_wrong_shape_raises():
+    # A residual maps times (k,) to forces (k, m).  A (k,) result and a
+    # per-time (m,) one are both refused by name; the (m,) one would
+    # otherwise broadcast into the step maps.
+    sched = certified_schedule(np.random.default_rng(3), T=0.5, dt=1e-3)
+    n, m = len(sched.t), sched.m
+    for wrong, shape in ((lambda t: np.zeros(len(t)), (n,)),
+                         (lambda t: np.zeros(m), (m,))):
+        with pytest.raises(ContractViolationError) as err:
+            simulate_error_dynamics(sched, wrong)
+        assert f"{(n, m)}" in str(err.value)
+        assert f"got {shape}" in str(err.value)
+
+
+def test_wrong_length_z0_raises(schedules):
+    # Four entries for m = 3 used to broadcast into (0.4, 0.4, 0.4) and
+    # (0.1, 0.2, 0.3) and run.
+    sched = schedules[0]
+    inp = inputs_from_schedule(sched, 0.01, optimize=True)
+    residual = standard_residuals(0.01, sched.m)[0]
+    for z0 in (np.array([0.1, 0.2, 0.3, 0.4]), np.zeros((1, 6))):
+        with pytest.raises(ContractViolationError):
+            simulate_error_dynamics(sched, residual, z0=z0)
+        with pytest.raises(ContractViolationError):
+            dissipation_check(sched, inp, residual, z0=z0)
+
+
+def test_dissipation_check_needs_three_samples():
+    # Central differences of the storage need a sample on each side.
+    sched = certified_schedule(np.random.default_rng(1), T=1e-3, dt=1e-3)
+    assert len(sched.t) == 2 and sched.report().passes_strict
+    inp = inputs_from_schedule(sched, 0.01, optimize=True)
+    residual = standard_residuals(0.01, sched.m)[2]
+    with pytest.raises(ContractViolationError, match="at least 3"):
+        dissipation_check(sched, inp, residual)
+
+
 def test_rk4_matches_reference_and_samples_residual_once():
     # A 0.5 s, 1 ms certified schedule against a tight DOP853 solve with K
     # and D linearly interpolated between grid points.  The residual is
-    # sampled once per grid point and once per half-step: 2n - 1 calls.
+    # sampled exactly once at each grid point and each half-step: 2n - 1
+    # times in all.
     sched = certified_schedule(np.random.default_rng(3), T=0.5, dt=1e-3)
     residual = standard_residuals(0.01, sched.m)[2]
     calls = []
 
     def counted(t):
-        calls.append(t)
+        calls.append(np.array(t))
         return residual(t)
 
     z0 = np.array([0.1, -0.05, 0.08, 0.02, 0.0, -0.03])
     t, XT, XTD = simulate_error_dynamics(sched, counted, z0=z0)
-    assert len(calls) == 2 * len(t) - 1
+    sampled = np.sort(np.concatenate(calls))
+    expected = np.sort(np.concatenate([t, t[:-1] + (t[1] - t[0]) / 2]))
+    assert len(sampled) == 2 * len(t) - 1
+    assert np.array_equal(sampled, expected)
 
     m = sched.m
     Hinv = np.linalg.inv(sched.H)
@@ -299,7 +345,8 @@ def test_rk4_matches_reference_and_samples_residual_once():
     def rhs(ti, y):
         xt, xtd = y[:m], y[m:]
         return np.concatenate(
-            [xtd, Hinv @ (residual(ti) - D_at(ti) @ xtd - K_at(ti) @ xt)])
+            [xtd, Hinv @ (residual(np.array([ti]))[0] - D_at(ti) @ xtd
+                          - K_at(ti) @ xt)])
 
     ref = solve_ivp(rhs, (t[0], t[-1]), np.concatenate([z0[m:], z0[:m]]),
                     method="DOP853", t_eval=t, rtol=1e-12, atol=1e-14,
@@ -313,7 +360,7 @@ def test_unforced_storage_nonincreasing(schedules):
     sched = schedules[0]
     inp = inputs_from_schedule(sched, 0.01, optimize=True)
     m = sched.m
-    report = dissipation_check(sched, inp, lambda t: np.zeros(m),
+    report = dissipation_check(sched, inp, lambda t: np.zeros((len(t), m)),
                                z0=np.array([0.1, -0.05, 0.08, 0.02, 0.0, -0.03]))
     assert report["passes"]
     assert report["max_violation"] < 1e-6
@@ -333,7 +380,7 @@ def test_negative_control_inflated_c1(schedules):
     res = uub_constants(inp)
     m = sched.m
     z0 = np.array([0.3, -0.2, 0.25, 0.05, -0.02, 0.04])
-    report = dissipation_check(sched, inp, lambda t: np.zeros(m),
+    report = dissipation_check(sched, inp, lambda t: np.zeros((len(t), m)),
                                c1=10.0 * res.c1, z0=z0)
     assert not report["passes"]
     assert report["max_violation"] > 1e-5
@@ -342,7 +389,8 @@ def test_negative_control_inflated_c1(schedules):
 def test_uub_zero_residual(schedules):
     sched = schedules[0]
     inp = inputs_from_schedule(sched, 0.01, optimize=True)
-    inside, margin = uub_empirical(sched, inp, [lambda t: np.zeros(sched.m)])
+    inside, margin = uub_empirical(
+        sched, inp, [lambda t: np.zeros((len(t), sched.m))])
     assert inside
     assert margin > 0
 
@@ -356,7 +404,8 @@ def test_uub_constant_residual_steady_state(schedules):
     res = uub_constants(inp)
     u = np.zeros(sched.m)
     u[0] = 0.01
-    tgrid, XT, XTD = simulate_error_dynamics(sched, lambda t: u)
+    tgrid, XT, XTD = simulate_error_dynamics(
+        sched, lambda t: np.tile(u, (len(t), 1)))
     znorm = np.sqrt((XT ** 2 + XTD ** 2).sum(axis=1))
     assert znorm.max() <= res.radius
     x_ss = np.linalg.solve(sched.K[-1], u)
@@ -369,7 +418,8 @@ def test_uub_linearity_in_ubar(schedules):
 
     def peak(u_bar):
         _, XT, XTD = simulate_error_dynamics(
-            sched, lambda t: u_bar * np.sin(2 * np.pi * t) * direction)
+            sched,
+            lambda t: np.outer(u_bar * np.sin(2 * np.pi * t), direction))
         return np.sqrt((XT ** 2 + XTD ** 2).sum(axis=1)).max()
 
     p1, p2 = peak(0.01), peak(0.02)
@@ -400,4 +450,4 @@ def test_strict_margin_precondition_enforced():
                            k_upper=50.0, d_upper=0.05, eps_D=1.0, eps_K=6.0,
                            gamma=0.5, eta=0.25, u_bar=0.01)
     with pytest.raises(MarginTooSmallError):
-        dissipation_check(sched, inp, lambda t: np.zeros(3))
+        dissipation_check(sched, inp, lambda t: np.zeros((len(t), 3)))
