@@ -76,12 +76,10 @@ def _write_trace(path, rows):
 
 def _summary(cfg, result, wall_time):
     rows = result.trace_rows()
-    lam_a = max(r["lamA_max"] for r in rows)
-    lam_c = max(r["lamC_max"] for r in rows)
     final_ro = result.evaluation
     rmse = np.sqrt(((final_ro.x - final_ro.x_d) ** 2).mean(axis=0))
     return {
-        "schema_version": 1,
+        "schema_version": 2,
         "scenario": cfg.run_scenario,
         "mode": cfg.run_mode,
         "seed": cfg.run_seed,
@@ -89,8 +87,10 @@ def _summary(cfg, result, wall_time):
         "final_mean_cost": result.final_mean_cost,
         "certificate_pass_rate": float(np.mean(
             [r["lamA_max"] <= 0 and r["lamC_max"] <= 0 for r in rows])),
-        "min_margin_lamA": lam_a,
-        "min_margin_lamC": lam_c,
+        # The margins of CertificateReport (eps_D, eps_K): -max lambda over
+        # every row, >= 0 when each rollout is certified.
+        "min_margin_lamA": -max(r["lamA_max"] for r in rows),
+        "min_margin_lamC": -max(r["lamC_max"] for r in rows),
         "beta_star_min": min(r["beta_star_min"] for r in rows),
         "saturation_events": len(result.saturation_events),
         "rmse_per_axis": rmse.tolist(),

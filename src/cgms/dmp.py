@@ -12,6 +12,7 @@ the system converges to the goal.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -99,18 +100,49 @@ class DmpParams:
             object.__setattr__(self, "d", 2.0 * math.sqrt(self.k * self.m_dmp))
 
 
+REFERENCE_BLOCK = 128   # steps per block of the reference recurrence
+
+
+@functools.lru_cache(maxsize=8)
+def _block_maps(kk, kd):
+    """Maps of REFERENCE_BLOCK steps of the update (x, v) -> A (x, v) + w,
+    A = [[1 - kk, 1 - kd], [-kk, 1 - kd]].
+
+    Returns (T, P): T (2, L, L) is the lower-triangular Toeplitz impulse
+    response, T[:, j, l] = A^(j-l) [1, 1] for l <= j, and P[r, j] is row r
+    of A^(j+1).  Built in extended precision where numpy has it, then
+    rounded once.
+    """
+    L = REFERENCE_BLOCK
+    A = np.array([[1.0 - np.longdouble(kk), 1.0 - np.longdouble(kd)],
+                  [-np.longdouble(kk), 1.0 - np.longdouble(kd)]])
+    powers = np.empty((L + 1, 2, 2), np.longdouble)
+    powers[0] = np.eye(2)
+    for j in range(L):
+        powers[j + 1] = A @ powers[j]
+    h = powers[:L].sum(axis=2)                  # A^j [1, 1], j = 0 .. L-1
+    lag = np.subtract.outer(np.arange(L), np.arange(L))
+    T = np.where(lag >= 0, np.moveaxis(h[np.maximum(lag, 0)], 2, 0), 0.0)
+    P = np.moveaxis(powers[1:], 1, 0)
+    T, P = T.astype(float), P.astype(float)
+    T.flags.writeable = P.flags.writeable = False
+    return T, P
+
+
 def rollout_reference(params, start, xi_traj, tgrid):
     """Integrate the DMP over tgrid; returns (x_d, xdot_d, xddot_d) arrays.
 
     Sample i holds the state at tgrid[i]; the acceleration is the RHS
-    evaluated there.  The basis matrix over all phases is evaluated once,
-    and the semi-implicit update, a constant-coefficient second-order
-    recurrence for the constant goal, is evaluated as an IIR filter.
-    """
-    # Eliminating the velocity from the semi-implicit update gives
-    # x[i+1] = a1 x[i] + a2 x[i-1] + (dt^2/scale)(k g + gamma f)[i].
-    from scipy.signal import lfilter, lfiltic
+    evaluated there.  The basis matrix over all phases is evaluated once.
+    The semi-implicit update in velocity form v = dt xdot,
 
+        v[i+1] = -kk x[i] + (1 - kd) v[i] + w[i],   x[i+1] = x[i] + v[i+1],
+
+    has constant coefficients for the constant goal, so it runs
+    REFERENCE_BLOCK steps at a time: within a block the state is the
+    block's impulse response times w plus the carried state mapped by the
+    powers of the step map.
+    """
     n = len(tgrid)
     D = len(start)
     dt = tgrid[1] - tgrid[0] if n > 1 else 0.0
@@ -119,24 +151,32 @@ def rollout_reference(params, start, xi_traj, tgrid):
     forcing = s_all[:, None] * (params.basis.eval(s_all) @ theta)   # (n, D)
     scale = params.tau ** 2 * params.m_dmp
     g = np.asarray(params.goal, float)
-    start = np.array(start, float)
     kd = params.tau * params.d * dt / scale
     kk = params.k * dt * dt / scale
-    a1 = 2.0 - kk - kd
-    a2 = kd - 1.0
     w = (dt * dt / scale) * (params.k * g + forcing)
-    x = np.empty((n, D))
-    x[0] = start
-    if n > 1:
-        x[1] = start + w[0] - kk * start
-        a_coef = np.array([1.0, -a1, -a2])
-        b_coef = np.array([1.0])
-        for j in range(D):
-            zi = lfiltic(b_coef, a_coef, y=[x[1, j], x[0, j]])
-            x[2:, j], _ = lfilter(b_coef, a_coef, w[1:-1, j], zi=zi)
-    xd = np.empty((n, D))
-    xd[0] = 0.0
-    xd[1:] = (x[1:] - x[:-1]) / dt
+    L = REFERENCE_BLOCK
+    T, P = _block_maps(kk, kd)
+    steps = n - 1
+    nb = -(-steps // L)
+    # Zero padding past the last step leaves the earlier samples alone
+    # (T is lower triangular).  Column (b, j) of a block product is block b,
+    # dimension j.
+    wb = np.zeros((nb * L, D))
+    wb[:steps] = w[:steps]
+    wb = wb.reshape(nb, L, D).transpose(1, 0, 2).reshape(L, nb * D)
+    forced = (T.reshape(2 * L, L) @ wb).reshape(2, L, nb, D)
+    state = np.stack([np.asarray(start, float), np.zeros(D)])   # (x, v)
+    xv = np.empty((2, n, D))
+    xv[:, 0] = state
+    carried = np.empty((2, nb, D))          # state entering each block
+    for b in range(nb):
+        carried[:, b] = state
+        state = P[:, -1] @ state + forced[:, -1, b]
+    blocks = forced + (P.reshape(2 * L, 2) @ carried.reshape(2, nb * D)
+                       ).reshape(2, L, nb, D)
+    xv[:, 1:] = blocks.transpose(0, 2, 1, 3).reshape(2, nb * L, D)[:, :steps]
+    x = xv[0]
+    xd = xv[1] / dt if n > 1 else np.zeros((n, D))
     xdd = (params.k * (g - x) - params.tau * params.d * xd + forcing) / scale
     return x, xd, xdd
 

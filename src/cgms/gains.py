@@ -23,6 +23,7 @@ from .errors import CertifiedFloorError, ContractViolationError
 
 K_EIG_FLOOR = 1e-12   # smallest admissible stiffness eigenvalue
 SYMMETRY_TOL = 1e-9
+FLOOR_BLOCK = 512     # matrices per Cholesky call of the floor check
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +228,9 @@ def integrate_cholesky_flow(B, alpha, K0, dt, clamp=False):
     Up to a growth r**(n-1) of e**2 its closed form (one cumulative sum) is
     as accurate; past that the closed form cancels, so the update runs step
     by step in scipy.signal.lfilter, imported only then (about 1 s and
-    70 MB).  A minimum eigenvalue below the positivity floor rejects the
-    schedule; with clamp=True it is floored pointwise instead, a path for
-    explicitly uncertified (ablation) runs.
+    70 MB).  The trace then passes stiffness_floor: batched Cholesky
+    factorizations of K - K_EIG_FLOOR I test the positivity floor, and only
+    if one fails do eigvalsh decide and, with clamp=True, eigh floor it.
     """
     B = np.asarray(B, float)
     n, m = B.shape[0], B.shape[-1]
@@ -247,18 +248,38 @@ def integrate_cholesky_flow(B, alpha, K0, dt, clamp=False):
         from scipy.signal import lfilter
         K[1:] = lfilter([c], [1.0, -r], B[:-1].reshape(n - 1, -1), axis=0,
                         zi=r * K0.reshape(1, -1))[0].reshape(n - 1, m, m)
-    K = 0.5 * (K + np.swapaxes(K, 1, 2))
-    eigs = np.linalg.eigvalsh(K)
-    if eigs[..., 0].min() < K_EIG_FLOOR:
-        if not clamp:
-            raise CertifiedFloorError(
-                f"stiffness eigenvalue below positivity floor "
-                f"{K_EIG_FLOOR}")
-        w, V = np.linalg.eigh(K)
-        w = np.maximum(w, K_EIG_FLOOR)
-        K = np.einsum("nij,nj,nkj->nik", V, w, V)
-        K = 0.5 * (K + np.swapaxes(K, 1, 2))
-    return K
+    return stiffness_floor(0.5 * (K + np.swapaxes(K, 1, 2)), clamp)
+
+
+def stiffness_floor(K, clamp=False):
+    """Check a symmetric (n, m, m) stiffness stack against the positivity
+    floor K_EIG_FLOOR and return it.
+
+    Batched Cholesky factorizations of K - K_EIG_FLOOR I pass every stack
+    that clears the floor; FLOOR_BLOCK matrices at a time, so the shifted
+    copies and factors add nothing to the peak memory of a schedule build.
+    Only when one fails (or is not finite) does the decision fall to the
+    minimum eigenvalue (eigvalsh): below the floor the schedule is
+    rejected, or with clamp=True, a path for explicitly uncertified
+    (ablation) runs, floored pointwise through eigh.
+    """
+    shift = K_EIG_FLOOR * np.eye(K.shape[-1])
+    try:
+        factors = (np.linalg.cholesky(K[i:i + FLOOR_BLOCK] - shift)
+                   for i in range(0, len(K), FLOOR_BLOCK))
+        if all(np.isfinite(f).all() for f in factors):
+            return K
+    except np.linalg.LinAlgError:
+        pass
+    if np.linalg.eigvalsh(K)[..., 0].min() >= K_EIG_FLOOR:
+        return K
+    if not clamp:
+        raise CertifiedFloorError(
+            f"stiffness eigenvalue below positivity floor {K_EIG_FLOOR}")
+    w, V = np.linalg.eigh(K)
+    w = np.maximum(w, K_EIG_FLOOR)
+    K = np.einsum("nij,nj,nkj->nik", V, w, V)
+    return 0.5 * (K + np.swapaxes(K, 1, 2))
 
 
 def slack_products(S_D, S_K, Sd_D):

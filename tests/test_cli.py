@@ -244,11 +244,29 @@ def test_train_artifacts_and_determinism(tmp_path, small_config):
     # 2 updates x 3 rollouts plus the final noise-free evaluation row.
     assert len(trace) == 1 + 2 * 3 + 1
     summary = json.loads((out_a / "summary.json").read_text())
-    assert summary["schema_version"] == 1
+    assert summary["schema_version"] == 2
     assert summary["scenario"] == "handover"
     assert summary["seed"] == 0
     assert summary["certificate_pass_rate"] == 1.0
     assert len(summary["rmse_per_axis"]) == 3
+
+
+def test_summary_margins_are_minus_the_largest_eigenvalues(tmp_path):
+    # min_margin_lamA/lamC are margins in the sense of CertificateReport's
+    # eps_D/eps_K: -max over the trace's column, nonnegative when certified.
+    config = tmp_path / "one_by_two.ini"
+    config.write_text("[run]\nupdates = 1\nrollouts = 2\n")
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", str(config), "--seed", "0",
+                     "--out", str(out)]) == cli.EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    trace = np.genfromtxt(out / "learning_trace.csv", delimiter=",",
+                          names=True)
+    assert summary["certificate_pass_rate"] == 1.0
+    for key, column in (("min_margin_lamA", "lamA_max"),
+                        ("min_margin_lamC", "lamC_max")):
+        assert summary[key] == -trace[column].max()
+        assert summary[key] >= 0.0
 
 
 def test_train_seed_changes_trace(tmp_path, small_config):

@@ -1,15 +1,18 @@
 """Phase, RBF bases, DMP dynamics, and the minimum-jerk fit.
 
 The phase and the semi-implicit DMP step below are the per-step oracle that
-the vectorized ``rollout_reference`` is checked against.
+the vectorized ``rollout_reference`` is checked against; the IIR-filter
+form of the same update is a second, whole-trajectory oracle.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
+from cgms.config import compile_setup, load_config
 from cgms.dmp import (
+    REFERENCE_BLOCK,
     DmpParams,
     RbfBasis,
     build_basis,
@@ -18,6 +21,7 @@ from cgms.dmp import (
     rollout_reference,
 )
 from cgms.errors import DegenerateBasisError
+from cgms.learning import initial_policy
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +65,69 @@ def dmp_step(params, state, xi_traj, dt):
     if not np.all(np.isfinite(x)):
         raise ValueError("DMP state diverged")
     return DmpState(x=x, xdot=xdot, t=state.t + dt), xdd
+
+
+def lfilter_reference(params, start, xi_traj, tgrid):
+    """Integrate the DMP over tgrid; returns (x_d, xdot_d, xddot_d) arrays.
+
+    Sample i holds the state at tgrid[i]; the acceleration is the RHS
+    evaluated there.  The basis matrix over all phases is evaluated once,
+    and the semi-implicit update, a constant-coefficient second-order
+    recurrence for the constant goal, is evaluated as an IIR filter.
+    """
+    # Eliminating the velocity from the semi-implicit update gives
+    # x[i+1] = a1 x[i] + a2 x[i-1] + (dt^2/scale)(k g + gamma f)[i].
+    from scipy.signal import lfilter, lfiltic
+
+    n = len(tgrid)
+    D = len(start)
+    dt = tgrid[1] - tgrid[0] if n > 1 else 0.0
+    s_all = 1.0 - np.asarray(tgrid) / params.tau
+    theta = params.theta_traj if xi_traj is None else params.theta_traj + xi_traj
+    forcing = s_all[:, None] * (params.basis.eval(s_all) @ theta)   # (n, D)
+    scale = params.tau ** 2 * params.m_dmp
+    g = np.asarray(params.goal, float)
+    start = np.array(start, float)
+    kd = params.tau * params.d * dt / scale
+    kk = params.k * dt * dt / scale
+    a1 = 2.0 - kk - kd
+    a2 = kd - 1.0
+    w = (dt * dt / scale) * (params.k * g + forcing)
+    x = np.empty((n, D))
+    x[0] = start
+    if n > 1:
+        x[1] = start + w[0] - kk * start
+        a_coef = np.array([1.0, -a1, -a2])
+        b_coef = np.array([1.0])
+        for j in range(D):
+            zi = lfiltic(b_coef, a_coef, y=[x[1, j], x[0, j]])
+            x[2:, j], _ = lfilter(b_coef, a_coef, w[1:-1, j], zi=zi)
+    xd = np.empty((n, D))
+    xd[0] = 0.0
+    xd[1:] = (x[1:] - x[:-1]) / dt
+    xdd = (params.k * (g - x) - params.tau * params.d * xd + forcing) / scale
+    return x, xd, xdd
+
+
+def longdouble_reference(params, start, tgrid):
+    """x of the velocity-form update stepped in np.longdouble from the same
+    float64 coefficients and inputs as rollout_reference."""
+    n = len(tgrid)
+    dt = tgrid[1] - tgrid[0]
+    s_all = 1.0 - np.asarray(tgrid) / params.tau
+    forcing = s_all[:, None] * (params.basis.eval(s_all) @ params.theta_traj)
+    scale = params.tau ** 2 * params.m_dmp
+    kd = np.longdouble(params.tau * params.d * dt / scale)
+    kk = np.longdouble(params.k * dt * dt / scale)
+    w = ((dt * dt / scale) * (params.k * np.asarray(params.goal, float)
+                              + forcing)).astype(np.longdouble)
+    x = np.empty((n, len(start)), np.longdouble)
+    x[0] = start
+    v = np.zeros(len(start), np.longdouble)
+    for i in range(n - 1):
+        v = -kk * x[i] + (1 - kd) * v + w[i]
+        x[i + 1] = x[i] + v
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +249,36 @@ def test_rollout_reference_matches_stepper():
         assert np.abs(state.xdot - xd[i]).max() < 1e-9
         state, a = dmp_step(params, state, None, 1e-3)
         assert np.abs(a - xdd[i]).max() < 1e-9
+
+
+def handover_reference_params():
+    setup, _ = compile_setup(load_config())
+    dmp = replace(setup.dmp, theta_traj=initial_policy(setup).theta_traj)
+    return dmp, setup.start, setup.tgrid
+
+
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 130, 257, 5001])
+def test_rollout_reference_matches_the_filter_at_block_edges(n):
+    # n - 1 steps: one short block, one full block (129), one step past it.
+    assert REFERENCE_BLOCK == 128
+    params, start, tgrid = handover_reference_params()
+    new = rollout_reference(params, start, None, tgrid[:n])
+    old = lfilter_reference(params, start, None, tgrid[:n])
+    for a, b in zip(new, old):
+        assert a.shape == b.shape == (n, 3)
+        assert np.abs(a - b).max(initial=0.0) <= 1e-9
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="longdouble is no wider than float here")
+def test_rollout_reference_tracks_an_extended_precision_run():
+    # The 5 s / 1 ms handover reference.  The filter form rounds
+    # a1 = 2 - kk - kd with kk about 6e-6 and lands 2e-11 m away.
+    params, start, tgrid = handover_reference_params()
+    x, _, _ = rollout_reference(params, start, None, tgrid)
+    exact = longdouble_reference(params, start, tgrid)
+    assert len(tgrid) == 5001
+    assert float(np.abs(x - exact).max()) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,14 @@ import pytest
 from cgms.dmp import build_basis
 from cgms.errors import CertifiedFloorError, ContractViolationError
 from cgms.gains import (
+    K_EIG_FLOOR,
     SlackParams,
     build_gain_schedule,
     certificate_margins,
     constant_slack_params,
     integrate_cholesky_flow,
     slack_trace,
+    stiffness_floor,
     tri_dim,
     vec_triangle,
     vec_triangle_inverse,
@@ -252,19 +254,43 @@ assert sched.report().passes
 print(sorted(name for name in sys.modules if name.startswith("scipy.signal")))
 """
 
+DEFAULT_TRAIN_IMPORTS = """
+import sys
+from cgms.cli import EXIT_OK, main
+assert main(["train", "--config", sys.argv[1], "--out", sys.argv[2]]) == EXIT_OK
+print(sorted(name for name in sys.modules if name.startswith("scipy.signal")))
+"""
 
-def test_default_schedule_leaves_scipy_signal_unimported():
-    # The flow imports scipy.signal only past e^2 of growth.  A process that
-    # builds schedules but runs no rollout, such as the benchmark's
-    # robustness_ensemble, would pay about 1.3 s and 67 MB for the import.
+
+def scipy_signal_modules_after(script, *args):
+    """The scipy.signal modules that a fresh interpreter has loaded once it
+    has run script (with argv args) against this checkout's src."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", DEFAULT_SCHEDULE_IMPORTS],
+    proc = subprocess.run([sys.executable, "-c", script, *args],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_default_schedule_leaves_scipy_signal_unimported():
+    # The flow imports scipy.signal only past e^2 of growth, and nothing
+    # else in the package imports it.  Loading it costs about 1 s of CPU
+    # and 70 MB of RSS, which a process that builds schedules, such as the
+    # benchmark's robustness_ensemble, must not pay.
+    assert scipy_signal_modules_after(DEFAULT_SCHEDULE_IMPORTS) == "[]"
+
+
+def test_default_train_leaves_scipy_signal_unimported(tmp_path):
+    # A default `cgms train` runs the DMP reference and the flow below e^2
+    # in numpy alone, so its rollouts load no scipy.signal module either.
+    config = tmp_path / "one_by_two.ini"
+    config.write_text("[run]\nupdates = 1\nrollouts = 2\n")
+    modules = scipy_signal_modules_after(DEFAULT_TRAIN_IMPORTS, str(config),
+                                         str(tmp_path / "out"))
+    assert modules == "[]"
 
 
 def test_flow_rejects_lost_definiteness():
@@ -281,6 +307,65 @@ def test_flow_clamp_mode_stays_finite():
     K = integrate_cholesky_flow(B, ALPHA, 1.0 * np.eye(2), 1e-3, clamp=True)
     assert np.all(np.isfinite(K))
     assert np.linalg.eigvalsh(K)[..., 0].min() >= 0.0
+
+
+def stacks_with_min_eigenvalue(rng, n, lam_min):
+    """n random symmetric 3x3 matrices with spectrum (lam_min, 1, 2)."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, 3, 3)))
+    K = Q @ (np.array([lam_min, 1.0, 2.0])[:, None] * np.swapaxes(Q, 1, 2))
+    return 0.5 * (K + np.swapaxes(K, 1, 2))
+
+
+def eigh_clamp(K):
+    w, V = np.linalg.eigh(K)
+    K = np.einsum("nij,nj,nkj->nik", V, np.maximum(w, K_EIG_FLOOR), V)
+    return 0.5 * (K + np.swapaxes(K, 1, 2))
+
+
+def accepted(K):
+    try:
+        stiffness_floor(K)
+    except CertifiedFloorError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("lam_min, ok", [(1e-11, True), (1e-13, False),
+                                         (-1.0, False)])
+def test_floor_check_agrees_with_eigvalsh(lam_min, ok, rng):
+    # The Cholesky test of K - K_EIG_FLOOR I accepts a stack whose least
+    # eigenvalue is ten times the floor and rejects one a tenth of it.
+    K = stacks_with_min_eigenvalue(rng, 50, lam_min)
+    assert accepted(K) == ok
+    assert ok == (np.linalg.eigvalsh(K)[..., 0].min() >= K_EIG_FLOOR)
+    if ok:
+        assert stiffness_floor(K) is K
+
+
+def test_floor_clamp_matches_the_eigh_path(rng):
+    K = stacks_with_min_eigenvalue(rng, 50, -1.0)
+    np.testing.assert_array_equal(stiffness_floor(K, clamp=True),
+                                  eigh_clamp(K))
+
+
+@pytest.mark.parametrize("bad", [0, 2917, 5001])
+def test_floor_check_finds_one_bad_sample(bad, rng):
+    # 5001 good samples and one bad one, in the first, a middle and the
+    # last (partial) block of the check.
+    K = stacks_with_min_eigenvalue(rng, 5002, 1.0)
+    assert accepted(K)
+    K[bad] = stacks_with_min_eigenvalue(rng, 1, 1e-13)[0]
+    assert not accepted(K)
+    assert np.linalg.eigvalsh(K)[..., 0].min() < K_EIG_FLOOR
+
+
+def test_floor_check_passes_no_nan_stack(rng):
+    # Cholesky carries a NaN through without failing; the stack still goes
+    # to eigvalsh, which raises on it.
+    K = stacks_with_min_eigenvalue(rng, 10, 1.0)
+    K[4] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        stiffness_floor(K)
 
 
 def test_flow_step_rejects_floor():
