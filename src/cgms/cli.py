@@ -109,11 +109,12 @@ def cmd_train(args, mode=None):
     eig_rows = []
 
     def hook(update, r_idx, ro):
-        eig_rows.append([update, r_idx, float(ro.lam_A[post].max()),
-                         float(ro.lam_C[post].max())])
+        eig_rows.append([update, r_idx, float(ro.schedule.lam_A[post].max()),
+                         float(ro.schedule.lam_C[post].max())])
 
+    policy = initial_policy(setup)
     t0 = time.perf_counter()
-    result = train(setup, noise=noise, updates=cfg.run_updates,
+    result = train(setup, policy, noise=noise, updates=cfg.run_updates,
                    rollouts_per_update=cfg.run_rollouts,
                    beta_softmax=cfg.learning_softmax_sharpness,
                    rollout_hook=hook if ablation and post.any() else None)
@@ -123,7 +124,7 @@ def cmd_train(args, mode=None):
                   ["update", "rollout", "lamA_max_post_via",
                    "lamC_max_post_via"], eig_rows)
     _write_trace(out / "learning_trace.csv", result.trace_rows())
-    _write_json(out / "theta_initial.json", result.records[0].theta.to_dict())
+    _write_json(out / "theta_initial.json", policy.to_dict())
     _write_json(out / "theta_final.json", result.policy.to_dict())
     _write_json(out / "summary.json", _summary(cfg, result, wall))
     _write_json(out / "saturation_events.json", result.saturation_events)

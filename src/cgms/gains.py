@@ -19,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dmp import RbfBasis
-from .errors import CertifiedFloorError, ContractViolationError
+from .errors import CertifiedFloorError
 
 K_EIG_FLOOR = 1e-12   # smallest admissible stiffness eigenvalue
-SYMMETRY_TOL = 1e-9
 FLOOR_BLOCK = 512     # matrices per Cholesky call of the floor check
 
 
@@ -146,26 +145,6 @@ class CertificateReport:
             "passes": self.passes,
             "passes_strict": self.passes_strict,
         }
-
-
-def _check_symmetric(name, A):
-    err = np.abs(A - np.swapaxes(A, -1, -2)).max()
-    if err > SYMMETRY_TOL:
-        raise ContractViolationError(f"{name} asymmetric by {err:.3e}")
-
-
-def certificate_margins(H, alpha, D, Ddot, K, Kdot):
-    """Eigenvalue audit of the two stability inequalities over a schedule.
-
-    All matrix arguments are (n, m, m) stacks (or single matrices).
-    """
-    D, Ddot, K, Kdot = (np.asarray(a, float)[None] if np.asarray(a).ndim == 2
-                        else np.asarray(a, float) for a in (D, Ddot, K, Kdot))
-    for name, A in (("D", D), ("Ddot", Ddot), ("K", K), ("Kdot", Kdot)):
-        _check_symmetric(name, A)
-    lam_A = np.linalg.eigvalsh(alpha * H - D)[..., -1]
-    lam_C = np.linalg.eigvalsh(Kdot + alpha * Ddot - 2.0 * alpha * K)[..., -1]
-    return CertificateReport(lam_A=lam_A, lam_C=lam_C, alpha=alpha)
 
 
 @dataclass(frozen=True)

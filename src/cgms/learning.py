@@ -1,7 +1,7 @@
 """Episodic PI2 policy improvement with certified Gaussian-manifold sampling.
 
-The learnable vector concatenates the DMP forcing weights and the two slack
-channels.  Exploration noise is drawn once per episode and held constant
+The policy has three learnable blocks: the DMP forcing weights and the two
+slack channels.  Exploration noise is drawn once per episode and held constant
 over time; every rollout evaluates gains through the slack construction, so
 the stability certificate holds for every sample by construction.  The
 torque governor contracts the gains per control step when the affine torque
@@ -54,22 +54,6 @@ class PolicyParams:
     theta_traj: np.ndarray   # (M_traj, D)
     theta_d: np.ndarray      # (M_s, d_tri)
     theta_k: np.ndarray      # (M_s, d_tri)
-
-    def flatten(self):
-        return np.concatenate([self.theta_traj.ravel(), self.theta_d.ravel(),
-                               self.theta_k.ravel()])
-
-    def unflatten(self, v):
-        """Rebuild a PolicyParams from a flat vector with this layout."""
-        v = np.asarray(v, float)
-        sizes = [self.theta_traj.size, self.theta_d.size, self.theta_k.size]
-        if len(v) != sum(sizes):
-            raise ValueError("flat vector length mismatch")
-        a, b = sizes[0], sizes[0] + sizes[1]
-        return PolicyParams(
-            theta_traj=v[:a].reshape(self.theta_traj.shape),
-            theta_d=v[a:b].reshape(self.theta_d.shape),
-            theta_k=v[b:].reshape(self.theta_k.shape))
 
     def to_dict(self):
         return {
@@ -154,8 +138,6 @@ def trajectory_cost(t, x, x_ref, accel, K_trace, weights):
     n = len(t)
     if not (len(x) == len(x_ref) == len(accel) == len(K_trace) == n):
         raise ValueError("trace lengths differ")
-    if n == 0:
-        return 0.0, {"cost_K": 0.0, "cost_acc": 0.0, "cost_track": 0.0}
     cost_k = weights.lam_k * float(np.trace(K_trace, axis1=1, axis2=2).sum())
     cost_acc = weights.lam_acc * float((accel ** 2).sum())
     w = via_weight(t, weights)
@@ -238,8 +220,6 @@ def initial_policy(setup):
 class Rollout:
     """One simulated episode, the gain schedule it executed, and its cost."""
 
-    policy: PolicyParams
-    xi: PolicyParams | None
     t: np.ndarray
     x: np.ndarray
     x_d: np.ndarray
@@ -250,6 +230,8 @@ class Rollout:
     cost_terms: dict
     saturation_events: list
 
+    # Aliases of the schedule's traces, read only by perfbench/workloads.py;
+    # they go once it reads ro.schedule.
     @property
     def lam_A(self):
         return self.schedule.lam_A
@@ -389,9 +371,9 @@ def rollout(policy, xi, setup):
     cost, terms = trajectory_cost(tg, x_trace, setup.x_ref,
                                   tau_trace @ Minv.T + a_bias, sched.K,
                                   setup.weights)
-    return Rollout(policy=policy, xi=xi, t=tg, x=x_trace, x_d=x_d,
-                   torque=tau_trace, beta=beta_trace, schedule=sched,
-                   cost=cost, cost_terms=terms, saturation_events=events)
+    return Rollout(t=tg, x=x_trace, x_d=x_d, torque=tau_trace,
+                   beta=beta_trace, schedule=sched, cost=cost,
+                   cost_terms=terms, saturation_events=events)
 
 
 # ---------------------------------------------------------------------------
@@ -412,24 +394,20 @@ def pi2_update(policy, costs, noises, beta_softmax=20.0):
     if len(costs) == 0:
         raise ValueError("need at least one rollout")
     w = pi2_weights(costs, beta_softmax)
-    flat = policy.flatten()
-    step = np.zeros_like(flat)
-    for wi, xi in zip(w, noises, strict=True):
-        step += wi * xi.flatten()
-    return policy.unflatten(flat + step), w
 
+    def step(block):
+        return sum(wi * getattr(xi, block)
+                   for wi, xi in zip(w, noises, strict=True))
 
-@dataclass
-class UpdateRecord:
-    update: int
-    costs: list
-    theta: PolicyParams
-    rollout_rows: list
+    return PolicyParams(
+        theta_traj=policy.theta_traj + step("theta_traj"),
+        theta_d=policy.theta_d + step("theta_d"),
+        theta_k=policy.theta_k + step("theta_k")), w
 
 
 @dataclass
 class TrainResult:
-    records: list
+    rows: list                      # per-rollout learning-trace rows
     policy: PolicyParams
     evaluation: Rollout             # noise-free rollout of the final policy
     initial_mean_cost: float
@@ -438,10 +416,29 @@ class TrainResult:
 
     def trace_rows(self):
         """Flat per-rollout rows for the learning-trace CSV."""
-        rows = []
-        for rec in self.records:
-            rows.extend(rec.rollout_rows)
-        return rows
+        return self.rows
+
+
+def _resampled_rollout(policy, noise, setup, u, r_idx):
+    """(rollout, noise) of the first attempt that the certified floor and
+    the infeasible torque floor accept."""
+    rejects = {}
+    for attempt in range(MAX_RESAMPLE_ATTEMPTS):
+        xi = sample_noise(noise, policy, u, r_idx, attempt)
+        try:
+            return rollout(policy, xi, setup), xi
+        except (CertifiedFloorError, InfeasibleFloorError) as exc:
+            name = type(exc).__name__
+            rejects[name] = rejects.get(name, 0) + 1
+            # Give up with the class that rejected the last attempt.
+            # Raising here, rather than keeping the exception for after the
+            # loop, lets each rejected rollout's frame (and its arrays) go
+            # before the next attempt runs.
+            if attempt + 1 == MAX_RESAMPLE_ATTEMPTS:
+                counts = ", ".join(f"{k} x{v}" for k, v in rejects.items())
+                raise type(exc)(
+                    f"update {u} rollout {r_idx}: no accepted sample in "
+                    f"{MAX_RESAMPLE_ATTEMPTS} attempts ({counts})") from exc
 
 
 def train(setup, policy=None, noise=None, updates=50, rollouts_per_update=12,
@@ -449,72 +446,46 @@ def train(setup, policy=None, noise=None, updates=50, rollouts_per_update=12,
     """Run the full learning protocol; deterministic per noise seed.
 
     Rollouts rejected by the certified floor or the infeasible torque floor
-    are resampled with the next attempt index, never dropped.  rollout_hook,
-    when given, is called with (update, rollout_index, rollout) for every
-    accepted rollout.  Only the noise-free evaluation rollout outlives its
-    hook call; of the others, the cost, the noise and the trace row are kept.
+    are resampled with the next attempt index, never dropped.  After the
+    updates, one noise-free rollout of the final policy is the evaluation;
+    its trace row is (updates, 0).  rollout_hook, when given, is called with
+    (update, rollout_index, rollout) for every accepted rollout and the
+    evaluation.  Only the evaluation outlives its hook call; of the others,
+    the cost, the noise and the trace row are kept.
     """
     policy = policy if policy is not None else initial_policy(setup)
     noise = noise or ExplorationNoise()
-    records = []
-    all_events = []
-    initial_mean = None
-    for u in range(updates + 1):
-        evaluate_only = u == updates
-        costs, noises, rows = [], [], []
-        count = 1 if evaluate_only else rollouts_per_update
-        for r_idx in range(count):
-            rejects = {}
-            ro = None    # the last rollout's arrays go before the next runs
-            for attempt in range(MAX_RESAMPLE_ATTEMPTS):
-                xi = (None if evaluate_only
-                      else sample_noise(noise, policy, u, r_idx, attempt))
-                try:
-                    ro = rollout(policy, xi, setup)
-                    break
-                except (CertifiedFloorError, InfeasibleFloorError) as exc:
-                    if evaluate_only:
-                        raise
-                    name = type(exc).__name__
-                    rejects[name] = rejects.get(name, 0) + 1
-                    # Give up with the class that rejected the last attempt.
-                    # Raising here, rather than keeping the exception for
-                    # after the loop, lets each rejected rollout's frame
-                    # (and its arrays) go before the next attempt runs.
-                    if attempt + 1 == MAX_RESAMPLE_ATTEMPTS:
-                        counts = ", ".join(f"{k} x{v}"
-                                           for k, v in rejects.items())
-                        raise type(exc)(
-                            f"update {u} rollout {r_idx}: no accepted sample "
-                            f"in {MAX_RESAMPLE_ATTEMPTS} attempts "
-                            f"({counts})") from exc
-            if rollout_hook is not None:
-                rollout_hook(u, r_idx, ro)
-            all_events.extend(ro.saturation_events)
+    rows, events, means = [], [], []
+
+    def keep(u, r_idx, ro):
+        if rollout_hook is not None:
+            rollout_hook(u, r_idx, ro)
+        events.extend(ro.saturation_events)
+        rows.append({
+            "update": u, "rollout": r_idx, "cost": ro.cost,
+            "cost_K": ro.cost_terms["cost_K"],
+            "cost_acc": ro.cost_terms["cost_acc"],
+            "cost_track": ro.cost_terms["cost_track"],
+            "lamA_max": float(ro.schedule.lam_A.max()),
+            "lamC_max": float(ro.schedule.lam_C.max()),
+            "beta_star_min": float(ro.beta.min()),
+        })
+
+    for u in range(updates):
+        costs, noises = [], []
+        for r_idx in range(rollouts_per_update):
+            ro, xi = _resampled_rollout(policy, noise, setup, u, r_idx)
+            keep(u, r_idx, ro)
             costs.append(ro.cost)
             noises.append(xi)
-            rows.append({
-                "update": u, "rollout": r_idx, "cost": ro.cost,
-                "cost_K": ro.cost_terms["cost_K"],
-                "cost_acc": ro.cost_terms["cost_acc"],
-                "cost_track": ro.cost_terms["cost_track"],
-                "lamA_max": float(ro.lam_A.max()),
-                "lamC_max": float(ro.lam_C.max()),
-                "beta_star_min": float(ro.beta.min()),
-            })
-        records.append(UpdateRecord(update=u, costs=costs, theta=policy,
-                                    rollout_rows=rows))
-        if initial_mean is None:
-            initial_mean = float(np.mean(costs))
-        if evaluate_only:
-            break
+            del ro      # its arrays go before the next rollout runs
+        means.append(float(np.mean(costs)))
         policy, _ = pi2_update(policy, costs, noises, beta_softmax)
         noise = decay_covariance(noise)
-    # Mean cost of the last sampled update; falls back to the noise-free
-    # evaluation when no updates were run.
-    final_mean = (float(np.mean(records[-2].costs)) if len(records) > 1
-                  else float(np.mean(records[-1].costs)))
-    return TrainResult(records=records, policy=policy, evaluation=ro,
-                       initial_mean_cost=initial_mean,
-                       final_mean_cost=final_mean,
-                       saturation_events=all_events)
+    evaluation = rollout(policy, None, setup)
+    keep(updates, 0, evaluation)
+    # With no updates run, both means are the evaluation's cost.
+    means = means or [evaluation.cost]
+    return TrainResult(rows=rows, policy=policy, evaluation=evaluation,
+                       initial_mean_cost=means[0], final_mean_cost=means[-1],
+                       saturation_events=events)

@@ -62,8 +62,8 @@ def ablation_run():
     def hook(update, r_idx, ro):
         setup = hook.setup
         post = setup.tgrid > setup.weights.t_hat
-        eig_rows.append((update, r_idx, float(ro.lam_A[post].max()),
-                         float(ro.lam_C[post].max())))
+        eig_rows.append((update, r_idx, float(ro.schedule.lam_A[post].max()),
+                         float(ro.schedule.lam_C[post].max())))
 
     cfg = load_config(overrides={"run_mode": MODE_UNCERTIFIED_AFTER_VIA})
     setup, noise = compile_setup(cfg)

@@ -197,8 +197,13 @@ def test_criterion_9_component_oracles(monkeypatch):
     xis = [rand_pol() for _ in range(5)]
     costs = [3.0, 1.0, 7.0, 2.0, 5.0]
     new, w = pi2_update(pol, costs, xis)
-    step = new.flatten() - pol.flatten()
-    hull = sum(wi * xi.flatten() for wi, xi in zip(w, xis))
+
+    def flat(p):
+        return np.concatenate([p.theta_traj.ravel(), p.theta_d.ravel(),
+                               p.theta_k.ravel()])
+
+    step = flat(new) - flat(pol)
+    hull = sum(wi * flat(xi) for wi, xi in zip(w, xis))
     order = np.argsort(costs)
     pi2_ok = (np.all(w >= 0) and abs(w.sum() - 1.0) < 1e-12
               and np.allclose(step, hull, atol=1e-12)

@@ -112,8 +112,7 @@ def test_exit_code_certification_failure(tmp_path, capsys):
     # which certified mode must reject rather than clamp.
     setup, _ = compile_setup(load_config(None))
     pol = initial_policy(setup)
-    bad = pol.unflatten(pol.flatten())
-    d = bad.to_dict()
+    d = pol.to_dict()
     d["theta_k"] = (10.0 * np.asarray(d["theta_k"])).tolist()
     path = tmp_path / "bad_policy.json"
     path.write_text(json.dumps(d))

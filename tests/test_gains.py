@@ -13,9 +13,9 @@ from cgms.dmp import build_basis
 from cgms.errors import CertifiedFloorError, ContractViolationError
 from cgms.gains import (
     K_EIG_FLOOR,
+    CertificateReport,
     SlackParams,
     build_gain_schedule,
-    certificate_margins,
     constant_slack_params,
     integrate_cholesky_flow,
     slack_trace,
@@ -379,6 +379,31 @@ def test_flow_step_rejects_floor():
 # ---------------------------------------------------------------------------
 # certificate margins
 # ---------------------------------------------------------------------------
+
+SYMMETRY_TOL = 1e-9
+
+
+def _check_symmetric(name, A):
+    err = np.abs(A - np.swapaxes(A, -1, -2)).max()
+    if err > SYMMETRY_TOL:
+        raise ContractViolationError(f"{name} asymmetric by {err:.3e}")
+
+
+def certificate_margins(H, alpha, D, Ddot, K, Kdot):
+    """Eigenvalue audit of the two stability inequalities over a schedule.
+
+    An oracle independent of the library's certificate traces, for the
+    tests to audit executed schedules with.  All matrix arguments are
+    (n, m, m) stacks (or single matrices).
+    """
+    D, Ddot, K, Kdot = (np.asarray(a, float)[None] if np.asarray(a).ndim == 2
+                        else np.asarray(a, float) for a in (D, Ddot, K, Kdot))
+    for name, A in (("D", D), ("Ddot", Ddot), ("K", K), ("Kdot", Kdot)):
+        _check_symmetric(name, A)
+    lam_A = np.linalg.eigvalsh(alpha * H - D)[..., -1]
+    lam_C = np.linalg.eigvalsh(Kdot + alpha * Ddot - 2.0 * alpha * K)[..., -1]
+    return CertificateReport(lam_A=lam_A, lam_C=lam_C, alpha=alpha)
+
 
 def test_margins_constant_init():
     D = 30.0 * np.eye(3)

@@ -11,7 +11,6 @@ from cgms import learning
 from cgms.config import SCENARIOS, compile_setup, load_config
 from cgms.dmp import build_basis
 from cgms.errors import InfeasibleFloorError, IntegrationDivergedError
-from cgms.gains import certificate_margins
 from cgms.governor import TorqueLimits, beta_star_detail
 from cgms.learning import (
     MAX_RESAMPLE_ATTEMPTS,
@@ -31,6 +30,7 @@ from cgms.learning import (
     via_weight,
 )
 from cgms.plants import PlantModel
+from test_gains import certificate_margins
 
 
 def random_policy(rng):
@@ -42,18 +42,6 @@ def random_policy(rng):
 # ---------------------------------------------------------------------------
 # PolicyParams
 # ---------------------------------------------------------------------------
-
-def test_flatten_round_trip(rng):
-    pol = random_policy(rng)
-    flat = pol.flatten()
-    assert flat.shape == (51 * 3 + 2 * 7 * 6,)
-    back = pol.unflatten(flat)
-    assert np.array_equal(back.theta_traj, pol.theta_traj)
-    assert np.array_equal(back.theta_d, pol.theta_d)
-    assert np.array_equal(back.theta_k, pol.theta_k)
-    with pytest.raises(ValueError):
-        pol.unflatten(flat[:-1])
-
 
 def test_policy_dict_round_trip(rng):
     pol = random_policy(rng)
@@ -129,14 +117,14 @@ def test_via_weight_closed_forms():
 
 
 def test_cost_zero_when_everything_zero():
-    n = 100
-    t = np.arange(n) * 1e-3
-    z = np.zeros((n, 3))
-    K = np.zeros((n, 3, 3))
-    w = CostWeights(t_hat=0.05)
-    J, terms = trajectory_cost(t, z, z, z, K, w)
-    assert J == 0.0
-    assert terms == {"cost_K": 0.0, "cost_acc": 0.0, "cost_track": 0.0}
+    for n in (100, 0):
+        t = np.arange(n) * 1e-3
+        z = np.zeros((n, 3))
+        K = np.zeros((n, 3, 3))
+        w = CostWeights(t_hat=0.05)
+        J, terms = trajectory_cost(t, z, z, z, K, w)
+        assert J == 0.0
+        assert terms == {"cost_K": 0.0, "cost_acc": 0.0, "cost_track": 0.0}
 
 
 def test_cost_constant_stiffness_arithmetic():
@@ -203,9 +191,18 @@ def test_update_in_convex_hull(rng):
     new, w = pi2_update(pol, [1.0, 2.0, 10.0], xis)
     assert np.all(w >= 0) and abs(w.sum() - 1.0) < 1e-12
     assert w[0] > w[1] > w[2]
-    step = new.flatten() - pol.flatten()
-    hull = sum(wi * xi.flatten() for wi, xi in zip(w, xis))
+
+    def flat(p):
+        return np.concatenate([p.theta_traj.ravel(), p.theta_d.ravel(),
+                               p.theta_k.ravel()])
+
+    step = flat(new) - flat(pol)
+    hull = sum(wi * flat(xi) for wi, xi in zip(w, xis))
     assert np.allclose(step, hull, atol=1e-12)
+    # Each block is theta + sum_i w_i xi_i, summed in sample order.
+    moved = pol.theta_d + (w[0] * xis[0].theta_d + w[1] * xis[1].theta_d
+                           + w[2] * xis[2].theta_d)
+    assert np.array_equal(new.theta_d, moved)
     with pytest.raises(ValueError):
         pi2_update(pol, [], [])
     with pytest.raises(ValueError):
@@ -218,8 +215,8 @@ def test_update_in_convex_hull(rng):
 
 def test_initial_rollout_certificate(handover_setup, nominal_rollout):
     ro = nominal_rollout
-    assert np.abs(ro.lam_A + 29.95).max() < 1e-6
-    assert np.abs(ro.lam_C + 20.0).max() < 1e-6
+    assert np.abs(ro.schedule.lam_A + 29.95).max() < 1e-6
+    assert np.abs(ro.schedule.lam_C + 20.0).max() < 1e-6
     assert ro.schedule.report().passes
     assert np.all(ro.beta == 1.0)
     # Trajectory approximately min-jerk: endpoint at the goal.
@@ -241,8 +238,8 @@ def test_noisy_rollout_still_certified(handover_setup, handover_policy):
     for r in range(5):
         xi = sample_noise(noise, handover_policy, 0, r)
         ro = rollout(handover_policy, xi, handover_setup)
-        assert ro.lam_A.max() <= 1e-9
-        assert ro.lam_C.max() <= 1e-9
+        assert ro.schedule.lam_A.max() <= 1e-9
+        assert ro.schedule.lam_C.max() <= 1e-9
         assert ro.schedule.report().passes
 
 
@@ -374,8 +371,8 @@ def test_governed_steps_scale_the_sampled_gains(monkeypatch):
                           D_floor + beta * (free_sched.D[g] - D_floor))
     assert np.array_equal(sched.K[~g], free_sched.K[~g])
     assert np.array_equal(sched.D[~g], free_sched.D[~g])
-    assert np.array_equal(ro.lam_A, ro.beta * free.lam_A)
-    assert np.array_equal(ro.lam_C, ro.beta * free.lam_C)
+    assert np.array_equal(sched.lam_A, ro.beta * free_sched.lam_A)
+    assert np.array_equal(sched.lam_C, ro.beta * free_sched.lam_C)
     assert ro.schedule.report().passes
 
 
@@ -388,8 +385,8 @@ def test_executed_schedule_satisfies_the_inequalities(monkeypatch):
     assert (ro.beta < 1.0).any()
     s = ro.schedule
     rep = certificate_margins(setup.H, setup.alpha, s.D, s.Ddot, s.K, s.Kdot)
-    assert np.abs(rep.lam_A - ro.lam_A).max() <= 1e-9
-    assert np.abs(rep.lam_C - ro.lam_C).max() <= 1e-9
+    assert np.abs(rep.lam_A - s.lam_A).max() <= 1e-9
+    assert np.abs(rep.lam_C - s.lam_C).max() <= 1e-9
 
 
 def model_terms_setup():
@@ -478,9 +475,10 @@ def test_nan_reference_raises_integration_diverged(block, handover_setup,
         rollout(pol, xi, handover_setup)
 
 
-def test_schedule_from_rollout_consistent(handover_setup, nominal_rollout):
+def test_schedule_from_rollout_consistent(handover_setup, handover_policy,
+                                          nominal_rollout):
     sched = nominal_rollout.schedule
-    sampled = sampled_schedule(handover_setup, nominal_rollout.policy, None)
+    sampled = sampled_schedule(handover_setup, handover_policy, None)
     assert np.array_equal(sched.K, sampled.K)
     assert np.array_equal(sched.D, sampled.D)
     rep = sched.report()
@@ -543,5 +541,17 @@ def test_train_keeps_no_finished_rollout():
     assert live == [0] * 9
     # The last one is the noise-free evaluation of the final policy.
     assert refs[-1]() is result.evaluation
-    assert result.evaluation.xi is None
-    assert result.evaluation.policy is result.policy
+
+
+def test_train_with_no_updates_only_evaluates():
+    setup, noise = compile_setup(load_config(overrides={"run_horizon": 1.0}))
+    calls = []
+    result = train(setup, noise=noise, updates=0, rollouts_per_update=4,
+                   rollout_hook=lambda *call: calls.append(call))
+    rows = result.trace_rows()
+    assert [(r["update"], r["rollout"]) for r in rows] == [(0, 0)]
+    assert (result.initial_mean_cost == result.final_mean_cost
+            == result.evaluation.cost)
+    assert len(calls) == 1
+    u, r_idx, ro = calls[0]
+    assert (u, r_idx) == (0, 0) and ro is result.evaluation
