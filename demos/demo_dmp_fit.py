@@ -15,11 +15,10 @@ def main():
 
     basis = build_basis(51, 0.95)
     params = DmpParams(tau=T, goal=goal, basis=basis)
-    theta = fit_min_jerk(start, goal, T, basis, params)
-    fitted = DmpParams(tau=T, goal=goal, theta_traj=theta, basis=basis)
+    theta = fit_min_jerk(start, T, params)
 
     tgrid = np.arange(0.0, T + 5e-4, 1e-3)
-    x, xd, _ = rollout_reference(fitted, start, None, tgrid)
+    x, xd, _ = rollout_reference(params, start, theta, tgrid)
     x_ref, _, _ = min_jerk(start, goal, T, tgrid)
 
     rmse = np.sqrt(((x - x_ref) ** 2).mean(axis=0))

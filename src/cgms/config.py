@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .dmp import build_basis
+from .dmp import DmpParams, build_basis, min_jerk
 from .errors import ConfigError
 from .governor import TorqueLimits
 from .learning import (
@@ -24,9 +24,12 @@ from .learning import (
     MODE_UNCERTIFIED_AFTER_VIA,
     CostWeights,
     ExplorationNoise,
-    build_setup,
+    TaskSetup,
 )
 from .plants import PlantModel
+
+# Half-width of the cost reference's via window, in via-kernel sigmas.
+VIA_WINDOW_SIGMAS = 2.0
 
 # Start / via / end geometry per scenario.  The s4 end z coordinate appears
 # in the source material with a doubled decimal point; it is read as 0.43.
@@ -62,9 +65,6 @@ class ExperimentConfig:
     run_mode: str = MODE_CERTIFIED
     run_updates: int = 50
     run_rollouts: int = 12
-
-    # [plants]
-    plants_kind: str = "point-mass-task"
 
     # [dmp]
     dmp_rbf_count: int = 51
@@ -120,10 +120,6 @@ class ExperimentConfig:
                 f"the time grid needs at least two points")
         if self.run_updates < 0 or self.run_rollouts < 1:
             raise ConfigError("updates must be >= 0 and rollouts >= 1")
-        if self.plants_kind != "point-mass-task":
-            raise ConfigError(
-                f"training plant must be point-mass-task, got "
-                f"{self.plants_kind!r}")
         for name in ("scenario_start", "scenario_via", "scenario_goal"):
             v = getattr(self, name)
             if v and len(v) != 3:
@@ -135,7 +131,8 @@ class ExperimentConfig:
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive, "
                                   f"got {getattr(self, name)!r}")
-        for name in ("run_seed", "gains_alpha", "learning_covariance_decay"):
+        for name in ("run_seed", "gains_alpha", "learning_covariance_decay",
+                     "dmp_regularization"):
             if not getattr(self, name) >= 0:
                 raise ConfigError(f"{name} must be non-negative, "
                                   f"got {getattr(self, name)!r}")
@@ -244,28 +241,34 @@ def load_config(path_or_buf=None, overrides=None):
 # ---------------------------------------------------------------------------
 
 def compile_setup(cfg):
-    """Build the runnable TaskSetup and ExplorationNoise from a config."""
+    """Build the runnable TaskSetup and ExplorationNoise from a config: the
+    unit point mass with H = I, the via time at the nominal minimum-jerk
+    path's closest approach to the via point, and as the cost reference that
+    path with the via point substituted around the via time."""
     cfg.validate()
     start, via, goal = cfg.geometry()
-    model = PlantModel.point_mass(m=3)
-    H = np.eye(3)
+    T, dt = cfg.run_horizon, cfg.run_dt
+    tgrid = np.arange(0.0, T + dt / 2, dt)
+    x_ref, _, _ = min_jerk(start, goal, T, tgrid)
+    t_hat = float(tgrid[np.argmin(np.linalg.norm(x_ref - via, axis=1))])
+    sigma_via = cfg.cost_sigma_via_frac * T
+    x_ref[np.abs(tgrid - t_hat) <= VIA_WINDOW_SIGMAS * sigma_via] = via
     dmp_basis = build_basis(cfg.dmp_rbf_count, cfg.dmp_intersection_height,
                             lam_reg=cfg.dmp_regularization)
-    slack_basis = build_basis(cfg.gains_slack_rbf_count,
-                              cfg.gains_slack_intersection_height)
-    limits = TorqueLimits.box(cfg.governor_limit, 3)
-    weights = CostWeights(lam_k=cfg.cost_lambda_k, lam_acc=cfg.cost_lambda_acc,
-                          w0=cfg.cost_w0, gamma_via=cfg.cost_gamma_via)
-    setup = build_setup(
-        model=model, H=H, alpha=cfg.gains_alpha, T=cfg.run_horizon,
-        dt=cfg.run_dt, start=start, goal=goal, x_via=via,
-        dmp_basis=dmp_basis, slack_basis=slack_basis, limits=limits,
-        weights=weights, k_init=cfg.gains_k_init, d_init=cfg.gains_d_init,
-        mode=cfg.run_mode, dmp_k=cfg.dmp_stiffness,
-        sigma_via_frac=cfg.cost_sigma_via_frac)
-    noise = ExplorationNoise(sigma_traj=cfg.learning_sigma_traj,
-                             sigma_k=cfg.learning_sigma_k,
-                             sigma_d=cfg.learning_sigma_d,
-                             decay=cfg.learning_covariance_decay,
-                             seed=cfg.run_seed)
-    return setup, noise
+    setup = TaskSetup(
+        model=PlantModel.point_mass(m=3), H=np.eye(3), alpha=cfg.gains_alpha,
+        tgrid=tgrid, dmp=DmpParams(tau=T, k=cfg.dmp_stiffness, goal=goal,
+                                   basis=dmp_basis),
+        slack_basis=build_basis(cfg.gains_slack_rbf_count,
+                                cfg.gains_slack_intersection_height),
+        start=start, limits=TorqueLimits.box(cfg.governor_limit, 3),
+        weights=CostWeights(
+            lam_k=cfg.cost_lambda_k, lam_acc=cfg.cost_lambda_acc,
+            w0=cfg.cost_w0, gamma_via=cfg.cost_gamma_via, t_hat=t_hat,
+            x_via=via, sigma_via=sigma_via),
+        x_ref=x_ref, k_init=cfg.gains_k_init, d_init=cfg.gains_d_init,
+        mode=cfg.run_mode)
+    return setup, ExplorationNoise(
+        sigma_traj=cfg.learning_sigma_traj, sigma_k=cfg.learning_sigma_k,
+        sigma_d=cfg.learning_sigma_d, decay=cfg.learning_covariance_decay,
+        seed=cfg.run_seed)

@@ -4,10 +4,11 @@ minimum-jerk demonstration.
 The transformation dynamics are
 
     tau^2 m xdd = k (g - x) - tau d xd + gamma(t) f,
-    f = Phi(s_t) (theta + xi),    s_t = 1 - t / tau,
+    f = Phi(s_t) theta,    s_t = 1 - t / tau,
 
 with gamma(t) = s_t so the forcing vanishes at the end of the motion and
-the system converges to the goal.
+the system converges to the goal.  The forcing weights theta are passed in
+with each call; an exploration sample is already added into them.
 """
 
 from __future__ import annotations
@@ -42,22 +43,24 @@ class RbfBasis:
 
     def eval(self, s):
         """Normalized activation vector(s); rows sum to one."""
-        psi = self.raw(s)
-        total = psi.sum(axis=-1, keepdims=True)
-        if np.any(total < ACTIVATION_FLOOR):
-            raise DegenerateBasisError("all activations underflowed")
+        psi, total = self._activations(s)
         return psi / total
 
     def eval_deriv(self, s):
-        """Analytic d(Phi)/ds of the normalized vector(s)."""
-        s_arr = np.asarray(s, float)[..., None]
+        """(Phi, dPhi/ds): the normalized vector(s) and their analytic
+        derivative, from one evaluation of the activations."""
+        psi, total = self._activations(s)
+        phi = psi / total
+        s = np.asarray(s, float)[..., None]
+        dpsi = psi * (self.centers - s) / self.widths ** 2
+        return phi, (dpsi - phi * dpsi.sum(axis=-1, keepdims=True)) / total
+
+    def _activations(self, s):
         psi = self.raw(s)
         total = psi.sum(axis=-1, keepdims=True)
         if np.any(total < ACTIVATION_FLOOR):
             raise DegenerateBasisError("all activations underflowed")
-        dpsi = psi * (self.centers - s_arr) / self.widths ** 2
-        phi = psi / total
-        return (dpsi - phi * dpsi.sum(axis=-1, keepdims=True)) / total
+        return psi, total
 
 
 def build_basis(M, intersection_height, lam_reg=1e-6):
@@ -83,14 +86,13 @@ def build_basis(M, intersection_height, lam_reg=1e-6):
 
 @dataclass(frozen=True)
 class DmpParams:
-    """Transformation-system parameters and forcing weights."""
+    """Transformation-system parameters; the weights come with each call."""
 
     tau: float
     k: float = 150.0
     d: float | None = None          # None -> critically damped 2 sqrt(k m)
     m_dmp: float = 1.0
     goal: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    theta_traj: np.ndarray | None = None   # (M, D)
     basis: RbfBasis | None = None
 
     def __post_init__(self):
@@ -129,8 +131,9 @@ def _block_maps(kk, kd):
     return T, P
 
 
-def rollout_reference(params, start, xi_traj, tgrid):
-    """Integrate the DMP over tgrid; returns (x_d, xdot_d, xddot_d) arrays.
+def rollout_reference(params, start, theta, tgrid):
+    """Integrate the DMP with forcing weights theta (M, D) over tgrid;
+    returns (x_d, xdot_d, xddot_d) arrays.
 
     Sample i holds the state at tgrid[i]; the acceleration is the RHS
     evaluated there.  The basis matrix over all phases is evaluated once.
@@ -147,7 +150,6 @@ def rollout_reference(params, start, xi_traj, tgrid):
     D = len(start)
     dt = tgrid[1] - tgrid[0] if n > 1 else 0.0
     s_all = 1.0 - np.asarray(tgrid) / params.tau
-    theta = params.theta_traj if xi_traj is None else params.theta_traj + xi_traj
     forcing = s_all[:, None] * (params.basis.eval(s_all) @ theta)   # (n, D)
     scale = params.tau ** 2 * params.m_dmp
     g = np.asarray(params.goal, float)
@@ -193,9 +195,9 @@ def min_jerk(start, goal, T, t):
     return start + delta * p, delta * pd, delta * pdd
 
 
-def fit_min_jerk(start, goal, T, basis, params, dt=1e-3):
+def fit_min_jerk(start, T, params, dt=1e-3):
     """Regularized least-squares fit of the forcing weights to a minimum-jerk
-    demonstration from start to goal over [0, T].
+    demonstration from start to params.goal over [0, T], in params.basis.
 
     The regression uses the design matrix gamma(t) Phi(s_t), avoiding the
     division by the vanishing phase at t = T.
@@ -203,7 +205,8 @@ def fit_min_jerk(start, goal, T, basis, params, dt=1e-3):
     if T <= 0:
         raise ValueError("T must be positive")
     start = np.asarray(start, float)
-    goal = np.asarray(goal, float)
+    goal = np.asarray(params.goal, float)
+    basis = params.basis
     t = np.arange(0.0, T + dt / 2, dt)
     x, xd, xdd = min_jerk(start, goal, T, t)
     s = 1.0 - t / T

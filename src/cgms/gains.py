@@ -89,19 +89,17 @@ class SlackParams:
             raise ValueError("theta_k shape mismatch")
 
 
-def slack_trace(sp, s_all, xi_d=None, xi_k=None):
+def slack_trace(sp, s_all):
     """Vectorized slack evaluation over an array of phases.
 
     Returns (S_D, S_K, Sdot_D) with shape (n, m, m).  Sdot_D is the damping
     slack's derivative in the phase s; the caller multiplies it by
     ds/dt = -1/tau.  No gain rate needs the stiffness slack's derivative.
     """
-    td = sp.theta_d if xi_d is None else sp.theta_d + xi_d
-    tk = sp.theta_k if xi_k is None else sp.theta_k + xi_k
-    ph = sp.basis.eval(s_all)
-    return (vec_triangle_inverse(ph @ td, sp.m),
-            vec_triangle_inverse(ph @ tk, sp.m),
-            vec_triangle_inverse(sp.basis.eval_deriv(s_all) @ td, sp.m))
+    ph, dph = sp.basis.eval_deriv(s_all)
+    return (vec_triangle_inverse(ph @ sp.theta_d, sp.m),
+            vec_triangle_inverse(ph @ sp.theta_k, sp.m),
+            vec_triangle_inverse(dph @ sp.theta_d, sp.m))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import plants
-from .dmp import DmpParams, fit_min_jerk, min_jerk, rollout_reference
+from .dmp import DmpParams, fit_min_jerk, rollout_reference
 from .errors import (
     CertifiedFloorError,
     InfeasibleFloorError,
@@ -38,9 +38,6 @@ MODE_CERTIFIED = "certified"
 MODE_UNCERTIFIED_AFTER_VIA = "uncertified-after-via"
 
 MAX_RESAMPLE_ATTEMPTS = 100
-
-# Half-width of the cost reference's via window, in via-kernel sigmas.
-VIA_WINDOW_SIGMAS = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -153,22 +150,22 @@ def trajectory_cost(t, x, x_ref, accel, K_trace, weights):
 
 @dataclass(frozen=True)
 class TaskSetup:
-    """Compiled, policy-independent description of one learning task."""
+    """Compiled, policy-independent description of one learning task
+    (config.compile_setup builds it)."""
 
     model: PlantModel
     H: np.ndarray
     alpha: float
     tgrid: np.ndarray
-    dmp: DmpParams                  # theta_traj unused; carries tau/k/d/basis
+    dmp: DmpParams
     slack_basis: object
     start: np.ndarray
-    goal: np.ndarray
     limits: TorqueLimits
     weights: CostWeights
     x_ref: np.ndarray               # via-substituted reference for the cost
-    k_init: float = 200.0
-    d_init: float = 30.0
-    mode: str = MODE_CERTIFIED
+    k_init: float
+    d_init: float
+    mode: str
 
     @property
     def m(self):
@@ -179,37 +176,11 @@ class TaskSetup:
         return float(self.tgrid[1] - self.tgrid[0])
 
 
-def build_setup(model, H, alpha, T, dt, start, goal, x_via, dmp_basis,
-                slack_basis, limits, weights=None, k_init=200.0, d_init=30.0,
-                mode=MODE_CERTIFIED, dmp_k=150.0, sigma_via_frac=0.05):
-    """Assemble a TaskSetup: nominal min-jerk reference, via time at the
-    closest nominal approach, and the via-substituted cost reference."""
-    tgrid = np.arange(0.0, T + dt / 2, dt)
-    start = np.asarray(start, float)
-    goal = np.asarray(goal, float)
-    x_via = np.asarray(x_via, float)
-    x_nom, _, _ = min_jerk(start, goal, T, tgrid)
-    t_hat = float(tgrid[np.argmin(np.linalg.norm(x_nom - x_via, axis=1))])
-    sigma_via = sigma_via_frac * T
-    base = weights or CostWeights()
-    weights = replace(base, t_hat=t_hat, x_via=x_via, sigma_via=sigma_via)
-    x_ref = x_nom.copy()
-    window = np.abs(tgrid - t_hat) <= VIA_WINDOW_SIGMAS * sigma_via
-    x_ref[window] = x_via
-    dmp = DmpParams(tau=T, k=dmp_k, goal=goal,
-                    theta_traj=np.zeros((dmp_basis.count, len(start))),
-                    basis=dmp_basis)
-    return TaskSetup(model=model, H=np.asarray(H, float), alpha=alpha,
-                     tgrid=tgrid, dmp=dmp, slack_basis=slack_basis,
-                     start=start, goal=goal, limits=limits, weights=weights,
-                     x_ref=x_ref, k_init=k_init, d_init=d_init, mode=mode)
-
-
 def initial_policy(setup):
     """Min-jerk trajectory fit plus slack weights reproducing the constant
     isotropic stiffness/damping initialization."""
-    theta_traj = fit_min_jerk(setup.start, setup.goal, setup.tgrid[-1],
-                              setup.dmp.basis, setup.dmp, dt=setup.dt)
+    theta_traj = fit_min_jerk(setup.start, setup.tgrid[-1], setup.dmp,
+                              dt=setup.dt)
     sp = constant_slack_params(setup.slack_basis, setup.m, setup.d_init,
                                setup.k_init, setup.alpha, setup.H)
     return PolicyParams(theta_traj=theta_traj, theta_d=sp.theta_d,
@@ -241,27 +212,27 @@ class Rollout:
         return self.schedule.lam_C
 
 
-def sampled_schedule(setup, policy, xi):
+def sampled_schedule(setup, policy, sample):
     """The gain schedule of a sample at beta = 1.
 
-    In certified mode the slack products are G = S S^T >= 0.  In
-    uncertified-after-via mode S S^T is linearized about the noise-free slack
-    Sn at the via time for t > t_hat, which subtracts (S - Sn)(S - Sn)^T, so
-    the products become sign-indefinite (unconstrained Gaussian sampling in
-    gain space) and the stiffness flow clamps instead of rejecting.
+    In certified mode the slack products are G = S S^T >= 0, S the sample's
+    slack.  In uncertified-after-via mode S S^T is linearized about the slack
+    Sn of the noise-free policy at the via time for t > t_hat, which
+    subtracts (S - Sn)(S - Sn)^T, so the products become sign-indefinite
+    (unconstrained Gaussian sampling in gain space) and the stiffness flow
+    clamps instead of rejecting.
     """
     tau, t_hat = setup.dmp.tau, setup.weights.t_hat
-    sp = SlackParams(theta_d=policy.theta_d, theta_k=policy.theta_k,
-                     basis=setup.slack_basis, m=setup.m)
-    S_D, S_K, Sd_D = slack_trace(sp, 1.0 - setup.tgrid / tau,
-                                 None if xi is None else xi.theta_d,
-                                 None if xi is None else xi.theta_k)
+    slack = lambda p, s: slack_trace(SlackParams(
+        theta_d=p.theta_d, theta_k=p.theta_k, basis=setup.slack_basis,
+        m=setup.m), s)
+    S_D, S_K, Sd_D = slack(sample, 1.0 - setup.tgrid / tau)
     Sd_D = Sd_D * (-1.0 / tau)
     products = slack_products(S_D, S_K, Sd_D)
     clamp = setup.mode == MODE_UNCERTIFIED_AFTER_VIA
     after = setup.tgrid > t_hat
     if clamp and after.any():
-        Sn_D, Sn_K, _ = slack_trace(sp, np.array([1.0 - t_hat / tau]))
+        Sn_D, Sn_K, _ = slack(policy, np.array([1.0 - t_hat / tau]))
         lin = slack_products(S_D[after] - Sn_D, S_K[after] - Sn_K, Sd_D[after])
         for G, dG in zip(products, lin):
             G[after] -= dG
@@ -309,10 +280,12 @@ def _governed_tail(j, setup, x_trace, v, tau_trace, beta_trace, sched,
 def rollout(policy, xi, setup):
     """Simulate one governed episode of the closed loop.
 
-    Pipeline: DMP reference -> the sampled gain schedule at beta = 1
-    (sampled_schedule) -> closed loop -> cost.  The returned Rollout carries
-    the schedule as executed: on governed steps (beta < 1) its gains, rates
-    and certificate trace are blended toward the certified floor by beta.
+    The sample policy + xi (the policy itself when xi is None) is formed
+    here once; its weights drive the DMP reference and the sampled gain
+    schedule at beta = 1 (sampled_schedule); then the closed loop runs and
+    its cost is taken.  The returned Rollout carries the schedule as
+    executed: on governed steps (beta < 1) its gains, rates and
+    certificate trace are blended toward the certified floor by beta.
     The rates hold each step's beta fixed; the terms of beta's changes from
     step to step are not in them, nor in the pointwise certificate.
 
@@ -328,11 +301,13 @@ def rollout(policy, xi, setup):
     m = setup.m
     dt = setup.dt
 
-    dmp = replace(setup.dmp, theta_traj=policy.theta_traj)
-    xi_traj = None if xi is None else xi.theta_traj
-    x_d, xd_d, xdd_d = rollout_reference(dmp, setup.start, xi_traj, tg)
-
-    sched = sampled_schedule(setup, policy, xi)
+    sample = policy if xi is None else PolicyParams(
+        theta_traj=policy.theta_traj + xi.theta_traj,
+        theta_d=policy.theta_d + xi.theta_d,
+        theta_k=policy.theta_k + xi.theta_k)
+    x_d, xd_d, xdd_d = rollout_reference(setup.dmp, setup.start,
+                                         sample.theta_traj, tg)
+    sched = sampled_schedule(setup, policy, sample)
 
     state = plants.initial_state(setup.model, setup.start)
     beta_trace = np.ones(n)

@@ -177,10 +177,9 @@ def test_criterion_9_component_oracles(monkeypatch):
     start = np.array([0.55, 0.0, 0.11])
     goal = np.array([0.05, 0.72, 0.11])
     params = DmpParams(tau=5.0, goal=goal, basis=basis)
-    theta = fit_min_jerk(start, goal, 5.0, basis, params)
-    fitted = DmpParams(tau=5.0, goal=goal, theta_traj=theta, basis=basis)
+    theta = fit_min_jerk(start, 5.0, params)
     tgrid = np.arange(0.0, 5.0 + 5e-4, 1e-3)
-    x, _, _ = rollout_reference(fitted, start, None, tgrid)
+    x, _, _ = rollout_reference(params, start, theta, tgrid)
     x_ref, _, _ = min_jerk(start, goal, 5.0, tgrid)
     fit_err = float(np.abs(x - x_ref).max())
     fit_ok = fit_err < 1e-3

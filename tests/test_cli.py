@@ -88,8 +88,10 @@ def test_invalid_values_rejected():
         load_config(None, overrides={"run_mode": "yolo"})
     with pytest.raises(ConfigError):
         load_config(None, overrides={"run_dt": -1.0})
-    with pytest.raises(ConfigError):
-        load_config(None, overrides={"plants_kind": "two-link"})
+    # The [plants] section (one legal kind) is gone; an old file that
+    # still has it is rejected by name.
+    with pytest.raises(ConfigError, match=r"unknown config section \[plants\]"):
+        load_config(io.StringIO("[plants]\nkind = point-mass-task\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +156,7 @@ def test_dt_longer_than_horizon_is_config_error(tmp_path, capsys):
     ("cost_w0", "inf"),
     ("learning_sigma_traj", "nan"),
     ("dmp_regularization", "nan"),
+    ("dmp_regularization", -1000),
     ("scenario_start", "nan 0 0.1"),
 ])
 def test_values_that_fail_in_training_are_config_errors(tmp_path, capsys,

@@ -38,9 +38,9 @@ def random_slack_params(rng, m=3, scale=1.0, basis=None):
                        basis=basis, m=m)
 
 
-def slack_at(sp, s, xi_d=None):
+def slack_at(sp, s):
     """(S_D, S_K) of slack_trace at the single phase s."""
-    S_D, S_K, _ = slack_trace(sp, np.array([s]), xi_d)
+    S_D, S_K, _ = slack_trace(sp, np.array([s]))
     return S_D[0], S_K[0]
 
 
@@ -121,13 +121,17 @@ def test_slack_derivative_finite_difference(rng):
 
 
 def test_slack_noise_pairing(rng):
+    # The slack is linear in the weights: a sample theta + xi has the slack
+    # of theta plus the slack of the noise xi alone.
     sp = random_slack_params(rng)
     xi_d = rng.standard_normal(sp.theta_d.shape)
-    S_D, S_K = slack_at(sp, 0.3, xi_d=xi_d)
     shifted = SlackParams(theta_d=sp.theta_d + xi_d, theta_k=sp.theta_k,
                           basis=sp.basis, m=3)
-    ref_D, ref_K = slack_at(shifted, 0.3)
-    assert np.allclose(S_D, ref_D, atol=1e-15)
+    noise = SlackParams(theta_d=xi_d, theta_k=np.zeros_like(xi_d),
+                        basis=sp.basis, m=3)
+    S_D, S_K = slack_at(shifted, 0.3)
+    ref_D, ref_K = slack_at(sp, 0.3)
+    assert np.allclose(S_D, ref_D + slack_at(noise, 0.3)[0], atol=1e-15)
     assert np.allclose(S_K, ref_K, atol=1e-15)
 
 

@@ -8,16 +8,16 @@ import numpy as np
 import pytest
 
 from cgms import learning
-from cgms.config import SCENARIOS, compile_setup, load_config
-from cgms.dmp import build_basis
+from cgms.config import compile_setup, load_config
 from cgms.errors import InfeasibleFloorError, IntegrationDivergedError
+from cgms.gains import SlackParams, slack_trace
 from cgms.governor import TorqueLimits, beta_star_detail
 from cgms.learning import (
     MAX_RESAMPLE_ATTEMPTS,
+    MODE_UNCERTIFIED_AFTER_VIA,
     CostWeights,
     ExplorationNoise,
     PolicyParams,
-    build_setup,
     decay_covariance,
     initial_policy,
     pi2_update,
@@ -37,6 +37,13 @@ def random_policy(rng):
     return PolicyParams(theta_traj=rng.standard_normal((51, 3)),
                         theta_d=rng.standard_normal((7, 6)),
                         theta_k=rng.standard_normal((7, 6)))
+
+
+def plus(policy, xi):
+    """The sample policy + xi, block by block."""
+    return PolicyParams(theta_traj=policy.theta_traj + xi.theta_traj,
+                        theta_d=policy.theta_d + xi.theta_d,
+                        theta_k=policy.theta_k + xi.theta_k)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +227,7 @@ def test_initial_rollout_certificate(handover_setup, nominal_rollout):
     assert ro.schedule.report().passes
     assert np.all(ro.beta == 1.0)
     # Trajectory approximately min-jerk: endpoint at the goal.
-    assert np.linalg.norm(ro.x[-1] - handover_setup.goal) < 1e-3
+    assert np.linalg.norm(ro.x[-1] - handover_setup.dmp.goal) < 1e-3
 
 
 def test_rollout_determinism(handover_setup, handover_policy):
@@ -315,10 +322,10 @@ def per_step_rollout(policy, xi, setup):
     Returns (x, torque, beta, K, D, saturation events).
     """
     tg, m, dt, alpha, H = setup.tgrid, setup.m, setup.dt, setup.alpha, setup.H
-    dmp = replace(setup.dmp, theta_traj=policy.theta_traj)
+    sample = policy if xi is None else plus(policy, xi)
     x_d, xd_d, xdd_d = learning.rollout_reference(
-        dmp, setup.start, None if xi is None else xi.theta_traj, tg)
-    sched = sampled_schedule(setup, policy, xi)
+        setup.dmp, setup.start, sample.theta_traj, tg)
+    sched = sampled_schedule(setup, policy, sample)
     K, D = sched.K, sched.D
     K_floor = (np.exp(2.0 * alpha * tg)[:, None, None]
                * (setup.k_init * np.eye(m)))
@@ -396,12 +403,8 @@ def model_terms_setup():
     H = np.array([[1.2, 0.1, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 0.8]])
     model = PlantModel.point_mass(lambda0=lam,
                                   gravity_wrench=[0.0, 0.0, -2.0 * 9.81])
-    geo = SCENARIOS["handover"]
-    return build_setup(model, H, 0.05, 5.0, 1e-3, start=geo["start"],
-                       goal=geo["goal"], x_via=geo["via"],
-                       dmp_basis=build_basis(51, 0.95),
-                       slack_basis=build_basis(7, 0.7),
-                       limits=TorqueLimits.box(1e3, 3))
+    setup, _ = compile_setup(load_config())
+    return replace(setup, model=model, H=H, limits=TorqueLimits.box(1e3, 3))
 
 
 @pytest.mark.parametrize("case", ["noisy", "offset", "model_terms",
@@ -475,10 +478,62 @@ def test_nan_reference_raises_integration_diverged(block, handover_setup,
         rollout(pol, xi, handover_setup)
 
 
+def test_rollout_runs_the_sample_of_policy_and_noise(handover_setup,
+                                                    handover_policy):
+    # A rollout forms its sample once: running the policy with noise xi is
+    # running the sample policy + xi without noise, bit for bit.
+    xi = sample_noise(ExplorationNoise(seed=4), handover_policy, 1, 2)
+    a = rollout(handover_policy, xi, handover_setup)
+    b = rollout(plus(handover_policy, xi), None, handover_setup)
+    for name in ("x", "x_d", "torque", "beta"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    for name in ("K", "D", "Kdot", "Ddot", "lam_A", "lam_C"):
+        assert np.array_equal(getattr(a.schedule, name),
+                              getattr(b.schedule, name))
+    assert a.cost == b.cost and a.cost_terms == b.cost_terms
+    assert not np.array_equal(a.x, rollout(handover_policy, None,
+                                           handover_setup).x)
+
+
+def test_ablation_linearizes_about_the_noise_free_policy(handover_setup,
+                                                         handover_policy):
+    # The ablation's linearization point is the slack of the policy without
+    # its noise.  Running the sample policy + xi as a noise-free policy moves
+    # that point onto the sample: the schedules agree up to the via time
+    # and differ at every step after it.
+    setup = replace(handover_setup, mode=MODE_UNCERTIFIED_AFTER_VIA)
+    xi = sample_noise(ExplorationNoise(seed=4), handover_policy, 1, 2)
+    sample = plus(handover_policy, xi)
+    a = rollout(handover_policy, xi, setup)
+    b = rollout(sample, None, setup)
+    assert np.all(a.beta == 1.0) and np.all(b.beta == 1.0)
+    tau, t_hat = setup.dmp.tau, setup.weights.t_hat
+    after = setup.tgrid > t_hat
+    assert after.any() and not after.all()
+    for name in ("D", "Ddot", "lam_A", "lam_C"):
+        assert np.array_equal(getattr(a.schedule, name)[~after],
+                              getattr(b.schedule, name)[~after])
+    assert np.all((a.schedule.D[after] != b.schedule.D[after]).any(axis=(1, 2)))
+
+    # After the via time D = alpha H + S S^T - (S - Sn)(S - Sn)^T, with S
+    # the sample's damping slack and Sn the noise-free policy's at t_hat.
+    def damping_slack(p, s):
+        sp = SlackParams(theta_d=p.theta_d, theta_k=p.theta_k,
+                         basis=setup.slack_basis, m=setup.m)
+        return slack_trace(sp, s)[0]
+
+    S = damping_slack(sample, 1.0 - setup.tgrid[after] / tau)
+    Sn = damping_slack(handover_policy, np.array([1.0 - t_hat / tau]))
+    D = (setup.alpha * setup.H + S @ S.transpose(0, 2, 1)
+         - (S - Sn) @ (S - Sn).transpose(0, 2, 1))
+    assert np.abs(a.schedule.D[after] - D).max() <= 1e-12
+
+
 def test_schedule_from_rollout_consistent(handover_setup, handover_policy,
                                           nominal_rollout):
     sched = nominal_rollout.schedule
-    sampled = sampled_schedule(handover_setup, handover_policy, None)
+    sampled = sampled_schedule(handover_setup, handover_policy,
+                               handover_policy)
     assert np.array_equal(sched.K, sampled.K)
     assert np.array_equal(sched.D, sampled.D)
     rep = sched.report()

@@ -1,11 +1,12 @@
 """The point-mass plant terms and the closed-loop error step."""
 
+from dataclasses import replace
+
 import numpy as np
 
-from cgms.config import SCENARIOS
-from cgms.dmp import build_basis
+from cgms.config import compile_setup, load_config
 from cgms.governor import TorqueLimits
-from cgms.learning import build_setup, initial_policy, rollout
+from cgms.learning import initial_policy, rollout
 from cgms.plants import PlantModel, initial_state, operational_space_terms
 from test_learning import (
     closed_loop_error_step,
@@ -16,12 +17,8 @@ from test_learning import (
 
 def handover_rollout(model, H, T=1.0):
     """The initial policy's ungoverned handover rollout on ``model``."""
-    geo = SCENARIOS["handover"]
-    setup = build_setup(model, H, 0.05, T, 1e-3, start=geo["start"],
-                        goal=geo["goal"], x_via=geo["via"],
-                        dmp_basis=build_basis(51, 0.95),
-                        slack_basis=build_basis(7, 0.7),
-                        limits=TorqueLimits.box(1e3, 3))
+    setup, _ = compile_setup(load_config(overrides={"run_horizon": T}))
+    setup = replace(setup, model=model, H=H, limits=TorqueLimits.box(1e3, 3))
     return rollout(initial_policy(setup), None, setup)
 
 
