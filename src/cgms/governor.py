@@ -16,6 +16,7 @@ import numpy as np
 from .errors import InfeasibleFloorError
 
 ZERO_SLOPE_TOL = 1e-12
+BOX_TOL = 1e-12         # a torque this far outside the box still counts as in it
 
 FR3_TORQUE_LIMITS = np.array([87.0, 87.0, 87.0, 87.0, 12.0, 12.0, 12.0])
 
@@ -53,7 +54,7 @@ def beta_star_detail(tau0, tau1, limits):
     Joints with zero slope impose no bound.  An infeasible tau0 (the beta=0
     floor already saturates) raises rather than clamping.
     """
-    if not limits.contains(tau0, tol=1e-12):
+    if not limits.contains(tau0, tol=BOX_TOL):
         raise InfeasibleFloorError("torque at beta = 0 violates the box limits")
     beta, joint = 1.0, None
     for i in range(len(tau0)):

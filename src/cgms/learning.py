@@ -31,7 +31,7 @@ from .gains import (
     slack_products,
     slack_trace,
 )
-from .governor import TorqueLimits, beta_star_detail
+from .governor import BOX_TOL, TorqueLimits, beta_star_detail
 from .plants import PlantModel
 
 MODE_CERTIFIED = "certified"
@@ -277,17 +277,40 @@ def _governed_tail(j, setup, x_trace, v, tau_trace, beta_trace, sched,
     return events
 
 
+def _check_feedforward(u_ff, tgrid, limits):
+    """Raise InfeasibleFloorError naming the first step and joint whose
+    torque is out of the box by more than BOX_TOL.  As in the rollout loop,
+    a NaN is never out of the box; the finiteness check reports it."""
+    out = (u_ff < limits.tau_min - BOX_TOL) | (u_ff > limits.tau_max + BOX_TOL)
+    if out.any():
+        i, j = np.unravel_index(out.argmax(), out.shape)
+        raise InfeasibleFloorError(
+            f"feed-forward torque {u_ff[i, j]:.6g} on joint {j} at "
+            f"t = {tgrid[i]:.6g} s is outside the box "
+            f"[{limits.tau_min[j]:.6g}, {limits.tau_max[j]:.6g}]")
+
+
 def rollout(policy, xi, setup):
     """Simulate one governed episode of the closed loop.
 
-    The sample policy + xi (the policy itself when xi is None) is formed
-    here once; its weights drive the DMP reference and the sampled gain
-    schedule at beta = 1 (sampled_schedule); then the closed loop runs and
-    its cost is taken.  The returned Rollout carries the schedule as
-    executed: on governed steps (beta < 1) its gains, rates and
-    certificate trace are blended toward the certified floor by beta.
-    The rates hold each step's beta fixed; the terms of beta's changes from
-    step to step are not in them, nor in the pointwise certificate.
+    The steps, in order: the sample policy + xi (the policy itself when xi
+    is None) is formed once; its weights drive the DMP reference; the
+    feed-forward torque u_ff = Lam xdd_d + g is tested against the box;
+    the sampled gain schedule at beta = 1 (sampled_schedule) is built; the
+    closed loop runs and its cost is taken.
+
+    The box test runs only when the reference starts at the initial state
+    (x_d[0] = x(0), xdot_d[0] = xdot(0)).  Controller and plant read one
+    model and the reference steps the plant's update, so the tracking
+    error then stays zero up to rounding and the torque is u_ff at every
+    beta: a u_ff out of the box is the governor's infeasible floor, raised
+    here before any schedule is built.  Otherwise the governed loop decides.
+
+    The returned Rollout carries the schedule as executed: on governed
+    steps (beta < 1) its gains, rates and certificate trace are blended
+    toward the certified floor by beta.  The rates hold each step's beta
+    fixed; the terms of beta's changes from step to step are not in them,
+    nor in the pointwise certificate.
 
     The closed loop takes one of two paths.  At beta = 1 the semi-implicit
     Euler loop is affine in s = (x, v, 1): s[i+1] = T[i] s[i] with
@@ -307,15 +330,18 @@ def rollout(policy, xi, setup):
         theta_k=policy.theta_k + xi.theta_k)
     x_d, xd_d, xdd_d = rollout_reference(setup.dmp, setup.start,
                                          sample.theta_traj, tg)
-    sched = sampled_schedule(setup, policy, sample)
-
     state = plants.initial_state(setup.model, setup.start)
-    beta_trace = np.ones(n)
     # Constant point-mass task terms, folded into per-step control matrices.
     Lam, mu, p, J = plants.operational_space_terms(setup.model, state)
-    Minv = np.linalg.inv(Lam)
     A = J.T @ Lam
     u_ff = xdd_d @ A.T + J.T @ (mu + p)              # (n, n_joints)
+    if (np.array_equal(x_d[0], state.x)
+            and np.array_equal(xd_d[0], state.xdot)):
+        _check_feedforward(u_ff, tg, setup.limits)
+    sched = sampled_schedule(setup, policy, sample)
+
+    beta_trace = np.ones(n)
+    Minv = np.linalg.inv(Lam)
     AHi = A @ np.linalg.inv(setup.H)
     AD1 = AHi @ sched.D                           # batched (n, ., m)
     AK1 = AHi @ sched.K
@@ -416,7 +442,7 @@ def _resampled_rollout(policy, noise, setup, u, r_idx):
                     f"{MAX_RESAMPLE_ATTEMPTS} attempts ({counts})") from exc
 
 
-def train(setup, policy=None, noise=None, updates=50, rollouts_per_update=12,
+def train(setup, policy=None, *, noise, updates=50, rollouts_per_update=12,
           beta_softmax=20.0, rollout_hook=None):
     """Run the full learning protocol; deterministic per noise seed.
 
@@ -429,7 +455,6 @@ def train(setup, policy=None, noise=None, updates=50, rollouts_per_update=12,
     the cost, the noise and the trace row are kept.
     """
     policy = policy if policy is not None else initial_policy(setup)
-    noise = noise or ExplorationNoise()
     rows, events, means = [], [], []
 
     def keep(u, r_idx, ro):

@@ -9,7 +9,11 @@ import pytest
 
 from cgms import learning
 from cgms.config import compile_setup, load_config
-from cgms.errors import InfeasibleFloorError, IntegrationDivergedError
+from cgms.errors import (
+    CertifiedFloorError,
+    InfeasibleFloorError,
+    IntegrationDivergedError,
+)
 from cgms.gains import SlackParams, slack_trace
 from cgms.governor import TorqueLimits, beta_star_detail
 from cgms.learning import (
@@ -459,6 +463,120 @@ def test_governed_tail_starts_at_the_first_saturated_step(monkeypatch):
     assert np.all(ro.beta[:j] == 1.0)
     assert np.array_equal(ro.x[:j + 1], free.x[:j + 1])
     assert np.array_equal(ro.torque[:j], free.torque[:j])
+
+
+def tight_box_samples(attempts):
+    """The 0.26 N box on the 5 s handover and the noise of the given
+    attempts of update 0, rollout 0: (setup, policy, list of noise)."""
+    setup, noise = compile_setup(load_config(
+        overrides={"governor_limit": 0.26}))
+    policy = initial_policy(setup)
+    return setup, policy, [sample_noise(noise, policy, 0, 0, a)
+                           for a in attempts]
+
+
+def oracle_verdict(policy, xi, setup):
+    """per_step_rollout's result, or the class of the error it raised."""
+    try:
+        return per_step_rollout(policy, xi, setup)
+    except (CertifiedFloorError, InfeasibleFloorError) as exc:
+        return type(exc)
+
+
+def no_schedule(*args):
+    raise AssertionError("an infeasible sample built its gain schedule")
+
+
+def test_feedforward_check_agrees_with_the_governed_loop(monkeypatch):
+    # The reference starts at the initial state, so the box test on u_ff
+    # decides.  Every verdict must be the per-step governed loop's, and
+    # the rollout with the test switched off (the loop deciding alone)
+    # must give the same error or the same arrays, bit for bit.
+    setup, policy, noises = tight_box_samples(range(12))
+    verdicts = []
+    for xi in noises:
+        want = oracle_verdict(policy, xi, setup)
+        with monkeypatch.context() as mp:
+            mp.setattr(learning, "_check_feedforward", lambda *args: None)
+            try:
+                loop = rollout(policy, xi, setup)
+            except InfeasibleFloorError:
+                loop = InfeasibleFloorError
+        if want is InfeasibleFloorError:
+            assert loop is InfeasibleFloorError
+            with monkeypatch.context() as mp:
+                mp.setattr(learning, "sampled_schedule", no_schedule)
+                with pytest.raises(InfeasibleFloorError,
+                                   match="feed-forward torque"):
+                    rollout(policy, xi, setup)
+            verdicts.append("infeasible")
+            continue
+        ro = rollout(policy, xi, setup)
+        for a, b in ((ro.x, loop.x), (ro.torque, loop.torque),
+                     (ro.beta, loop.beta), (ro.schedule.K, loop.schedule.K),
+                     (ro.schedule.D, loop.schedule.D)):
+            assert np.array_equal(a, b)
+        x, tau, beta, K, D, events = want
+        assert np.abs(ro.x - x).max() <= 1e-12
+        assert np.abs(ro.torque - tau).max() <= 1e-9
+        assert np.array_equal(ro.beta, beta) and np.all(beta == 1.0)
+        assert np.array_equal(ro.schedule.K, K)
+        assert np.array_equal(ro.schedule.D, D)
+        verdicts.append("accepted")
+    assert verdicts.count("accepted") == 2
+    assert verdicts.count("infeasible") == 10
+
+
+def test_feedforward_check_names_the_first_offending_step():
+    setup, _ = compile_setup(load_config(overrides={"governor_limit": 0.26}))
+    u_ff = np.zeros((len(setup.tgrid), setup.m))
+    u_ff[7, 2] = -0.3
+    u_ff[9, 0] = 0.3
+    u_ff[3, 1] = 0.26 + 1e-13         # within BOX_TOL: inside the box
+    u_ff[2, 2] = np.nan               # a NaN is never outside the box
+    with pytest.raises(InfeasibleFloorError,
+                       match=r"-0\.3 on joint 2 at t = 0\.007 s"):
+        learning._check_feedforward(u_ff, setup.tgrid, setup.limits)
+    u_ff[7, 2] = u_ff[9, 0] = 0.0
+    learning._check_feedforward(u_ff, setup.tgrid, setup.limits)
+
+
+def test_offset_reference_leaves_the_verdict_to_the_governed_loop(
+        monkeypatch):
+    # x_d[0] is 0.1 mm off the initial state, so the feed-forward test is
+    # off and the schedule is built for every sample.  Sample 12's u_ff
+    # leaves the box on its first two steps; the offset's feedback pulls
+    # the torque back in, and the governed loop accepts it.  Sample 27
+    # stays infeasible, sample 0 is inside the box throughout.
+    setup, policy, noises = tight_box_samples([12, 27, 0])
+    offset_reference(monkeypatch, np.array([-1e-4, 0.0, 0.0]))
+    built = []
+    schedule = learning.sampled_schedule
+    monkeypatch.setattr(learning, "sampled_schedule",
+                        lambda *args: built.append(1) or schedule(*args))
+    for xi, leaves, accepted in zip(noises, (True, True, False),
+                                    (True, False, True)):
+        x_d, _, xdd_d = learning.rollout_reference(
+            setup.dmp, setup.start, plus(policy, xi).theta_traj, setup.tgrid)
+        assert not np.array_equal(x_d[0], setup.start)
+        # Unit task inertia, no gravity: u_ff is the reference acceleration.
+        assert (np.abs(xdd_d) > 0.26).any() == leaves
+        want = oracle_verdict(policy, xi, setup)
+        built.clear()
+        if not accepted:
+            assert want is InfeasibleFloorError
+            with pytest.raises(InfeasibleFloorError,
+                               match="torque at beta = 0"):
+                rollout(policy, xi, setup)
+            assert built == [1]
+            continue
+        ro = rollout(policy, xi, setup)
+        assert built == [1]
+        x, tau, beta, K, D, events = want
+        assert np.abs(ro.x - x).max() <= 1e-12
+        assert np.abs(ro.torque - tau).max() <= 1e-9
+        assert np.array_equal(ro.beta, beta)
+        assert setup.limits.contains(ro.torque, tol=1e-12)
 
 
 @pytest.mark.parametrize("block", ["policy", "noise"])
