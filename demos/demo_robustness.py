@@ -51,7 +51,7 @@ def main():
     inside, margin = uub_empirical(sched, inp, residuals)
     print(f"simulated trajectories inside the bound: {inside} "
           f"(worst margin {margin:.4f})")
-    _, XT, XTD = simulate_error_dynamics(sched, residuals[1])
+    _, (XT,), (XTD,) = simulate_error_dynamics(sched, [residuals[1]])
     peak = np.sqrt((XT ** 2 + XTD ** 2).sum(axis=1)).max()
     print(f"peak error under the constant residual: {peak:.5f} "
           f"({peak / res.radius:.1%} of the bound)")

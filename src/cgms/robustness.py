@@ -31,8 +31,11 @@ DISSIPATION_TOL = 1e-5
 UUB_TOL = 1e-6
 # Steps of affine RK4 maps simulate_error_dynamics builds at once: enough to
 # batch the build, few enough that a call's memory does not grow with the
-# horizon.
+# horizon.  Within a block the maps are composed in chunks of SIM_CHUNK
+# steps, so a block takes about SIM_CHUNK + SIM_BLOCK / SIM_CHUNK
+# Python-level products instead of one per step.
 SIM_BLOCK = 256
+SIM_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -163,65 +166,133 @@ def _sample(u_res, t, m):
     return U
 
 
-def simulate_error_dynamics(schedule, u_res, z0=None):
-    """RK4 integration of H xtdd + D(t) xtd + K(t) xt = u_res(t).
+def simulate_error_dynamics(schedule, residuals, z0=None):
+    """RK4 integration of H xtdd + D(t) xtd + K(t) xt = u(t) for every
+    residual force u of the family ``residuals``, in one pass.
 
-    u_res maps an array of times of shape (k,) to forces of shape (k, m);
-    any other result shape is a ContractViolationError.  It is called twice,
-    once on the grid and once on the half-steps, so it is sampled exactly
-    once at each of those 2n - 1 times.  K and D at a half-step are the
-    means of their grid neighbours, i.e. linear interpolation.  The initial
-    error z0 = (xtd, xt) must have shape (2m,).  Returns (t, xt, xtd)
-    arrays sampled on the schedule grid.
+    Each residual maps an array of times of shape (k,) to forces of shape
+    (k, m); any other result shape is a ContractViolationError, and so are
+    an empty family and a grid of fewer than 2 samples.  Each residual is
+    called twice, once on the grid and once on the half-steps, so it is
+    sampled exactly once at each of those 2n - 1 times.  K and D at a
+    half-step are the means of their grid neighbours, i.e. linear
+    interpolation.  The initial error z0 = (xtd, xt), shared by the family,
+    must have shape (2m,).  Returns (t, XT, XTD), where XT[r] and XTD[r],
+    of shape (n, m), are xt and xtd under residual r on the schedule grid.
 
     The dynamics are linear, so each RK4 step is an affine map
-    s[i+1] = T[i] s[i] of s = (xt, xtd, 1).  With A the homogeneous field
-    at t_i, the half-step and t_{i+1} (A1, A2, A3), T = I + h/6 (P1 + 2 P2
-    + 2 P3 + P4) where P1 = A1, P2 = A2 (I + h/2 P1), P3 = A2 (I + h/2 P2)
-    and P4 = A3 (I + h P3).  The maps are built batched, SIM_BLOCK steps at
-    a time so memory does not grow with the horizon, and applied with one
-    matrix-vector product per step.  Raises IntegrationDivergedError if the
-    state becomes non-finite.
+    s[i+1] = Phi[i] s[i] + g[i] of s = (xt, xtd).  With A the homogeneous
+    field at t_i, the half-step and t_{i+1} (A1, A2, A3), Phi = I + h/6 (P1
+    + 2 P2 + 2 P3 + P4) where P1 = A1, P2 = A2 (I + h/2 P1), P3 = A2 (I +
+    h/2 P2) and P4 = A3 (I + h P3).  Phi does not depend on the residual;
+    g[:, r] is the step of residual r from s = 0: k1 = f1, k2 = h/2 A2 k1
+    + f2, k3 = h/2 A2 k2 + f2, k4 = h A3 k3 + f3, with the forcing
+    f = (0, H^-1 u) in the velocity rows.  One chain of stage maps on
+    (s, e_1..e_R) builds both, [Phi | g] for the whole family, SIM_BLOCK
+    steps at a time, so memory does not grow with the horizon beyond the
+    trajectories, which hold the samples until they are read.  A block is
+    stepped as a two-level scan: the maps are composed within chunks of
+    SIM_CHUNK steps, all chunks at once; the state is carried from one
+    chunk start to the next; and each chunk's states come from one batched
+    product.  Raises IntegrationDivergedError if a state becomes
+    non-finite.
     """
     m = schedule.m
+    n2 = 2 * m
     if z0 is not None:
         z0 = np.asarray(z0, float)
-        if z0.shape != (2 * m,):
+        if z0.shape != (n2,):
             raise ContractViolationError(
-                f"z0 must have shape {(2 * m,)}, got {z0.shape}")
-    Hinv = np.linalg.inv(schedule.H)
+                f"z0 must have shape {(n2,)}, got {z0.shape}")
+    residuals = list(residuals)
+    if not residuals:
+        raise ContractViolationError("the residual family is empty")
     tgrid = schedule.t
     n = len(tgrid)
+    if n < 2:
+        raise ContractViolationError(
+            f"RK4 needs at least 2 grid samples, got {n}")
+    R = len(residuals)
+    Hinv = np.linalg.inv(schedule.H)
     h = tgrid[1] - tgrid[0]
     K, D = schedule.K, schedule.D
-    U = _sample(u_res, tgrid, m)
-    U_half = _sample(u_res, tgrid[:-1] + h / 2, m)
-    s = np.empty((n, 2 * m + 1))
-    s[0, :m] = 0.0 if z0 is None else z0[m:]
-    s[0, m:-1] = 0.0 if z0 is None else z0[:m]
-    s[0, -1] = 1.0
-    eye = np.eye(2 * m + 1)
+    # Member r's trajectory is out[r], rows (xt, xtd).  Until its block has
+    # read them, row i holds the samples instead: the residual at t_i in
+    # the xtd slot and at the half-step after t_i in the xt slot.  So the
+    # samples take no memory beyond the trajectories.
+    out = np.empty((R, n, n2))
+    for r, u_res in enumerate(residuals):
+        out[r, :, m:] = _sample(u_res, tgrid, m)
+        out[r, :-1, :m] = _sample(u_res, tgrid[:-1] + h / 2, m)
+    U = out[:, :, m:].transpose(1, 2, 0)            # (n, m, R)
+    U_half = out[:, :-1, :m].transpose(1, 2, 0)
+    E = np.eye(n2, n2 + R)
+    # The chunk starts of a block, as columns [s; I] of height n2 + R:
+    # member r's state over the unit vector that picks its forcing column.
+    S = np.zeros((-(-SIM_BLOCK // SIM_CHUNK) + 1, n2 + R, R))
+    S[:, n2:] = np.eye(R)
+    if z0 is not None:
+        S[0, :m] = z0[m:, None]
+        S[0, m:n2] = z0[:m, None]
     for a in range(0, n - 1, SIM_BLOCK):
         b = min(a + SIM_BLOCK, n - 1)
-        # The field at grid points a..b; at the half-steps K and D are the
-        # means of their neighbours and the residual has its own samples.
-        A = np.zeros((b - a + 1, 2 * m + 1, 2 * m + 1))
-        A[:, :m, m:-1] = np.eye(m)
-        A[:, m:-1, :m] = -Hinv @ K[a:b + 1]
-        A[:, m:-1, m:-1] = -Hinv @ D[a:b + 1]
+        L = b - a
+        C = -(-L // SIM_CHUNK)
+        # The field at grid points a..b and at the half-steps, augmented
+        # with the forcing columns: [A | f], (n2, n2 + R) per time, where f
+        # has velocity rows H^-1 u.  At the half-steps K and D are the
+        # means of their neighbours.
+        A = np.zeros((L + 1, n2, n2 + R))
+        A[:, :m, m:n2] = np.eye(m)
+        A[:, m:, :m] = -Hinv @ K[a:b + 1]
+        A[:, m:, m:n2] = -Hinv @ D[a:b + 1]
         A_half = 0.5 * (A[:-1] + A[1:])
-        A[:, m:-1, -1] = U[a:b + 1] @ Hinv.T
-        A_half[:, m:-1, -1] = U_half[a:b] @ Hinv.T
+        A[:, m:, n2:] = Hinv @ U[a:b + 1]
+        A_half[:, m:, n2:] = Hinv @ U_half[a:b]
+        # Row a's samples are read, so it takes the state at a.
+        out[:, a] = S[0, :n2].T
+        # The stage maps of (s, e_1..e_R): P1 = [A1 | f1], P2 = A2 (E + h/2
+        # P1) + [0 | f2] and so on, with E = [I | 0].
         P1 = A[:-1]
-        P2 = A_half @ (eye + h / 2 * P1)
-        P3 = A_half @ (eye + h / 2 * P2)
-        P4 = A[1:] @ (eye + h * P3)
-        T = eye + h / 6 * (P1 + 2 * P2 + 2 * P3 + P4)
-        for Ti, si, s_next in zip(T, s[a:b], s[a + 1:b + 1]):
-            Ti.dot(si, out=s_next)
-    if not np.isfinite(s).all():
+        P2 = A_half[:, :, :n2] @ (E + h / 2 * P1)
+        P2[:, :, n2:] += A_half[:, :, n2:]
+        P3 = A_half[:, :, :n2] @ (E + h / 2 * P2)
+        P3[:, :, n2:] += A_half[:, :, n2:]
+        P4 = A[1:, :, :n2] @ (E + h * P3)
+        P4[:, :, n2:] += A[1:, :, n2:]
+        # [Phi | g] = E + h/6 (P1 + 2 P2 + 2 P3 + P4), in place.  Steps
+        # past b, which pad the last chunk, are identity maps.
+        Y = np.empty((C * SIM_CHUNK, n2, n2 + R))
+        Y[L:] = E
+        step = Y[:L]
+        np.add(P2, P3, out=step)
+        step *= 2.0
+        step += P1
+        step += P4
+        step *= h / 6
+        step += E
+        # Square maps [[Phi, g], [0, I]], chunk-major ([j, chunk]) so the
+        # prefix loop below reads contiguous (C, ...) slices.
+        Z = np.zeros((SIM_CHUNK, C, n2 + R, n2 + R))
+        Z[:, :, n2:, n2:] = np.eye(R)
+        Z[:, :, :n2] = Y.reshape(C, SIM_CHUNK, n2, n2 + R).transpose(
+            1, 0, 2, 3)
+        # W[j, k] maps the start of chunk k to the state after its step j.
+        W = np.empty_like(Z)
+        W[0] = Z[0]
+        for j in range(1, SIM_CHUNK):
+            np.matmul(Z[j], W[j - 1], out=W[j])
+        for k in range(C):
+            np.dot(W[-1, k], S[k], out=S[k + 1])
+        fill = W[:, :, :n2] @ S[:C]
+        # Row b keeps its samples for the next block.
+        out[:, a + 1:b] = fill.transpose(3, 1, 0, 2).reshape(
+            R, C * SIM_CHUNK, n2)[:, :L - 1]
+        S[0] = S[C]
+    out[:, -1] = S[0, :n2].T
+    if not np.isfinite(out).all():
         raise IntegrationDivergedError("error-dynamics state diverged")
-    return tgrid, s[:, :m], s[:, m:-1]
+    return tgrid, out[:, :, :m], out[:, :, m:]
 
 
 def dissipation_check(schedule, inp, u_res, c1=None, c2=None, z0=None):
@@ -245,7 +316,7 @@ def dissipation_check(schedule, inp, u_res, c1=None, c2=None, z0=None):
     res = uub_constants(inp)
     c1 = res.c1 if c1 is None else c1
     c2 = res.c2 if c2 is None else c2
-    tgrid, XT, XTD = simulate_error_dynamics(schedule, u_res, z0=z0)
+    tgrid, (XT,), (XTD,) = simulate_error_dynamics(schedule, [u_res], z0=z0)
     h = tgrid[1] - tgrid[0]
     alpha, H = schedule.alpha, schedule.H
     V = (0.5 * np.einsum("ni,ij,nj->n", XTD, H, XTD)
@@ -273,20 +344,15 @@ def uub_empirical(schedule, inp, u_res_family):
     ||z(t)|| <= radius holds for every t (the transient term vanishes), so
     the horizon needs not cover the analytic settling time 5 m2'/c1.
     Each member of u_res_family follows simulate_error_dynamics' array
-    contract, times (k,) to forces (k, m).
-    Returns (all_inside, worst_margin) with margin = radius - max ||z||.
-    An empty family is a ContractViolationError, and a diverged trajectory
-    raises IntegrationDivergedError.
+    contract, times (k,) to forces (k, m), and the family is simulated in
+    one pass.  Returns (all_inside, worst_margin) with margin = radius -
+    max ||z||.  An empty family is a ContractViolationError, and a diverged
+    trajectory raises IntegrationDivergedError.
     """
     res = uub_constants(inp)
-    u_res_family = list(u_res_family)
-    if not u_res_family:
-        raise ContractViolationError("u_res_family is empty")
-    worst = np.inf
-    for u_res in u_res_family:
-        _, XT, XTD = simulate_error_dynamics(schedule, u_res)
-        znorm = np.sqrt((XT ** 2 + XTD ** 2).sum(axis=1)).max()
-        worst = min(worst, res.radius - znorm)
+    _, XT, XTD = simulate_error_dynamics(schedule, u_res_family)
+    znorm = np.sqrt((XT ** 2 + XTD ** 2).sum(axis=2)).max()
+    worst = res.radius - znorm
     return bool(worst >= -UUB_TOL), float(worst)
 
 

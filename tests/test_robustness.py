@@ -177,8 +177,9 @@ def test_optimize_matches_full_grid_search(schedules):
 # ---------------------------------------------------------------------------
 
 def per_step_error_dynamics(schedule, u_res, z0=None):
-    """The error-dynamics RK4 stepped one stage at a time: the reference for
-    simulate_error_dynamics' affine step maps.  Same (t, xt, xtd) return.
+    """The error-dynamics RK4 stepped one stage at a time for one residual:
+    the reference for simulate_error_dynamics' affine step maps.  Returns
+    (t, xt, xtd), one member of simulate_error_dynamics' return.
     """
     m = schedule.m
     Hinv = np.linalg.inv(schedule.H)
@@ -212,54 +213,78 @@ def per_step_error_dynamics(schedule, u_res, z0=None):
     return tgrid, XT, XTD
 
 
-@pytest.mark.parametrize("steps", [1, 255, 256, 257, 5000])
+@pytest.mark.parametrize("steps", [1, 15, 16, 17, 255, 256, 257, 5000])
 def test_affine_maps_match_per_step_oracle(steps):
-    # Grids around and across the SIM_BLOCK = 256 block edges, with and
-    # without an initial error, under a constant and a sinusoid residual.
+    # Grids around the SIM_CHUNK = 16 chunk and SIM_BLOCK = 256 block
+    # edges and across many blocks.  Families of one, two and three
+    # residuals, with and without an initial error: every member matches
+    # its own per-step run.
     dt = 1e-3
     sched = certified_schedule(np.random.default_rng(steps), T=steps * dt,
                                dt=dt)
     assert len(sched.t) == steps + 1
-    residuals = standard_residuals(0.01, sched.m, seed=steps)[1:]
-    for residual in residuals:
-        for z0 in (None, np.array([0.1, -0.05, 0.08, 0.02, 0.0, -0.03])):
-            t, XT, XTD = simulate_error_dynamics(sched, residual, z0=z0)
-            t_ref, XT_ref, XTD_ref = per_step_error_dynamics(
-                sched, residual, z0=z0)
-            assert np.array_equal(t, t_ref)
-            assert np.abs(XT - XT_ref).max() <= 1e-13
-            assert np.abs(XTD - XTD_ref).max() <= 1e-13
+    residuals = standard_residuals(0.01, sched.m, seed=steps)
+    for z0 in (None, np.array([0.1, -0.05, 0.08, 0.02, 0.0, -0.03])):
+        ref = [per_step_error_dynamics(sched, u, z0=z0) for u in residuals]
+        for R in (1, 2, 3):
+            t, XT, XTD = simulate_error_dynamics(sched, residuals[-R:],
+                                                 z0=z0)
+            assert XT.shape == XTD.shape == (R, steps + 1, sched.m)
+            for r, (t_ref, XT_ref, XTD_ref) in enumerate(ref[-R:]):
+                assert np.array_equal(t, t_ref)
+                assert np.abs(XT[r] - XT_ref).max() <= 1e-13
+                assert np.abs(XTD[r] - XTD_ref).max() <= 1e-13
 
 
-def test_simulation_memory_does_not_grow_with_horizon():
-    # One call on a 5001-step schedule stays under 2 MB of traced memory;
-    # building every step's map at once would take about 14 MB.
-    sched = certified_schedule(np.random.default_rng(5), T=5.0, dt=1e-3)
-    residual = standard_residuals(0.01, sched.m)[2]
+def constant_gain_schedule(T, k=50.0, d=8.0, dt=1e-3):
+    """The fields simulate_error_dynamics reads, with constant gains that
+    take no memory per sample: horizons and stiffnesses past what
+    certified_schedule can certify."""
+    n = round(T / dt) + 1
+    return SimpleNamespace(m=3, H=H3, t=np.arange(n) * dt,
+                           K=np.broadcast_to(k * H3, (n, 3, 3)),
+                           D=np.broadcast_to(d * H3, (n, 3, 3)))
+
+
+def traced_peak(sched, family):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        simulate_error_dynamics(sched, residual)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        simulate_error_dynamics(sched, family)
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def test_simulation_memory_does_not_grow_with_horizon():
+    # One residual on a 5001-step schedule stays under 2 MB of traced
+    # memory; building every step's map at once would take about 14 MB.
+    sched = certified_schedule(np.random.default_rng(5), T=5.0, dt=1e-3)
+    peak = traced_peak(sched, standard_residuals(0.01, sched.m)[2:])
     assert peak <= 2e6, peak
+    # Three residuals: doubling the horizon adds no more than the longer
+    # trajectories, R dn 2m doubles, and 4 kB of interpreter bookkeeping.
+    # Keeping the samples apart from them would add as much again, and any
+    # whole-horizon array at least dn doubles (40 kB).
+    family = standard_residuals(0.01, 3)
+    short, long = constant_gain_schedule(5.0), constant_gain_schedule(10.0)
+    dn = len(long.t) - len(short.t)
+    simulate_error_dynamics(short, family)      # lazy first-call set-up
+    grown = traced_peak(long, family) - traced_peak(short, family)
+    assert grown <= len(family) * dn * 2 * 3 * 8 + 4096, grown
 
 
 def test_non_finite_state_raises():
     sched = certified_schedule(np.random.default_rng(3), T=0.5, dt=1e-3)
     with pytest.raises(IntegrationDivergedError):
         simulate_error_dynamics(
-            sched, lambda t: np.full((len(t), sched.m), np.nan))
+            sched, [lambda t: np.full((len(t), sched.m), np.nan)])
     # Stiffness 1e8 puts h sqrt(k) = 10 outside RK4's stability region, so
     # the state overflows within the 0.5 s horizon.
-    n = len(sched.t)
-    stiff = SimpleNamespace(m=3, H=H3, t=sched.t,
-                            K=np.broadcast_to(1e8 * H3, (n, 3, 3)),
-                            D=np.broadcast_to(1.0 * H3, (n, 3, 3)))
+    stiff = constant_gain_schedule(0.5, k=1e8, d=1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IntegrationDivergedError):
-            simulate_error_dynamics(stiff, lambda t: np.zeros((len(t), 3)),
+            simulate_error_dynamics(stiff, [lambda t: np.zeros((len(t), 3))],
                                     z0=np.full(6, 1e-3))
 
 
@@ -276,8 +301,21 @@ def test_uub_rejects_diverged_and_empty_families():
     for family in ([nan], [finite, nan]):
         with pytest.raises(IntegrationDivergedError):
             uub_empirical(sched, inp, family)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="empty"):
         uub_empirical(sched, inp, [])
+
+
+def test_grid_of_fewer_than_two_samples_raises():
+    # No step to take: tgrid[1] used to raise a bare IndexError.
+    inp = RobustnessInputs(**WORKED)
+    residual = standard_residuals(0.01, 3)[1]
+    for n in (0, 1):
+        short = SimpleNamespace(m=3, H=H3, t=np.zeros(n),
+                                K=np.zeros((n, 3, 3)), D=np.zeros((n, 3, 3)))
+        with pytest.raises(ContractViolationError, match="at least 2"):
+            simulate_error_dynamics(short, [residual])
+        with pytest.raises(ContractViolationError, match="at least 2"):
+            uub_empirical(short, inp, [residual])
 
 
 def test_residual_of_wrong_shape_raises():
@@ -289,7 +327,7 @@ def test_residual_of_wrong_shape_raises():
     for wrong, shape in ((lambda t: np.zeros(len(t)), (n,)),
                          (lambda t: np.zeros(m), (m,))):
         with pytest.raises(ContractViolationError) as err:
-            simulate_error_dynamics(sched, wrong)
+            simulate_error_dynamics(sched, [wrong])
         assert f"{(n, m)}" in str(err.value)
         assert f"got {shape}" in str(err.value)
 
@@ -302,7 +340,7 @@ def test_wrong_length_z0_raises(schedules):
     residual = standard_residuals(0.01, sched.m)[0]
     for z0 in (np.array([0.1, 0.2, 0.3, 0.4]), np.zeros((1, 6))):
         with pytest.raises(ContractViolationError):
-            simulate_error_dynamics(sched, residual, z0=z0)
+            simulate_error_dynamics(sched, [residual], z0=z0)
         with pytest.raises(ContractViolationError):
             dissipation_check(sched, inp, residual, z0=z0)
 
@@ -319,23 +357,31 @@ def test_dissipation_check_needs_three_samples():
 
 def test_rk4_matches_reference_and_samples_residual_once():
     # A 0.5 s, 1 ms certified schedule against a tight DOP853 solve with K
-    # and D linearly interpolated between grid points.  The residual is
-    # sampled exactly once at each grid point and each half-step: 2n - 1
-    # times in all.
+    # and D linearly interpolated between grid points.  Each member of the
+    # family is called exactly twice, once on the grid and once on the
+    # half-steps, so it is sampled once at each of those 2n - 1 times.
     sched = certified_schedule(np.random.default_rng(3), T=0.5, dt=1e-3)
-    residual = standard_residuals(0.01, sched.m)[2]
-    calls = []
+    family = standard_residuals(0.01, sched.m)
+    residual = family[2]
+    calls = [[] for _ in family]
 
-    def counted(t):
-        calls.append(np.array(t))
-        return residual(t)
+    def counted(u, seen):
+        def sampled(t):
+            seen.append(np.array(t))
+            return u(t)
+        return sampled
 
     z0 = np.array([0.1, -0.05, 0.08, 0.02, 0.0, -0.03])
-    t, XT, XTD = simulate_error_dynamics(sched, counted, z0=z0)
-    sampled = np.sort(np.concatenate(calls))
-    expected = np.sort(np.concatenate([t, t[:-1] + (t[1] - t[0]) / 2]))
-    assert len(sampled) == 2 * len(t) - 1
-    assert np.array_equal(sampled, expected)
+    t, XT, XTD = simulate_error_dynamics(
+        sched, [counted(u, seen) for u, seen in zip(family, calls)], z0=z0)
+    half = t[:-1] + (t[1] - t[0]) / 2
+    for seen in calls:
+        assert len(seen) == 2
+        grid_first = len(seen[0]) == len(t)
+        on_grid, on_half = seen if grid_first else seen[::-1]
+        assert np.array_equal(on_grid, t)
+        assert np.array_equal(on_half, half)
+    XT, XTD = XT[2], XTD[2]
 
     m = sched.m
     Hinv = np.linalg.inv(sched.H)
@@ -404,8 +450,8 @@ def test_uub_constant_residual_steady_state(schedules):
     res = uub_constants(inp)
     u = np.zeros(sched.m)
     u[0] = 0.01
-    tgrid, XT, XTD = simulate_error_dynamics(
-        sched, lambda t: np.tile(u, (len(t), 1)))
+    tgrid, (XT,), (XTD,) = simulate_error_dynamics(
+        sched, [lambda t: np.tile(u, (len(t), 1))])
     znorm = np.sqrt((XT ** 2 + XTD ** 2).sum(axis=1))
     assert znorm.max() <= res.radius
     x_ss = np.linalg.solve(sched.K[-1], u)
@@ -417,9 +463,9 @@ def test_uub_linearity_in_ubar(schedules):
     direction = np.array([1.0, 0.0, 0.0])
 
     def peak(u_bar):
-        _, XT, XTD = simulate_error_dynamics(
+        _, (XT,), (XTD,) = simulate_error_dynamics(
             sched,
-            lambda t: np.outer(u_bar * np.sin(2 * np.pi * t), direction))
+            [lambda t: np.outer(u_bar * np.sin(2 * np.pi * t), direction)])
         return np.sqrt((XT ** 2 + XTD ** 2).sum(axis=1)).max()
 
     p1, p2 = peak(0.01), peak(0.02)
