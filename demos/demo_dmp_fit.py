@@ -1,23 +1,23 @@
 """Fit a dynamic movement primitive to a minimum-jerk reach and replay it.
 
+The reach, the basis, the DMP stiffness and the fit's regularizer are the
+default configuration's handover task.
+
 Run: python3 demos/demo_dmp_fit.py
 """
 
 import numpy as np
 
-from cgms.dmp import DmpParams, build_basis, fit_min_jerk, min_jerk, rollout_reference
+from cgms.config import compile_setup, load_config
+from cgms.dmp import fit_min_jerk, min_jerk, rollout_reference
 
 
 def main():
-    start = np.array([0.55, 0.0, 0.11])
-    goal = np.array([0.05, 0.72, 0.11])
-    T = 5.0
+    setup, _ = compile_setup(load_config())
+    params, start, tgrid = setup.dmp, setup.start, setup.tgrid
+    goal, T = params.goal, params.tau
 
-    basis = build_basis(51, 0.95)
-    params = DmpParams(tau=T, goal=goal, basis=basis)
-    theta = fit_min_jerk(start, T, params)
-
-    tgrid = np.arange(0.0, T + 5e-4, 1e-3)
+    theta = fit_min_jerk(start, T, params, setup.dt)
     x, xd, _ = rollout_reference(params, start, theta, tgrid)
     x_ref, _, _ = min_jerk(start, goal, T, tgrid)
 

@@ -19,12 +19,15 @@ from cgms.learning import train
 
 
 def main():
-    cfg = load_config(overrides={"run_seed": 0})
+    cfg = load_config(overrides={"run_seed": 0, "run_updates": 10})
     setup, noise = compile_setup(cfg)
     t0 = time.perf_counter()
-    result = train(setup, noise=noise, updates=10, rollouts_per_update=12)
+    result = train(setup, noise=noise, updates=cfg.run_updates,
+                   rollouts_per_update=cfg.run_rollouts,
+                   beta_softmax=cfg.learning_softmax_sharpness)
     wall = time.perf_counter() - t0
-    print(f"{wall:.1f} s for 10 updates x 12 rollouts")
+    print(f"{wall:.1f} s for {cfg.run_updates} updates x "
+          f"{cfg.run_rollouts} rollouts")
     print(f"initial mean cost: {result.initial_mean_cost:.1f}")
     print(f"final mean cost:   {result.final_mean_cost:.1f} "
           f"(ratio {result.final_mean_cost / result.initial_mean_cost:.3f})")

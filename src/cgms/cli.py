@@ -2,7 +2,8 @@
 governor traces, robustness reports, and the uncertified ablation.
 
 Exit codes: 0 success, 2 configuration error, 3 certification failure in
-certified mode or a torque floor that no resampled attempt could meet.
+certified mode, a torque floor that no resampled attempt could meet, or a
+simulation that diverged (such as a stiffness flow whose growth overflows).
 """
 
 from __future__ import annotations
@@ -266,6 +267,9 @@ def main(argv=None):
         return EXIT_CERTIFICATION
     except InfeasibleFloorError as exc:
         print(f"infeasible torque floor: {exc}", file=sys.stderr)
+        return EXIT_CERTIFICATION
+    except IntegrationDivergedError as exc:
+        print(f"integration diverged: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
 
 

@@ -1,11 +1,8 @@
 """Experiment configuration: defaults, INI-style file round-trip, scenario
 presets, and compilation into a runnable task setup.
 
-All hyperparameter defaults are the standard values used across every
-experiment (time step 1e-3 s, certificate scaling 0.05, task inertia I,
-51/7 RBFs at intersection heights 0.95/0.7, regularization 1e-6, softmax
-sharpness 20, covariance decay 0.98, cost weights 15e-7 / 1e-3 / 0.2 / 5e4,
-noise 8.0 / 1.3 / 0.6).
+ExperimentConfig is the one home of every hyperparameter default; the
+library's parameter objects take each value from it through compile_setup.
 """
 
 from __future__ import annotations
@@ -253,19 +250,19 @@ def compile_setup(cfg):
     t_hat = float(tgrid[np.argmin(np.linalg.norm(x_ref - via, axis=1))])
     sigma_via = cfg.cost_sigma_via_frac * T
     x_ref[np.abs(tgrid - t_hat) <= VIA_WINDOW_SIGMAS * sigma_via] = via
-    dmp_basis = build_basis(cfg.dmp_rbf_count, cfg.dmp_intersection_height,
-                            lam_reg=cfg.dmp_regularization)
+    dmp_basis = build_basis(cfg.dmp_rbf_count, cfg.dmp_intersection_height)
     setup = TaskSetup(
         model=PlantModel.point_mass(m=3), H=np.eye(3), alpha=cfg.gains_alpha,
         tgrid=tgrid, dmp=DmpParams(tau=T, k=cfg.dmp_stiffness, goal=goal,
-                                   basis=dmp_basis),
+                                   basis=dmp_basis,
+                                   lam_reg=cfg.dmp_regularization),
         slack_basis=build_basis(cfg.gains_slack_rbf_count,
                                 cfg.gains_slack_intersection_height),
         start=start, limits=TorqueLimits.box(cfg.governor_limit, 3),
         weights=CostWeights(
             lam_k=cfg.cost_lambda_k, lam_acc=cfg.cost_lambda_acc,
             w0=cfg.cost_w0, gamma_via=cfg.cost_gamma_via, t_hat=t_hat,
-            x_via=via, sigma_via=sigma_via),
+            sigma_via=sigma_via),
         x_ref=x_ref, k_init=cfg.gains_k_init, d_init=cfg.gains_d_init,
         mode=cfg.run_mode)
     return setup, ExplorationNoise(

@@ -1,21 +1,22 @@
 """Normalized RBF bases, DMP transformation dynamics, and fitting to a
 minimum-jerk demonstration.
 
-The transformation dynamics are
+The transformation dynamics of unit mass are
 
-    tau^2 m xdd = k (g - x) - tau d xd + gamma(t) f,
+    tau^2 xdd = k (g - x) - tau d xd + gamma(t) f,
     f = Phi(s_t) theta,    s_t = 1 - t / tau,
 
-with gamma(t) = s_t so the forcing vanishes at the end of the motion and
-the system converges to the goal.  The forcing weights theta are passed in
-with each call; an exploration sample is already added into them.
+with critical damping d = 2 sqrt(k) and gamma(t) = s_t, so the forcing
+vanishes at the end of the motion and the system converges to the goal.
+The forcing weights theta are passed in with each call; an exploration
+sample is already added into them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +31,6 @@ class RbfBasis:
 
     centers: np.ndarray
     widths: np.ndarray
-    lam_reg: float = 1e-6
 
     @property
     def count(self):
@@ -63,7 +63,7 @@ class RbfBasis:
         return psi, total
 
 
-def build_basis(M, intersection_height, lam_reg=1e-6):
+def build_basis(M, intersection_height):
     """Uniform centers on [0, 1]; widths chosen so adjacent unnormalized
     Gaussians intersect at the requested height h:
 
@@ -81,7 +81,7 @@ def build_basis(M, intersection_height, lam_reg=1e-6):
         dc = centers[1] - centers[0]
         sigma = dc / (2.0 * math.sqrt(2.0 * math.log(1.0 / intersection_height)))
         widths = np.full(M, sigma)
-    return RbfBasis(centers=centers, widths=widths, lam_reg=lam_reg)
+    return RbfBasis(centers=centers, widths=widths)
 
 
 @dataclass(frozen=True)
@@ -89,17 +89,19 @@ class DmpParams:
     """Transformation-system parameters; the weights come with each call."""
 
     tau: float
-    k: float = 150.0
-    d: float | None = None          # None -> critically damped 2 sqrt(k m)
-    m_dmp: float = 1.0
-    goal: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    basis: RbfBasis | None = None
+    k: float
+    goal: np.ndarray
+    basis: RbfBasis
+    lam_reg: float          # ridge term of fit_min_jerk's regression
 
     def __post_init__(self):
-        if min(self.tau, self.k, self.m_dmp) <= 0:
-            raise ValueError("tau, k, m must be positive")
-        if self.d is None:
-            object.__setattr__(self, "d", 2.0 * math.sqrt(self.k * self.m_dmp))
+        if min(self.tau, self.k) <= 0:
+            raise ValueError("tau and k must be positive")
+
+    @property
+    def d(self):
+        """Critical damping of the unit-mass system."""
+        return 2.0 * math.sqrt(self.k)
 
 
 REFERENCE_BLOCK = 128   # steps per block of the reference recurrence
@@ -151,7 +153,7 @@ def rollout_reference(params, start, theta, tgrid):
     dt = tgrid[1] - tgrid[0] if n > 1 else 0.0
     s_all = 1.0 - np.asarray(tgrid) / params.tau
     forcing = s_all[:, None] * (params.basis.eval(s_all) @ theta)   # (n, D)
-    scale = params.tau ** 2 * params.m_dmp
+    scale = params.tau ** 2
     g = np.asarray(params.goal, float)
     kd = params.tau * params.d * dt / scale
     kk = params.k * dt * dt / scale
@@ -195,9 +197,10 @@ def min_jerk(start, goal, T, t):
     return start + delta * p, delta * pd, delta * pdd
 
 
-def fit_min_jerk(start, T, params, dt=1e-3):
+def fit_min_jerk(start, T, params, dt):
     """Regularized least-squares fit of the forcing weights to a minimum-jerk
-    demonstration from start to params.goal over [0, T], in params.basis.
+    demonstration from start to params.goal over [0, T], sampled every dt,
+    in params.basis, with ridge term params.lam_reg.
 
     The regression uses the design matrix gamma(t) Phi(s_t), avoiding the
     division by the vanishing phase at t = T.
@@ -210,8 +213,8 @@ def fit_min_jerk(start, T, params, dt=1e-3):
     t = np.arange(0.0, T + dt / 2, dt)
     x, xd, xdd = min_jerk(start, goal, T, t)
     s = 1.0 - t / T
-    scale = params.tau ** 2 * params.m_dmp
+    scale = params.tau ** 2
     target = scale * xdd + params.tau * params.d * xd - params.k * (goal - x)
     A = s[:, None] * basis.eval(s)
-    gram = A.T @ A + basis.lam_reg * np.eye(basis.count)
+    gram = A.T @ A + params.lam_reg * np.eye(basis.count)
     return np.linalg.solve(gram, A.T @ target)

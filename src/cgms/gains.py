@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dmp import RbfBasis
-from .errors import CertifiedFloorError
+from .errors import CertifiedFloorError, IntegrationDivergedError
 
 K_EIG_FLOOR = 1e-12   # smallest admissible stiffness eigenvalue
 FLOOR_BLOCK = 512     # matrices per Cholesky call of the floor check
@@ -54,12 +54,11 @@ def vec_triangle(L):
     return np.asarray(L)[..., rows, cols]
 
 
-def vec_triangle_inverse(v, m=None):
-    """Inverse of vec_triangle; accepts a batch of vectors."""
+def vec_triangle_inverse(v, m):
+    """Inverse of vec_triangle for m x m matrices; accepts a batch of
+    vectors."""
     v = np.asarray(v, float)
     d = v.shape[-1]
-    if m is None:
-        m = int((np.sqrt(8 * d + 1) - 1) / 2)
     if tri_dim(m) != d:
         raise ValueError(f"vector length {d} does not match m={m}")
     rows, cols = _tri_index_arrays(m)
@@ -225,7 +224,9 @@ def integrate_cholesky_flow(B, alpha, K0, dt, clamp=False):
         from scipy.signal import lfilter
         K[1:] = lfilter([c], [1.0, -r], B[:-1].reshape(n - 1, -1), axis=0,
                         zi=r * K0.reshape(1, -1))[0].reshape(n - 1, m, m)
-    return stiffness_floor(0.5 * (K + np.swapaxes(K, 1, 2)), clamp)
+    with np.errstate(over="ignore"):    # stiffness_floor names an overflow
+        K = 0.5 * (K + np.swapaxes(K, 1, 2))
+    return stiffness_floor(K, clamp)
 
 
 def stiffness_floor(K, clamp=False):
@@ -238,7 +239,9 @@ def stiffness_floor(K, clamp=False):
     Only when one fails (or is not finite) does the decision fall to the
     minimum eigenvalue (eigvalsh): below the floor the schedule is
     rejected, or with clamp=True, a path for explicitly uncertified
-    (ablation) runs, floored pointwise through eigh.
+    (ablation) runs, floored pointwise through eigh.  A stack with a
+    non-finite entry (the flow overflowed) raises IntegrationDivergedError
+    in either mode.
     """
     shift = K_EIG_FLOOR * np.eye(K.shape[-1])
     try:
@@ -248,6 +251,8 @@ def stiffness_floor(K, clamp=False):
             return K
     except np.linalg.LinAlgError:
         pass
+    if not np.isfinite(K).all():
+        raise IntegrationDivergedError("stiffness flow diverged to a non-finite K")
     if np.linalg.eigvalsh(K)[..., 0].min() >= K_EIG_FLOOR:
         return K
     if not clamp:

@@ -11,7 +11,7 @@ command would leave the actuator box.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -78,11 +78,11 @@ class PolicyParams:
 class ExplorationNoise:
     """Per-block exploration standard deviations and their decay."""
 
-    sigma_traj: float = 8.0
-    sigma_k: float = 1.3
-    sigma_d: float = 0.6
-    decay: float = 0.98
-    seed: int = 0
+    sigma_traj: float
+    sigma_k: float
+    sigma_d: float
+    decay: float
+    seed: int
 
 
 def sample_noise(noise, policy, update, rollout_index, attempt=0):
@@ -112,13 +112,12 @@ class CostWeights:
     """Via-point tracking cost: stiffness and acceleration regularizers plus
     a Gaussian-kernel tracking weight centered at the via time."""
 
-    lam_k: float = 15e-7
-    lam_acc: float = 1e-3
-    w0: float = 0.2
-    gamma_via: float = 5e4
-    t_hat: float = 0.0
-    x_via: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    sigma_via: float = 0.25
+    lam_k: float
+    lam_acc: float
+    w0: float
+    gamma_via: float
+    t_hat: float
+    sigma_via: float
 
 
 def via_weight(t, weights):
@@ -180,7 +179,7 @@ def initial_policy(setup):
     """Min-jerk trajectory fit plus slack weights reproducing the constant
     isotropic stiffness/damping initialization."""
     theta_traj = fit_min_jerk(setup.start, setup.tgrid[-1], setup.dmp,
-                              dt=setup.dt)
+                              setup.dt)
     sp = constant_slack_params(setup.slack_basis, setup.m, setup.d_init,
                                setup.k_init, setup.alpha, setup.H)
     return PolicyParams(theta_traj=theta_traj, theta_d=sp.theta_d,
@@ -381,7 +380,7 @@ def rollout(policy, xi, setup):
 # PI2 update and training loop
 # ---------------------------------------------------------------------------
 
-def pi2_weights(costs, beta_softmax=20.0):
+def pi2_weights(costs, beta_softmax):
     """Min-max normalized exponential weights, decreasing in cost."""
     costs = np.asarray(costs, float)
     jmin, jmax = costs.min(), costs.max()
@@ -389,7 +388,7 @@ def pi2_weights(costs, beta_softmax=20.0):
     return w / w.sum()
 
 
-def pi2_update(policy, costs, noises, beta_softmax=20.0):
+def pi2_update(policy, costs, noises, beta_softmax):
     """Episodic PI2 (PI-BB) parameter update from the costs of certified
     rollouts and the exploration noise each one ran with."""
     if len(costs) == 0:
@@ -442,8 +441,8 @@ def _resampled_rollout(policy, noise, setup, u, r_idx):
                     f"{MAX_RESAMPLE_ATTEMPTS} attempts ({counts})") from exc
 
 
-def train(setup, policy=None, *, noise, updates=50, rollouts_per_update=12,
-          beta_softmax=20.0, rollout_hook=None):
+def train(setup, policy=None, *, noise, updates, rollouts_per_update,
+          beta_softmax, rollout_hook=None):
     """Run the full learning protocol; deterministic per noise seed.
 
     Rollouts rejected by the certified floor or the infeasible torque floor

@@ -4,6 +4,8 @@ The expensive artifacts (full training runs) are session-scoped and cached,
 so the acceptance tests and the unit tests share one computation.
 """
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,21 @@ from cgms.config import compile_setup, load_config
 from cgms.learning import MODE_UNCERTIFIED_AFTER_VIA, initial_policy, rollout, train
 
 
+HandoverTask = namedtuple("HandoverTask", "cfg setup noise")
+
+
 @pytest.fixture(scope="session")
-def handover_setup():
+def handover_task():
+    """The default configuration and its compiled (setup, noise).  Tests
+    take every hyperparameter from here, changed with dataclasses.replace,
+    rather than retype a default."""
     cfg = load_config()
-    setup, _ = compile_setup(cfg)
-    return setup
+    return HandoverTask(cfg, *compile_setup(cfg))
+
+
+@pytest.fixture(scope="session")
+def handover_setup(handover_task):
+    return handover_task.setup
 
 
 @pytest.fixture(scope="session")

@@ -5,11 +5,13 @@ run) are session fixtures shared with the unit tests, so the gate adds
 little beyond the checks themselves.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from cgms import cli
 from cgms.config import compile_setup, load_config
-from cgms.dmp import DmpParams, build_basis, fit_min_jerk, min_jerk, rollout_reference
+from cgms.dmp import build_basis, fit_min_jerk, min_jerk, rollout_reference
 from cgms.gains import SlackParams, integrate_cholesky_flow, slack_trace
 from cgms.governor import TorqueLimits, beta_star_detail
 from cgms.learning import PolicyParams, initial_policy, pi2_update, pi2_weights, rollout
@@ -163,21 +165,20 @@ def test_criterion_8_reproducibility(tmp_path):
             ok, f"{len(traces[0])} bytes compared")
 
 
-def test_criterion_9_component_oracles(monkeypatch):
+def test_criterion_9_component_oracles(monkeypatch, handover_task):
     # (a) the training rollout's closed loop, started off its reference,
     # reproduces the second-order error equation under its executed gains
     # over 5 s.
     offset_reference(monkeypatch, np.array([0.1, -0.05, 0.02]))
-    setup, _ = compile_setup(load_config())
+    setup = handover_task.setup
     ro = rollout(initial_policy(setup), None, setup)
     dev = error_equation_deviation(ro, setup.H)
     plant_ok = dev < 1e-5
     # (b) minimum-jerk fit round trip.
-    basis = build_basis(51, 0.95)
     start = np.array([0.55, 0.0, 0.11])
     goal = np.array([0.05, 0.72, 0.11])
-    params = DmpParams(tau=5.0, goal=goal, basis=basis)
-    theta = fit_min_jerk(start, 5.0, params)
+    params = replace(setup.dmp, tau=5.0, goal=goal)
+    theta = fit_min_jerk(start, 5.0, params, setup.dt)
     tgrid = np.arange(0.0, 5.0 + 5e-4, 1e-3)
     x, _, _ = rollout_reference(params, start, theta, tgrid)
     x_ref, _, _ = min_jerk(start, goal, 5.0, tgrid)
@@ -195,7 +196,8 @@ def test_criterion_9_component_oracles(monkeypatch):
     pol = rand_pol()
     xis = [rand_pol() for _ in range(5)]
     costs = [3.0, 1.0, 7.0, 2.0, 5.0]
-    new, w = pi2_update(pol, costs, xis)
+    beta = handover_task.cfg.learning_softmax_sharpness
+    new, w = pi2_update(pol, costs, xis, beta)
 
     def flat(p):
         return np.concatenate([p.theta_traj.ravel(), p.theta_d.ravel(),
@@ -207,7 +209,7 @@ def test_criterion_9_component_oracles(monkeypatch):
     pi2_ok = (np.all(w >= 0) and abs(w.sum() - 1.0) < 1e-12
               and np.allclose(step, hull, atol=1e-12)
               and np.all(np.diff(w[order]) <= 1e-15)
-              and np.allclose(pi2_weights([2.0, 2.0]), 0.5))
+              and np.allclose(pi2_weights([2.0, 2.0], beta), 0.5))
     ok = plant_ok and fit_ok and pi2_ok
     verdict(9, "plant, trajectory fit, and update-rule oracles agree",
             ok, f"controller deviation {dev:.2e}, fit error {fit_err:.2e}, "

@@ -2,8 +2,11 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
+from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from cgms.config import (
     save_config,
 )
 from cgms.errors import ConfigError
-from cgms.learning import ExplorationNoise, initial_policy, sample_noise
+from cgms.learning import MODE_UNCERTIFIED_AFTER_VIA, initial_policy, sample_noise
 
 SMALL_CONFIG = """\
 [run]
@@ -79,6 +82,48 @@ def test_scenario_geometry():
     assert np.array_equal(goal, SCENARIOS["s2"]["goal"])
     override = load_config(None, overrides={"scenario_goal": (0.1, 0.2, 0.3)})
     assert np.array_equal(override.geometry()[2], [0.1, 0.2, 0.3])
+
+
+# Keys that cmd_train reads itself; compile_setup never sees them.
+TRAIN_KEYS = {"run_updates", "run_rollouts", "learning_softmax_sharpness"}
+# Valid non-default values for the keys that are not numbers.
+OTHER_VALUE = {"run_scenario": "s1", "run_mode": MODE_UNCERTIFIED_AFTER_VIA,
+               "scenario_start": (0.5, 0.1, 0.2),
+               "scenario_via": (0.5, 0.1, 0.2),
+               "scenario_goal": (0.5, 0.1, 0.2)}
+
+
+def compiled_leaves(obj):
+    """Every array and scalar of a compiled setup or noise, in field order."""
+    if is_dataclass(obj):
+        return [x for f in fields(obj)
+                for x in compiled_leaves(getattr(obj, f.name))]
+    if isinstance(obj, tuple):
+        return [x for item in obj for x in compiled_leaves(item)]
+    return [np.asarray(obj)]
+
+
+def same_compile(a, b):
+    la, lb = compiled_leaves(a), compiled_leaves(b)
+    return len(la) == len(lb) and all(np.array_equal(x, y)
+                                      for x, y in zip(la, lb))
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig)
+                                 if f.name not in TRAIN_KEYS])
+def test_each_config_key_reaches_the_compiled_task(key, handover_task):
+    # With no library copy of a default left, a key that compile_setup
+    # dropped would leave the compiled (setup, noise) unchanged.
+    default = getattr(handover_task.cfg, key)
+    if key in OTHER_VALUE:
+        value = OTHER_VALUE[key]
+    else:
+        value = default + 1 if isinstance(default, int) else 0.9 * default
+    cfg = load_config(None, overrides={key: value})
+    assert getattr(cfg, key) != default
+    compiled = (handover_task.setup, handover_task.noise)
+    assert same_compile(compile_setup(handover_task.cfg), compiled)
+    assert not same_compile(compile_setup(cfg), compiled)
 
 
 def test_invalid_values_rejected():
@@ -183,6 +228,26 @@ def test_exit_code_infeasible_floor(tmp_path, capsys):
     rc = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_CERTIFICATION
     assert "InfeasibleFloorError x100" in capsys.readouterr().err
+
+
+def test_overflowing_stiffness_flow_exits_with_a_named_error(tmp_path):
+    # alpha = 100 passes validation, but over the 5 s horizon the stiffness
+    # flow grows by e^(2 alpha T) = e^1000 and overflows on the first
+    # rollout.  That used to end in numpy's LinAlgError traceback, exit 1.
+    path = tmp_path / "alpha.ini"
+    path.write_text("[gains]\nalpha = 100\nd_init = 300\n")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cgms.cli", "train", "--config", str(path),
+         "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == cli.EXIT_CERTIFICATION
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert "diverged" in lines[0] and "stiffness flow" in lines[0]
 
 
 @pytest.mark.parametrize("u_bar", ["-0.01", "nan", "inf"])
@@ -309,9 +374,9 @@ def test_certify_audits_the_ablation_schedule(tmp_path):
     # A slack that varies in time.  After the via time the ablation runs it
     # linearized about its via-time value, which leaves the certified cone;
     # certify must audit that executed schedule in the configured mode.
-    setup, _ = compile_setup(load_config(None))
+    setup, noise = compile_setup(load_config(None))
     pol = initial_policy(setup)
-    xi = sample_noise(ExplorationNoise(seed=5, sigma_traj=0.0), pol, 0, 1)
+    xi = sample_noise(replace(noise, seed=5, sigma_traj=0.0), pol, 0, 1)
     d = pol.to_dict()
     d["theta_d"] = (pol.theta_d + xi.theta_d).tolist()
     d["theta_k"] = (pol.theta_k + xi.theta_k).tolist()

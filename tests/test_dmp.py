@@ -5,15 +5,13 @@ the vectorized ``rollout_reference`` is checked against; the IIR-filter
 form of the same update is a second, whole-trajectory oracle.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
-from cgms.config import compile_setup, load_config
 from cgms.dmp import (
     REFERENCE_BLOCK,
-    DmpParams,
     RbfBasis,
     build_basis,
     fit_min_jerk,
@@ -21,7 +19,6 @@ from cgms.dmp import (
     rollout_reference,
 )
 from cgms.errors import DegenerateBasisError
-from cgms.learning import initial_policy
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +46,7 @@ def dmp_accel(params, theta, state):
     g = np.asarray(params.goal, float)
     rhs = (params.k * (g - state.x) - params.tau * params.d * state.xdot
            + s * forcing)
-    return rhs / (params.tau ** 2 * params.m_dmp)
+    return rhs / params.tau ** 2
 
 
 def dmp_step(params, theta, state, dt):
@@ -81,7 +78,7 @@ def lfilter_reference(params, start, theta, tgrid):
     dt = tgrid[1] - tgrid[0] if n > 1 else 0.0
     s_all = 1.0 - np.asarray(tgrid) / params.tau
     forcing = s_all[:, None] * (params.basis.eval(s_all) @ theta)   # (n, D)
-    scale = params.tau ** 2 * params.m_dmp
+    scale = params.tau ** 2
     g = np.asarray(params.goal, float)
     start = np.array(start, float)
     kd = params.tau * params.d * dt / scale
@@ -112,7 +109,7 @@ def longdouble_reference(params, start, theta, tgrid):
     dt = tgrid[1] - tgrid[0]
     s_all = 1.0 - np.asarray(tgrid) / params.tau
     forcing = s_all[:, None] * (params.basis.eval(s_all) @ theta)
-    scale = params.tau ** 2 * params.m_dmp
+    scale = params.tau ** 2
     kd = np.longdouble(params.tau * params.d * dt / scale)
     kk = np.longdouble(params.k * dt * dt / scale)
     w = ((dt * dt / scale) * (params.k * np.asarray(params.goal, float)
@@ -210,31 +207,30 @@ def test_build_basis_validation():
 # DMP dynamics
 # ---------------------------------------------------------------------------
 
-def test_forcing_free_dmp_converges_without_overshoot():
-    basis = build_basis(51, 0.95)
+def test_forcing_free_dmp_converges_without_overshoot(handover_setup):
     goal = np.array([0.5])
-    params = DmpParams(tau=5.0, goal=goal, basis=basis)
+    params = replace(handover_setup.dmp, tau=5.0, goal=goal)
     tgrid = np.arange(0.0, 5.0, 1e-3)
-    x, _, _ = rollout_reference(params, np.array([0.0]), np.zeros((51, 1)),
-                                tgrid)
+    x, _, _ = rollout_reference(params, np.array([0.0]),
+                                np.zeros((params.basis.count, 1)), tgrid)
     assert x.max() <= 0.5 + 1e-3 * 0.5       # no overshoot beyond 1e-3 of range
     assert abs(x[-1, 0] - 0.5) < 1e-2 * 0.5
 
 
-def test_dmp_stays_at_goal():
-    basis = build_basis(7, 0.7)
+def test_dmp_stays_at_goal(handover_setup):
     goal = np.array([0.3, -0.2])
-    params = DmpParams(tau=2.0, goal=goal, basis=basis)
+    params = replace(handover_setup.dmp, tau=2.0, goal=goal,
+                     basis=build_basis(7, 0.7))
     state = DmpState(x=goal.copy(), xdot=np.zeros(2), t=0.0)
     for _ in range(100):
         state, _ = dmp_step(params, np.zeros((7, 2)), state, 1e-3)
     assert np.abs(state.x - goal).max() < 1e-12
 
 
-def test_rollout_reference_matches_stepper():
-    basis = build_basis(7, 0.7)
+def test_rollout_reference_matches_stepper(handover_setup):
     rng = np.random.default_rng(3)
-    params = DmpParams(tau=1.0, goal=np.array([0.4, 0.1]), basis=basis)
+    params = replace(handover_setup.dmp, tau=1.0, goal=np.array([0.4, 0.1]),
+                     basis=build_basis(7, 0.7))
     theta = rng.standard_normal((7, 2))
     tgrid = np.arange(0.0, 1.0, 1e-3)
     x, xd, xdd = rollout_reference(params, np.array([0.0, 0.0]), theta, tgrid)
@@ -246,17 +242,14 @@ def test_rollout_reference_matches_stepper():
         assert np.abs(a - xdd[i]).max() < 1e-9
 
 
-def handover_reference_params():
-    setup, _ = compile_setup(load_config())
-    theta = initial_policy(setup).theta_traj
-    return setup.dmp, theta, setup.start, setup.tgrid
-
-
 @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 130, 257, 5001])
-def test_rollout_reference_matches_the_filter_at_block_edges(n):
+def test_rollout_reference_matches_the_filter_at_block_edges(
+        n, handover_setup, handover_policy):
     # n - 1 steps: one short block, one full block (129), one step past it.
     assert REFERENCE_BLOCK == 128
-    params, theta, start, tgrid = handover_reference_params()
+    params, start, tgrid = (handover_setup.dmp, handover_setup.start,
+                            handover_setup.tgrid)
+    theta = handover_policy.theta_traj
     new = rollout_reference(params, start, theta, tgrid[:n])
     old = lfilter_reference(params, start, theta, tgrid[:n])
     for a, b in zip(new, old):
@@ -266,10 +259,13 @@ def test_rollout_reference_matches_the_filter_at_block_edges(n):
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                     reason="longdouble is no wider than float here")
-def test_rollout_reference_tracks_an_extended_precision_run():
+def test_rollout_reference_tracks_an_extended_precision_run(
+        handover_setup, handover_policy):
     # The 5 s / 1 ms handover reference.  The filter form rounds
     # a1 = 2 - kk - kd with kk about 6e-6 and lands 2e-11 m away.
-    params, theta, start, tgrid = handover_reference_params()
+    params, start, tgrid = (handover_setup.dmp, handover_setup.start,
+                            handover_setup.tgrid)
+    theta = handover_policy.theta_traj
     x, _, _ = rollout_reference(params, start, theta, tgrid)
     exact = longdouble_reference(params, start, theta, tgrid)
     assert len(tgrid) == 5001
@@ -280,20 +276,18 @@ def test_rollout_reference_tracks_an_extended_precision_run():
 # min-jerk fit
 # ---------------------------------------------------------------------------
 
-def test_fit_zero_displacement_gives_zero_weights():
-    basis = build_basis(51, 0.95)
-    params = DmpParams(tau=5.0, goal=np.array([0.2, 0.2, 0.2]), basis=basis)
-    theta = fit_min_jerk(np.full(3, 0.2), 5.0, params)
+def test_fit_zero_displacement_gives_zero_weights(handover_setup):
+    params = replace(handover_setup.dmp, goal=np.array([0.2, 0.2, 0.2]))
+    theta = fit_min_jerk(np.full(3, 0.2), 5.0, params, handover_setup.dt)
     assert np.linalg.norm(theta) < 1e-8
 
 
-def test_fit_round_trip_rmse():
-    basis = build_basis(51, 0.95)
+def test_fit_round_trip_rmse(handover_setup):
     start = np.array([0.55, 0.00, 0.11])
     goal = np.array([0.05, 0.72, 0.11])
     T = 5.0
-    params = DmpParams(tau=T, goal=goal, basis=basis)
-    theta = fit_min_jerk(start, T, params)
+    params = replace(handover_setup.dmp, tau=T, goal=goal)
+    theta = fit_min_jerk(start, T, params, handover_setup.dt)
     tgrid = np.arange(0.0, T + 5e-4, 1e-3)
     x, _, _ = rollout_reference(params, start, theta, tgrid)
     x_ref, _, _ = min_jerk(start, goal, T, tgrid)
@@ -303,31 +297,30 @@ def test_fit_round_trip_rmse():
     assert np.linalg.norm(x[-1] - goal) < 1e-3
 
 
-def test_fit_endpoint_long_horizon():
-    basis = build_basis(51, 0.95)
+def test_fit_endpoint_long_horizon(handover_setup):
     start = np.array([0.55, 0.00, 0.11])
     goal = np.array([0.05, 0.72, 0.11])
     T = 10.0
-    params = DmpParams(tau=T, goal=goal, basis=basis)
-    theta = fit_min_jerk(start, T, params)
+    params = replace(handover_setup.dmp, tau=T, goal=goal)
+    theta = fit_min_jerk(start, T, params, handover_setup.dt)
     tgrid = np.arange(0.0, T + 5e-4, 1e-3)
     x, _, _ = rollout_reference(params, start, theta, tgrid)
     assert np.linalg.norm(x[-1] - goal) < 1e-3
 
 
-def test_nested_basis_monotonicity():
+def test_nested_basis_monotonicity(handover_setup):
     start = np.array([0.0, 0.0])
     goal = np.array([0.5, -0.3])
     T = 5.0
 
     def residual(M):
         basis = build_basis(M, 0.95)
-        params = DmpParams(tau=T, goal=goal, basis=basis)
-        theta = fit_min_jerk(start, T, params)
+        params = replace(handover_setup.dmp, tau=T, goal=goal, basis=basis)
+        theta = fit_min_jerk(start, T, params, handover_setup.dt)
         t = np.arange(0.0, T + 5e-4, 1e-3)
         x, xd, xdd = min_jerk(start, goal, T, t)
         s = 1.0 - t / T
-        scale = params.tau ** 2 * params.m_dmp
+        scale = params.tau ** 2
         target = (scale * xdd + params.tau * params.d * xd
                   - params.k * (goal - x))
         A = s[:, None] * basis.eval(s)

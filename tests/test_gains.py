@@ -10,7 +10,11 @@ import numpy as np
 import pytest
 
 from cgms.dmp import build_basis
-from cgms.errors import CertifiedFloorError, ContractViolationError
+from cgms.errors import (
+    CertifiedFloorError,
+    ContractViolationError,
+    IntegrationDivergedError,
+)
 from cgms.gains import (
     K_EIG_FLOOR,
     CertificateReport,
@@ -60,14 +64,15 @@ def short_schedule(sp, tgrid=np.arange(0.0, 0.01, 1e-3), tau=1.0):
 # ---------------------------------------------------------------------------
 
 def test_vec_triangle_scalar_and_zero():
-    assert np.array_equal(vec_triangle_inverse(np.array([3.0])), [[3.0]])
-    assert np.array_equal(vec_triangle_inverse(np.zeros(6)), np.zeros((3, 3)))
+    assert np.array_equal(vec_triangle_inverse(np.array([3.0]), 1), [[3.0]])
+    assert np.array_equal(vec_triangle_inverse(np.zeros(6), 3),
+                          np.zeros((3, 3)))
 
 
 def test_vec_triangle_round_trip(rng):
     for m in (1, 2, 3, 5):
         v = rng.standard_normal(tri_dim(m))
-        L = vec_triangle_inverse(v)
+        L = vec_triangle_inverse(v, m)
         assert np.array_equal(vec_triangle(L), v)
         assert np.array_equal(np.triu(L, 1), np.zeros((m, m)))
 
@@ -75,7 +80,7 @@ def test_vec_triangle_round_trip(rng):
 def test_vec_triangle_ordering():
     # Diagonal entries first, then strict lower triangle column-major.
     v = np.arange(1.0, 7.0)
-    L = vec_triangle_inverse(v)
+    L = vec_triangle_inverse(v, 3)
     expected = np.array([[1.0, 0.0, 0.0],
                          [4.0, 2.0, 0.0],
                          [5.0, 6.0, 3.0]])
@@ -84,7 +89,7 @@ def test_vec_triangle_ordering():
 
 def test_vec_triangle_wrong_length():
     with pytest.raises(ValueError):
-        vec_triangle_inverse(np.zeros(5))
+        vec_triangle_inverse(np.zeros(5), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +369,34 @@ def test_floor_check_finds_one_bad_sample(bad, rng):
 
 
 def test_floor_check_passes_no_nan_stack(rng):
-    # Cholesky carries a NaN through without failing; the stack still goes
-    # to eigvalsh, which raises on it.
+    # Cholesky carries a NaN through without failing; the fallback names
+    # the non-finite stack before eigvalsh sees it.
     K = stacks_with_min_eigenvalue(rng, 10, 1.0)
     K[4] = np.nan
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(IntegrationDivergedError, match="stiffness flow"):
         stiffness_floor(K)
+
+
+@pytest.mark.parametrize("clamp", [False, True])
+@pytest.mark.parametrize("bad", ["inf_matrix", "one_nan_pair"])
+def test_floor_names_a_non_finite_stack(bad, clamp, rng):
+    # An overflowed matrix, or one NaN entry (mirrored, as the stack is
+    # symmetric), is a diverged flow in either mode: not a floor rejection
+    # to resample, and not a clamped schedule.
+    K = stacks_with_min_eigenvalue(rng, 10, 1.0)
+    if bad == "inf_matrix":
+        K[4] = np.inf
+    else:
+        K[4, 1, 2] = K[4, 2, 1] = np.nan
+    with pytest.raises(IntegrationDivergedError, match="stiffness flow"):
+        stiffness_floor(K, clamp=clamp)
+
+
+def test_flow_overflow_raises_integration_diverged():
+    # alpha = 100 over 5 s: the growth e^(2 alpha T) = e^1000 overflows.
+    with pytest.raises(IntegrationDivergedError, match="stiffness flow"):
+        integrate_cholesky_flow(np.zeros((5001, 3, 3)), 100.0,
+                                200.0 * np.eye(3), 1e-3)
 
 
 def test_flow_step_rejects_floor():

@@ -19,8 +19,6 @@ from cgms.governor import TorqueLimits, beta_star_detail
 from cgms.learning import (
     MAX_RESAMPLE_ATTEMPTS,
     MODE_UNCERTIFIED_AFTER_VIA,
-    CostWeights,
-    ExplorationNoise,
     PolicyParams,
     decay_covariance,
     initial_policy,
@@ -67,17 +65,18 @@ def test_policy_dict_round_trip(rng):
 # Exploration noise
 # ---------------------------------------------------------------------------
 
-def test_zero_sigma_noise(rng):
+def test_zero_sigma_noise(rng, handover_task):
     pol = random_policy(rng)
-    noise = ExplorationNoise(sigma_traj=0.0, sigma_k=0.0, sigma_d=0.0)
+    noise = replace(handover_task.noise, sigma_traj=0.0, sigma_k=0.0,
+                    sigma_d=0.0)
     xi = sample_noise(noise, pol, 0, 0)
     assert np.array_equal(xi.theta_traj, np.zeros((51, 3)))
     assert np.array_equal(xi.theta_d, np.zeros((7, 6)))
 
 
-def test_noise_determinism(rng):
+def test_noise_determinism(rng, handover_task):
     pol = random_policy(rng)
-    noise = ExplorationNoise(seed=7)
+    noise = replace(handover_task.noise, seed=7)
     a = sample_noise(noise, pol, 3, 5)
     b = sample_noise(noise, pol, 3, 5)
     assert np.array_equal(a.theta_traj, b.theta_traj)
@@ -88,29 +87,31 @@ def test_noise_determinism(rng):
     assert not np.array_equal(a.theta_traj, d.theta_traj)
 
 
-def test_noise_statistics(rng):
-    # 1e4 draws of the trajectory block: sample std within 3% of 8.0.
+def test_noise_statistics(rng, handover_task):
+    # 1e4 draws of the trajectory block: sample std within 3% of sigma_traj.
     pol = PolicyParams(theta_traj=np.zeros((10, 1)),
                        theta_d=np.zeros((7, 6)), theta_k=np.zeros((7, 6)))
-    noise = ExplorationNoise(seed=0)
+    noise = replace(handover_task.noise, seed=0)
+    sigma = noise.sigma_traj
     draws = np.concatenate([
         sample_noise(noise, pol, 0, r).theta_traj.ravel() for r in range(1000)
     ])
     assert len(draws) == 10000
-    assert abs(draws.std() - 8.0) / 8.0 < 0.03
-    assert abs(draws.mean()) < 0.3
+    assert abs(draws.std() - sigma) / sigma < 0.03
+    assert abs(draws.mean()) < 0.0375 * sigma
 
 
-def test_decay_covariance():
-    noise = ExplorationNoise()
+def test_decay_covariance(handover_task):
+    noise = handover_task.noise
+    sigma, decay = noise.sigma_traj, noise.decay
     n1 = decay_covariance(noise)
-    assert abs(n1.sigma_traj - 8.0 * np.sqrt(0.98)) < 1e-12
+    assert abs(n1.sigma_traj - sigma * np.sqrt(decay)) < 1e-12
     n = noise
     for _ in range(50):
         n = decay_covariance(n)
-    assert abs((n.sigma_traj / 8.0) ** 2 - 0.98 ** 50) < 1e-12
-    assert abs(0.98 ** 50 - 0.364) < 5e-3
-    zero = ExplorationNoise(sigma_traj=0.0, sigma_k=0.0, sigma_d=0.0)
+    assert abs((n.sigma_traj / sigma) ** 2 - decay ** 50) < 1e-12
+    assert abs(decay ** 50 - 0.364) < 5e-3
+    zero = replace(noise, sigma_traj=0.0, sigma_k=0.0, sigma_d=0.0)
     assert decay_covariance(zero).sigma_traj == 0.0
 
 
@@ -118,88 +119,93 @@ def test_decay_covariance():
 # Cost
 # ---------------------------------------------------------------------------
 
-def test_via_weight_closed_forms():
-    w = CostWeights(t_hat=2.0, sigma_via=0.25)
-    assert abs(via_weight(2.0, w) - (0.2 + 5e4)) < 1e-9
-    assert abs(via_weight(10.0, w) - 0.2) < 1e-9
-    assert abs(via_weight(2.25, w) - (0.2 + 5e4 * np.exp(-0.5))) < 1e-9
+def test_via_weight_closed_forms(handover_setup):
+    w = replace(handover_setup.weights, t_hat=2.0, sigma_via=0.25)
+    w0, gamma = w.w0, w.gamma_via
+    assert abs(via_weight(2.0, w) - (w0 + gamma)) < 1e-9
+    assert abs(via_weight(10.0, w) - w0) < 1e-9
+    assert abs(via_weight(2.25, w) - (w0 + gamma * np.exp(-0.5))) < 1e-9
     with pytest.raises(ValueError):
-        via_weight(0.0, CostWeights(sigma_via=0.0))
+        via_weight(0.0, replace(w, sigma_via=0.0))
 
 
-def test_cost_zero_when_everything_zero():
+def test_cost_zero_when_everything_zero(handover_setup):
     for n in (100, 0):
         t = np.arange(n) * 1e-3
         z = np.zeros((n, 3))
         K = np.zeros((n, 3, 3))
-        w = CostWeights(t_hat=0.05)
+        w = replace(handover_setup.weights, t_hat=0.05)
         J, terms = trajectory_cost(t, z, z, z, K, w)
         assert J == 0.0
         assert terms == {"cost_K": 0.0, "cost_acc": 0.0, "cost_track": 0.0}
 
 
-def test_cost_constant_stiffness_arithmetic():
-    # K = 200 I3 over 1000 steps: J = 15e-7 * 600 * 1000 = 0.9.
+def test_cost_constant_stiffness_arithmetic(handover_setup):
+    # K = 200 I3 over 1000 steps: J = lam_k * 600 * 1000.
     n = 1000
     t = np.arange(n) * 1e-3
     z = np.zeros((n, 3))
     K = np.tile(200.0 * np.eye(3), (n, 1, 1))
-    w = CostWeights(t_hat=0.5)
+    w = replace(handover_setup.weights, t_hat=0.5)
     J, terms = trajectory_cost(t, z, z, z, K, w)
-    assert abs(J - 0.9) < 1e-12
-    assert abs(terms["cost_K"] - 0.9) < 1e-12
+    assert abs(J - w.lam_k * 6e5) < 1e-12
+    assert abs(terms["cost_K"] - w.lam_k * 6e5) < 1e-12
 
 
-def test_cost_tracking_quadratic(rng):
+def test_cost_tracking_quadratic(rng, handover_setup):
     n = 200
     t = np.arange(n) * 1e-3
     x = rng.standard_normal((n, 3))
     z = np.zeros((n, 3))
     K = np.zeros((n, 3, 3))
-    w = CostWeights(t_hat=0.1)
+    w = replace(handover_setup.weights, t_hat=0.1)
     J1, _ = trajectory_cost(t, x, z, z, K, w)
     J2, _ = trajectory_cost(t, 2 * x, z, z, K, w)
     assert abs(J2 - 4 * J1) < 1e-8 * max(J1, 1.0)
 
 
-def test_cost_length_mismatch():
+def test_cost_length_mismatch(handover_setup):
     t = np.arange(10) * 1e-3
     with pytest.raises(ValueError):
         trajectory_cost(t, np.zeros((9, 3)), np.zeros((10, 3)),
                         np.zeros((10, 3)), np.zeros((10, 3, 3)),
-                        CostWeights())
+                        handover_setup.weights)
 
 
 # ---------------------------------------------------------------------------
 # PI2 update
 # ---------------------------------------------------------------------------
 
-def test_weights_uniform_when_costs_equal():
-    w = pi2_weights([5.0, 5.0, 5.0])
+def test_weights_uniform_when_costs_equal(handover_task):
+    beta = handover_task.cfg.learning_softmax_sharpness
+    w = pi2_weights([5.0, 5.0, 5.0], beta)
     assert np.allclose(w, 1.0 / 3.0)
 
 
-def test_weights_monotone(rng):
+def test_weights_monotone(rng, handover_task):
+    beta = handover_task.cfg.learning_softmax_sharpness
     for _ in range(20):
         costs = rng.uniform(0.0, 100.0, 6)
-        w = pi2_weights(costs)
+        w = pi2_weights(costs, beta)
         assert abs(w.sum() - 1.0) < 1e-12
         order = np.argsort(costs)
         assert np.all(np.diff(w[order]) <= 1e-15)
 
 
-def test_update_single_rollout(rng):
+def test_update_single_rollout(rng, handover_task):
     pol = random_policy(rng)
     xi = random_policy(rng)
-    new, w = pi2_update(pol, [3.0], [xi])
+    new, w = pi2_update(pol, [3.0], [xi],
+                        handover_task.cfg.learning_softmax_sharpness)
     assert np.allclose(new.theta_traj, pol.theta_traj + xi.theta_traj)
     assert np.allclose(w, [1.0])
 
 
-def test_update_in_convex_hull(rng):
+def test_update_in_convex_hull(rng, handover_task):
+    beta = handover_task.cfg.learning_softmax_sharpness
     pol = random_policy(rng)
     xis = [random_policy(rng) for _ in range(3)]
-    new, w = pi2_update(pol, [1.0, 2.0, 10.0], xis)
+    new, w = pi2_update(pol, [1.0, 2.0, 10.0], xis, beta)
     assert np.all(w >= 0) and abs(w.sum() - 1.0) < 1e-12
     assert w[0] > w[1] > w[2]
 
@@ -215,9 +221,9 @@ def test_update_in_convex_hull(rng):
                            + w[2] * xis[2].theta_d)
     assert np.array_equal(new.theta_d, moved)
     with pytest.raises(ValueError):
-        pi2_update(pol, [], [])
+        pi2_update(pol, [], [], beta)
     with pytest.raises(ValueError):
-        pi2_update(pol, [1.0, 2.0], xis)
+        pi2_update(pol, [1.0, 2.0], xis, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +240,9 @@ def test_initial_rollout_certificate(handover_setup, nominal_rollout):
     assert np.linalg.norm(ro.x[-1] - handover_setup.dmp.goal) < 1e-3
 
 
-def test_rollout_determinism(handover_setup, handover_policy):
-    noise = ExplorationNoise(seed=11)
+def test_rollout_determinism(handover_setup, handover_policy,
+                             handover_task):
+    noise = replace(handover_task.noise, seed=11)
     xi = sample_noise(noise, handover_policy, 2, 4)
     a = rollout(handover_policy, xi, handover_setup)
     b = rollout(handover_policy, xi, handover_setup)
@@ -244,8 +251,9 @@ def test_rollout_determinism(handover_setup, handover_policy):
     assert a.cost == b.cost
 
 
-def test_noisy_rollout_still_certified(handover_setup, handover_policy):
-    noise = ExplorationNoise(seed=5)
+def test_noisy_rollout_still_certified(handover_setup, handover_policy,
+                                      handover_task):
+    noise = replace(handover_task.noise, seed=5)
     for r in range(5):
         xi = sample_noise(noise, handover_policy, 0, r)
         ro = rollout(handover_policy, xi, handover_setup)
@@ -308,9 +316,9 @@ def governed_scenario(monkeypatch):
     Returns (setup with that box, policy, noise, free run under a 1e3 N box).
     """
     offset_reference(monkeypatch, np.array([0.01, -0.01, 0.01]))
-    setup, _ = compile_setup(load_config(overrides={"run_horizon": 1.0}))
+    setup, noise = compile_setup(load_config(overrides={"run_horizon": 1.0}))
     policy = initial_policy(setup)
-    xi = sample_noise(ExplorationNoise(sigma_traj=0.0), policy, 0, 0, 0)
+    xi = sample_noise(replace(noise, sigma_traj=0.0), policy, 0, 0, 0)
     free = rollout(policy, xi,
                    replace(setup, limits=TorqueLimits.box(1e3, setup.m)))
     assert np.all(free.beta == 1.0) and free.saturation_events == []
@@ -414,9 +422,10 @@ def model_terms_setup():
 @pytest.mark.parametrize("case", ["noisy", "offset", "model_terms",
                                   "governed", "stiff"])
 def test_affine_rollout_matches_per_step_loop(case, monkeypatch,
-                                              handover_setup, handover_policy):
+                                              handover_setup, handover_policy,
+                                              handover_task):
     if case == "noisy":
-        noise = ExplorationNoise(seed=3)
+        noise = replace(handover_task.noise, seed=3)
         runs = [(handover_policy, sample_noise(noise, handover_policy, 0, r),
                  handover_setup) for r in range(4)]
     elif case == "offset":
@@ -581,13 +590,14 @@ def test_offset_reference_leaves_the_verdict_to_the_governed_loop(
 
 @pytest.mark.parametrize("block", ["policy", "noise"])
 def test_nan_reference_raises_integration_diverged(block, handover_setup,
-                                                   handover_policy):
+                                                   handover_policy,
+                                                   handover_task):
     # A NaN torque passes the box test (every comparison is false), so
     # only the finiteness check keeps it from reaching the cost.
     bad = handover_policy.theta_traj.copy()
     bad[5, 1] = np.nan
-    pol, xi = handover_policy, sample_noise(ExplorationNoise(seed=1),
-                                            handover_policy, 0, 0)
+    pol = handover_policy
+    xi = sample_noise(replace(handover_task.noise, seed=1), pol, 0, 0)
     if block == "policy":
         pol = replace(pol, theta_traj=bad)
     else:
@@ -597,10 +607,12 @@ def test_nan_reference_raises_integration_diverged(block, handover_setup,
 
 
 def test_rollout_runs_the_sample_of_policy_and_noise(handover_setup,
-                                                    handover_policy):
+                                                    handover_policy,
+                                                    handover_task):
     # A rollout forms its sample once: running the policy with noise xi is
     # running the sample policy + xi without noise, bit for bit.
-    xi = sample_noise(ExplorationNoise(seed=4), handover_policy, 1, 2)
+    noise = replace(handover_task.noise, seed=4)
+    xi = sample_noise(noise, handover_policy, 1, 2)
     a = rollout(handover_policy, xi, handover_setup)
     b = rollout(plus(handover_policy, xi), None, handover_setup)
     for name in ("x", "x_d", "torque", "beta"):
@@ -614,13 +626,15 @@ def test_rollout_runs_the_sample_of_policy_and_noise(handover_setup,
 
 
 def test_ablation_linearizes_about_the_noise_free_policy(handover_setup,
-                                                         handover_policy):
+                                                         handover_policy,
+                                                         handover_task):
     # The ablation's linearization point is the slack of the policy without
     # its noise.  Running the sample policy + xi as a noise-free policy moves
     # that point onto the sample: the schedules agree up to the via time
     # and differ at every step after it.
     setup = replace(handover_setup, mode=MODE_UNCERTIFIED_AFTER_VIA)
-    xi = sample_noise(ExplorationNoise(seed=4), handover_policy, 1, 2)
+    noise = replace(handover_task.noise, seed=4)
+    xi = sample_noise(noise, handover_policy, 1, 2)
     sample = plus(handover_policy, xi)
     a = rollout(handover_policy, xi, setup)
     b = rollout(sample, None, setup)
@@ -692,7 +706,8 @@ def test_train_gives_up_with_the_rejecting_class():
     cfg = load_config(overrides={"run_horizon": 0.5, "governor_limit": 1e-6})
     setup, noise = compile_setup(cfg)
     with pytest.raises(InfeasibleFloorError) as info:
-        train(setup, noise=noise, updates=1, rollouts_per_update=1)
+        train(setup, noise=noise, updates=1, rollouts_per_update=1,
+              beta_softmax=cfg.learning_softmax_sharpness)
     msg = str(info.value)
     assert f"{MAX_RESAMPLE_ATTEMPTS} attempts" in msg
     assert f"InfeasibleFloorError x{MAX_RESAMPLE_ATTEMPTS}" in msg
@@ -701,7 +716,8 @@ def test_train_gives_up_with_the_rejecting_class():
 
 def test_train_keeps_no_finished_rollout():
     # Each hook call counts the earlier rollouts of the run still alive.
-    setup, noise = compile_setup(load_config(overrides={"run_horizon": 1.0}))
+    cfg = load_config(overrides={"run_horizon": 1.0})
+    setup, noise = compile_setup(cfg)
     refs, live = [], []
 
     def hook(update, r_idx, ro):
@@ -710,6 +726,7 @@ def test_train_keeps_no_finished_rollout():
         refs.append(weakref.ref(ro))
 
     result = train(setup, noise=noise, updates=2, rollouts_per_update=4,
+                   beta_softmax=cfg.learning_softmax_sharpness,
                    rollout_hook=hook)
     assert live == [0] * 9
     # The last one is the noise-free evaluation of the final policy.
@@ -717,9 +734,11 @@ def test_train_keeps_no_finished_rollout():
 
 
 def test_train_with_no_updates_only_evaluates():
-    setup, noise = compile_setup(load_config(overrides={"run_horizon": 1.0}))
+    cfg = load_config(overrides={"run_horizon": 1.0})
+    setup, noise = compile_setup(cfg)
     calls = []
     result = train(setup, noise=noise, updates=0, rollouts_per_update=4,
+                   beta_softmax=cfg.learning_softmax_sharpness,
                    rollout_hook=lambda *call: calls.append(call))
     rows = result.trace_rows()
     assert [(r["update"], r["rollout"]) for r in rows] == [(0, 0)]
