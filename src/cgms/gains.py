@@ -233,16 +233,19 @@ def stiffness_floor(K, clamp=False):
     """Check a symmetric (n, m, m) stiffness stack against the positivity
     floor K_EIG_FLOOR and return it.
 
-    Batched Cholesky factorizations of K - K_EIG_FLOOR I pass every stack
-    that clears the floor; FLOOR_BLOCK matrices at a time, so the shifted
-    copies and factors add nothing to the peak memory of a schedule build.
-    Only when one fails (or is not finite) does the decision fall to the
-    minimum eigenvalue (eigvalsh): below the floor the schedule is
-    rejected, or with clamp=True, a path for explicitly uncertified
-    (ablation) runs, floored pointwise through eigh.  A stack with a
-    non-finite entry (the flow overflowed) raises IntegrationDivergedError
-    in either mode.
+    A stack with a non-finite entry anywhere (the flow overflowed) raises
+    IntegrationDivergedError in either mode; the test comes first, since
+    Cholesky reads only the lower triangle.  Batched Cholesky
+    factorizations of K - K_EIG_FLOOR I pass every stack that clears the
+    floor; FLOOR_BLOCK matrices at a time, so the shifted copies and
+    factors add nothing to the peak memory of a schedule build.  Only when
+    one fails (or is not finite) does the decision fall to the minimum
+    eigenvalue (eigvalsh): below the floor the schedule is rejected, or
+    with clamp=True, a path for explicitly uncertified (ablation) runs,
+    floored pointwise through eigh.
     """
+    if not np.isfinite(K).all():
+        raise IntegrationDivergedError("stiffness flow diverged to a non-finite K")
     shift = K_EIG_FLOOR * np.eye(K.shape[-1])
     try:
         factors = (np.linalg.cholesky(K[i:i + FLOOR_BLOCK] - shift)
@@ -251,8 +254,6 @@ def stiffness_floor(K, clamp=False):
             return K
     except np.linalg.LinAlgError:
         pass
-    if not np.isfinite(K).all():
-        raise IntegrationDivergedError("stiffness flow diverged to a non-finite K")
     if np.linalg.eigvalsh(K)[..., 0].min() >= K_EIG_FLOOR:
         return K
     if not clamp:

@@ -49,21 +49,19 @@ class TorqueLimits:
 
 def beta_star_detail(tau0, tau1, limits):
     """Largest beta in [0, 1] keeping tau0 + beta tau1 inside the box,
-    plus the binding joint (None when beta = 1).
+    plus the binding joint, the first with the least bound (None when
+    beta = 1).
 
-    Joints with zero slope impose no bound.  An infeasible tau0 (the beta=0
-    floor already saturates) raises rather than clamping.
+    Joints whose slope is NaN or within ZERO_SLOPE_TOL of zero impose no
+    bound.  An infeasible tau0 (the beta=0 floor already saturates) raises
+    rather than clamping.
     """
     if not limits.contains(tau0, tol=BOX_TOL):
         raise InfeasibleFloorError("torque at beta = 0 violates the box limits")
-    beta, joint = 1.0, None
-    for i in range(len(tau0)):
-        if tau1[i] > ZERO_SLOPE_TOL:
-            bound = (limits.tau_max[i] - tau0[i]) / tau1[i]
-        elif tau1[i] < -ZERO_SLOPE_TOL:
-            bound = (limits.tau_min[i] - tau0[i]) / tau1[i]
-        else:
-            continue
-        if bound < beta:
-            beta, joint = bound, i
-    return float(min(max(beta, 0.0), 1.0)), joint
+    room = np.where(tau1 > 0, limits.tau_max, limits.tau_min) - tau0
+    bound = np.divide(room, tau1, out=np.full(len(tau0), np.inf),
+                      where=np.abs(tau1) > ZERO_SLOPE_TOL)
+    joint = int(bound.argmin())
+    if not bound[joint] < 1.0:
+        return 1.0, None
+    return max(float(bound[joint]), 0.0), joint

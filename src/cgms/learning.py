@@ -240,42 +240,6 @@ def sampled_schedule(setup, policy, sample):
                                   clamp=clamp)
 
 
-def _governed_tail(j, setup, x_trace, v, tau_trace, beta_trace, sched,
-                   x_d, xd_d, u_ff, AHi, AD1, AK1, Minv, a_bias):
-    """Per-step loop with the governor from step j on: rewrites rows j.. of
-    the traces and, in place, blends every array of the schedule toward the
-    certified floor by beta on governed steps; returns events."""
-    tg, dt, lim, alpha = setup.tgrid, setup.dt, setup.limits, setup.alpha
-    K_floor = (np.exp(2.0 * alpha * tg)[:, None, None]
-               * (setup.k_init * np.eye(setup.m)))
-    D_floor = alpha * setup.H
-    events = []
-    x_cur, v_cur = x_trace[j], v[j]
-    for i in range(j, len(tg)):
-        xt = x_cur - x_d[i]
-        xtd = v_cur - xd_d[i]
-        tau = u_ff[i] - AD1[i] @ xtd - AK1[i] @ xt
-        if ((tau < lim.tau_min) | (tau > lim.tau_max)).any():
-            tau0 = u_ff[i] - AHi @ (D_floor @ xtd + K_floor[i] @ xt)
-            tau1 = tau - tau0
-            beta, binding = beta_star_detail(tau0, tau1, lim)
-            if binding is not None:
-                events.append({"t": float(tg[i]), "joint": binding,
-                               "beta_star": beta, "limited": True})
-            tau = tau0 + beta * tau1
-            for arr, floor in ((sched.K, K_floor[i]),
-                               (sched.Kdot, 2.0 * alpha * K_floor[i]),
-                               (sched.D, D_floor), (sched.Ddot, 0.0),
-                               (sched.lam_A, 0.0), (sched.lam_C, 0.0)):
-                arr[i] = floor + beta * (arr[i] - floor)
-            beta_trace[i] = beta
-        x_trace[i] = x_cur
-        tau_trace[i] = tau
-        v_cur = v_cur + (Minv @ tau + a_bias) * dt
-        x_cur = x_cur + v_cur * dt
-    return events
-
-
 def _check_feedforward(u_ff, tgrid, limits):
     """Raise InfeasibleFloorError naming the first step and joint whose
     torque is out of the box by more than BOX_TOL.  As in the rollout loop,
@@ -312,11 +276,12 @@ def rollout(policy, xi, setup):
     nor in the pointwise certificate.
 
     The closed loop takes one of two paths.  At beta = 1 the semi-implicit
-    Euler loop is affine in s = (x, v, 1): s[i+1] = T[i] s[i] with
-    precomputed maps, and torques and accelerations are batched.  That run
-    stands if every torque is in the box; else _governed_tail steps the loop
-    with the governor from the first step j out of it; rows before j and
-    state j depend only on earlier steps, so they stand.
+    Euler loop is affine in s = (x, v, 1): s[i+1] = T[i] s[i] with the
+    maps of step_maps, and the torques of the control law are batched.  That
+    run stands if every torque is in the box; else the loop is stepped again
+    from the first step j out of it, and on each step out of the box the
+    governor blends the gains and T[i] is rebuilt from them; rows before j
+    and state j depend only on earlier steps, so they stand.
     """
     tg = setup.tgrid
     n = len(tg)
@@ -342,29 +307,56 @@ def rollout(policy, xi, setup):
     beta_trace = np.ones(n)
     Minv = np.linalg.inv(Lam)
     AHi = A @ np.linalg.inv(setup.H)
-    AD1 = AHi @ sched.D                           # batched (n, ., m)
-    AK1 = AHi @ sched.K
     a_bias = -Minv @ setup.model.gravity_wrench
-    # beta = 1: a = b - Minv (AK1 x + AD1 v), v' = v + dt a, x' = x + dt v'.
-    mv = lambda M, x: np.einsum("nij,nj->ni", M, x)
-    b = (u_ff + mv(AD1, xd_d) + mv(AK1, x_d)) @ Minv.T + a_bias
-    T = np.zeros((n - 1, 2 * m + 1, 2 * m + 1))
-    T[:, m:-1, :m] = -dt * (Minv @ AK1[:-1])
-    T[:, m:-1, m:-1] = -dt * (Minv @ AD1[:-1])
-    T[:, m:-1, -1] = dt * b[:-1]
-    T += np.eye(2 * m + 1)
-    T[:, :m] += dt * T[:, m:-1]
+    mv = lambda M, x: np.einsum("...ij,...j->...i", M, x)
+
+    def torque(i, K, D, s):
+        """The control law at steps i for gains K, D and states s."""
+        return (u_ff[i] - mv(AHi @ D, s[..., m:-1] - xd_d[i])
+                - mv(AHi @ K, s[..., :m] - x_d[i]))
+
+    def step_maps(i, K, D):
+        """s' = T s at steps i: v' = v + dt a(s), x' = x + dt v'."""
+        AK, AD = AHi @ K, AHi @ D
+        b = (u_ff[i] + mv(AD, xd_d[i]) + mv(AK, x_d[i])) @ Minv.T + a_bias
+        T = np.zeros(b.shape[:-1] + (2 * m + 1, 2 * m + 1))
+        T[..., m:-1, :m] = -dt * (Minv @ AK)
+        T[..., m:-1, m:-1] = -dt * (Minv @ AD)
+        T[..., m:-1, -1] = dt * b
+        T += np.eye(2 * m + 1)
+        T[..., :m, :] += dt * T[..., m:-1, :]
+        return T
+
+    T = step_maps(slice(None), sched.K, sched.D)
     s = np.empty((n, 2 * m + 1))
     s[0] = np.r_[state.x, state.xdot, 1.0]
     for Ti, si, s_next in zip(T, s, s[1:]):
         np.matmul(Ti, si, out=s_next)
-    x_trace, v = s[:, :m], s[:, m:-1]
-    tau_trace = u_ff - mv(AD1, v - xd_d) - mv(AK1, x_trace - x_d)
+    x_trace = s[:, :m]
+    tau_trace = torque(slice(None), sched.K, sched.D, s)
     lim = setup.limits
     out = ((tau_trace < lim.tau_min) | (tau_trace > lim.tau_max)).any(axis=1)
-    events = [] if not out.any() else _governed_tail(
-        int(out.argmax()), setup, x_trace, v, tau_trace, beta_trace, sched,
-        x_d, xd_d, u_ff, AHi, AD1, AK1, Minv, a_bias)
+    events = []
+    alpha, D_floor = setup.alpha, setup.alpha * setup.H
+    for i in range(int(out.argmax()) if out.any() else n, n):
+        tau_trace[i] = tau = torque(i, sched.K[i], sched.D[i], s[i])
+        if ((tau < lim.tau_min) | (tau > lim.tau_max)).any():
+            K_floor = np.exp(2.0 * alpha * tg[i]) * (setup.k_init * np.eye(m))
+            tau0 = torque(i, K_floor, D_floor, s[i])
+            beta, binding = beta_star_detail(tau0, tau - tau0, lim)
+            if binding is not None:
+                events.append({"t": float(tg[i]), "joint": binding,
+                               "beta_star": beta, "limited": True})
+            tau_trace[i] = tau0 + beta * (tau - tau0)
+            for arr, floor in ((sched.K, K_floor),
+                               (sched.Kdot, 2.0 * alpha * K_floor),
+                               (sched.D, D_floor), (sched.Ddot, 0.0),
+                               (sched.lam_A, 0.0), (sched.lam_C, 0.0)):
+                arr[i] = floor + beta * (arr[i] - floor)
+            beta_trace[i] = beta
+            T[i] = step_maps(i, sched.K[i], sched.D[i])
+        if i + 1 < n:
+            np.matmul(T[i], s[i], out=s[i + 1])
     if not np.all(np.isfinite(x_trace)):
         raise IntegrationDivergedError("rollout state diverged")
 

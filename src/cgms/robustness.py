@@ -131,9 +131,12 @@ def inputs_from_schedule(schedule, u_bar, optimize=False):
                 h_max=float(h_eigs.max()), k_lower=float(k_eigs.min()),
                 k_upper=float(k_eigs.max()), d_upper=float(d_norm),
                 eps_D=eps_D, eps_K=eps_K, u_bar=u_bar)
+    default = RobustnessInputs(gamma=eps_D / 2, eta=eps_D / 4, **base)
     if not optimize:
-        return RobustnessInputs(gamma=eps_D / 2, eta=eps_D / 4, **base)
-    best, best_c1 = None, -np.inf
+        return default
+    # With no admissible pair the default stands, so that the error names
+    # the failing inequality.
+    best, best_c1 = default, -np.inf
     for gfrac in np.linspace(0.05, 0.95, 19):
         g = gfrac * eps_D
         # c1 never grows with eta and admissibility does not depend on it,
@@ -145,10 +148,6 @@ def inputs_from_schedule(schedule, u_bar, optimize=False):
             continue
         if res.c1 > best_c1:
             best, best_c1 = cand, res.c1
-    if best is None:
-        # No admissible pair: report the default so the error names the
-        # failing inequality.
-        return RobustnessInputs(gamma=eps_D / 2, eta=eps_D / 4, **base)
     return best
 
 
@@ -181,21 +180,21 @@ def simulate_error_dynamics(schedule, residuals, z0=None):
     of shape (n, m), are xt and xtd under residual r on the schedule grid.
 
     The dynamics are linear, so each RK4 step is an affine map
-    s[i+1] = Phi[i] s[i] + g[i] of s = (xt, xtd).  With A the homogeneous
-    field at t_i, the half-step and t_{i+1} (A1, A2, A3), Phi = I + h/6 (P1
-    + 2 P2 + 2 P3 + P4) where P1 = A1, P2 = A2 (I + h/2 P1), P3 = A2 (I +
-    h/2 P2) and P4 = A3 (I + h P3).  Phi does not depend on the residual;
-    g[:, r] is the step of residual r from s = 0: k1 = f1, k2 = h/2 A2 k1
-    + f2, k3 = h/2 A2 k2 + f2, k4 = h A3 k3 + f3, with the forcing
-    f = (0, H^-1 u) in the velocity rows.  One chain of stage maps on
-    (s, e_1..e_R) builds both, [Phi | g] for the whole family, SIM_BLOCK
-    steps at a time, so memory does not grow with the horizon beyond the
-    trajectories, which hold the samples until they are read.  A block is
-    stepped as a two-level scan: the maps are composed within chunks of
-    SIM_CHUNK steps, all chunks at once; the state is carried from one
-    chunk start to the next; and each chunk's states come from one batched
-    product.  Raises IntegrationDivergedError if a state becomes
-    non-finite.
+    s[i+1] = Phi[i] s[i] + g[i] of s = (xt, xtd), one column of g per
+    residual.  Held in constant coordinates e_1..e_R, the family is the
+    homogeneous system d/dt (s, e) = [[A, f], [0, 0]] (s, e), with A the
+    field of the error dynamics and column r of f the forcing (0, H^-1 u_r)
+    in the velocity rows.  With that field at t_i, the half-step and
+    t_{i+1} (A1, A2, A3), the RK4 step of the augmented system is the
+    square map [[Phi, g], [0, I]] = I + h/6 (P1 + 2 P2 + 2 P3 + P4), where
+    P1 = A1, P2 = A2 (I + h/2 P1), P3 = A2 (I + h/2 P2) and P4 = A3 (I +
+    h P3).  The maps are built SIM_BLOCK steps at a time, so memory does
+    not grow with the horizon beyond the trajectories, which hold the
+    samples until they are read.  A block is stepped as a two-level scan:
+    the maps are composed within chunks of SIM_CHUNK steps, all chunks at
+    once; the state is carried from one chunk start to the next; and each
+    chunk's states come from one batched product.  Raises
+    IntegrationDivergedError if a state becomes non-finite.
     """
     m = schedule.m
     n2 = 2 * m
@@ -226,10 +225,11 @@ def simulate_error_dynamics(schedule, residuals, z0=None):
         out[r, :-1, :m] = _sample(u_res, tgrid[:-1] + h / 2, m)
     U = out[:, :, m:].transpose(1, 2, 0)            # (n, m, R)
     U_half = out[:, :-1, :m].transpose(1, 2, 0)
-    E = np.eye(n2, n2 + R)
-    # The chunk starts of a block, as columns [s; I] of height n2 + R:
-    # member r's state over the unit vector that picks its forcing column.
-    S = np.zeros((-(-SIM_BLOCK // SIM_CHUNK) + 1, n2 + R, R))
+    N = n2 + R
+    I = np.eye(N)
+    # The chunk starts of a block, as columns [s; I] of height N: member
+    # r's state over the unit vector that picks its forcing column.
+    S = np.zeros((-(-SIM_BLOCK // SIM_CHUNK) + 1, N, R))
     S[:, n2:] = np.eye(R)
     if z0 is not None:
         S[0, :m] = z0[m:, None]
@@ -238,50 +238,39 @@ def simulate_error_dynamics(schedule, residuals, z0=None):
         b = min(a + SIM_BLOCK, n - 1)
         L = b - a
         C = -(-L // SIM_CHUNK)
-        # The field at grid points a..b and at the half-steps, augmented
-        # with the forcing columns: [A | f], (n2, n2 + R) per time, where f
-        # has velocity rows H^-1 u.  At the half-steps K and D are the
-        # means of their neighbours.
-        A = np.zeros((L + 1, n2, n2 + R))
+        # The augmented field [[A, f], [0, 0]] at grid points a..b and at
+        # the half-steps, where f has velocity rows H^-1 u.  At the
+        # half-steps K and D are the means of their neighbours.
+        A = np.zeros((L + 1, N, N))
         A[:, :m, m:n2] = np.eye(m)
-        A[:, m:, :m] = -Hinv @ K[a:b + 1]
-        A[:, m:, m:n2] = -Hinv @ D[a:b + 1]
+        A[:, m:n2, :m] = -Hinv @ K[a:b + 1]
+        A[:, m:n2, m:n2] = -Hinv @ D[a:b + 1]
         A_half = 0.5 * (A[:-1] + A[1:])
-        A[:, m:, n2:] = Hinv @ U[a:b + 1]
-        A_half[:, m:, n2:] = Hinv @ U_half[a:b]
+        A[:, m:n2, n2:] = Hinv @ U[a:b + 1]
+        A_half[:, m:n2, n2:] = Hinv @ U_half[a:b]
         # Row a's samples are read, so it takes the state at a.
         out[:, a] = S[0, :n2].T
-        # The stage maps of (s, e_1..e_R): P1 = [A1 | f1], P2 = A2 (E + h/2
-        # P1) + [0 | f2] and so on, with E = [I | 0].
         P1 = A[:-1]
-        P2 = A_half[:, :, :n2] @ (E + h / 2 * P1)
-        P2[:, :, n2:] += A_half[:, :, n2:]
-        P3 = A_half[:, :, :n2] @ (E + h / 2 * P2)
-        P3[:, :, n2:] += A_half[:, :, n2:]
-        P4 = A[1:, :, :n2] @ (E + h * P3)
-        P4[:, :, n2:] += A[1:, :, n2:]
-        # [Phi | g] = E + h/6 (P1 + 2 P2 + 2 P3 + P4), in place.  Steps
-        # past b, which pad the last chunk, are identity maps.
-        Y = np.empty((C * SIM_CHUNK, n2, n2 + R))
-        Y[L:] = E
-        step = Y[:L]
+        P2 = A_half @ (I + h / 2 * P1)
+        P3 = A_half @ (I + h / 2 * P2)
+        P4 = A[1:] @ (I + h * P3)
+        # The step maps [[Phi, g], [0, I]] = I + h/6 (P1 + 2 P2 + 2 P3 +
+        # P4), in place; Z[k, j] is step j of chunk k.  Steps past b,
+        # which pad the last chunk, are identity maps.
+        Z = np.empty((C, SIM_CHUNK, N, N))
+        Z.reshape(-1, N, N)[L:] = I
+        step = Z.reshape(-1, N, N)[:L]
         np.add(P2, P3, out=step)
         step *= 2.0
         step += P1
         step += P4
         step *= h / 6
-        step += E
-        # Square maps [[Phi, g], [0, I]], chunk-major ([j, chunk]) so the
-        # prefix loop below reads contiguous (C, ...) slices.
-        Z = np.zeros((SIM_CHUNK, C, n2 + R, n2 + R))
-        Z[:, :, n2:, n2:] = np.eye(R)
-        Z[:, :, :n2] = Y.reshape(C, SIM_CHUNK, n2, n2 + R).transpose(
-            1, 0, 2, 3)
+        step += I
         # W[j, k] maps the start of chunk k to the state after its step j.
-        W = np.empty_like(Z)
-        W[0] = Z[0]
+        W = np.empty((SIM_CHUNK, C, N, N))
+        W[0] = Z[:, 0]
         for j in range(1, SIM_CHUNK):
-            np.matmul(Z[j], W[j - 1], out=W[j])
+            np.matmul(Z[:, j], W[j - 1], out=W[j])
         for k in range(C):
             np.dot(W[-1, k], S[k], out=S[k + 1])
         fill = W[:, :, :n2] @ S[:C]
@@ -295,16 +284,16 @@ def simulate_error_dynamics(schedule, residuals, z0=None):
     return tgrid, out[:, :, :m], out[:, :, m:]
 
 
-def dissipation_check(schedule, inp, u_res, c1=None, c2=None, z0=None):
+def dissipation_check(schedule, inp, u_res, c1=None, z0=None):
     """Verify Vdot_aug <= -c1 ||z||^2 + c2 ||u_res||^2 along a simulation.
 
     The storage derivative is taken by central differences of the sampled
     augmented storage, so the schedule grid needs at least 3 samples.
     u_res follows simulate_error_dynamics' array contract, times (k,) to
     forces (k, m); ||u_res||^2 comes from one more call on the interior
-    grid.  Returns a report dict with the maximum violation.  c1, c2, and
-    the initial error z0 = (xtd, xt) can be overridden, which allows
-    falsification runs with deliberately wrong constants.
+    grid.  Returns a report dict with the maximum violation.  c1 and the
+    initial error z0 = (xtd, xt) can be overridden, which allows
+    falsification runs with a deliberately wrong decay constant.
     """
     rep = schedule.report()
     if not rep.passes_strict:
@@ -315,7 +304,6 @@ def dissipation_check(schedule, inp, u_res, c1=None, c2=None, z0=None):
             f"{len(schedule.t)}")
     res = uub_constants(inp)
     c1 = res.c1 if c1 is None else c1
-    c2 = res.c2 if c2 is None else c2
     tgrid, (XT,), (XTD,) = simulate_error_dynamics(schedule, [u_res], z0=z0)
     h = tgrid[1] - tgrid[0]
     alpha, H = schedule.alpha, schedule.H
@@ -326,14 +314,14 @@ def dissipation_check(schedule, inp, u_res, c1=None, c2=None, z0=None):
     z2 = (XT ** 2 + XTD ** 2).sum(axis=1)[1:-1]
     U = _sample(u_res, tgrid[1:-1], schedule.m)
     u2 = np.einsum("ni,ni->n", U, U)
-    violation = vdot - (-c1 * z2 + c2 * u2)
+    violation = vdot - (-c1 * z2 + res.c2 * u2)
     max_violation = float(violation.max())
     return {
         "max_violation": max_violation,
         "passes": bool(max_violation <= DISSIPATION_TOL),
         "tol": DISSIPATION_TOL,
         "c1": c1,
-        "c2": c2,
+        "c2": res.c2,
     }
 
 

@@ -4,7 +4,9 @@ The expensive artifacts (full training runs) are session-scoped and cached,
 so the acceptance tests and the unit tests share one computation.
 """
 
+import os
 from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,16 @@ from cgms.learning import MODE_UNCERTIFIED_AFTER_VIA, initial_policy, rollout, t
 
 
 HandoverTask = namedtuple("HandoverTask", "cfg setup noise")
+
+
+def checkout_env():
+    """os.environ with this checkout's src/ first on PYTHONPATH, so that a
+    subprocess imports cgms from here without an install."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 @pytest.fixture(scope="session")

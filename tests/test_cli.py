@@ -2,11 +2,9 @@
 
 import io
 import json
-import os
 import subprocess
 import sys
 from dataclasses import fields, is_dataclass, replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +19,7 @@ from cgms.config import (
 )
 from cgms.errors import ConfigError
 from cgms.learning import MODE_UNCERTIFIED_AFTER_VIA, initial_policy, sample_noise
+from conftest import checkout_env
 
 SMALL_CONFIG = """\
 [run]
@@ -236,14 +235,10 @@ def test_overflowing_stiffness_flow_exits_with_a_named_error(tmp_path):
     # rollout.  That used to end in numpy's LinAlgError traceback, exit 1.
     path = tmp_path / "alpha.ini"
     path.write_text("[gains]\nalpha = 100\nd_init = 300\n")
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "cgms.cli", "train", "--config", str(path),
          "--out", str(tmp_path / "o")],
-        env=env, capture_output=True, text=True, timeout=300)
+        env=checkout_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == cli.EXIT_CERTIFICATION
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
@@ -469,7 +464,7 @@ def test_ablate_artifacts(tmp_path, small_config):
 
 def test_console_script_help():
     proc = subprocess.run([sys.executable, "-m", "cgms.cli", "--help"],
-                          capture_output=True, text=True)
+                          env=checkout_env(), capture_output=True, text=True)
     assert proc.returncode == 0
     for name in ("train", "rollout", "certify", "govern", "robustness",
                  "ablate"):

@@ -1,10 +1,8 @@
 """Slack parametrization, the stiffness flow, and certificate margins."""
 
 import io
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +27,7 @@ from cgms.gains import (
     vec_triangle_inverse,
     write_csv,
 )
+from conftest import checkout_env
 
 ALPHA = 0.05
 H3 = np.eye(3)
@@ -274,12 +273,9 @@ print(sorted(name for name in sys.modules if name.startswith("scipy.signal")))
 def scipy_signal_modules_after(script, *args):
     """The scipy.signal modules that a fresh interpreter has loaded once it
     has run script (with argv args) against this checkout's src."""
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", script, *args],
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=checkout_env(), capture_output=True, text=True,
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()[-1]
 
@@ -378,16 +374,20 @@ def test_floor_check_passes_no_nan_stack(rng):
 
 
 @pytest.mark.parametrize("clamp", [False, True])
-@pytest.mark.parametrize("bad", ["inf_matrix", "one_nan_pair"])
+@pytest.mark.parametrize("bad", ["inf_matrix", "one_nan_pair",
+                                 "upper_nan"])
 def test_floor_names_a_non_finite_stack(bad, clamp, rng):
     # An overflowed matrix, or one NaN entry (mirrored, as the stack is
-    # symmetric), is a diverged flow in either mode: not a floor rejection
-    # to resample, and not a clamped schedule.
+    # symmetric, or in the upper triangle alone, which Cholesky never
+    # reads), is a diverged flow in either mode: not a floor rejection to
+    # resample, and not a clamped schedule.
     K = stacks_with_min_eigenvalue(rng, 10, 1.0)
     if bad == "inf_matrix":
         K[4] = np.inf
-    else:
+    elif bad == "one_nan_pair":
         K[4, 1, 2] = K[4, 2, 1] = np.nan
+    else:
+        K[4, 1, 2] = np.nan
     with pytest.raises(IntegrationDivergedError, match="stiffness flow"):
         stiffness_floor(K, clamp=clamp)
 

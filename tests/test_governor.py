@@ -6,7 +6,12 @@ import pytest
 from cgms.dmp import build_basis
 from cgms.errors import InfeasibleFloorError
 from cgms.gains import build_gain_schedule, tri_dim, SlackParams
-from cgms.governor import TorqueLimits, beta_star_detail
+from cgms.governor import (
+    BOX_TOL,
+    ZERO_SLOPE_TOL,
+    TorqueLimits,
+    beta_star_detail,
+)
 
 
 def test_limit_presets():
@@ -34,6 +39,58 @@ def test_beta_star_negative_slope():
     beta, _ = beta_star_detail(np.array([-2.0]), np.array([-6.0]),
                                TorqueLimits.box(5.0, 1))
     assert abs(beta - 0.5) < 1e-15
+
+
+def test_beta_star_tie_names_the_first_joint():
+    # Joints 1 and 2 both bound beta by 0.5; joint 0 by 2.
+    beta, joint = beta_star_detail(np.array([0.0, 2.0, -2.0]),
+                                   np.array([2.5, 6.0, -6.0]),
+                                   TorqueLimits.box(5.0, 3))
+    assert beta == 0.5 and joint == 1
+
+
+@pytest.mark.parametrize("slope", [ZERO_SLOPE_TOL, -ZERO_SLOPE_TOL, np.nan])
+def test_beta_star_flat_or_nan_slope_imposes_no_bound(slope):
+    # Joint 0 sits within BOX_TOL above its limit, where any positive
+    # bound would be negative; with a flat or NaN slope it binds nothing,
+    # and joint 1 decides.
+    limits = TorqueLimits.box(5.0, 2)
+    tau0 = np.array([5.0 + 0.5 * BOX_TOL, 0.0])
+    assert beta_star_detail(tau0, np.array([slope, 1.0]), limits) == (1.0,
+                                                                      None)
+    assert beta_star_detail(tau0, np.array([slope, 10.0]), limits) == (0.5, 1)
+
+
+def loop_beta_star(tau0, tau1, limits):
+    """The per-joint loop: the reference for beta_star_detail."""
+    beta, joint = 1.0, None
+    for i in range(len(tau0)):
+        if tau1[i] > ZERO_SLOPE_TOL:
+            bound = (limits.tau_max[i] - tau0[i]) / tau1[i]
+        elif tau1[i] < -ZERO_SLOPE_TOL:
+            bound = (limits.tau_min[i] - tau0[i]) / tau1[i]
+        else:
+            continue
+        if bound < beta:
+            beta, joint = bound, i
+    return float(min(max(beta, 0.0), 1.0)), joint
+
+
+def test_beta_star_matches_the_per_joint_loop(rng):
+    # Random splits, with repeated joints (ties), slopes at and near the
+    # zero-slope tolerance, and a floor on the box edge or within BOX_TOL
+    # outside it, where a bound is negative and beta is clamped to 0.
+    limits = TorqueLimits.fr3_half()
+    for _ in range(2000):
+        tau0 = rng.uniform(limits.tau_min, limits.tau_max)
+        tau1 = 60.0 * rng.standard_normal(7)
+        tau0[3], tau1[3] = tau0[1], tau1[1]
+        tau1[rng.integers(7)] = rng.choice([0.0, 0.5, 1.0, 2.0]) * (
+            rng.choice([-1.0, 1.0]) * ZERO_SLOPE_TOL)
+        if rng.random() < 0.2:
+            tau0[5] = limits.tau_max[5] + rng.choice([0.0, 0.5]) * BOX_TOL
+        assert (beta_star_detail(tau0, tau1, limits)
+                == loop_beta_star(tau0, tau1, limits))
 
 
 def test_beta_star_infeasible_floor():
