@@ -33,6 +33,7 @@ from .gains import (
 )
 from .governor import BOX_TOL, TorqueLimits, beta_star_detail
 from .plants import PlantModel
+from .robustness import affine_scan
 
 MODE_CERTIFIED = "certified"
 MODE_UNCERTIFIED_AFTER_VIA = "uncertified-after-via"
@@ -276,12 +277,12 @@ def rollout(policy, xi, setup):
     nor in the pointwise certificate.
 
     The closed loop takes one of two paths.  At beta = 1 the semi-implicit
-    Euler loop is affine in s = (x, v, 1): s[i+1] = T[i] s[i] with the
-    maps of step_maps, and the torques of the control law are batched.  That
-    run stands if every torque is in the box; else the loop is stepped again
-    from the first step j out of it, and on each step out of the box the
-    governor blends the gains and T[i] is rebuilt from them; rows before j
-    and state j depend only on earlier steps, so they stand.
+    Euler loop s[i+1] = T[i] s[i], s = (x, v, 1), on the maps of step_maps
+    runs in robustness.affine_scan (chunks of ceil(sqrt(n - 1)) maps); the
+    batched torques share its gain products AHi K and AHi D.  That run
+    stands up to the first step j out of the box; from j on the maps are
+    built again and stepped one at a time, and the governor blends the
+    gains and rebuilds T[i] on each step out of the box.
     """
     tg = setup.tgrid
     n = len(tg)
@@ -310,14 +311,13 @@ def rollout(policy, xi, setup):
     a_bias = -Minv @ setup.model.gravity_wrench
     mv = lambda M, x: np.einsum("...ij,...j->...i", M, x)
 
-    def torque(i, K, D, s):
-        """The control law at steps i for gains K, D and states s."""
-        return (u_ff[i] - mv(AHi @ D, s[..., m:-1] - xd_d[i])
-                - mv(AHi @ K, s[..., :m] - x_d[i]))
+    def torque(i, AK, AD, s):
+        """The control law at steps i for AK = AHi K, AD = AHi D, states s."""
+        return (u_ff[i] - mv(AD, s[..., m:-1] - xd_d[i])
+                - mv(AK, s[..., :m] - x_d[i]))
 
-    def step_maps(i, K, D):
+    def step_maps(i, AK, AD):
         """s' = T s at steps i: v' = v + dt a(s), x' = x + dt v'."""
-        AK, AD = AHi @ K, AHi @ D
         b = (u_ff[i] + mv(AD, xd_d[i]) + mv(AK, x_d[i])) @ Minv.T + a_bias
         T = np.zeros(b.shape[:-1] + (2 * m + 1, 2 * m + 1))
         T[..., m:-1, :m] = -dt * (Minv @ AK)
@@ -327,22 +327,23 @@ def rollout(policy, xi, setup):
         T[..., :m, :] += dt * T[..., m:-1, :]
         return T
 
-    T = step_maps(slice(None), sched.K, sched.D)
-    s = np.empty((n, 2 * m + 1))
-    s[0] = np.r_[state.x, state.xdot, 1.0]
-    for Ti, si, s_next in zip(T, s, s[1:]):
-        np.matmul(Ti, si, out=s_next)
+    AK, AD = AHi @ sched.K, AHi @ sched.D
+    s0 = np.r_[state.x, state.xdot, 1.0]
+    s = np.vstack([s0, affine_scan(step_maps(slice(None, -1), AK[:-1],
+                                             AD[:-1]), s0)])
     x_trace = s[:, :m]
-    tau_trace = torque(slice(None), sched.K, sched.D, s)
+    tau_trace = torque(slice(None), AK, AD, s)
     lim = setup.limits
     out = ((tau_trace < lim.tau_min) | (tau_trace > lim.tau_max)).any(axis=1)
+    j = int(out.argmax()) if out.any() else n
+    T = step_maps(slice(j, None), AK[j:], AD[j:])
     events = []
     alpha, D_floor = setup.alpha, setup.alpha * setup.H
-    for i in range(int(out.argmax()) if out.any() else n, n):
-        tau_trace[i] = tau = torque(i, sched.K[i], sched.D[i], s[i])
+    for i in range(j, n):
+        tau_trace[i] = tau = torque(i, AK[i], AD[i], s[i])
         if ((tau < lim.tau_min) | (tau > lim.tau_max)).any():
             K_floor = np.exp(2.0 * alpha * tg[i]) * (setup.k_init * np.eye(m))
-            tau0 = torque(i, K_floor, D_floor, s[i])
+            tau0 = torque(i, AHi @ K_floor, AHi @ D_floor, s[i])
             beta, binding = beta_star_detail(tau0, tau - tau0, lim)
             if binding is not None:
                 events.append({"t": float(tg[i]), "joint": binding,
@@ -354,9 +355,9 @@ def rollout(policy, xi, setup):
                                (sched.lam_A, 0.0), (sched.lam_C, 0.0)):
                 arr[i] = floor + beta * (arr[i] - floor)
             beta_trace[i] = beta
-            T[i] = step_maps(i, sched.K[i], sched.D[i])
+            T[i - j] = step_maps(i, AHi @ sched.K[i], AHi @ sched.D[i])
         if i + 1 < n:
-            np.matmul(T[i], s[i], out=s[i + 1])
+            np.matmul(T[i - j], s[i], out=s[i + 1])
     if not np.all(np.isfinite(x_trace)):
         raise IntegrationDivergedError("rollout state diverged")
 

@@ -29,13 +29,9 @@ from .errors import (
 # past the radius uub_empirical lets a simulated trajectory go.
 DISSIPATION_TOL = 1e-5
 UUB_TOL = 1e-6
-# Steps of affine RK4 maps simulate_error_dynamics builds at once: enough to
-# batch the build, few enough that a call's memory does not grow with the
-# horizon.  Within a block the maps are composed in chunks of SIM_CHUNK
-# steps, so a block takes about SIM_CHUNK + SIM_BLOCK / SIM_CHUNK
-# Python-level products instead of one per step.
+# RK4 steps built at once: enough to batch the build, few enough that memory
+# does not grow with the horizon.  affine_scan takes them in chunks of 16.
 SIM_BLOCK = 256
-SIM_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -165,6 +161,31 @@ def _sample(u_res, t, m):
     return U
 
 
+def affine_scan(maps, s0):
+    """States after each map of s[i+1] = maps[i] s[i], s[0] = s0, for L maps
+    (N, N) and s0 a state (N,) or columns (N, R), by a two-level scan in
+    chunks of ceil(sqrt(L)) maps: all chunks are composed at once and in
+    place (overwriting maps), the state is carried from chunk start to chunk
+    start, and two batched products give the states within the chunks."""
+    L, N = maps.shape[:2]
+    R = s0.size // N
+    c = math.isqrt(L - 1) + 1
+    C = -(-L // c)
+    prod = np.empty((C, N, N))
+    for j in range(1, c):
+        Z = maps[j::c]          # step j of every chunk that has one
+        Z[...] = np.matmul(Z, maps[j - 1::c][:len(Z)], out=prod[:len(Z)])
+    S = s0.reshape(1, N, R).repeat(C, axis=0)   # the chunks' start states
+    for k in range(C - 1):
+        np.dot(maps[k * c + c - 1], S[k], out=S[k + 1])
+    F = L // c * c
+    out = np.empty((L, N, R))
+    np.matmul(maps[:F].reshape(-1, c * N, N), S[:F // c],
+              out=out[:F].reshape(-1, c * N, R))
+    np.matmul(maps[F:].reshape(-1, N), S[-1], out=out[F:].reshape(-1, R))
+    return out.reshape((L,) + s0.shape)
+
+
 def simulate_error_dynamics(schedule, residuals, z0=None):
     """RK4 integration of H xtdd + D(t) xtd + K(t) xt = u(t) for every
     residual force u of the family ``residuals``, in one pass.
@@ -190,19 +211,17 @@ def simulate_error_dynamics(schedule, residuals, z0=None):
     P1 = A1, P2 = A2 (I + h/2 P1), P3 = A2 (I + h/2 P2) and P4 = A3 (I +
     h P3).  The maps are built SIM_BLOCK steps at a time, so memory does
     not grow with the horizon beyond the trajectories, which hold the
-    samples until they are read.  A block is stepped as a two-level scan:
-    the maps are composed within chunks of SIM_CHUNK steps, all chunks at
-    once; the state is carried from one chunk start to the next; and each
-    chunk's states come from one batched product.  Raises
+    samples until they are read.  Each block's maps are stepped by
+    affine_scan, in chunks of ceil(sqrt(L)) steps for a block of L, with
+    the columns [s; e_r] of the whole family as its state.  Raises
     IntegrationDivergedError if a state becomes non-finite.
     """
     m = schedule.m
     n2 = 2 * m
-    if z0 is not None:
-        z0 = np.asarray(z0, float)
-        if z0.shape != (n2,):
-            raise ContractViolationError(
-                f"z0 must have shape {(n2,)}, got {z0.shape}")
+    z0 = np.zeros(n2) if z0 is None else np.asarray(z0, float)
+    if z0.shape != (n2,):
+        raise ContractViolationError(
+            f"z0 must have shape {(n2,)}, got {z0.shape}")
     residuals = list(residuals)
     if not residuals:
         raise ContractViolationError("the residual family is empty")
@@ -223,62 +242,42 @@ def simulate_error_dynamics(schedule, residuals, z0=None):
     for r, u_res in enumerate(residuals):
         out[r, :, m:] = _sample(u_res, tgrid, m)
         out[r, :-1, :m] = _sample(u_res, tgrid[:-1] + h / 2, m)
-    U = out[:, :, m:].transpose(1, 2, 0)            # (n, m, R)
-    U_half = out[:, :-1, :m].transpose(1, 2, 0)
     N = n2 + R
     I = np.eye(N)
-    # The chunk starts of a block, as columns [s; I] of height N: member
-    # r's state over the unit vector that picks its forcing column.
-    S = np.zeros((-(-SIM_BLOCK // SIM_CHUNK) + 1, N, R))
-    S[:, n2:] = np.eye(R)
-    if z0 is not None:
-        S[0, :m] = z0[m:, None]
-        S[0, m:n2] = z0[:m, None]
+    # The family's state as columns [s; I] of height N: member r's state
+    # over the unit vector that picks its forcing column.
+    S = np.eye(N, R, -n2)
+    S[:n2] = np.r_[z0[m:], z0[:m]][:, None]
     for a in range(0, n - 1, SIM_BLOCK):
         b = min(a + SIM_BLOCK, n - 1)
-        L = b - a
-        C = -(-L // SIM_CHUNK)
         # The augmented field [[A, f], [0, 0]] at grid points a..b and at
         # the half-steps, where f has velocity rows H^-1 u.  At the
         # half-steps K and D are the means of their neighbours.
-        A = np.zeros((L + 1, N, N))
+        A = np.zeros((b - a + 1, N, N))
         A[:, :m, m:n2] = np.eye(m)
         A[:, m:n2, :m] = -Hinv @ K[a:b + 1]
         A[:, m:n2, m:n2] = -Hinv @ D[a:b + 1]
         A_half = 0.5 * (A[:-1] + A[1:])
-        A[:, m:n2, n2:] = Hinv @ U[a:b + 1]
-        A_half[:, m:n2, n2:] = Hinv @ U_half[a:b]
+        A[:, m:n2, n2:] = Hinv @ out[:, a:b + 1, m:].transpose(1, 2, 0)
+        A_half[:, m:n2, n2:] = Hinv @ out[:, a:b, :m].transpose(1, 2, 0)
         # Row a's samples are read, so it takes the state at a.
-        out[:, a] = S[0, :n2].T
+        out[:, a] = S[:n2].T
         P1 = A[:-1]
         P2 = A_half @ (I + h / 2 * P1)
         P3 = A_half @ (I + h / 2 * P2)
         P4 = A[1:] @ (I + h * P3)
-        # The step maps [[Phi, g], [0, I]] = I + h/6 (P1 + 2 P2 + 2 P3 +
-        # P4), in place; Z[k, j] is step j of chunk k.  Steps past b,
-        # which pad the last chunk, are identity maps.
-        Z = np.empty((C, SIM_CHUNK, N, N))
-        Z.reshape(-1, N, N)[L:] = I
-        step = Z.reshape(-1, N, N)[:L]
-        np.add(P2, P3, out=step)
-        step *= 2.0
-        step += P1
-        step += P4
-        step *= h / 6
-        step += I
-        # W[j, k] maps the start of chunk k to the state after its step j.
-        W = np.empty((SIM_CHUNK, C, N, N))
-        W[0] = Z[:, 0]
-        for j in range(1, SIM_CHUNK):
-            np.matmul(Z[:, j], W[j - 1], out=W[j])
-        for k in range(C):
-            np.dot(W[-1, k], S[k], out=S[k + 1])
-        fill = W[:, :, :n2] @ S[:C]
+        # The step maps [[Phi, g], [0, I]], in place of P2.
+        P2 += P3
+        P2 *= 2.0
+        P2 += P1
+        P2 += P4
+        P2 *= h / 6
+        P2 += I
+        states = affine_scan(P2, S)
         # Row b keeps its samples for the next block.
-        out[:, a + 1:b] = fill.transpose(3, 1, 0, 2).reshape(
-            R, C * SIM_CHUNK, n2)[:, :L - 1]
-        S[0] = S[C]
-    out[:, -1] = S[0, :n2].T
+        out[:, a + 1:b] = states[:-1, :n2].transpose(2, 0, 1)
+        S = states[-1]
+    out[:, -1] = S[:n2].T
     if not np.isfinite(out).all():
         raise IntegrationDivergedError("error-dynamics state diverged")
     return tgrid, out[:, :, :m], out[:, :, m:]

@@ -18,6 +18,7 @@ from cgms.errors import (
 from cgms.gains import SlackParams, build_gain_schedule, vec_triangle
 from cgms.robustness import (
     RobustnessInputs,
+    affine_scan,
     dissipation_check,
     inputs_from_schedule,
     simulate_error_dynamics,
@@ -215,10 +216,11 @@ def per_step_error_dynamics(schedule, u_res, z0=None):
 
 @pytest.mark.parametrize("steps", [1, 15, 16, 17, 255, 256, 257, 5000])
 def test_affine_maps_match_per_step_oracle(steps):
-    # Grids around the SIM_CHUNK = 16 chunk and SIM_BLOCK = 256 block
-    # edges and across many blocks.  Families of one, two and three
-    # residuals, with and without an initial error: every member matches
-    # its own per-step run.
+    # Grids around the SIM_BLOCK = 256 block edges and across many blocks;
+    # a block of L steps is scanned in chunks of ceil(sqrt(L)), 16 for a
+    # full block, so these grids also end in full and ragged last chunks.
+    # Families of one, two and three residuals, with and without an
+    # initial error: every member matches its own per-step run.
     dt = 1e-3
     sched = certified_schedule(np.random.default_rng(steps), T=steps * dt,
                                dt=dt)
@@ -234,6 +236,42 @@ def test_affine_maps_match_per_step_oracle(steps):
                 assert np.array_equal(t, t_ref)
                 assert np.abs(XT[r] - XT_ref).max() <= 1e-13
                 assert np.abs(XTD[r] - XTD_ref).max() <= 1e-13
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 15, 16, 17, 70, 71, 256, 5000])
+@pytest.mark.parametrize("R", [None, 3])
+def test_affine_scan_matches_sequential_loop(L, R):
+    # Lengths at and around the chunk edges ceil(sqrt(L)) and with a
+    # shorter last chunk (17 = 3 chunks of 5 and one of 2; 5000 = 70 of
+    # 71 and one of 30), for a state (N,) and a family of columns (N, R).
+    rng = np.random.default_rng(L)
+    N = 7
+    maps = np.eye(N) + 1e-3 * rng.standard_normal((L, N, N))
+    s0 = rng.standard_normal(N if R is None else (N, R))
+    ref = np.empty((L,) + s0.shape)
+    s = s0
+    for Ti, out in zip(maps, ref):
+        s = np.matmul(Ti, s, out=out)
+    got = affine_scan(maps.copy(), s0)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_affine_scan_composes_in_place():
+    # The scan overwrites its maps: beyond its result it allocates a few
+    # per-chunk arrays, far less than a copy of the 5000 maps (1.96 MB).
+    maps = np.eye(7) + 1e-3 * np.random.default_rng(0).standard_normal(
+        (5000, 7, 7))
+    s0 = np.ones(7)
+    affine_scan(maps.copy(), s0)            # lazy first-call set-up
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        states = affine_scan(maps, s0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= states.nbytes + 0.1 * maps.nbytes, peak
 
 
 def constant_gain_schedule(T, k=50.0, d=8.0, dt=1e-3):
