@@ -25,7 +25,7 @@ from .errors import (
     IntegrationDivergedError,
     MarginTooSmallError,
 )
-from .gains import tri_dim, write_csv
+from .gains import write_csv
 from .learning import (
     MODE_UNCERTIFIED_AFTER_VIA,
     PolicyParams,
@@ -209,12 +209,9 @@ def _policy_arg(args, setup):
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(
             f"--policy {args.policy}: {type(exc).__name__}: {exc}") from exc
-    d_tri = tri_dim(setup.m)
-    shapes = {"theta_traj": (setup.dmp.basis.count, setup.m),
-              "theta_d": (setup.slack_basis.count, d_tri),
-              "theta_k": (setup.slack_basis.count, d_tri)}
-    for name, shape in shapes.items():
-        block = getattr(policy, name)
+    expected = initial_policy(setup)
+    for name in ("theta_traj", "theta_d", "theta_k"):
+        block, shape = getattr(policy, name), getattr(expected, name).shape
         if block.shape != shape:
             raise ConfigError(
                 f"--policy {args.policy}: {name} has shape {block.shape}, "

@@ -276,13 +276,15 @@ def rollout(policy, xi, setup):
     fixed; the terms of beta's changes from step to step are not in them,
     nor in the pointwise certificate.
 
-    The closed loop takes one of two paths.  At beta = 1 the semi-implicit
-    Euler loop s[i+1] = T[i] s[i], s = (x, v, 1), on the maps of step_maps
-    runs in robustness.affine_scan (chunks of ceil(sqrt(n - 1)) maps); the
-    batched torques share its gain products AHi K and AHi D.  That run
-    stands up to the first step j out of the box; from j on the maps are
-    built again and stepped one at a time, and the governor blends the
-    gains and rebuilds T[i] on each step out of the box.
+    The closed loop is the plant's semi-implicit Euler step
+    s' = P s + Q (tau - g), s = (x, v, 1), applied to the control law's
+    torque.  At beta = 1 the control law is a map tau - g = C[i] s, so the
+    loop is s[i+1] = T[i] s[i] with T = Q C + P, run by
+    robustness.affine_scan (chunks of ceil(sqrt(n - 1)) maps); the batched
+    torques share its gain products AHi K and AHi D.  That run stands up to
+    the first step out of the box.  From there on each step records its
+    torque, blended toward the floor by the governor when it is out of the
+    box, and applies the plant's step to it.
     """
     tg = setup.tgrid
     n = len(tg)
@@ -295,51 +297,43 @@ def rollout(policy, xi, setup):
         theta_k=policy.theta_k + xi.theta_k)
     x_d, xd_d, xdd_d = rollout_reference(setup.dmp, setup.start,
                                          sample.theta_traj, tg)
-    state = plants.initial_state(setup.model, setup.start)
-    # Constant point-mass task terms, folded into per-step control matrices.
-    Lam, mu, p, J = plants.operational_space_terms(setup.model, state)
-    A = J.T @ Lam
-    u_ff = xdd_d @ A.T + J.T @ (mu + p)              # (n, n_joints)
-    if (np.array_equal(x_d[0], state.x)
-            and np.array_equal(xd_d[0], state.xdot)):
+    s0 = plants.initial_state(setup.model, setup.start)
+    Lam, g = plants.operational_space_terms(setup.model)
+    u_ff = xdd_d @ Lam.T + g
+    if np.array_equal(np.r_[x_d[0], xd_d[0], 1.0], s0):
         _check_feedforward(u_ff, tg, setup.limits)
     sched = sampled_schedule(setup, policy, sample)
 
     beta_trace = np.ones(n)
     Minv = np.linalg.inv(Lam)
-    AHi = A @ np.linalg.inv(setup.H)
-    a_bias = -Minv @ setup.model.gravity_wrench
+    AHi = Lam @ np.linalg.inv(setup.H)
     mv = lambda M, x: np.einsum("...ij,...j->...i", M, x)
+    # The plant's semi-implicit Euler step v' = v + dt Lam^-1 (tau - g),
+    # x' = x + dt v', on s = (x, v, 1): s' = P s + Q (tau - g).
+    P = np.eye(2 * m + 1)
+    P[:m, m:-1] += dt * np.eye(m)
+    Q = np.vstack([dt * dt * Minv, dt * Minv, np.zeros((1, m))])
 
     def torque(i, AK, AD, s):
         """The control law at steps i for AK = AHi K, AD = AHi D, states s."""
         return (u_ff[i] - mv(AD, s[..., m:-1] - xd_d[i])
                 - mv(AK, s[..., :m] - x_d[i]))
 
-    def step_maps(i, AK, AD):
-        """s' = T s at steps i: v' = v + dt a(s), x' = x + dt v'."""
-        b = (u_ff[i] + mv(AD, xd_d[i]) + mv(AK, x_d[i])) @ Minv.T + a_bias
-        T = np.zeros(b.shape[:-1] + (2 * m + 1, 2 * m + 1))
-        T[..., m:-1, :m] = -dt * (Minv @ AK)
-        T[..., m:-1, m:-1] = -dt * (Minv @ AD)
-        T[..., m:-1, -1] = dt * b
-        T += np.eye(2 * m + 1)
-        T[..., :m, :] += dt * T[..., m:-1, :]
-        return T
-
     AK, AD = AHi @ sched.K, AHi @ sched.D
-    s0 = np.r_[state.x, state.xdot, 1.0]
-    s = np.vstack([s0, affine_scan(step_maps(slice(None, -1), AK[:-1],
-                                             AD[:-1]), s0)])
+    # The maps s' = T s at beta = 1, T = Q C + P, where tau - g = C s is the
+    # control law as a map of s (on all but the last step).
+    T = Q @ np.concatenate([-AK[:-1], -AD[:-1], (
+        u_ff[:-1] - g + mv(AD[:-1], xd_d[:-1])
+        + mv(AK[:-1], x_d[:-1]))[..., None]], axis=-1)
+    T += P
+    s = np.vstack([s0, affine_scan(T, s0)])
     x_trace = s[:, :m]
     tau_trace = torque(slice(None), AK, AD, s)
     lim = setup.limits
     out = ((tau_trace < lim.tau_min) | (tau_trace > lim.tau_max)).any(axis=1)
-    j = int(out.argmax()) if out.any() else n
-    T = step_maps(slice(j, None), AK[j:], AD[j:])
     events = []
     alpha, D_floor = setup.alpha, setup.alpha * setup.H
-    for i in range(j, n):
+    for i in range(int(out.argmax()) if out.any() else n, n):
         tau_trace[i] = tau = torque(i, AK[i], AD[i], s[i])
         if ((tau < lim.tau_min) | (tau > lim.tau_max)).any():
             K_floor = np.exp(2.0 * alpha * tg[i]) * (setup.k_init * np.eye(m))
@@ -355,14 +349,13 @@ def rollout(policy, xi, setup):
                                (sched.lam_A, 0.0), (sched.lam_C, 0.0)):
                 arr[i] = floor + beta * (arr[i] - floor)
             beta_trace[i] = beta
-            T[i - j] = step_maps(i, AHi @ sched.K[i], AHi @ sched.D[i])
         if i + 1 < n:
-            np.matmul(T[i - j], s[i], out=s[i + 1])
+            s[i + 1] = P @ s[i] + Q @ (tau_trace[i] - g)
     if not np.all(np.isfinite(x_trace)):
         raise IntegrationDivergedError("rollout state diverged")
 
     cost, terms = trajectory_cost(tg, x_trace, setup.x_ref,
-                                  tau_trace @ Minv.T + a_bias, sched.K,
+                                  (tau_trace - g) @ Minv.T, sched.K,
                                   setup.weights)
     return Rollout(t=tg, x=x_trace, x_d=x_d, torque=tau_trace,
                    beta=beta_trace, schedule=sched, cost=cost,

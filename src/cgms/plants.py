@@ -1,7 +1,7 @@
 """The task-space point-mass plant and its operational-space terms.
 
-The training rollout runs on a point mass with constant task inertia
-(identity Jacobian, joint space == task space).
+The training rollout runs on a point mass with constant task inertia Lam
+and gravity wrench g: Lam xdd = tau - g.
 
 All functions are pure; identical inputs give bit-identical outputs.
 """
@@ -38,26 +38,11 @@ class PlantModel:
         return PlantModel(m=m, lambda0=lam, gravity_wrench=g)
 
 
-@dataclass(frozen=True)
-class PlantState:
-    """Task position and velocity."""
-
-    x: np.ndarray
-    xdot: np.ndarray
+def initial_state(model, x):
+    """The homogeneous start state s0 = (x, 0, 1): at rest at x."""
+    return np.r_[np.asarray(x, float), np.zeros(model.m), 1.0]
 
 
-def initial_state(model, x=None, xdot=None):
-    """Build a PlantState (default: at rest at the origin)."""
-    x = np.zeros(model.m) if x is None else np.array(x, float)
-    xdot = np.zeros(model.m) if xdot is None else np.array(xdot, float)
-    return PlantState(x=x, xdot=xdot)
-
-
-def operational_space_terms(model, state):
-    """Task-space inertia, Coriolis wrench, gravity wrench, and Jacobian.
-
-    Returns (Lam, mu, p, J); for the point mass these are constant:
-    (lambda0, 0, gravity_wrench, I), whatever the state.
-    """
-    return (np.array(model.lambda0), np.zeros(model.m),
-            np.array(model.gravity_wrench), np.eye(model.m))
+def operational_space_terms(model):
+    """Task inertia Lam and gravity wrench g, constant for the point mass."""
+    return np.array(model.lambda0), np.array(model.gravity_wrench)

@@ -24,12 +24,11 @@ def handover_rollout(model, H, T=1.0):
 
 def test_point_mass_terms_are_identity():
     model = PlantModel.point_mass(m=3)
-    state = initial_state(model, np.array([0.1, 0.2, 0.3]))
-    Lam, mu, p, J = operational_space_terms(model, state)
+    s0 = initial_state(model, np.array([0.1, 0.2, 0.3]))
+    Lam, g = operational_space_terms(model)
+    assert np.array_equal(s0, [0.1, 0.2, 0.3, 0.0, 0.0, 0.0, 1.0])
     assert np.array_equal(Lam, np.eye(3))
-    assert np.array_equal(mu, np.zeros(3))
-    assert np.array_equal(p, np.zeros(3))
-    assert np.array_equal(J, np.eye(3))
+    assert np.array_equal(g, np.zeros(3))
 
 
 def test_osid_substitution_reproduces_error_dynamics(rng, monkeypatch):
