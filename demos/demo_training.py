@@ -31,7 +31,7 @@ def main():
     print(f"initial mean cost: {result.initial_mean_cost:.1f}")
     print(f"final mean cost:   {result.final_mean_cost:.1f} "
           f"(ratio {result.final_mean_cost / result.initial_mean_cost:.3f})")
-    rows = result.trace_rows()
+    rows = result.rows
     lam = max(max(r["lamA_max"], r["lamC_max"]) for r in rows)
     print(f"worst certificate eigenvalue over all rollouts: {lam:.3g}")
     print(f"saturation events: {len(result.saturation_events)}")

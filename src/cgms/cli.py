@@ -76,7 +76,7 @@ def _write_trace(path, rows):
 
 
 def _summary(cfg, result, wall_time):
-    rows = result.trace_rows()
+    rows = result.rows
     final_ro = result.evaluation
     rmse = np.sqrt(((final_ro.x - final_ro.x_d) ** 2).mean(axis=0))
     return {
@@ -124,7 +124,7 @@ def cmd_train(args, mode=None):
         write_csv(out / "ablate_eigs.csv",
                   ["update", "rollout", "lamA_max_post_via",
                    "lamC_max_post_via"], eig_rows)
-    _write_trace(out / "learning_trace.csv", result.trace_rows())
+    _write_trace(out / "learning_trace.csv", result.rows)
     _write_json(out / "theta_initial.json", policy.to_dict())
     _write_json(out / "theta_final.json", result.policy.to_dict())
     _write_json(out / "summary.json", _summary(cfg, result, wall))

@@ -14,13 +14,13 @@ sample is already added into them.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateBasisError
+from .robustness import affine_scan
 
 ACTIVATION_FLOOR = 1e-300
 
@@ -104,35 +104,6 @@ class DmpParams:
         return 2.0 * math.sqrt(self.k)
 
 
-REFERENCE_BLOCK = 128   # steps per block of the reference recurrence
-
-
-@functools.lru_cache(maxsize=8)
-def _block_maps(kk, kd):
-    """Maps of REFERENCE_BLOCK steps of the update (x, v) -> A (x, v) + w,
-    A = [[1 - kk, 1 - kd], [-kk, 1 - kd]].
-
-    Returns (T, P): T (2, L, L) is the lower-triangular Toeplitz impulse
-    response, T[:, j, l] = A^(j-l) [1, 1] for l <= j, and P[r, j] is row r
-    of A^(j+1).  Built in extended precision where numpy has it, then
-    rounded once.
-    """
-    L = REFERENCE_BLOCK
-    A = np.array([[1.0 - np.longdouble(kk), 1.0 - np.longdouble(kd)],
-                  [-np.longdouble(kk), 1.0 - np.longdouble(kd)]])
-    powers = np.empty((L + 1, 2, 2), np.longdouble)
-    powers[0] = np.eye(2)
-    for j in range(L):
-        powers[j + 1] = A @ powers[j]
-    h = powers[:L].sum(axis=2)                  # A^j [1, 1], j = 0 .. L-1
-    lag = np.subtract.outer(np.arange(L), np.arange(L))
-    T = np.where(lag >= 0, np.moveaxis(h[np.maximum(lag, 0)], 2, 0), 0.0)
-    P = np.moveaxis(powers[1:], 1, 0)
-    T, P = T.astype(float), P.astype(float)
-    T.flags.writeable = P.flags.writeable = False
-    return T, P
-
-
 def rollout_reference(params, start, theta, tgrid):
     """Integrate the DMP with forcing weights theta (M, D) over tgrid;
     returns (x_d, xdot_d, xddot_d) arrays.
@@ -143,44 +114,34 @@ def rollout_reference(params, start, theta, tgrid):
 
         v[i+1] = -kk x[i] + (1 - kd) v[i] + w[i],   x[i+1] = x[i] + v[i+1],
 
-    has constant coefficients for the constant goal, so it runs
-    REFERENCE_BLOCK steps at a time: within a block the state is the
-    block's impulse response times w plus the carried state mapped by the
-    powers of the step map.
+    is affine in (x, v).  Column j of the family state is (x_j, v_j, e_j),
+    with e_j the j-th unit vector of R^D, and step i is the square map
+    [[A, F_i], [0, I]] with A = [[1 - kk, 1 - kd], [-kk, 1 - kd]] and both
+    rows of F_i equal to w[i]; robustness.affine_scan steps all n - 1 maps.
+    Sample 0 is start with zero velocity, and a grid of one sample has no
+    step.
     """
     n = len(tgrid)
     D = len(start)
-    dt = tgrid[1] - tgrid[0] if n > 1 else 0.0
     s_all = 1.0 - np.asarray(tgrid) / params.tau
     forcing = s_all[:, None] * (params.basis.eval(s_all) @ theta)   # (n, D)
     scale = params.tau ** 2
     g = np.asarray(params.goal, float)
-    kd = params.tau * params.d * dt / scale
-    kk = params.k * dt * dt / scale
-    w = (dt * dt / scale) * (params.k * g + forcing)
-    L = REFERENCE_BLOCK
-    T, P = _block_maps(kk, kd)
-    steps = n - 1
-    nb = -(-steps // L)
-    # Zero padding past the last step leaves the earlier samples alone
-    # (T is lower triangular).  Column (b, j) of a block product is block b,
-    # dimension j.
-    wb = np.zeros((nb * L, D))
-    wb[:steps] = w[:steps]
-    wb = wb.reshape(nb, L, D).transpose(1, 0, 2).reshape(L, nb * D)
-    forced = (T.reshape(2 * L, L) @ wb).reshape(2, L, nb, D)
-    state = np.stack([np.asarray(start, float), np.zeros(D)])   # (x, v)
-    xv = np.empty((2, n, D))
-    xv[:, 0] = state
-    carried = np.empty((2, nb, D))          # state entering each block
-    for b in range(nb):
-        carried[:, b] = state
-        state = P[:, -1] @ state + forced[:, -1, b]
-    blocks = forced + (P.reshape(2 * L, 2) @ carried.reshape(2, nb * D)
-                       ).reshape(2, L, nb, D)
-    xv[:, 1:] = blocks.transpose(0, 2, 1, 3).reshape(2, nb * L, D)[:, :steps]
-    x = xv[0]
-    xd = xv[1] / dt if n > 1 else np.zeros((n, D))
+    x = np.empty((n, D))
+    x[0] = start
+    xd = np.zeros((n, D))
+    if n > 1:
+        dt = tgrid[1] - tgrid[0]
+        kd = params.tau * params.d * dt / scale
+        kk = params.k * dt * dt / scale
+        step = np.eye(2 + D)
+        step[:2, :2] = [[1.0 - kk, 1.0 - kd], [-kk, 1.0 - kd]]
+        maps = np.tile(step, (n - 1, 1, 1))
+        maps[:, :2, 2:] = ((dt * dt / scale)
+                           * (params.k * g + forcing[:-1]))[:, None]
+        xv = affine_scan(maps, np.vstack([start, np.zeros(D), np.eye(D)]))
+        x[1:] = xv[:, 0]
+        xd[1:] = xv[:, 1] / dt
     xdd = (params.k * (g - x) - params.tau * params.d * xd + forcing) / scale
     return x, xd, xdd
 

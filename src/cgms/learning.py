@@ -400,8 +400,9 @@ class TrainResult:
     final_mean_cost: float
     saturation_events: list
 
+    # Alias of rows, read only by perfbench/workloads.py; it goes once that
+    # reads out.rows.
     def trace_rows(self):
-        """Flat per-rollout rows for the learning-trace CSV."""
         return self.rows
 
 

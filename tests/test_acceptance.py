@@ -34,7 +34,7 @@ def verdict(num, label, ok, detail):
 
 def test_criterion_1_certified_exploration(training_runs):
     setup, result, wall = training_runs[0]
-    rows = result.trace_rows()
+    rows = result.rows
     lam_max = max(max(r["lamA_max"], r["lamC_max"]) for r in rows)
     ok = lam_max <= 1e-9 and wall < 600.0
     verdict(1, "every exploration rollout certified",

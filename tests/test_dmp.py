@@ -10,8 +10,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
+from cgms.config import compile_setup, load_config
 from cgms.dmp import (
-    REFERENCE_BLOCK,
     RbfBasis,
     build_basis,
     fit_min_jerk,
@@ -19,6 +19,7 @@ from cgms.dmp import (
     rollout_reference,
 )
 from cgms.errors import DegenerateBasisError
+from cgms.learning import initial_policy
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +243,14 @@ def test_rollout_reference_matches_stepper(handover_setup):
         assert np.abs(a - xdd[i]).max() < 1e-9
 
 
-@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 130, 257, 5001])
+@pytest.mark.parametrize(
+    "n", [1, 2, 3, 5, 6, 10, 11, 127, 128, 129, 130, 257, 5001])
 def test_rollout_reference_matches_the_filter_at_block_edges(
         n, handover_setup, handover_policy):
-    # n - 1 steps: one short block, one full block (129), one step past it.
-    assert REFERENCE_BLOCK == 128
+    # n - 1 maps go to affine_scan in chunks of c = ceil(sqrt(n - 1)): one
+    # map (n = 2), full chunks only (n = 3, 5, 10) and a ragged last chunk
+    # (n = 6, 11); the longer grids take 12 to 71 maps per chunk, up to the
+    # full 5 s grid.
     params, start, tgrid = (handover_setup.dmp, handover_setup.start,
                             handover_setup.tgrid)
     theta = handover_policy.theta_traj
@@ -259,16 +263,17 @@ def test_rollout_reference_matches_the_filter_at_block_edges(
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                     reason="longdouble is no wider than float here")
-def test_rollout_reference_tracks_an_extended_precision_run(
-        handover_setup, handover_policy):
-    # The 5 s / 1 ms handover reference.  The filter form rounds
-    # a1 = 2 - kk - kd with kk about 6e-6 and lands 2e-11 m away.
-    params, start, tgrid = (handover_setup.dmp, handover_setup.start,
-                            handover_setup.tgrid)
-    theta = handover_policy.theta_traj
+@pytest.mark.parametrize("horizon", [5.0, 10.0])
+def test_rollout_reference_tracks_an_extended_precision_run(horizon):
+    # The 5 s and 10 s handover references on the 1 ms grid.  The filter
+    # form rounds a1 = 2 - kk - kd with kk about 6e-6 and lands 2e-11 m
+    # away at 5 s.
+    setup, _ = compile_setup(load_config(overrides={"run_horizon": horizon}))
+    params, start, tgrid = setup.dmp, setup.start, setup.tgrid
+    theta = initial_policy(setup).theta_traj
     x, _, _ = rollout_reference(params, start, theta, tgrid)
     exact = longdouble_reference(params, start, theta, tgrid)
-    assert len(tgrid) == 5001
+    assert len(tgrid) == round(horizon * 1000) + 1
     assert float(np.abs(x - exact).max()) <= 1e-13
 
 

@@ -768,7 +768,7 @@ def test_train_with_no_updates_only_evaluates():
     result = train(setup, noise=noise, updates=0, rollouts_per_update=4,
                    beta_softmax=cfg.learning_softmax_sharpness,
                    rollout_hook=lambda *call: calls.append(call))
-    rows = result.trace_rows()
+    rows = result.rows
     assert [(r["update"], r["rollout"]) for r in rows] == [(0, 0)]
     assert (result.initial_mean_cost == result.final_mean_cost
             == result.evaluation.cost)
