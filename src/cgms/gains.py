@@ -20,6 +20,7 @@ import numpy as np
 
 from .dmp import RbfBasis
 from .errors import CertifiedFloorError, IntegrationDivergedError
+from .robustness import eigvalsh_stack
 
 K_EIG_FLOOR = 1e-12   # smallest admissible stiffness eigenvalue
 FLOOR_BLOCK = 512     # matrices per Cholesky call of the floor check
@@ -267,8 +268,10 @@ def stiffness_floor(K, clamp=False):
 
 def slack_products(S_D, S_K, Sd_D):
     """Slack products (G_D, G_K, Ddot) = (S_D S_D^T, S_K S_K^T, d/dt G_D)
-    of (n, m, m) slack stacks; Sd_D is the damping slack's time derivative."""
-    Ddot = Sd_D @ np.swapaxes(S_D, 1, 2) + S_D @ np.swapaxes(Sd_D, 1, 2)
+    of (n, m, m) slack stacks; Sd_D is the damping slack's time derivative.
+    Ddot = X + X^T with X = Sd_D S_D^T, since S_D Sd_D^T = X^T."""
+    Ddot = Sd_D @ np.swapaxes(S_D, 1, 2)
+    Ddot = Ddot + np.swapaxes(Ddot, 1, 2)
     return S_D @ np.swapaxes(S_D, 1, 2), S_K @ np.swapaxes(S_K, 1, 2), Ddot
 
 
@@ -277,15 +280,15 @@ def schedule_from_products(G_D, G_K, Ddot, alpha, H, K0, tgrid, clamp=False):
 
     D = alpha H + G_D, and K follows the flow Kdot = 2 alpha K + B with
     B = -alpha Ddot - G_K, so the two certificate matrices are -G_D and
-    -G_K; their largest eigenvalues are the schedule's lam_A and lam_C.
-    clamp is integrate_cholesky_flow's.
+    -G_K; their largest eigenvalues (eigvalsh_stack) are the schedule's
+    lam_A and lam_C.  clamp is integrate_cholesky_flow's.
     """
     D = alpha * H + G_D
     B = -alpha * Ddot - G_K
     K = integrate_cholesky_flow(B, alpha, K0, tgrid[1] - tgrid[0], clamp=clamp)
     return GainSchedule(t=tgrid, K=K, D=D, Kdot=2.0 * alpha * K + B,
-                        Ddot=Ddot, lam_A=np.linalg.eigvalsh(-G_D)[..., -1],
-                        lam_C=np.linalg.eigvalsh(-G_K)[..., -1], alpha=alpha,
+                        Ddot=Ddot, lam_A=eigvalsh_stack(-G_D)[..., -1],
+                        lam_C=eigvalsh_stack(-G_K)[..., -1], alpha=alpha,
                         H=np.asarray(H, float))
 
 

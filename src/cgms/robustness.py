@@ -32,6 +32,9 @@ UUB_TOL = 1e-6
 # RK4 steps built at once: enough to batch the build, few enough that memory
 # does not grow with the horizon.  affine_scan takes them in chunks of 16.
 SIM_BLOCK = 256
+EIG_BLOCK = 512         # matrices per closed-form pass of eigvalsh_stack
+EIG_REPEAT_TOL = 1e-6   # it hands eigvalsh the matrices with |r| > 1 - this
+EIG_ZERO_TOL = 1e-9     # or an eigenvalue within this max(1, ||A||_F) of 0
 
 
 @dataclass(frozen=True)
@@ -117,10 +120,10 @@ def inputs_from_schedule(schedule, u_bar, optimize=False):
     """
     H = schedule.H
     h_eigs = np.linalg.eigvalsh(H)
-    k_eigs = np.linalg.eigvalsh(schedule.K)
+    k_eigs = eigvalsh_stack(schedule.K)
     # D = alpha H + G_D is symmetric, so its 2-norm is its largest
     # eigenvalue magnitude.
-    d_norm = np.abs(np.linalg.eigvalsh(schedule.D)).max()
+    d_norm = np.abs(eigvalsh_stack(schedule.D)).max()
     rep = schedule.report()
     eps_D, eps_K = rep.eps_D, rep.eps_K
     base = dict(alpha=schedule.alpha, h_min=float(h_eigs.min()),
@@ -184,6 +187,47 @@ def affine_scan(maps, s0):
               out=out[:F].reshape(-1, c * N, R))
     np.matmul(maps[F:].reshape(-1, N), S[-1], out=out[F:].reshape(-1, R))
     return out.reshape((L,) + s0.shape)
+
+
+def eigvalsh_stack(A):
+    """Ascending eigenvalues of a symmetric stack from its lower triangle,
+    as np.linalg.eigvalsh gives them.  An (n, 3, 3) stack takes Smith's
+    closed form, EIG_BLOCK matrices at a time: with q = tr/3,
+    p = ||A - qI||_F / sqrt(6) and r = det(A - qI) / (2p^3), they are
+    q + 2p cos((arccos(r) + 2k pi)/3).  eigvalsh redoes a matrix whose
+    closed form is not finite (a NaN raises LinAlgError), near-repeated
+    extremes, where arccos loses sqrt(eps), and an eigenvalue near zero, so
+    every sign at rounding level is LAPACK's.  Other shapes go to eigvalsh."""
+    if A.ndim != 3 or A.shape[1:] != (3, 3) or not len(A):
+        return np.linalg.eigvalsh(A)
+    w = np.empty((len(A), 3))
+    for i in range(0, len(A), EIG_BLOCK):
+        _eigvalsh_block(A[i:i + EIG_BLOCK], w[i:i + EIG_BLOCK])
+    return w
+
+
+def _eigvalsh_block(a, out):
+    """eigvalsh_stack on one block a of shape (b, 3, 3), into out (b, 3)."""
+    v = a.reshape(-1, 9).T[[0, 4, 8, 3, 6, 7]]   # diagonal, then lower
+    with np.errstate(over="ignore", invalid="ignore"):   # redone below
+        q = v[:3].sum(axis=0) / 3.0
+        v[:3] -= q
+        p = np.sqrt((np.einsum("ij,ij->j", v, v)
+                     + np.einsum("ij,ij->j", v[3:], v[3:])) / 6.0)
+        v /= np.where(p > 0.0, p, 1.0)
+        b0, b1, b2, c0, c1, c2 = v
+        r = 0.5 * (b0 * (b1 * b2 - c2 * c2) - c0 * (c0 * b2 - c1 * c2)
+                   + c1 * (c0 * c2 - c1 * b1))
+        phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
+        out[:, 2] = q + 2.0 * p * np.cos(phi)
+        out[:, 0] = q + 2.0 * p * np.cos(phi + 2.0 * math.pi / 3.0)
+        out[:, 1] = 3.0 * q - out[:, 2] - out[:, 0]
+        tol = EIG_ZERO_TOL * np.maximum(1.0, np.sqrt(6 * p * p + 3 * q * q))
+        w = np.abs(out).T   # a NaN, or tol = inf, fails w > tol: redone
+        w = np.minimum(np.minimum(w[0], w[1]), w[2])
+        redo = np.flatnonzero(~(w > tol) | (np.abs(r) > 1.0 - EIG_REPEAT_TOL))
+    if redo.size:
+        out[redo] = np.linalg.eigvalsh(a[redo])
 
 
 def simulate_error_dynamics(schedule, residuals, z0=None):

@@ -3,6 +3,7 @@
 import io
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from cgms.gains import (
     vec_triangle_inverse,
     write_csv,
 )
+from cgms.robustness import eigvalsh_stack
 from conftest import checkout_env
 
 ALPHA = 0.05
@@ -544,3 +546,110 @@ def test_write_csv_format():
     buf = io.StringIO()
     write_csv(buf, ["update", "cost"], [])
     assert buf.getvalue() == "update,cost\n"
+
+
+# ---------------------------------------------------------------------------
+# eigvalsh_stack against eigvalsh
+# ---------------------------------------------------------------------------
+
+def frobenius(A):
+    """Per-matrix Frobenius norms of a stack, without overflow."""
+    s = np.abs(A).max(axis=(1, 2))
+    s[s == 0.0] = 1.0
+    return s * np.linalg.norm(A / s[:, None, None], axis=(1, 2))
+
+
+def assert_matches_eigvalsh(A):
+    """eigvalsh_stack within 1e-12 max(1, ||A||_F) of eigvalsh on every
+    matrix, with the same sign of the largest eigenvalue, and LAPACK's
+    values bitwise where an eigenvalue sits within 1e-10 max(1, ||A||_F) of
+    zero (inside the band that eigvalsh_stack hands to eigvalsh)."""
+    got, ref = eigvalsh_stack(A), np.linalg.eigvalsh(A)
+    assert got.shape == ref.shape
+    scale = np.maximum(1.0, frobenius(A))
+    err = (np.abs(got - ref).max(axis=1) / scale).max()
+    assert err <= 1e-12, err
+    assert np.array_equal(np.sign(got[:, -1]), np.sign(ref[:, -1]))
+    near_zero = (np.abs(ref).min(axis=1) <= 1e-10 * scale)
+    assert np.array_equal(got[near_zero], ref[near_zero])
+    return got
+
+
+def rotated(rng, lam):
+    """Q diag(lam) Q^T for a random orthogonal Q per row of lam (n, 3)."""
+    Q, _ = np.linalg.qr(rng.standard_normal((len(lam), 3, 3)))
+    return (Q * lam[:, None, :]) @ np.swapaxes(Q, 1, 2)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 216.0, 1e8])
+def test_eigvalsh_stack_random_symmetric(scale, rng):
+    A = scale * rng.standard_normal((2000, 3, 3))
+    assert_matches_eigvalsh(A + np.swapaxes(A, 1, 2))
+
+
+@pytest.mark.parametrize("gap", [0.0] + [10.0 ** -k for k in range(1, 11)])
+def test_eigvalsh_stack_repeated_extremes(gap, rng):
+    # The top pair, then the bottom pair, at a relative gap down to 1e-10,
+    # where arccos alone loses sqrt(eps).  From 1e-4 down |r| > 1 - 1e-6,
+    # so every matrix is eigvalsh's.
+    base = rng.uniform(-2.0, 2.0, (300, 1)) + np.array([-3.0, 1.0, 1.0])
+    top = base + np.array([0.0, 0.0, gap])
+    bottom = -base[:, ::-1] + np.array([0.0, gap, 0.0])
+    for lam in (top, bottom):
+        A = rotated(rng, 100.0 * lam)
+        got = assert_matches_eigvalsh(A)
+        if gap <= 1e-4:
+            assert np.array_equal(got, np.linalg.eigvalsh(A))
+
+
+def test_eigvalsh_stack_multiples_of_the_identity():
+    c = np.array([20.0, -29.95, 0.1, 1e-3, -7.0, 1e5, 0.0])
+    got = assert_matches_eigvalsh(c[:, None, None] * np.eye(3))
+    # The initial policy's G_K is 20 I exactly.
+    assert np.array_equal(got[0], [20.0, 20.0, 20.0])
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_eigvalsh_stack_rank_deficient_products(rank, rng):
+    S = rng.standard_normal((2000, 3, rank))
+    G = S @ np.swapaxes(S, 1, 2)
+    assert_matches_eigvalsh(G)
+    assert_matches_eigvalsh(-G)
+
+
+@pytest.mark.parametrize("top", [1e-14, -1e-14, 0.0])
+def test_eigvalsh_stack_eigenvalues_at_rounding_level(top, rng):
+    lam = np.sort(-rng.uniform(1.0, 200.0, (500, 3)), axis=1)
+    lam[:, -1] = top
+    assert_matches_eigvalsh(rotated(rng, lam))
+    D = np.zeros((3, 3, 3))
+    D[:, [0, 1, 2], [0, 1, 2]] = [[-3.0, -1.0, top], [top, 1.0, 2.0],
+                                  [-1.0, top, 4.0]]
+    assert_matches_eigvalsh(D)
+
+
+def test_eigvalsh_stack_huge_scale_warns_nothing(rng):
+    A = rng.standard_normal((600, 3, 3))
+    A = 1e300 * (A + np.swapaxes(A, 1, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = eigvalsh_stack(A)
+    ref = np.linalg.eigvalsh(A)
+    assert (np.abs(got - ref).max(axis=1) <= 1e-12 * frobenius(A)).all()
+
+
+def test_eigvalsh_stack_nan_raises_like_eigvalsh(rng):
+    A = rng.standard_normal((700, 3, 3))
+    A = A + np.swapaxes(A, 1, 2)
+    A[613, 2, 0] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.eigvalsh(A)
+    with pytest.raises(np.linalg.LinAlgError):
+        eigvalsh_stack(A)
+
+
+def test_eigvalsh_stack_other_shapes_are_eigvalsh(rng):
+    A = rng.standard_normal((50, 2, 2))
+    A = A + np.swapaxes(A, 1, 2)
+    assert np.array_equal(eigvalsh_stack(A), np.linalg.eigvalsh(A))
+    assert eigvalsh_stack(np.empty((0, 3, 3))).shape == (0, 3)

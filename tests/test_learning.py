@@ -15,7 +15,7 @@ from cgms.errors import (
     InfeasibleFloorError,
     IntegrationDivergedError,
 )
-from cgms.gains import SlackParams, slack_trace
+from cgms.gains import SlackParams, build_gain_schedule, slack_trace
 from cgms.governor import TorqueLimits, beta_star_detail
 from cgms.learning import (
     MAX_RESAMPLE_ATTEMPTS,
@@ -265,6 +265,27 @@ def test_rollout_memory_peak(handover_setup, handover_policy):
     finally:
         tracemalloc.stop()
     assert peak <= 6.5e6, peak
+
+
+def test_schedule_build_memory_peak(handover_setup, handover_policy):
+    # A warm schedule build on the 5 s handover grid peaks near 4.27 MB of
+    # traced memory (4.20 MB with eigvalsh as the audit).  The closed-form
+    # audit takes EIG_BLOCK matrices at a time: on whole stacks its
+    # temporaries read 4.85 MB.
+    setup, policy = handover_setup, handover_policy
+    sp = SlackParams(theta_d=policy.theta_d, theta_k=policy.theta_k,
+                     basis=setup.slack_basis, m=setup.m)
+    args = (sp, setup.alpha, setup.H, setup.dmp.tau,
+            setup.k_init * np.eye(setup.m), setup.tgrid)
+    build_gain_schedule(*args)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        build_gain_schedule(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.3e6, peak
 
 
 def test_noisy_rollout_still_certified(handover_setup, handover_policy,
