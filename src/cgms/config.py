@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .dmp import DmpParams, build_basis, min_jerk
+from .dmp import ACTIVATION_FLOOR, DmpParams, build_basis, min_jerk
 from .errors import ConfigError
 from .governor import TorqueLimits
 from .learning import (
@@ -135,9 +135,10 @@ class ExperimentConfig:
                                   f"got {getattr(self, name)!r}")
         for name in ("dmp_intersection_height",
                      "gains_slack_intersection_height"):
-            if not 0 < getattr(self, name) < 1:
-                raise ConfigError(f"{name} must lie in (0, 1), "
-                                  f"got {getattr(self, name)!r}")
+            # Midway between two centers the activations equal the height.
+            if not ACTIVATION_FLOOR <= getattr(self, name) < 1:
+                raise ConfigError(f"{name} must lie in [{ACTIVATION_FLOOR}, "
+                                  f"1), got {getattr(self, name)!r}")
         if not self.gains_d_init > self.gains_alpha:
             # d_init I - alpha H must be positive definite (H = I).
             raise ConfigError(

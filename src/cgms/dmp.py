@@ -37,23 +37,31 @@ class RbfBasis:
         return len(self.centers)
 
     def raw(self, s):
-        """Unnormalized activations Psi_j(s); s scalar or array."""
-        s = np.asarray(s, float)[..., None]
-        return np.exp(-((s - self.centers) ** 2) / (2.0 * self.widths ** 2))
+        """Unnormalized activations Psi_j(s), computed in one buffer."""
+        psi = np.subtract(np.asarray(s, float)[..., None], self.centers)
+        np.square(psi, out=psi)
+        np.negative(psi, out=psi)
+        np.divide(psi, 2.0 * self.widths ** 2, out=psi)
+        return np.exp(psi, out=psi)
 
     def eval(self, s):
         """Normalized activation vector(s); rows sum to one."""
         psi, total = self._activations(s)
-        return psi / total
+        psi /= total
+        return psi
 
     def eval_deriv(self, s):
         """(Phi, dPhi/ds): the normalized vector(s) and their analytic
         derivative, from one evaluation of the activations."""
         psi, total = self._activations(s)
-        phi = psi / total
-        s = np.asarray(s, float)[..., None]
-        dpsi = psi * (self.centers - s) / self.widths ** 2
-        return phi, (dpsi - phi * dpsi.sum(axis=-1, keepdims=True)) / total
+        dpsi = np.subtract(self.centers, np.asarray(s, float)[..., None])
+        dpsi *= psi
+        dpsi /= self.widths ** 2
+        phi = np.divide(psi, total, out=psi)
+        dphi = np.multiply(phi, dpsi.sum(axis=-1, keepdims=True))
+        np.subtract(dpsi, dphi, out=dphi)
+        dphi /= total
+        return phi, dphi
 
     def _activations(self, s):
         psi = self.raw(s)
@@ -68,11 +76,15 @@ def build_basis(M, intersection_height):
     Gaussians intersect at the requested height h:
 
         sigma = dc / (2 sqrt(2 ln(1/h))).
+
+    Each neighbour's activation midway between two centers is h itself, so
+    below ACTIVATION_FLOOR, where 1/h may overflow too, the basis underflows.
     """
     if M < 1:
         raise ValueError("need at least one basis function")
-    if not 0.0 < intersection_height < 1.0:
-        raise ValueError("intersection height must lie in (0, 1)")
+    if not ACTIVATION_FLOOR <= intersection_height < 1.0:
+        raise ValueError(
+            f"intersection height must lie in [{ACTIVATION_FLOOR}, 1)")
     if M == 1:
         centers = np.array([0.5])
         widths = np.array([0.5])

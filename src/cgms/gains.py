@@ -14,6 +14,7 @@ sample therefore yields a schedule with both left-hand sides equal to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,19 +56,6 @@ def vec_triangle(L):
     return np.asarray(L)[..., rows, cols]
 
 
-def vec_triangle_inverse(v, m):
-    """Inverse of vec_triangle for m x m matrices; accepts a batch of
-    vectors."""
-    v = np.asarray(v, float)
-    d = v.shape[-1]
-    if tri_dim(m) != d:
-        raise ValueError(f"vector length {d} does not match m={m}")
-    rows, cols = _tri_index_arrays(m)
-    L = np.zeros(v.shape[:-1] + (m, m))
-    L[..., rows, cols] = v
-    return L
-
-
 # ---------------------------------------------------------------------------
 # Slack parametrization
 # ---------------------------------------------------------------------------
@@ -92,14 +80,13 @@ class SlackParams:
 def slack_trace(sp, s_all):
     """Vectorized slack evaluation over an array of phases.
 
-    Returns (S_D, S_K, Sdot_D) with shape (n, m, m).  Sdot_D is the damping
-    slack's derivative in the phase s; the caller multiplies it by
-    ds/dt = -1/tau.  No gain rate needs the stiffness slack's derivative.
+    Returns (S_D, S_K, Sdot_D) as packed lower triangles of shape
+    (n, tri_dim(m)), in vec_triangle order.  Sdot_D is the damping slack's
+    derivative in the phase s; the caller multiplies it by ds/dt = -1/tau.
+    No gain rate needs the stiffness slack's derivative.
     """
     ph, dph = sp.basis.eval_deriv(s_all)
-    return (vec_triangle_inverse(ph @ sp.theta_d, sp.m),
-            vec_triangle_inverse(ph @ sp.theta_k, sp.m),
-            vec_triangle_inverse(dph @ sp.theta_d, sp.m))
+    return ph @ sp.theta_d, ph @ sp.theta_k, dph @ sp.theta_d
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +191,8 @@ def integrate_cholesky_flow(B, alpha, K0, dt, clamp=False):
     K[i+1] = r K[i] + c B[i], r = exp(2 alpha dt), c = (r - 1) / (2 alpha).
     Up to a growth r**(n-1) of e**2 its closed form (one cumulative sum) is
     as accurate; past that the closed form cancels, so the update runs step
-    by step in scipy.signal.lfilter, imported only then (about 1 s and
-    70 MB).  The trace then passes stiffness_floor: batched Cholesky
-    factorizations of K - K_EIG_FLOOR I test the positivity floor, and only
-    if one fails do eigvalsh decide and, with clamp=True, eigh floor it.
+    by step in scipy.signal.lfilter, imported only then (about 1.5 s and
+    76 MB with scipy 1.17).  The trace then passes stiffness_floor.
     """
     B = np.asarray(B, float)
     n, m = B.shape[0], B.shape[-1]
@@ -234,19 +219,21 @@ def stiffness_floor(K, clamp=False):
     """Check a symmetric (n, m, m) stiffness stack against the positivity
     floor K_EIG_FLOOR and return it.
 
-    A stack with a non-finite entry anywhere (the flow overflowed) raises
+    A non-finite entry anywhere (the flow overflowed) raises
     IntegrationDivergedError in either mode; the test comes first, since
-    Cholesky reads only the lower triangle.  Batched Cholesky
-    factorizations of K - K_EIG_FLOOR I pass every stack that clears the
-    floor; FLOOR_BLOCK matrices at a time, so the shifted copies and
-    factors add nothing to the peak memory of a schedule build.  Only when
-    one fails (or is not finite) does the decision fall to the minimum
-    eigenvalue (eigvalsh): below the floor the schedule is rejected, or
-    with clamp=True, a path for explicitly uncertified (ablation) runs,
-    floored pointwise through eigh.
+    the factorizations read only the lower triangle.  A 3 x 3 stack passes
+    at once if _clears_floor; otherwise batched Cholesky factorizations of
+    K - K_EIG_FLOOR I, FLOOR_BLOCK matrices at a time (so the shifted
+    copies and factors add nothing to the peak memory of a schedule build),
+    pass every stack that clears the floor.  Only when one fails (or is not
+    finite) does the minimum eigenvalue (eigvalsh) decide: below the floor
+    the schedule is rejected, or with clamp=True, a path for explicitly
+    uncertified (ablation) runs, floored pointwise through eigh.
     """
     if not np.isfinite(K).all():
         raise IntegrationDivergedError("stiffness flow diverged to a non-finite K")
+    if K.shape[-1] == 3 and _clears_floor(K):
+        return K
     shift = K_EIG_FLOOR * np.eye(K.shape[-1])
     try:
         factors = (np.linalg.cholesky(K[i:i + FLOOR_BLOCK] - shift)
@@ -266,13 +253,54 @@ def stiffness_floor(K, clamp=False):
     return 0.5 * (K + np.swapaxes(K, 1, 2))
 
 
+def _clears_floor(K):
+    """Whether every matrix of a symmetric (n, 3, 3) stack has LDL^T pivots
+    of A = K - K_EIG_FLOOR I, d0 = a00, d1 = a11 - l10 a10 and
+    d2 = a22 - l20 a20 - l21 (a21 - l20 a10), above 1e-9 max(1, max diag K).
+    Cholesky's pivots then differ from these by a few eps a_kk (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 10), so it succeeds
+    too.  A zero, NaN or inf pivot reads as not clear.
+    """
+    with np.errstate(all="ignore"):
+        a00, a11, a22 = (K[:, i, i] - K_EIG_FLOOR for i in range(3))
+        a10, a20, a21 = K[:, 1, 0], K[:, 2, 0], K[:, 2, 1]
+        l20 = a20 / a00
+        d1 = a11 - a10 / a00 * a10
+        e21 = a21 - l20 * a10
+        d2 = a22 - l20 * a20 - e21 / d1 * e21
+        tol = 1e-9 * np.maximum(1.0, np.diagonal(K, 0, 1, 2).max(axis=1))
+        return bool(((a00 > tol) & (d1 > tol) & (d2 > tol)).all())
+
+
 def slack_products(S_D, S_K, Sd_D):
     """Slack products (G_D, G_K, Ddot) = (S_D S_D^T, S_K S_K^T, d/dt G_D)
-    of (n, m, m) slack stacks; Sd_D is the damping slack's time derivative.
-    Ddot = X + X^T with X = Sd_D S_D^T, since S_D Sd_D^T = X^T."""
-    Ddot = Sd_D @ np.swapaxes(S_D, 1, 2)
-    Ddot = Ddot + np.swapaxes(Ddot, 1, 2)
-    return S_D @ np.swapaxes(S_D, 1, 2), S_K @ np.swapaxes(S_K, 1, 2), Ddot
+    of packed (n, tri_dim(m)) slacks as slack_trace returns them; Sd_D is
+    the damping slack's time derivative.  Entry (i, j) of S S^T is the sum
+    over k <= min(i, j) of S_ik S_jk, and Ddot = X + X^T, X = Sd_D S_D^T;
+    each lower entry is formed once from contiguous columns and written to
+    (i, j) and (j, i), so the (n, m, m) products are exactly symmetric.
+    """
+    a, b, c = (np.ascontiguousarray(np.transpose(S)) for S in (S_D, S_K, Sd_D))
+    d, n = a.shape
+    m = (math.isqrt(8 * d + 1) - 1) // 2
+    at = dict(zip(zip(*_tri_index_arrays(m)), range(d)))   # (i, k) -> row
+    G_D, G_K, Ddot = (np.empty((n, m, m)) for _ in range(3))
+    for i in range(m):
+        for j in range(i + 1):
+            pairs = [(at[i, k], at[j, k]) for k in range(j + 1)]
+            G_D[:, i, j] = G_D[:, j, i] = _column_dot(a, a, pairs)
+            G_K[:, i, j] = G_K[:, j, i] = _column_dot(b, b, pairs)
+            Ddot[:, i, j] = Ddot[:, j, i] = (_column_dot(c, a, pairs)
+                                             + _column_dot(a, c, pairs))
+    return G_D, G_K, Ddot
+
+
+def _column_dot(x, y, pairs):
+    """Sum of x[p] * y[q] over the (p, q) pairs, in order."""
+    out = x[pairs[0][0]] * y[pairs[0][1]]
+    for p, q in pairs[1:]:
+        out += x[p] * y[q]
+    return out
 
 
 def schedule_from_products(G_D, G_K, Ddot, alpha, H, K0, tgrid, clamp=False):
@@ -286,9 +314,10 @@ def schedule_from_products(G_D, G_K, Ddot, alpha, H, K0, tgrid, clamp=False):
     D = alpha * H + G_D
     B = -alpha * Ddot - G_K
     K = integrate_cholesky_flow(B, alpha, K0, tgrid[1] - tgrid[0], clamp=clamp)
+    # Copies: a view would keep the whole (n, m) eigenvalue array alive.
+    lam_A, lam_C = (eigvalsh_stack(-G)[..., -1].copy() for G in (G_D, G_K))
     return GainSchedule(t=tgrid, K=K, D=D, Kdot=2.0 * alpha * K + B,
-                        Ddot=Ddot, lam_A=eigvalsh_stack(-G_D)[..., -1],
-                        lam_C=eigvalsh_stack(-G_K)[..., -1], alpha=alpha,
+                        Ddot=Ddot, lam_A=lam_A, lam_C=lam_C, alpha=alpha,
                         H=np.asarray(H, float))
 
 

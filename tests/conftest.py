@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from cgms.config import compile_setup, load_config
+from cgms.gains import tri_dim, vec_triangle
 from cgms.learning import MODE_UNCERTIFIED_AFTER_VIA, initial_policy, rollout, train
 
 
@@ -26,6 +27,17 @@ def checkout_env():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     return env
+
+
+def vec_triangle_inverse(v, m):
+    """Inverse of vec_triangle for m x m matrices; accepts a batch of
+    vectors, such as the packed slacks of slack_trace."""
+    v = np.asarray(v, float)
+    if v.shape[-1] != tri_dim(m):
+        raise ValueError(f"vector length {v.shape[-1]} does not match m={m}")
+    L = np.zeros(v.shape[:-1] + (m * m,))
+    L[..., vec_triangle(np.arange(m * m).reshape(m, m))] = v
+    return L.reshape(v.shape[:-1] + (m, m))
 
 
 @pytest.fixture(scope="session")

@@ -23,6 +23,7 @@ from cgms.robustness import (
     uub_constants,
     uub_empirical,
 )
+from conftest import vec_triangle_inverse
 from test_learning import error_equation_deviation, offset_reference
 from test_robustness import certified_schedule
 
@@ -70,7 +71,8 @@ def test_criterion_4_stiffness_flow_identity():
         sp = SlackParams(theta_d=0.5 * rng.standard_normal((7, 6)),
                          theta_k=0.5 * rng.standard_normal((7, 6)),
                          basis=basis, m=3)
-        S_D, S_K, Sd_D = slack_trace(sp, s_all)
+        S_D, S_K, Sd_D = (vec_triangle_inverse(S, 3)
+                           for S in slack_trace(sp, s_all))
         Sd_D = -Sd_D
         Ddot = Sd_D @ np.swapaxes(S_D, 1, 2) + S_D @ np.swapaxes(Sd_D, 1, 2)
         B = -0.05 * Ddot - S_K @ np.swapaxes(S_K, 1, 2)

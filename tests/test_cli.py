@@ -189,6 +189,9 @@ def test_dt_longer_than_horizon_is_config_error(tmp_path, capsys):
     ("gains_slack_rbf_count", 0),
     ("dmp_intersection_height", 1.0),
     ("gains_slack_intersection_height", 0.0),
+    # Subnormal heights, whose midway activations underflow.
+    ("dmp_intersection_height", "1e-310"),
+    ("gains_slack_intersection_height", "1e-310"),
     ("dmp_stiffness", 0),
     ("learning_covariance_decay", -1),
     ("run_seed", -1),
@@ -212,7 +215,8 @@ def test_values_that_fail_in_training_are_config_errors(tmp_path, capsys,
     path.write_text(f"[{section}]\n{name} = {value}\n")
     rc = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_CONFIG
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and key in err[0]
 
 
 def test_zero_alpha_is_accepted():

@@ -5,6 +5,7 @@ the vectorized ``rollout_reference`` is checked against; the IIR-filter
 form of the same update is a second, whole-trajectory oracle.
 """
 
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from cgms.config import compile_setup, load_config
 from cgms.dmp import (
+    ACTIVATION_FLOOR,
     RbfBasis,
     build_basis,
     fit_min_jerk,
@@ -190,6 +192,40 @@ def test_basis_deriv_matches_finite_difference():
         assert np.abs(basis.eval_deriv(s)[1] - fd).max() < 1e-5
 
 
+def old_activations(basis, s):
+    """The basis formulas as written before they ran in place: the oracle of
+    raw, eval and eval_deriv."""
+    s = np.asarray(s, float)[..., None]
+    psi = np.exp(-((s - basis.centers) ** 2) / (2.0 * basis.widths ** 2))
+    total = psi.sum(axis=-1, keepdims=True)
+    phi = psi / total
+    dpsi = psi * (basis.centers - s) / basis.widths ** 2
+    return psi, phi, (dpsi - phi * dpsi.sum(axis=-1, keepdims=True)) / total
+
+
+@pytest.mark.parametrize("M, h", [(51, 0.95), (7, 0.7), (1, 0.5)])
+def test_in_place_basis_is_bitwise_the_old_formula(M, h):
+    basis = build_basis(M, h)
+    for s in (0.3, np.array([0.0, 1.0]), 1.0 - np.linspace(0.0, 1.0, 5001),
+              np.linspace(0.0, 1.0, 12).reshape(3, 4)):
+        psi, phi, dphi = old_activations(basis, s)
+        assert np.array_equal(basis.raw(s), psi)
+        assert np.array_equal(basis.eval(s), phi)
+        got_phi, got_dphi = basis.eval_deriv(s)
+        assert np.array_equal(got_phi, phi)
+        assert np.array_equal(got_dphi, dphi)
+
+
+def test_lowest_valid_height_keeps_its_basis_above_the_floor():
+    # Midway between two centers each neighbour's activation is h, so at
+    # h = ACTIVATION_FLOOR the totals stay at about twice the floor.
+    basis = build_basis(51, ACTIVATION_FLOOR)
+    mid = 0.5 * (basis.centers[:-1] + basis.centers[1:])
+    total = basis.raw(mid).sum(axis=-1)
+    assert (total >= 1.99 * ACTIVATION_FLOOR).all()
+    assert np.isfinite(basis.eval_deriv(np.linspace(0.0, 1.0, 5001))[1]).all()
+
+
 def test_degenerate_basis_detected():
     basis = RbfBasis(centers=np.array([0.0, 1e-3]),
                      widths=np.array([1e-5, 1e-5]))
@@ -202,6 +238,13 @@ def test_build_basis_validation():
         build_basis(0, 0.5)
     with pytest.raises(ValueError):
         build_basis(5, 1.0)
+    # A subnormal height used to overflow 1/h into zero widths, with
+    # divide-by-zero warnings, and fail only on evaluation.
+    for h in (1e-310, 0.5 * ACTIVATION_FLOOR):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="intersection height"):
+                build_basis(51, h)
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,15 @@ from cgms.gains import (
     build_gain_schedule,
     constant_slack_params,
     integrate_cholesky_flow,
+    slack_products,
     slack_trace,
     stiffness_floor,
     tri_dim,
     vec_triangle,
-    vec_triangle_inverse,
     write_csv,
 )
 from cgms.robustness import eigvalsh_stack
-from conftest import checkout_env
+from conftest import checkout_env, vec_triangle_inverse
 
 ALPHA = 0.05
 H3 = np.eye(3)
@@ -43,9 +43,14 @@ def random_slack_params(rng, m=3, scale=1.0, basis=None):
                        basis=basis, m=m)
 
 
+def unpacked_slack(sp, s_all):
+    """slack_trace's (S_D, S_K, Sdot_D) unpacked to (n, m, m) stacks."""
+    return tuple(vec_triangle_inverse(S, sp.m) for S in slack_trace(sp, s_all))
+
+
 def slack_at(sp, s):
     """(S_D, S_K) of slack_trace at the single phase s."""
-    S_D, S_K, _ = slack_trace(sp, np.array([s]))
+    S_D, S_K, _ = unpacked_slack(sp, np.array([s]))
     return S_D[0], S_K[0]
 
 
@@ -122,7 +127,7 @@ def test_slack_derivative_finite_difference(rng):
         plus = slack_at(sp, s + h)[0]
         minus = slack_at(sp, s - h)[0]
         fd = (plus - minus) / (2 * h)
-        _, _, Sd_D = slack_trace(sp, np.array([s]))
+        _, _, Sd_D = unpacked_slack(sp, np.array([s]))
         assert np.abs(Sd_D[0] - fd).max() < 1e-5
 
 
@@ -180,6 +185,33 @@ def test_constant_slack_rate_is_zero(rng):
     assert np.array_equal(short_schedule(sp0).Ddot, np.zeros((10, 3, 3)))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("rank", ["full", "deficient"])
+def test_slack_products_match_batched_matmul(m, rank, rng):
+    # The packed column products against a batched matmul of the unpacked
+    # triangles, with row scales from 1e-6 to 1e6.  A deficient slack has
+    # a zero first and last diagonal entry (for m = 1, a zero slack).
+    n = 400
+    S_D, S_K, Sd_D = (rng.standard_normal((n, tri_dim(m)))
+                      * 10.0 ** rng.uniform(-6, 6, (n, 1)) for _ in range(3))
+    if rank == "deficient":
+        for S in (S_D, S_K, Sd_D):
+            S[:, [0, m - 1]] = 0.0
+    G_D, G_K, Ddot = slack_products(S_D, S_K, Sd_D)
+    U_D, U_K, Ud_D = (vec_triangle_inverse(S, m) for S in (S_D, S_K, Sd_D))
+    norm = lambda S: np.linalg.norm(S, axis=1)
+    T = lambda U: np.swapaxes(U, 1, 2)
+    for got, ref, bound in (
+            (G_D, U_D @ T(U_D), norm(S_D) ** 2),
+            (G_K, U_K @ T(U_K), norm(S_K) ** 2),
+            (Ddot, Ud_D @ T(U_D) + U_D @ T(Ud_D), 2 * norm(Sd_D) * norm(S_D))):
+        assert got.shape == (n, m, m)
+        assert (np.abs(got - ref).max(axis=(1, 2)) <= 1e-14 * bound).all()
+        assert np.array_equal(got, T(got))
+    for G in (G_D, G_K):
+        assert (np.diagonal(G, 0, 1, 2) >= 0.0).all()
+
+
 # ---------------------------------------------------------------------------
 # Stiffness flow
 # ---------------------------------------------------------------------------
@@ -209,7 +241,7 @@ def test_flow_kdot_identity_finite_difference(rng):
     sp = random_slack_params(rng, scale=0.5)
     tau = 1.0
     s_all = 1.0 - tgrid / tau
-    S_D, S_K, Sd_D = slack_trace(sp, s_all)
+    S_D, S_K, Sd_D = unpacked_slack(sp, s_all)
     Sd_D = Sd_D * (-1.0 / tau)
     SDt = np.swapaxes(S_D, 1, 2)
     Ddot = Sd_D @ SDt + S_D @ np.swapaxes(Sd_D, 1, 2)
@@ -394,6 +426,101 @@ def test_floor_names_a_non_finite_stack(bad, clamp, rng):
         stiffness_floor(K, clamp=clamp)
 
 
+def floor_oracle(K, clamp=False):
+    """stiffness_floor's verdict without the LDL^T pre-test: Cholesky of
+    K - K_EIG_FLOOR I, then eigvalsh, then with clamp=True the eigh floor."""
+    try:
+        factor = np.linalg.cholesky(K - K_EIG_FLOOR * np.eye(K.shape[-1]))
+        if np.isfinite(factor).all():
+            return K
+    except np.linalg.LinAlgError:
+        pass
+    if np.linalg.eigvalsh(K)[..., 0].min() >= K_EIG_FLOOR:
+        return K
+    if not clamp:
+        raise CertifiedFloorError("below the floor")
+    return eigh_clamp(K)
+
+
+def floor_outcome(floor, K, clamp=False):
+    """The stack a floor check returns (the input itself when it passes), or
+    the rejection."""
+    try:
+        out = floor(K, clamp)
+    except CertifiedFloorError:
+        return "rejected"
+    return "unchanged" if out is K else out
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12])
+def test_floor_pretest_keeps_every_verdict(scale, rng):
+    # Spectrum (lam_min, lam_min + scale, lam_min + 2 scale), with lam_min
+    # below, at, around and above the floor: per matrix and per stack, the
+    # pre-test's verdict and output are those of the Cholesky path.
+    for lam_min in (-1.0, 0.0, K_EIG_FLOOR * (1 - 1e-3),
+                    K_EIG_FLOOR * (1 + 1e-3), 1e-9, 1.0):
+        lam = lam_min + scale * np.array([0.0, 1.0, 2.0])
+        K = rotated(rng, np.tile(lam, (40, 1)))
+        K = 0.5 * (K + np.swapaxes(K, 1, 2))
+        for clamp in (False, True):
+            for k in (K, *K[:, None]):
+                got = floor_outcome(stiffness_floor, k, clamp)
+                ref = floor_outcome(floor_oracle, k, clamp)
+                if isinstance(ref, str):
+                    assert got == ref, (lam_min, scale)
+                else:
+                    np.testing.assert_array_equal(got, ref)
+
+
+def cholesky_spy(monkeypatch):
+    """Count the np.linalg.cholesky calls that follow."""
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def spy(A):
+        calls.append(A.shape)
+        return cholesky(A)
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    return calls
+
+
+@pytest.mark.parametrize("lam_min", [K_EIG_FLOOR * (1 - 1e-3),
+                                     K_EIG_FLOOR * (1 + 1e-3), 1e-9])
+def test_near_floor_stacks_reach_cholesky(lam_min, monkeypatch, rng):
+    # Pivots within 1e-9 max(1, max diag K) of the floor are left to LAPACK.
+    K = stacks_with_min_eigenvalue(rng, 50, lam_min)
+    calls = cholesky_spy(monkeypatch)
+    floor_outcome(stiffness_floor, K)
+    assert calls
+
+
+def test_clear_stacks_skip_cholesky(monkeypatch, rng):
+    K = stacks_with_min_eigenvalue(rng, 5001, 1.0)
+    calls = cholesky_spy(monkeypatch)
+    assert stiffness_floor(K) is K
+    assert calls == []
+
+
+def test_floor_pretest_is_for_3x3_only(monkeypatch):
+    # An m = 2 stack takes the Cholesky path whatever its margin.
+    K = np.tile(200.0 * np.eye(2), (10, 1, 1))
+    calls = cholesky_spy(monkeypatch)
+    assert stiffness_floor(K) is K
+    assert calls == [(10, 2, 2)]
+
+
+def test_floor_pretest_warns_nothing_on_zero_pivots():
+    # A zero leading pivot divides by zero in the pre-test; it falls
+    # through to the Cholesky path without a RuntimeWarning.
+    K = np.tile(np.diag([K_EIG_FLOOR, 1.0, 1.0]), (5, 1, 1))
+    K[:, 1, 0] = K[:, 0, 1] = 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CertifiedFloorError):
+            stiffness_floor(K)
+
+
 def test_flow_overflow_raises_integration_diverged():
     # alpha = 100 over 5 s: the growth e^(2 alpha T) = e^1000 overflows.
     with pytest.raises(IntegrationDivergedError, match="stiffness flow"):
@@ -483,7 +610,7 @@ def test_schedule_certified_by_construction(rng):
         assert sched.lam_C.max() <= 1e-12
         assert np.linalg.eigvalsh(sched.K)[..., 0].min() > 0
         s_all = 1.0 - tgrid / tau
-        _, S_K, _ = slack_trace(sp, s_all)
+        _, S_K, _ = unpacked_slack(sp, s_all)
         SSK = S_K @ np.swapaxes(S_K, 1, 2)
         residual = sched.Kdot + ALPHA * sched.Ddot - 2 * ALPHA * sched.K + SSK
         assert np.abs(residual).max() < 1e-8
