@@ -14,7 +14,8 @@ from cgms.governor import TorqueLimits, beta_star_detail
 
 
 def main():
-    limits = TorqueLimits.fr3_half()
+    half = np.array([43.5, 43.5, 43.5, 43.5, 6.0, 6.0, 6.0])   # 7-joint arm
+    limits = TorqueLimits(tau_min=-half, tau_max=half)
     print(f"torque box: +/- {limits.tau_max} Nm")
     rng = np.random.default_rng(3)
     for trial in range(5):

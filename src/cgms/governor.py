@@ -18,8 +18,6 @@ from .errors import InfeasibleFloorError
 ZERO_SLOPE_TOL = 1e-12
 BOX_TOL = 1e-12         # a torque this far outside the box still counts as in it
 
-FR3_TORQUE_LIMITS = np.array([87.0, 87.0, 87.0, 87.0, 12.0, 12.0, 12.0])
-
 
 @dataclass(frozen=True)
 class TorqueLimits:
@@ -36,11 +34,6 @@ class TorqueLimits:
     def box(limit, n):
         lim = np.full(n, float(limit))
         return TorqueLimits(tau_min=-lim, tau_max=lim)
-
-    @staticmethod
-    def fr3_half():
-        return TorqueLimits(tau_min=-FR3_TORQUE_LIMITS / 2,
-                            tau_max=FR3_TORQUE_LIMITS / 2)
 
     def contains(self, tau, tol=0.0):
         return bool(np.all(tau >= self.tau_min - tol)

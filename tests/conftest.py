@@ -13,6 +13,7 @@ import pytest
 
 from cgms.config import compile_setup, load_config
 from cgms.gains import tri_dim, vec_triangle
+from cgms.governor import TorqueLimits
 from cgms.learning import MODE_UNCERTIFIED_AFTER_VIA, initial_policy, rollout, train
 
 
@@ -27,6 +28,13 @@ def checkout_env():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     return env
+
+
+def seven_joint_box():
+    """Half the [87 87 87 87 12 12 12] Nm limits of a 7-joint arm: a box
+    whose joints differ, for the governor's closed form."""
+    half = np.array([43.5, 43.5, 43.5, 43.5, 6.0, 6.0, 6.0])
+    return TorqueLimits(tau_min=-half, tau_max=half)
 
 
 def vec_triangle_inverse(v, m):

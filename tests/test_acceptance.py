@@ -13,7 +13,7 @@ from cgms import cli
 from cgms.config import compile_setup, load_config
 from cgms.dmp import build_basis, fit_min_jerk, min_jerk, rollout_reference
 from cgms.gains import SlackParams, integrate_cholesky_flow, slack_trace
-from cgms.governor import TorqueLimits, beta_star_detail
+from cgms.governor import beta_star_detail
 from cgms.learning import PolicyParams, initial_policy, pi2_update, pi2_weights, rollout
 from cgms.robustness import (
     RobustnessInputs,
@@ -23,7 +23,7 @@ from cgms.robustness import (
     uub_constants,
     uub_empirical,
 )
-from conftest import vec_triangle_inverse
+from conftest import seven_joint_box, vec_triangle_inverse
 from test_learning import error_equation_deviation, offset_reference
 from test_robustness import certified_schedule
 
@@ -90,7 +90,7 @@ def test_criterion_4_stiffness_flow_identity():
 
 def test_criterion_5_governor_exactness(training_runs):
     rng = np.random.default_rng(5)
-    limits = TorqueLimits.fr3_half()
+    limits = seven_joint_box()
 
     def bisect(tau0, tau1):
         def feasible(b):

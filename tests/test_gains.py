@@ -271,10 +271,13 @@ def test_flow_holds_the_nominal_stiffness_at_large_alpha_T():
 def test_flow_matches_the_step_update(alpha, rng):
     # 2 alpha T = 0.2 takes the closed form, 2 alpha T = 4 the step-by-step
     # recurrence; both must be K[i+1] = r K[i] + c B[i] applied per step.
+    # Both act on each entry alone, so the symmetric B gives a K equal to
+    # its transpose bit for bit, with no symmetrisation.
     n, dt = 2001, 1e-3
     B = rng.standard_normal((n, 3, 3))
     B = B + np.swapaxes(B, 1, 2)
     K = integrate_cholesky_flow(B, alpha, 200.0 * np.eye(3), dt)
+    assert np.array_equal(K, np.swapaxes(K, 1, 2))
     r = np.exp(2 * alpha * dt)
     c = (r - 1) / (2 * alpha)
     Ki = 200.0 * np.eye(3)
@@ -372,8 +375,8 @@ def accepted(K):
 @pytest.mark.parametrize("lam_min, ok", [(1e-11, True), (1e-13, False),
                                          (-1.0, False)])
 def test_floor_check_agrees_with_eigvalsh(lam_min, ok, rng):
-    # The Cholesky test of K - K_EIG_FLOOR I accepts a stack whose least
-    # eigenvalue is ten times the floor and rejects one a tenth of it.
+    # The floor accepts a stack whose least eigenvalue is ten times the
+    # floor and rejects one a tenth of it.
     K = stacks_with_min_eigenvalue(rng, 50, lam_min)
     assert accepted(K) == ok
     assert ok == (np.linalg.eigvalsh(K)[..., 0].min() >= K_EIG_FLOOR)
@@ -390,7 +393,7 @@ def test_floor_clamp_matches_the_eigh_path(rng):
 @pytest.mark.parametrize("bad", [0, 2917, 5001])
 def test_floor_check_finds_one_bad_sample(bad, rng):
     # 5001 good samples and one bad one, in the first, a middle and the
-    # last (partial) block of the check.
+    # last (partial) block of eigvalsh_stack.
     K = stacks_with_min_eigenvalue(rng, 5002, 1.0)
     assert accepted(K)
     K[bad] = stacks_with_min_eigenvalue(rng, 1, 1e-13)[0]
@@ -399,8 +402,8 @@ def test_floor_check_finds_one_bad_sample(bad, rng):
 
 
 def test_floor_check_passes_no_nan_stack(rng):
-    # Cholesky carries a NaN through without failing; the fallback names
-    # the non-finite stack before eigvalsh sees it.
+    # eigvalsh raises LinAlgError on a NaN; the floor names the non-finite
+    # stack before eigvalsh sees it.
     K = stacks_with_min_eigenvalue(rng, 10, 1.0)
     K[4] = np.nan
     with pytest.raises(IntegrationDivergedError, match="stiffness flow"):
@@ -412,7 +415,7 @@ def test_floor_check_passes_no_nan_stack(rng):
                                  "upper_nan"])
 def test_floor_names_a_non_finite_stack(bad, clamp, rng):
     # An overflowed matrix, or one NaN entry (mirrored, as the stack is
-    # symmetric, or in the upper triangle alone, which Cholesky never
+    # symmetric, or in the upper triangle alone, which eigvalsh_stack never
     # reads), is a diverged flow in either mode: not a floor rejection to
     # resample, and not a clamped schedule.
     K = stacks_with_min_eigenvalue(rng, 10, 1.0)
@@ -427,14 +430,8 @@ def test_floor_names_a_non_finite_stack(bad, clamp, rng):
 
 
 def floor_oracle(K, clamp=False):
-    """stiffness_floor's verdict without the LDL^T pre-test: Cholesky of
-    K - K_EIG_FLOOR I, then eigvalsh, then with clamp=True the eigh floor."""
-    try:
-        factor = np.linalg.cholesky(K - K_EIG_FLOOR * np.eye(K.shape[-1]))
-        if np.isfinite(factor).all():
-            return K
-    except np.linalg.LinAlgError:
-        pass
+    """stiffness_floor's verdict from LAPACK alone: eigvalsh, then with
+    clamp=True the eigh floor."""
     if np.linalg.eigvalsh(K)[..., 0].min() >= K_EIG_FLOOR:
         return K
     if not clamp:
@@ -456,7 +453,7 @@ def floor_outcome(floor, K, clamp=False):
 def test_floor_pretest_keeps_every_verdict(scale, rng):
     # Spectrum (lam_min, lam_min + scale, lam_min + 2 scale), with lam_min
     # below, at, around and above the floor: per matrix and per stack, the
-    # pre-test's verdict and output are those of the Cholesky path.
+    # verdict and output are those of LAPACK's eigvalsh and the eigh clamp.
     for lam_min in (-1.0, 0.0, K_EIG_FLOOR * (1 - 1e-3),
                     K_EIG_FLOOR * (1 + 1e-3), 1e-9, 1.0):
         lam = lam_min + scale * np.array([0.0, 1.0, 2.0])
@@ -472,47 +469,59 @@ def test_floor_pretest_keeps_every_verdict(scale, rng):
                     np.testing.assert_array_equal(got, ref)
 
 
-def cholesky_spy(monkeypatch):
-    """Count the np.linalg.cholesky calls that follow."""
+def lapack_spy(monkeypatch, name):
+    """Record the shape of every np.linalg.<name> call that follows."""
     calls = []
-    cholesky = np.linalg.cholesky
+    routine = getattr(np.linalg, name)
 
-    def spy(A):
+    def spy(A, *args, **kwargs):
         calls.append(A.shape)
-        return cholesky(A)
+        return routine(A, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    monkeypatch.setattr(np.linalg, name, spy)
     return calls
 
 
 @pytest.mark.parametrize("lam_min", [K_EIG_FLOOR * (1 - 1e-3),
                                      K_EIG_FLOOR * (1 + 1e-3), 1e-9])
-def test_near_floor_stacks_reach_cholesky(lam_min, monkeypatch, rng):
-    # Pivots within 1e-9 max(1, max diag K) of the floor are left to LAPACK.
-    K = stacks_with_min_eigenvalue(rng, 50, lam_min)
-    calls = cholesky_spy(monkeypatch)
-    floor_outcome(stiffness_floor, K)
-    assert calls
+def test_near_floor_stacks_reach_eigvalsh(lam_min, monkeypatch, rng):
+    # Pivots within 1e-9 max(1, max diag K) of the floor fail the pre-test;
+    # eigvalsh_stack then hands LAPACK the rows with an eigenvalue near 0.
+    K = stacks_with_min_eigenvalue(rng, 50, 0.5)
+    near = np.arange(3, 50, 7)
+    K[near] = stacks_with_min_eigenvalue(rng, len(near), lam_min)
+    calls = lapack_spy(monkeypatch, "eigvalsh")
+    got = floor_outcome(stiffness_floor, K)
+    assert calls == [(len(near), 3, 3)]
+    assert got == ("unchanged" if lam_min > K_EIG_FLOOR else "rejected")
 
 
-def test_clear_stacks_skip_cholesky(monkeypatch, rng):
+def test_clear_stacks_skip_lapack(monkeypatch, rng):
     K = stacks_with_min_eigenvalue(rng, 5001, 1.0)
-    calls = cholesky_spy(monkeypatch)
+    calls = [lapack_spy(monkeypatch, name) for name in ("eigvalsh", "cholesky")]
     assert stiffness_floor(K) is K
-    assert calls == []
+    assert calls == [[], []]
 
 
 def test_floor_pretest_is_for_3x3_only(monkeypatch):
-    # An m = 2 stack takes the Cholesky path whatever its margin.
+    # An m = 2 stack goes to eigvalsh whatever its margin.
     K = np.tile(200.0 * np.eye(2), (10, 1, 1))
-    calls = cholesky_spy(monkeypatch)
+    calls = lapack_spy(monkeypatch, "eigvalsh")
     assert stiffness_floor(K) is K
     assert calls == [(10, 2, 2)]
 
 
+@pytest.mark.parametrize("clamp", [False, True])
+def test_floor_below_zero_makes_no_cholesky_call(clamp, monkeypatch, rng):
+    K = stacks_with_min_eigenvalue(rng, 50, -1.0)
+    calls = lapack_spy(monkeypatch, "cholesky")
+    floor_outcome(stiffness_floor, K, clamp)
+    assert calls == []
+
+
 def test_floor_pretest_warns_nothing_on_zero_pivots():
     # A zero leading pivot divides by zero in the pre-test; it falls
-    # through to the Cholesky path without a RuntimeWarning.
+    # through to eigvalsh_stack without a RuntimeWarning.
     K = np.tile(np.diag([K_EIG_FLOOR, 1.0, 1.0]), (5, 1, 1))
     K[:, 1, 0] = K[:, 0, 1] = 0.5
     with warnings.catch_warnings():

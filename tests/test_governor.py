@@ -12,12 +12,13 @@ from cgms.governor import (
     TorqueLimits,
     beta_star_detail,
 )
+from conftest import seven_joint_box
 
 
 def test_limit_presets():
-    half = TorqueLimits.fr3_half()
-    assert np.array_equal(half.tau_max, [43.5, 43.5, 43.5, 43.5, 6, 6, 6])
-    assert np.array_equal(half.tau_min, -np.asarray(half.tau_max))
+    box = TorqueLimits.box(5.0, 2)
+    assert np.array_equal(box.tau_max, [5.0, 5.0])
+    assert np.array_equal(box.tau_min, [-5.0, -5.0])
     with pytest.raises(ValueError):
         TorqueLimits(tau_min=np.array([1.0]), tau_max=np.array([0.0]))
 
@@ -80,7 +81,7 @@ def test_beta_star_matches_the_per_joint_loop(rng):
     # Random splits, with repeated joints (ties), slopes at and near the
     # zero-slope tolerance, and a floor on the box edge or within BOX_TOL
     # outside it, where a bound is negative and beta is clamped to 0.
-    limits = TorqueLimits.fr3_half()
+    limits = seven_joint_box()
     for _ in range(2000):
         tau0 = rng.uniform(limits.tau_min, limits.tau_max)
         tau1 = 60.0 * rng.standard_normal(7)
@@ -116,7 +117,7 @@ def bisect_beta(tau0, tau1, limits, tol=1e-12):
 
 
 def test_beta_star_matches_bisection_oracle(rng):
-    limits = TorqueLimits.fr3_half()
+    limits = seven_joint_box()
     for _ in range(1000):
         tau0 = rng.uniform(limits.tau_min, limits.tau_max)
         tau1 = 30.0 * rng.standard_normal(7)
@@ -126,7 +127,7 @@ def test_beta_star_matches_bisection_oracle(rng):
 
 
 def test_beta_star_maximality(rng):
-    limits = TorqueLimits.fr3_half()
+    limits = seven_joint_box()
     for _ in range(200):
         tau0 = rng.uniform(limits.tau_min, limits.tau_max)
         tau1 = 50.0 * rng.standard_normal(7)

@@ -726,6 +726,24 @@ def test_schedule_from_rollout_consistent(handover_setup, handover_policy,
     assert abs(rep.eps_D - 29.95) < 1e-6
 
 
+def test_noisy_sampled_stiffness_is_bitwise_symmetric(
+        handover_setup, handover_policy, handover_task):
+    # slack_products writes each entry to both halves and the flow acts on
+    # each entry alone, so the stiffness needs no symmetrisation.
+    checked = 0
+    for r in range(6):
+        xi = sample_noise(handover_task.noise, handover_policy, 0, r)
+        try:
+            K = sampled_schedule(handover_setup, handover_policy,
+                                 plus(handover_policy, xi)).K
+        except CertifiedFloorError:
+            continue
+        assert np.array_equal(K, np.swapaxes(K, 1, 2))
+        assert np.ptp(K[:, 1, 0]) > 0.0
+        checked += 1
+    assert checked >= 3
+
+
 def test_initial_policy_blocks(handover_setup):
     pol = initial_policy(handover_setup)
     assert pol.theta_traj.shape == (51, 3)

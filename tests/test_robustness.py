@@ -535,3 +535,21 @@ def test_strict_margin_precondition_enforced():
                            gamma=0.5, eta=0.25, u_bar=0.01)
     with pytest.raises(MarginTooSmallError):
         dissipation_check(sched, inp, lambda t: np.zeros((len(t), 3)))
+
+
+def test_zero_stiffness_margin_is_not_strict():
+    # A constant damping slack S_D = I and no stiffness slack: eps_D = 1 but
+    # eps_K = 0, which is no strict margin either.
+    row = vec_triangle(np.eye(3))
+    sp = SlackParams(theta_d=np.tile(row, (7, 1)), theta_k=np.zeros((7, 6)),
+                     basis=build_basis(7, 0.7), m=3)
+    tgrid = np.arange(0.0, 1.0, 1e-3)
+    sched = build_gain_schedule(sp, ALPHA, H3, 1.0, 50.0 * np.eye(3), tgrid)
+    rep = sched.report()
+    assert abs(rep.eps_D - 1.0) < 1e-9 and rep.eps_K == 0.0
+    assert rep.passes and not rep.passes_strict
+    inp = RobustnessInputs(alpha=ALPHA, h_min=1.0, h_max=1.0, k_lower=40.0,
+                           k_upper=50.0, d_upper=1.05, eps_D=1.0, eps_K=6.0,
+                           gamma=0.5, eta=0.25, u_bar=0.01)
+    with pytest.raises(MarginTooSmallError, match="strict"):
+        dissipation_check(sched, inp, lambda t: np.zeros((len(t), 3)))
