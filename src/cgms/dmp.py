@@ -116,12 +116,14 @@ class DmpParams:
         return 2.0 * math.sqrt(self.k)
 
 
-def rollout_reference(params, start, theta, tgrid):
+def rollout_reference(params, start, theta, tgrid, phi=None):
     """Integrate the DMP with forcing weights theta (M, D) over tgrid;
     returns (x_d, xdot_d, xddot_d) arrays.
 
     Sample i holds the state at tgrid[i]; the acceleration is the RHS
-    evaluated there.  The basis matrix over all phases is evaluated once.
+    evaluated there.  phi is the basis matrix params.basis.eval over the
+    phases 1 - tgrid / tau, shape (n, M); it is evaluated here when not
+    given (TaskSetup compiles it once).
     The semi-implicit update in velocity form v = dt xdot,
 
         v[i+1] = -kk x[i] + (1 - kd) v[i] + w[i],   x[i+1] = x[i] + v[i+1],
@@ -136,7 +138,9 @@ def rollout_reference(params, start, theta, tgrid):
     n = len(tgrid)
     D = len(start)
     s_all = 1.0 - np.asarray(tgrid) / params.tau
-    forcing = s_all[:, None] * (params.basis.eval(s_all) @ theta)   # (n, D)
+    if phi is None:
+        phi = params.basis.eval(s_all)
+    forcing = s_all[:, None] * (phi @ theta)   # (n, D)
     scale = params.tau ** 2
     g = np.asarray(params.goal, float)
     x = np.empty((n, D))
@@ -151,7 +155,7 @@ def rollout_reference(params, start, theta, tgrid):
         maps = np.tile(step, (n - 1, 1, 1))
         maps[:, :2, 2:] = ((dt * dt / scale)
                            * (params.k * g + forcing[:-1]))[:, None]
-        xv = affine_scan(maps, np.vstack([start, np.zeros(D), np.eye(D)]))
+        xv, _ = affine_scan(maps, np.vstack([start, np.zeros(D), np.eye(D)]))
         x[1:] = xv[:, 0]
         xd[1:] = xv[:, 1] / dt
     xdd = (params.k * (g - x) - params.tau * params.d * xd + forcing) / scale

@@ -76,15 +76,17 @@ class SlackParams:
             raise ValueError("theta_k shape mismatch")
 
 
-def slack_trace(sp, s_all):
+def slack_trace(sp, s_all, phi=None):
     """Vectorized slack evaluation over an array of phases.
 
     Returns (S_D, S_K, Sdot_D) as packed lower triangles of shape
     (n, tri_dim(m)), in vec_triangle order.  Sdot_D is the damping slack's
     derivative in the phase s; the caller multiplies it by ds/dt = -1/tau.
-    No gain rate needs the stiffness slack's derivative.
+    No gain rate needs the stiffness slack's derivative.  phi is the pair
+    sp.basis.eval_deriv(s_all); it is evaluated here when not given
+    (TaskSetup compiles it once over its grid).
     """
-    ph, dph = sp.basis.eval_deriv(s_all)
+    ph, dph = sp.basis.eval_deriv(s_all) if phi is None else phi
     return ph @ sp.theta_d, ph @ sp.theta_k, dph @ sp.theta_d
 
 
@@ -188,10 +190,13 @@ def integrate_cholesky_flow(B, alpha, K0, dt, clamp=False):
     Returns the (n, m, m) stiffness trace.  With B held constant over each
     step the flow Kdot = 2 alpha K + B has the exact update
     K[i+1] = r K[i] + c B[i], r = exp(2 alpha dt), c = (r - 1) / (2 alpha).
-    Up to a growth r**(n-1) of e**2 its closed form (one cumulative sum) is
-    as accurate; past that the closed form cancels, so the update runs step
-    by step in scipy.signal.lfilter, imported only then (about 1.5 s and
-    76 MB with scipy 1.17).  Both act on each entry alone, so a symmetric
+    Up to a growth r**(n-1) of e**2 its closed form
+    K[i] = r**i (K0 + c sum_{j<i} r**-(j+1) B[j]) is as accurate; it is
+    written into K[1:] in place (multiply, cumulative sum, scale by c, add
+    K0, multiply by r**i), so it allocates no (n, m, m) temporary.  Past
+    that growth the closed form cancels, so the update runs step by step in
+    scipy.signal.lfilter, imported only then (about 1.5 s and 76 MB with
+    scipy 1.17).  Both act on each entry alone, so a symmetric
     K0 and B stack (slack_products writes both halves) give a bitwise
     symmetric trace.  The trace then passes stiffness_floor.
     """
@@ -206,7 +211,12 @@ def integrate_cholesky_flow(B, alpha, K0, dt, clamp=False):
     K[0] = K0
     if 2.0 * alpha * dt * (n - 1) <= 2.0:
         idx = np.arange(1, n)[:, None, None]
-        K[1:] = r ** idx * (K0 + c * np.cumsum(r ** -idx * B[:-1], axis=0))
+        Kt = K[1:]
+        np.multiply(r ** -idx, B[:-1], out=Kt)
+        np.cumsum(Kt, axis=0, out=Kt)
+        Kt *= c
+        Kt += K0
+        Kt *= r ** idx
     else:
         from scipy.signal import lfilter
         K[1:] = lfilter([c], [1.0, -r], B[:-1].reshape(n - 1, -1), axis=0,
@@ -304,7 +314,14 @@ def schedule_from_products(G_D, G_K, Ddot, alpha, H, K0, tgrid, clamp=False):
     K = integrate_cholesky_flow(B, alpha, K0, tgrid[1] - tgrid[0], clamp=clamp)
     # Copies: a view would keep the whole (n, m) eigenvalue array alive.
     lam_A, lam_C = (eigvalsh_stack(-G)[..., -1].copy() for G in (G_D, G_K))
-    return GainSchedule(t=tgrid, K=K, D=D, Kdot=2.0 * alpha * K + B,
+    # A K within a factor 2 alpha of the float maximum is finite, yet its
+    # rate is not.
+    with np.errstate(over="ignore"):
+        Kdot = 2.0 * alpha * K + B
+    if not np.isfinite(Kdot).all():
+        raise IntegrationDivergedError(
+            "stiffness flow diverged to a non-finite Kdot")
+    return GainSchedule(t=tgrid, K=K, D=D, Kdot=Kdot,
                         Ddot=Ddot, lam_A=lam_A, lam_C=lam_C, alpha=alpha,
                         H=np.asarray(H, float))
 

@@ -11,7 +11,7 @@ command would leave the actuator box.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,6 +39,10 @@ MODE_CERTIFIED = "certified"
 MODE_UNCERTIFIED_AFTER_VIA = "uncertified-after-via"
 
 MAX_RESAMPLE_ATTEMPTS = 100
+# Closed-loop maps formed and scanned at once by rollout, rounded down to
+# whole chunks of the single scan of the horizon: memory does not grow
+# with the horizon beyond the traces.
+LOOP_BLOCK = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +155,14 @@ def trajectory_cost(t, x, x_ref, accel, K_trace, weights):
 @dataclass(frozen=True)
 class TaskSetup:
     """Compiled, policy-independent description of one learning task
-    (config.compile_setup builds it)."""
+    (config.compile_setup builds it).
+
+    On construction it evaluates the bases every rollout reads on the
+    phases 1 - t / tau of its grid: dmp_phi, the DMP basis (n, M), and
+    slack_phi, the slack basis and its phase derivative, (n, M_s) each.
+    They are read-only and are not arguments of __init__, so
+    dataclasses.replace evaluates them anew for the new fields.
+    """
 
     model: PlantModel
     H: np.ndarray
@@ -166,6 +177,17 @@ class TaskSetup:
     k_init: float
     d_init: float
     mode: str
+    dmp_phi: np.ndarray = field(init=False, compare=False, repr=False)
+    slack_phi: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        s = 1.0 - np.asarray(self.tgrid) / self.dmp.tau
+        dmp_phi = self.dmp.basis.eval(s)
+        slack_phi = self.slack_basis.eval_deriv(s)
+        for arr in (dmp_phi, *slack_phi):
+            arr.flags.writeable = False
+        object.__setattr__(self, "dmp_phi", dmp_phi)
+        object.__setattr__(self, "slack_phi", slack_phi)
 
     @property
     def m(self):
@@ -223,11 +245,11 @@ def sampled_schedule(setup, policy, sample):
     clamps instead of rejecting.
     """
     tau, t_hat = setup.dmp.tau, setup.weights.t_hat
-    slack = lambda p, s: slack_trace(SlackParams(
+    slack = lambda p, s, phi=None: slack_trace(SlackParams(
         theta_d=p.theta_d, theta_k=p.theta_k, basis=setup.slack_basis,
-        m=setup.m), s)
-    S_D, S_K, Sd_D = slack(sample, 1.0 - setup.tgrid / tau)
-    Sd_D = Sd_D * (-1.0 / tau)
+        m=setup.m), s, phi)
+    S_D, S_K, Sd_D = slack(sample, 1.0 - setup.tgrid / tau, setup.slack_phi)
+    Sd_D *= -1.0 / tau
     products = slack_products(S_D, S_K, Sd_D)
     clamp = setup.mode == MODE_UNCERTIFIED_AFTER_VIA
     after = setup.tgrid > t_hat
@@ -236,6 +258,7 @@ def sampled_schedule(setup, policy, sample):
         lin = slack_products(S_D[after] - Sn_D, S_K[after] - Sn_K, Sd_D[after])
         for G, dG in zip(products, lin):
             G[after] -= dG
+    del S_D, S_K, Sd_D      # the flow and the audit read the products only
     return schedule_from_products(*products, setup.alpha, setup.H,
                                   setup.k_init * np.eye(setup.m), setup.tgrid,
                                   clamp=clamp)
@@ -258,10 +281,11 @@ def rollout(policy, xi, setup):
     """Simulate one governed episode of the closed loop.
 
     The steps, in order: the sample policy + xi (the policy itself when xi
-    is None) is formed once; its weights drive the DMP reference; the
-    feed-forward torque u_ff = Lam xdd_d + g is tested against the box;
-    the sampled gain schedule at beta = 1 (sampled_schedule) is built; the
-    closed loop runs and its cost is taken.
+    is None) is formed once; its weights drive the DMP reference on the
+    setup's compiled basis; the feed-forward torque u_ff = Lam xdd_d + g
+    is tested against the box; the sampled gain schedule at beta = 1
+    (sampled_schedule) is built; the closed loop runs and its cost is
+    taken.
 
     The box test runs only when the reference starts at the initial state
     (x_d[0] = x(0), xdot_d[0] = xdot(0)).  Controller and plant read one
@@ -279,12 +303,16 @@ def rollout(policy, xi, setup):
     The closed loop is the plant's semi-implicit Euler step
     s' = P s + Q (tau - g), s = (x, v, 1), applied to the control law's
     torque.  At beta = 1 the control law is a map tau - g = C[i] s, so the
-    loop is s[i+1] = T[i] s[i] with T = Q C + P, run by
-    robustness.affine_scan (chunks of ceil(sqrt(n - 1)) maps); the batched
-    torques share its gain products AHi K and AHi D.  That run stands up to
-    the first step out of the box.  From there on each step records its
-    torque, blended toward the floor by the governor when it is out of the
-    box, and applies the plant's step to it.
+    loop is s[i+1] = T[i] s[i] with T = Q C + P.  It runs in blocks of
+    about LOOP_BLOCK maps, in whole chunks of ceil(sqrt(n - 1)) maps: each
+    block forms its gain products AHi K and AHi D, its maps T in one reused
+    buffer, steps them by robustness.affine_scan with the chunk of the
+    whole horizon from the last block's carried state (so the states are
+    those of one scan of all n - 1 maps, bit for bit), and takes its
+    batched torques.  That run stands up to the first step out of the box,
+    and no later block is formed.  From there on each step forms its own
+    AHi K and AHi D, records its torque, blended toward the floor by the
+    governor when it is out of the box, and applies the plant's step to it.
     """
     tg = setup.tgrid
     n = len(tg)
@@ -296,7 +324,7 @@ def rollout(policy, xi, setup):
         theta_d=policy.theta_d + xi.theta_d,
         theta_k=policy.theta_k + xi.theta_k)
     x_d, xd_d, xdd_d = rollout_reference(setup.dmp, setup.start,
-                                         sample.theta_traj, tg)
+                                         sample.theta_traj, tg, setup.dmp_phi)
     s0 = plants.initial_state(setup.model, setup.start)
     Lam, g = plants.operational_space_terms(setup.model)
     u_ff = xdd_d @ Lam.T + g
@@ -319,22 +347,40 @@ def rollout(policy, xi, setup):
         return (u_ff[i] - mv(AD, s[..., m:-1] - xd_d[i])
                 - mv(AK, s[..., :m] - x_d[i]))
 
-    AK, AD = AHi @ sched.K, AHi @ sched.D
-    # The maps s' = T s at beta = 1, T = Q C + P, where tau - g = C s is the
-    # control law as a map of s (on all but the last step).
-    T = Q @ np.concatenate([-AK[:-1], -AD[:-1], (
-        u_ff[:-1] - g + mv(AD[:-1], xd_d[:-1])
-        + mv(AK[:-1], x_d[:-1]))[..., None]], axis=-1)
-    T += P
-    s = np.vstack([s0, affine_scan(T, s0)])
-    x_trace = s[:, :m]
-    tau_trace = torque(slice(None), AK, AD, s)
+    s = np.empty((n, 2 * m + 1))
+    s[0] = s_start = s0
+    tau_trace = np.empty((n, m))
     lim = setup.limits
-    out = ((tau_trace < lim.tau_min) | (tau_trace > lim.tau_max)).any(axis=1)
+    c = math.isqrt(n - 2) + 1       # the chunk of one scan of all n - 1 maps
+    block = max(1, LOOP_BLOCK // c) * c
+    T = np.empty((min(block, n - 1), 2 * m + 1, 2 * m + 1))
+    C = np.empty((len(T), m, 2 * m + 1))
+    first = n                       # the first step out of the box
+    for a in range(0, n - 1, block):
+        L = min(block, n - 1 - a)
+        e = n if a + L == n - 1 else a + L     # steps whose torque is taken
+        AK, AD = AHi @ sched.K[a:e], AHi @ sched.D[a:e]
+        # The maps s' = T s at beta = 1, T = Q C + P, where tau - g = C s is
+        # the control law as a map of s.
+        np.negative(AK[:L], out=C[:L, :, :m])
+        np.negative(AD[:L], out=C[:L, :, m:-1])
+        C[:L, :, -1] = (u_ff[a:a + L] - g + mv(AD[:L], xd_d[a:a + L])
+                        + mv(AK[:L], x_d[a:a + L]))
+        Tb = np.matmul(Q, C[:L], out=T[:L])
+        Tb += P
+        s[a + 1:a + L + 1], s_start = affine_scan(Tb, s_start, c)
+        tau = tau_trace[a:e] = torque(slice(a, e), AK, AD, s[a:e])
+        out = ((tau < lim.tau_min) | (tau > lim.tau_max)).any(axis=1)
+        if out.any():
+            first = a + int(out.argmax())
+            break
+    del T, C, AK, AD
+    x_trace = s[:, :m]
     events = []
     alpha, D_floor = setup.alpha, setup.alpha * setup.H
-    for i in range(int(out.argmax()) if out.any() else n, n):
-        tau_trace[i] = tau = torque(i, AK[i], AD[i], s[i])
+    for i in range(first, n):
+        tau_trace[i] = tau = torque(i, AHi @ sched.K[i], AHi @ sched.D[i],
+                                    s[i])
         if ((tau < lim.tau_min) | (tau > lim.tau_max)).any():
             K_floor = np.exp(2.0 * alpha * tg[i]) * (setup.k_init * np.eye(m))
             tau0 = torque(i, AHi @ K_floor, AHi @ D_floor, s[i])

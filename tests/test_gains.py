@@ -21,6 +21,7 @@ from cgms.gains import (
     build_gain_schedule,
     constant_slack_params,
     integrate_cholesky_flow,
+    schedule_from_products,
     slack_products,
     slack_trace,
     stiffness_floor,
@@ -28,6 +29,7 @@ from cgms.gains import (
     vec_triangle,
     write_csv,
 )
+from cgms import robustness
 from cgms.robustness import eigvalsh_stack
 from conftest import checkout_env, vec_triangle_inverse
 
@@ -537,6 +539,16 @@ def test_flow_overflow_raises_integration_diverged():
                                 200.0 * np.eye(3), 1e-3)
 
 
+def test_schedule_with_a_non_finite_rate_raises_integration_diverged():
+    # alpha = 70 over 5 s: K reaches 2.0e306, still finite, but its rate
+    # 2 alpha K + B does not fit in a float.
+    n = 5001
+    zeros = np.zeros((n, 3, 3))
+    with pytest.raises(IntegrationDivergedError, match="Kdot"):
+        schedule_from_products(zeros, zeros, zeros, 70.0, H3,
+                               200.0 * np.eye(3), np.arange(n) * 1e-3)
+
+
 def test_flow_step_rejects_floor():
     # A stiffness of 1e-13 already sits below the 1e-12 eigenvalue floor,
     # which must reject rather than continue.
@@ -782,6 +794,16 @@ def test_eigvalsh_stack_nan_raises_like_eigvalsh(rng):
         np.linalg.eigvalsh(A)
     with pytest.raises(np.linalg.LinAlgError):
         eigvalsh_stack(A)
+
+
+def test_eigvalsh_stack_is_independent_of_the_block(monkeypatch, rng):
+    # The closed form acts on each matrix alone, so EIG_BLOCK, which bounds
+    # its temporaries, changes no bit of the result.
+    S = rng.standard_normal((5001, 3, 2))
+    A = -(S @ np.swapaxes(S, 1, 2))
+    want = eigvalsh_stack(A)
+    monkeypatch.setattr(robustness, "EIG_BLOCK", 7)
+    assert np.array_equal(eigvalsh_stack(A), want)
 
 
 def test_eigvalsh_stack_other_shapes_are_eigvalsh(rng):

@@ -1,6 +1,7 @@
 """Policy parameters, exploration noise, cost, rollouts, and the update."""
 
 import gc
+import math
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -8,8 +9,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cgms import learning
+from cgms import learning, plants
 from cgms.config import compile_setup, load_config
+from cgms.dmp import build_basis
 from cgms.errors import (
     CertifiedFloorError,
     InfeasibleFloorError,
@@ -18,6 +20,7 @@ from cgms.errors import (
 from cgms.gains import SlackParams, build_gain_schedule, slack_trace
 from cgms.governor import TorqueLimits, beta_star_detail
 from cgms.learning import (
+    LOOP_BLOCK,
     MAX_RESAMPLE_ATTEMPTS,
     MODE_UNCERTIFIED_AFTER_VIA,
     PolicyParams,
@@ -33,6 +36,7 @@ from cgms.learning import (
     via_weight,
 )
 from cgms.plants import PlantModel
+from cgms.robustness import affine_scan
 from conftest import vec_triangle_inverse
 from test_gains import certificate_margins
 
@@ -254,9 +258,12 @@ def test_rollout_determinism(handover_setup, handover_policy,
 
 
 def test_rollout_memory_peak(handover_setup, handover_policy):
-    # A warm noise-free handover rollout peaks near 5.85 MB of traced
-    # memory, when Q C forms its step maps (1.96 MB).  The scan composes
-    # them in place: a scan that copied them first read 7.28 MB.
+    # A warm noise-free handover rollout peaks near 3.43 MB of traced
+    # memory, at the certificate audit of its schedule build.  The setup
+    # holds its compiled bases (2.60 MB) for as long as it lives, so the
+    # guard counts them too: 6.03 MB.  The closed loop forms and scans its
+    # maps a block of about LOOP_BLOCK at a time; all 5000 at once (1.96 MB
+    # of maps) peaked near 5.57 MB without the compiled bases.
     rollout(handover_policy, None, handover_setup)
     tracemalloc.start()
     try:
@@ -265,14 +272,17 @@ def test_rollout_memory_peak(handover_setup, handover_policy):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 6.5e6, peak
+    compiled = sum(a.nbytes for a in (handover_setup.dmp_phi,
+                                      *handover_setup.slack_phi))
+    assert peak + compiled <= 6.5e6, (peak, compiled)
 
 
 def test_schedule_build_memory_peak(handover_setup, handover_policy):
-    # A warm schedule build on the 5 s handover grid peaks near 3.75 MB of
+    # A warm schedule build on the 5 s handover grid peaks near 3.67 MB of
     # traced memory (4.27 MB with the slack products as batched matmuls of
-    # unpacked triangles).  The closed-form audit takes EIG_BLOCK matrices
-    # at a time: on whole stacks its temporaries read 4.05 MB.
+    # unpacked triangles).  The stiffness flow runs in place, and the
+    # closed-form audit takes EIG_BLOCK = 2048 matrices at a time: 4096
+    # read 3.93 MB, and whole stacks 4.05 MB.
     setup, policy = handover_setup, handover_policy
     sp = SlackParams(theta_d=policy.theta_d, theta_k=policy.theta_k,
                      basis=setup.slack_basis, m=setup.m)
@@ -290,6 +300,81 @@ def test_schedule_build_memory_peak(handover_setup, handover_policy):
     # The certificate traces own their memory: a view of the top-eigenvalue
     # column would keep the whole (n, m) eigenvalue array alive.
     assert sched.lam_A.base is None and sched.lam_C.base is None
+
+
+def test_compiled_bases_are_read_only(handover_setup):
+    for arr in (handover_setup.dmp_phi, *handover_setup.slack_phi):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+
+
+def test_compiled_bases_follow_replace(handover_setup):
+    # A cost-reference change compiles the same values; a new basis
+    # compiles the new one.
+    new = replace(handover_setup, weights=replace(handover_setup.weights,
+                                                  t_hat=1.0),
+                  limits=TorqueLimits.box(1e3, handover_setup.m))
+    for a, b in zip((new.dmp_phi, *new.slack_phi),
+                    (handover_setup.dmp_phi, *handover_setup.slack_phi)):
+        assert np.array_equal(a, b)
+    basis = build_basis(21, 0.5)
+    new = replace(handover_setup, slack_basis=basis)
+    assert new.slack_phi[0].shape[1] == 21
+    new = replace(handover_setup, dmp=replace(handover_setup.dmp, basis=basis))
+    assert new.dmp_phi.shape[1] == 21
+
+
+def bases_on_the_fly(monkeypatch):
+    """Make the rollout evaluate both bases on every call, ignoring the
+    setup's compiled ones."""
+    reference, slack = learning.rollout_reference, learning.slack_trace
+    monkeypatch.setattr(learning, "rollout_reference",
+                        lambda params, start, theta, tgrid, phi=None:
+                        reference(params, start, theta, tgrid))
+    monkeypatch.setattr(learning, "slack_trace",
+                        lambda sp, s_all, phi=None: slack(sp, s_all))
+
+
+@pytest.mark.parametrize("field", ["dmp", "slack_basis"])
+def test_replaced_basis_rollout_matches_on_the_fly_bases(
+        field, monkeypatch, handover_setup, handover_task):
+    basis = build_basis(21, 0.5)
+    setup = replace(handover_setup, **{
+        "dmp": {"dmp": replace(handover_setup.dmp, basis=basis)},
+        "slack_basis": {"slack_basis": basis}}[field])
+    policy = initial_policy(setup)
+    xi = sample_noise(replace(handover_task.noise, seed=6), policy, 0, 0)
+    got = rollout(policy, xi, setup)
+    bases_on_the_fly(monkeypatch)
+    want = rollout(policy, xi, setup)
+    for name in ("x", "x_d", "torque", "beta"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    for name in ("K", "D", "Kdot", "Ddot", "lam_A", "lam_C"):
+        assert np.array_equal(getattr(got.schedule, name),
+                              getattr(want.schedule, name))
+    assert got.cost == want.cost
+
+
+def test_rollout_reads_the_compiled_bases(monkeypatch, handover_setup,
+                                          handover_policy):
+    # The rollout hands the setup's arrays to both evaluations, so neither
+    # evaluates a basis over the grid.
+    seen = []
+    reference, slack = learning.rollout_reference, learning.slack_trace
+
+    def spy(fn, name):
+        def wrapper(*args):
+            seen.append((name, args[-1]))
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(learning, "rollout_reference",
+                        spy(reference, "reference"))
+    monkeypatch.setattr(learning, "slack_trace", spy(slack, "slack"))
+    rollout(handover_policy, None, handover_setup)
+    assert [name for name, _ in seen] == ["reference", "slack"]
+    assert seen[0][1] is handover_setup.dmp_phi
+    assert seen[1][1] is handover_setup.slack_phi
 
 
 def test_noisy_rollout_still_certified(handover_setup, handover_policy,
@@ -460,13 +545,47 @@ def model_terms_setup():
     return replace(setup, model=model, H=H, limits=TorqueLimits.box(1e3, 3))
 
 
+def loop_block(n):
+    """Maps per block of rollout's closed loop on a grid of n samples:
+    LOOP_BLOCK rounded down to whole chunks of the single scan."""
+    c = math.isqrt(n - 2) + 1
+    return max(1, learning.LOOP_BLOCK // c) * c
+
+
+# (horizon, n - 1 less the block): n - 1 maps that end one below, at and
+# one above the first block boundary (992 maps in chunks of 32), and a
+# horizon shorter than one block (989 maps in chunks of 23).
+EDGE_HORIZONS = {"edge_below": (0.991, -1), "edge_at": (0.992, 0),
+                 "edge_above": (0.993, 1), "edge_short": (0.5, -489)}
+
+
 @pytest.mark.parametrize("case", ["noisy", "offset", "model_terms",
                                   "governed", "governed_model_terms",
-                                  "stiff"])
+                                  "governed_late", "stiff",
+                                  *EDGE_HORIZONS])
 def test_affine_rollout_matches_per_step_loop(case, monkeypatch,
                                               handover_setup, handover_policy,
                                               handover_task):
-    if case == "noisy":
+    if case in EDGE_HORIZONS:
+        horizon, past = EDGE_HORIZONS[case]
+        setup, noise = compile_setup(load_config(
+            overrides={"run_horizon": horizon}))
+        n = len(setup.tgrid)
+        assert n - 1 - loop_block(n) == past
+        policy = initial_policy(setup)
+        runs = [(policy, sample_noise(noise, policy, 0, r), setup)
+                for r in range(2)]
+    elif case == "governed_late":
+        # Blocks of 3 chunks (96 maps) put the first governed step, 144,
+        # past the first block.
+        monkeypatch.setattr(learning, "LOOP_BLOCK", 100)
+        setup, policy, xi, free = governed_scenario(monkeypatch)
+        lim = setup.limits
+        first = ((free.torque < lim.tau_min)
+                 | (free.torque > lim.tau_max)).any(axis=1).argmax()
+        assert first > loop_block(len(setup.tgrid)) == 96
+        runs = [(policy, xi, setup)]
+    elif case == "noisy":
         noise = replace(handover_task.noise, seed=3)
         runs = [(handover_policy, sample_noise(noise, handover_policy, 0, r),
                  handover_setup) for r in range(4)]
@@ -525,6 +644,63 @@ def test_governed_tail_starts_at_the_first_saturated_step(monkeypatch):
     assert np.all(ro.beta[:j] == 1.0)
     assert np.array_equal(ro.x[:j + 1], free.x[:j + 1])
     assert np.array_equal(ro.torque[:j], free.torque[:j])
+
+
+def single_scan(policy, xi, setup):
+    """The closed loop at beta = 1 with all n - 1 maps formed at once and
+    stepped by one affine_scan: the oracle of rollout's blocked scan.
+    Returns (states (n, 2m + 1), torques (n, m))."""
+    m, dt = setup.m, setup.dt
+    sample = policy if xi is None else plus(policy, xi)
+    x_d, xd_d, xdd_d = learning.rollout_reference(
+        setup.dmp, setup.start, sample.theta_traj, setup.tgrid)
+    sched = sampled_schedule(setup, policy, sample)
+    s0 = plants.initial_state(setup.model, setup.start)
+    Lam, g = plants.operational_space_terms(setup.model)
+    u_ff = xdd_d @ Lam.T + g
+    Minv = np.linalg.inv(Lam)
+    AHi = Lam @ np.linalg.inv(setup.H)
+    mv = lambda M, x: np.einsum("...ij,...j->...i", M, x)
+    P = np.eye(2 * m + 1)
+    P[:m, m:-1] += dt * np.eye(m)
+    Q = np.vstack([dt * dt * Minv, dt * Minv, np.zeros((1, m))])
+    AK, AD = AHi @ sched.K, AHi @ sched.D
+    T = Q @ np.concatenate([-AK[:-1], -AD[:-1], (
+        u_ff[:-1] - g + mv(AD[:-1], xd_d[:-1])
+        + mv(AK[:-1], x_d[:-1]))[..., None]], axis=-1)
+    T += P
+    s = np.vstack([s0, affine_scan(T, s0)[0]])
+    tau = u_ff - mv(AD, s[:, m:-1] - xd_d) - mv(AK, s[:, :m] - x_d)
+    return s, tau
+
+
+@pytest.mark.parametrize("case", ["handover", "one_chunk_blocks",
+                                  "edge_above", "governed"])
+def test_blocked_scan_matches_the_single_scan(case, monkeypatch,
+                                              handover_setup,
+                                              handover_policy, handover_task):
+    # Every block is scanned from the last one's carried state with the
+    # chunk of the whole horizon, so it makes the single scan's products:
+    # states and torques agree bit for bit up to the first governed step.
+    policy, setup = handover_policy, handover_setup
+    xi = sample_noise(replace(handover_task.noise, seed=8), policy, 0, 0)
+    if case == "one_chunk_blocks":
+        monkeypatch.setattr(learning, "LOOP_BLOCK", 1)
+    elif case == "edge_above":
+        setup, noise = compile_setup(load_config(
+            overrides={"run_horizon": 0.993}))
+        policy = initial_policy(setup)
+        xi = sample_noise(noise, policy, 0, 0)
+    elif case == "governed":
+        monkeypatch.setattr(learning, "LOOP_BLOCK", 100)
+        setup, policy, xi, _ = governed_scenario(monkeypatch)
+    ro = rollout(policy, xi, setup)
+    s, tau = single_scan(policy, xi, setup)
+    governed = ro.beta < 1.0
+    assert governed.any() == (case == "governed")
+    j = int(governed.argmax()) if governed.any() else len(ro.t)
+    assert np.array_equal(ro.x[:j + 1], s[:j + 1, :setup.m])
+    assert np.array_equal(ro.torque[:j], tau[:j])
 
 
 def tight_box_samples(attempts):
