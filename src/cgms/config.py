@@ -185,7 +185,7 @@ def _parse_value(text, default):
         raise ConfigError(f"cannot parse value {text!r}") from exc
 
 
-def save_config(cfg, path_or_buf):
+def save_config(cfg, path):
     """Write the resolved configuration; reloads to an identical value."""
     parts = []
     for section, kv in _sections(cfg).items():
@@ -193,15 +193,11 @@ def save_config(cfg, path_or_buf):
         for key, v in kv.items():
             parts.append(f"{key} = {_format_value(v)}")
         parts.append("")
-    text = "\n".join(parts)
-    if hasattr(path_or_buf, "write"):
-        path_or_buf.write(text)
-    else:
-        with open(path_or_buf, "w") as fh:
-            fh.write(text)
+    with open(path, "w") as fh:
+        fh.write("\n".join(parts))
 
 
-def load_config(path_or_buf=None, overrides=None):
+def load_config(path=None, overrides=None):
     """Load a configuration file; missing file content means all defaults.
 
     Unknown sections or keys are rejected with their names.
@@ -209,13 +205,10 @@ def load_config(path_or_buf=None, overrides=None):
     cfg = ExperimentConfig()
     known = _sections(cfg)
     parser = configparser.ConfigParser()
-    if path_or_buf is not None:
+    if path is not None:
         try:
-            if hasattr(path_or_buf, "read"):
-                parser.read_file(path_or_buf)
-            else:
-                with open(path_or_buf) as fh:
-                    parser.read_file(fh)
+            with open(path) as fh:
+                parser.read_file(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
         except configparser.Error as exc:

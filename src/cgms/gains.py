@@ -155,7 +155,7 @@ class GainSchedule:
         return CertificateReport(lam_A=self.lam_A, lam_C=self.lam_C,
                                  alpha=self.alpha)
 
-    def to_csv(self, path_or_buf):
+    def to_csv(self, path):
         """Columns: t, K11..Kmm (row-major), D11..Dmm, lamA, lamC."""
         m = self.m
         names = ["t"]
@@ -167,21 +167,17 @@ class GainSchedule:
             self.t, self.K.reshape(n, -1), self.D.reshape(n, -1),
             self.lam_A, self.lam_C,
         ])
-        write_csv(path_or_buf, names, data)
+        write_csv(path, names, data)
 
 
-def write_csv(path_or_buf, header, rows):
+def write_csv(path, header, rows):
     """Write a header line and one line per row: ints as they are, every
     other value as a round-tripping %.17g float."""
     lines = [",".join(header)]
     lines += [",".join(str(v) if isinstance(v, int) else format(float(v), ".17g")
                        for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if hasattr(path_or_buf, "write"):
-        path_or_buf.write(text)
-    else:
-        with open(path_or_buf, "w") as fh:
-            fh.write(text)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def integrate_cholesky_flow(B, alpha, K0, dt, clamp=False):

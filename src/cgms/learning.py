@@ -39,8 +39,8 @@ MODE_CERTIFIED = "certified"
 MODE_UNCERTIFIED_AFTER_VIA = "uncertified-after-via"
 
 MAX_RESAMPLE_ATTEMPTS = 100
-# Closed-loop maps formed and scanned at once by rollout, rounded down to
-# whole chunks of the single scan of the horizon: memory does not grow
+# The most closed-loop maps rollout forms and scans at once, rounded down
+# to whole chunks of the single scan of the horizon: memory does not grow
 # with the horizon beyond the traces.
 LOOP_BLOCK = 1000
 
@@ -303,16 +303,19 @@ def rollout(policy, xi, setup):
     The closed loop is the plant's semi-implicit Euler step
     s' = P s + Q (tau - g), s = (x, v, 1), applied to the control law's
     torque.  At beta = 1 the control law is a map tau - g = C[i] s, so the
-    loop is s[i+1] = T[i] s[i] with T = Q C + P.  It runs in blocks of
-    about LOOP_BLOCK maps, in whole chunks of ceil(sqrt(n - 1)) maps: each
-    block forms its gain products AHi K and AHi D, its maps T in one reused
-    buffer, steps them by robustness.affine_scan with the chunk of the
-    whole horizon from the last block's carried state (so the states are
-    those of one scan of all n - 1 maps, bit for bit), and takes its
-    batched torques.  That run stands up to the first step out of the box,
-    and no later block is formed.  From there on each step forms its own
-    AHi K and AHi D, records its torque, blended toward the floor by the
-    governor when it is out of the box, and applies the plant's step to it.
+    loop is s[i+1] = T[i] s[i] with T = Q C + P.  It runs in blocks: each
+    forms its gain products AHi K and AHi D, its maps T in one reused
+    buffer, steps them by robustness.affine_scan with the chunk c =
+    ceil(sqrt(n - 1)) of the whole horizon from the carried state, and
+    takes its batched torques.  A block whose steps all stay in the box
+    stands, and the next starts at its end with twice its maps, up to
+    about LOOP_BLOCK maps in whole chunks.  At the block's first step out
+    of the box the governor blends that step's torque toward the floor,
+    the plant's step from it gives the next carried state, and the next
+    block starts at the following step with one map.  Up to the first
+    governed step every block starts at a chunk edge and holds a full
+    block or the rest of the horizon, so the states are those of one scan
+    of all n - 1 maps, bit for bit.
     """
     tg = setup.tgrid
     n = len(tg)
@@ -348,16 +351,17 @@ def rollout(policy, xi, setup):
                 - mv(AK, s[..., :m] - x_d[i]))
 
     s = np.empty((n, 2 * m + 1))
-    s[0] = s_start = s0
+    s[0] = s_a = s0
     tau_trace = np.empty((n, m))
-    lim = setup.limits
+    events = []
+    lim, alpha, D_floor = setup.limits, setup.alpha, setup.alpha * setup.H
     c = math.isqrt(n - 2) + 1       # the chunk of one scan of all n - 1 maps
     block = max(1, LOOP_BLOCK // c) * c
     T = np.empty((min(block, n - 1), 2 * m + 1, 2 * m + 1))
     C = np.empty((len(T), m, 2 * m + 1))
-    first = n                       # the first step out of the box
-    for a in range(0, n - 1, block):
-        L = min(block, n - 1 - a)
+    a, L = 0, block                 # the block's first step and its maps
+    while a < n:
+        L = min(L, n - 1 - a)
         e = n if a + L == n - 1 else a + L     # steps whose torque is taken
         AK, AD = AHi @ sched.K[a:e], AHi @ sched.D[a:e]
         # The maps s' = T s at beta = 1, T = Q C + P, where tau - g = C s is
@@ -368,35 +372,33 @@ def rollout(policy, xi, setup):
                         + mv(AK[:L], x_d[a:a + L]))
         Tb = np.matmul(Q, C[:L], out=T[:L])
         Tb += P
-        s[a + 1:a + L + 1], s_start = affine_scan(Tb, s_start, c)
+        s[a + 1:a + L + 1], s_a = affine_scan(Tb, s_a, c)
         tau = tau_trace[a:e] = torque(slice(a, e), AK, AD, s[a:e])
         out = ((tau < lim.tau_min) | (tau > lim.tau_max)).any(axis=1)
-        if out.any():
-            first = a + int(out.argmax())
-            break
+        if not out.any():
+            a, L = e, min(2 * L, block)
+            continue
+        # Govern the first step out of the box, step the plant from it and
+        # start the next block at the following step with one map.
+        i = a + int(out.argmax())
+        K_floor = np.exp(2.0 * alpha * tg[i]) * (setup.k_init * np.eye(m))
+        tau0 = torque(i, AHi @ K_floor, AHi @ D_floor, s[i])
+        beta, binding = beta_star_detail(tau0, tau[i - a] - tau0, lim)
+        if binding is not None:
+            events.append({"t": float(tg[i]), "joint": binding,
+                           "beta_star": beta})
+        tau_trace[i] = tau0 + beta * (tau[i - a] - tau0)
+        for arr, floor in ((sched.K, K_floor),
+                           (sched.Kdot, 2.0 * alpha * K_floor),
+                           (sched.D, D_floor), (sched.Ddot, 0.0),
+                           (sched.lam_A, 0.0), (sched.lam_C, 0.0)):
+            arr[i] = floor + beta * (arr[i] - floor)
+        beta_trace[i] = beta
+        # s[i + 1:i + 2] is empty when i is the last step.
+        s[i + 1:i + 2] = s_a = P @ s[i] + Q @ (tau_trace[i] - g)
+        a, L = i + 1, 1
     del T, C, AK, AD
     x_trace = s[:, :m]
-    events = []
-    alpha, D_floor = setup.alpha, setup.alpha * setup.H
-    for i in range(first, n):
-        tau_trace[i] = tau = torque(i, AHi @ sched.K[i], AHi @ sched.D[i],
-                                    s[i])
-        if ((tau < lim.tau_min) | (tau > lim.tau_max)).any():
-            K_floor = np.exp(2.0 * alpha * tg[i]) * (setup.k_init * np.eye(m))
-            tau0 = torque(i, AHi @ K_floor, AHi @ D_floor, s[i])
-            beta, binding = beta_star_detail(tau0, tau - tau0, lim)
-            if binding is not None:
-                events.append({"t": float(tg[i]), "joint": binding,
-                               "beta_star": beta, "limited": True})
-            tau_trace[i] = tau0 + beta * (tau - tau0)
-            for arr, floor in ((sched.K, K_floor),
-                               (sched.Kdot, 2.0 * alpha * K_floor),
-                               (sched.D, D_floor), (sched.Ddot, 0.0),
-                               (sched.lam_A, 0.0), (sched.lam_C, 0.0)):
-                arr[i] = floor + beta * (arr[i] - floor)
-            beta_trace[i] = beta
-        if i + 1 < n:
-            s[i + 1] = P @ s[i] + Q @ (tau_trace[i] - g)
     if not np.all(np.isfinite(x_trace)):
         raise IntegrationDivergedError("rollout state diverged")
 

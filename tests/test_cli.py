@@ -1,6 +1,5 @@
 """Command-line harness: exit codes, artifacts, and run determinism."""
 
-import io
 import json
 import subprocess
 import sys
@@ -47,12 +46,11 @@ def test_empty_config_is_defaults(tmp_path):
     assert load_config(None) == ExperimentConfig()
 
 
-def test_config_round_trip_identity(small_config):
+def test_config_round_trip_identity(small_config, tmp_path):
     cfg = load_config(small_config, overrides={"run_seed": 3})
-    buf = io.StringIO()
-    save_config(cfg, buf)
-    buf.seek(0)
-    assert load_config(buf) == cfg
+    path = tmp_path / "resolved.ini"
+    save_config(cfg, path)
+    assert load_config(path) == cfg
 
 
 def test_unknown_key_named_in_error(tmp_path):
@@ -125,7 +123,7 @@ def test_each_config_key_reaches_the_compiled_task(key, handover_task):
     assert not same_compile(compile_setup(cfg), compiled)
 
 
-def test_invalid_values_rejected():
+def test_invalid_values_rejected(tmp_path):
     with pytest.raises(ConfigError):
         load_config(None, overrides={"run_scenario": "s9"})
     with pytest.raises(ConfigError):
@@ -134,8 +132,10 @@ def test_invalid_values_rejected():
         load_config(None, overrides={"run_dt": -1.0})
     # The [plants] section (one legal kind) is gone; an old file that
     # still has it is rejected by name.
+    old = tmp_path / "old.ini"
+    old.write_text("[plants]\nkind = point-mass-task\n")
     with pytest.raises(ConfigError, match=r"unknown config section \[plants\]"):
-        load_config(io.StringIO("[plants]\nkind = point-mass-task\n"))
+        load_config(old)
 
 
 # ---------------------------------------------------------------------------

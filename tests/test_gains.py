@@ -1,6 +1,5 @@
 """Slack parametrization, the stiffness flow, and certificate margins."""
 
-import io
 import subprocess
 import sys
 import warnings
@@ -666,19 +665,17 @@ def test_constant_slack_params_reproduce_init():
     assert abs(sched.lam_C.max() + 20.0) < 1e-6
 
 
-def test_schedule_csv_round_trip(rng):
+def test_schedule_csv_round_trip(rng, tmp_path):
     basis = build_basis(7, 0.7)
     sp = random_slack_params(rng, scale=0.5, basis=basis)
     tgrid = np.arange(0.0, 0.1, 1e-3)
     sched = build_gain_schedule(sp, ALPHA, H3, 1.0, 200 * np.eye(3), tgrid)
-    buf = io.StringIO()
-    sched.to_csv(buf)
-    text = buf.getvalue()
-    header = text.splitlines()[0]
+    path = tmp_path / "gains.csv"
+    sched.to_csv(path)
+    header = path.read_text().splitlines()[0]
     assert header.startswith("t,K11,K12,K13,K21")
     assert header.endswith("lamA,lamC")
-    buf.seek(0)
-    back = np.genfromtxt(buf, delimiter=",", skip_header=1)
+    back = np.genfromtxt(path, delimiter=",", skip_header=1)
     n = len(tgrid)
     assert np.allclose(back[:, 0], sched.t)
     assert np.allclose(back[:, 1:10].reshape(n, 3, 3), sched.K)
@@ -686,14 +683,13 @@ def test_schedule_csv_round_trip(rng):
     assert np.allclose(back[:, -2], sched.lam_A)
 
 
-def test_write_csv_format():
+def test_write_csv_format(tmp_path):
     # Ints verbatim, floats round-tripping; no rows gives the header alone.
-    buf = io.StringIO()
-    write_csv(buf, ["update", "cost"], [[3, 0.1], [4, np.float64(2.0)]])
-    assert buf.getvalue() == "update,cost\n3,0.10000000000000001\n4,2\n"
-    buf = io.StringIO()
-    write_csv(buf, ["update", "cost"], [])
-    assert buf.getvalue() == "update,cost\n"
+    path = tmp_path / "trace.csv"
+    write_csv(path, ["update", "cost"], [[3, 0.1], [4, np.float64(2.0)]])
+    assert path.read_text() == "update,cost\n3,0.10000000000000001\n4,2\n"
+    write_csv(path, ["update", "cost"], [])
+    assert path.read_text() == "update,cost\n"
 
 
 # ---------------------------------------------------------------------------

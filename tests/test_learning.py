@@ -435,27 +435,64 @@ def error_equation_deviation(ro, H):
     return dev
 
 
-def governed_scenario(monkeypatch):
-    """A constant 1 cm offset of x_d and a box just under the free run's
-    peak torque, so the governor scales the gains on some steps.
+def wiggle_reference(monkeypatch, A, omega):
+    """Add A omega cos(omega t) (1, -1, 0.5) to the rollout's xdot_d, with
+    x_d and xdd_d unchanged: the reference no longer starts at rest, so
+    the feed-forward pre-check is off, and the error velocity swings the
+    torque in and out of a tight box along the horizon."""
+    reference = learning.rollout_reference
+
+    def wiggled(*args):
+        x_d, xd_d, xdd_d = reference(*args)
+        t = args[3][:, None]
+        wave = A * omega * np.cos(omega * t) * np.array([1.0, -1.0, 0.5])
+        return x_d, xd_d + wave, xdd_d
+
+    monkeypatch.setattr(learning, "rollout_reference", wiggled)
+
+
+def boxed_scenario(fraction):
+    """The 1 s horizon, the initial policy and gain noise only, with a box
+    at `fraction` x the free run's peak torque.
 
     Returns (setup with that box, policy, noise, free run under a 1e3 N box).
     """
-    offset_reference(monkeypatch, np.array([0.01, -0.01, 0.01]))
     setup, noise = compile_setup(load_config(overrides={"run_horizon": 1.0}))
     policy = initial_policy(setup)
     xi = sample_noise(replace(noise, sigma_traj=0.0), policy, 0, 0, 0)
     free = rollout(policy, xi,
                    replace(setup, limits=TorqueLimits.box(1e3, setup.m)))
     assert np.all(free.beta == 1.0) and free.saturation_events == []
-    limits = TorqueLimits.box(0.95 * np.abs(free.torque).max(), setup.m)
+    limits = TorqueLimits.box(fraction * np.abs(free.torque).max(), setup.m)
     return replace(setup, limits=limits), policy, xi, free
+
+
+def governed_scenario(monkeypatch):
+    """A constant 1 cm offset of x_d and a box just under the free run's
+    peak torque, so the governor scales the gains on some steps (150 steps
+    in one run, the first at step 144)."""
+    offset_reference(monkeypatch, np.array([0.01, -0.01, 0.01]))
+    return boxed_scenario(0.95)
+
+
+# (A, omega, box as a fraction of the free peak) of wiggle_reference
+# scenarios with several governed runs: 360 governed steps in 12 runs,
+# steps 0 and n - 1 among them, and 167 steps in 12 runs.
+GOVERNED_RUNS = {"governed_runs_40": (0.02, 40.0, 0.7),
+                 "governed_runs_80": (0.01, 80.0, 0.8)}
+
+
+def governed_runs_scenario(monkeypatch, case):
+    """boxed_scenario under the wiggle of GOVERNED_RUNS[case]."""
+    A, omega, fraction = GOVERNED_RUNS[case]
+    wiggle_reference(monkeypatch, A, omega)
+    return boxed_scenario(fraction)
 
 
 def per_step_rollout(policy, xi, setup):
     """The rollout's closed loop stepped one control step at a time, with
     the governor on every step whose torque leaves the box: the reference
-    for the rollout's affine recurrence and its governed tail.
+    for the rollout's scanned blocks and its governed steps.
 
     Returns (x, torque, beta, K, D, saturation events).
     """
@@ -485,7 +522,7 @@ def per_step_rollout(policy, xi, setup):
             beta[i], binding = beta_star_detail(tau0, tau1, setup.limits)
             if binding is not None:
                 events.append({"t": float(tg[i]), "joint": binding,
-                               "beta_star": beta[i], "limited": True})
+                               "beta_star": beta[i]})
             tau = tau0 + beta[i] * tau1
             K[i] = K_floor[i] + beta[i] * (K[i] - K_floor[i])
             D[i] = D_floor + beta[i] * (D[i] - D_floor)
@@ -521,11 +558,15 @@ def test_governed_steps_scale_the_sampled_gains(monkeypatch):
     assert ro.schedule.report().passes
 
 
-def test_executed_schedule_satisfies_the_inequalities(monkeypatch):
+@pytest.mark.parametrize("case", ["governed", *GOVERNED_RUNS])
+def test_executed_schedule_satisfies_the_inequalities(case, monkeypatch):
     # On governed steps every array of the schedule is blended toward the
     # floor by beta, the rates too: the two inequalities evaluated on the
     # executed D, Ddot, K and Kdot must give the certificate trace reported.
-    setup, policy, xi, _ = governed_scenario(monkeypatch)
+    if case == "governed":
+        setup, policy, xi, _ = governed_scenario(monkeypatch)
+    else:
+        setup, policy, xi, _ = governed_runs_scenario(monkeypatch, case)
     ro = rollout(policy, xi, setup)
     assert (ro.beta < 1.0).any()
     s = ro.schedule
@@ -561,7 +602,7 @@ EDGE_HORIZONS = {"edge_below": (0.991, -1), "edge_at": (0.992, 0),
 
 @pytest.mark.parametrize("case", ["noisy", "offset", "model_terms",
                                   "governed", "governed_model_terms",
-                                  "governed_late", "stiff",
+                                  "governed_late", *GOVERNED_RUNS, "stiff",
                                   *EDGE_HORIZONS])
 def test_affine_rollout_matches_per_step_loop(case, monkeypatch,
                                               handover_setup, handover_policy,
@@ -610,6 +651,9 @@ def test_affine_rollout_matches_per_step_loop(case, monkeypatch,
     elif case == "governed":
         setup, policy, xi, _ = governed_scenario(monkeypatch)
         runs = [(policy, xi, setup)]
+    elif case in GOVERNED_RUNS:
+        setup, policy, xi, _ = governed_runs_scenario(monkeypatch, case)
+        runs = [(policy, xi, setup)]
     else:
         # alpha T = 20: the flow's step-by-step branch.
         setup, _ = compile_setup(load_config(
@@ -644,6 +688,33 @@ def test_governed_tail_starts_at_the_first_saturated_step(monkeypatch):
     assert np.all(ro.beta[:j] == 1.0)
     assert np.array_equal(ro.x[:j + 1], free.x[:j + 1])
     assert np.array_equal(ro.torque[:j], free.torque[:j])
+
+
+@pytest.mark.parametrize("case", GOVERNED_RUNS)
+def test_governed_runs_restart_the_scan_with_one_map(case, monkeypatch):
+    # After a governed step i' the next block starts at i' + 1 with one
+    # map and doubles while its steps stay in the box, so a block that
+    # starts at a holds at most a - i' maps.  The maps a block scans from
+    # its governed step i on are then at most i - i', n - 1 over the whole
+    # rollout; add the first cut block (at most a full block) and the
+    # n - 1 maps that stand.  A block kept long after a governed step
+    # would scan about a full block per governed run.
+    setup, policy, xi, _ = governed_runs_scenario(monkeypatch, case)
+    scanned = []
+    scan = learning.affine_scan
+
+    def counting_scan(maps, s0, chunk):
+        scanned.append(len(maps))
+        return scan(maps, s0, chunk)
+
+    monkeypatch.setattr(learning, "affine_scan", counting_scan)
+    ro = rollout(policy, xi, setup)
+    g = ro.beta < 1.0
+    assert (g[1:] & ~g[:-1]).sum() > 1
+    if case == "governed_runs_40":
+        assert g[0] and g[-1]
+    n = len(ro.t)
+    assert sum(scanned) <= 2 * (n - 1) + loop_block(n)
 
 
 def single_scan(policy, xi, setup):
