@@ -204,7 +204,7 @@ def load_config(path=None, overrides=None):
     """
     cfg = ExperimentConfig()
     known = _sections(cfg)
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     if path is not None:
         try:
             with open(path) as fh:

@@ -155,7 +155,7 @@ def rollout_reference(params, start, theta, tgrid, phi=None):
         maps = np.tile(step, (n - 1, 1, 1))
         maps[:, :2, 2:] = ((dt * dt / scale)
                            * (params.k * g + forcing[:-1]))[:, None]
-        xv, _ = affine_scan(maps, np.vstack([start, np.zeros(D), np.eye(D)]))
+        xv = affine_scan(maps, np.vstack([start, np.zeros(D), np.eye(D)]))
         x[1:] = xv[:, 0]
         xd[1:] = xv[:, 1] / dt
     xdd = (params.k * (g - x) - params.tau * params.d * xd + forcing) / scale

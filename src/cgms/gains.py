@@ -199,8 +199,6 @@ def integrate_cholesky_flow(B, alpha, K0, dt, clamp=False):
     B = np.asarray(B, float)
     n, m = B.shape[0], B.shape[-1]
     K0 = np.asarray(K0, float)
-    if n == 0:
-        return np.empty((0, m, m))
     r = np.exp(2.0 * alpha * dt)
     c = (r - 1.0) / (2.0 * alpha) if alpha != 0.0 else dt
     K = np.empty((n, m, m))

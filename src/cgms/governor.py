@@ -39,6 +39,11 @@ class TorqueLimits:
         return bool(np.all(tau >= self.tau_min - tol)
                     and np.all(tau <= self.tau_max + tol))
 
+    def outside(self, tau):
+        """Mask of the entries of tau outside the box by more than BOX_TOL,
+        elementwise; a NaN is never outside."""
+        return (tau < self.tau_min - BOX_TOL) | (tau > self.tau_max + BOX_TOL)
+
 
 def beta_star_detail(tau0, tau1, limits):
     """Largest beta in [0, 1] keeping tau0 + beta tau1 inside the box,

@@ -31,7 +31,7 @@ from .gains import (
     slack_products,
     slack_trace,
 )
-from .governor import BOX_TOL, TorqueLimits, beta_star_detail
+from .governor import TorqueLimits, beta_star_detail
 from .plants import PlantModel
 from .robustness import affine_scan
 
@@ -39,9 +39,8 @@ MODE_CERTIFIED = "certified"
 MODE_UNCERTIFIED_AFTER_VIA = "uncertified-after-via"
 
 MAX_RESAMPLE_ATTEMPTS = 100
-# The most closed-loop maps rollout forms and scans at once, rounded down
-# to whole chunks of the single scan of the horizon: memory does not grow
-# with the horizon beyond the traces.
+# The most closed-loop maps rollout forms and scans at once: memory does
+# not grow with the horizon beyond the traces.
 LOOP_BLOCK = 1000
 
 
@@ -266,9 +265,9 @@ def sampled_schedule(setup, policy, sample):
 
 def _check_feedforward(u_ff, tgrid, limits):
     """Raise InfeasibleFloorError naming the first step and joint whose
-    torque is out of the box by more than BOX_TOL.  As in the rollout loop,
-    a NaN is never out of the box; the finiteness check reports it."""
-    out = (u_ff < limits.tau_min - BOX_TOL) | (u_ff > limits.tau_max + BOX_TOL)
+    torque is out of the box (TorqueLimits.outside).  As in the rollout
+    loop, a NaN is never out of the box; the finiteness check reports it."""
+    out = limits.outside(u_ff)
     if out.any():
         i, j = np.unravel_index(out.argmax(), out.shape)
         raise InfeasibleFloorError(
@@ -305,17 +304,13 @@ def rollout(policy, xi, setup):
     torque.  At beta = 1 the control law is a map tau - g = C[i] s, so the
     loop is s[i+1] = T[i] s[i] with T = Q C + P.  It runs in blocks: each
     forms its gain products AHi K and AHi D, its maps T in one reused
-    buffer, steps them by robustness.affine_scan with the chunk c =
-    ceil(sqrt(n - 1)) of the whole horizon from the carried state, and
-    takes its batched torques.  A block whose steps all stay in the box
-    stands, and the next starts at its end with twice its maps, up to
-    about LOOP_BLOCK maps in whole chunks.  At the block's first step out
-    of the box the governor blends that step's torque toward the floor,
-    the plant's step from it gives the next carried state, and the next
-    block starts at the following step with one map.  Up to the first
-    governed step every block starts at a chunk edge and holds a full
-    block or the rest of the horizon, so the states are those of one scan
-    of all n - 1 maps, bit for bit.
+    buffer, steps them by robustness.affine_scan from the state at its
+    first step, and takes its batched torques.  A block whose torques all
+    stay in the box (TorqueLimits.outside) stands, and the next starts at
+    its end with twice its maps, up to LOOP_BLOCK maps.  At the block's
+    first step out of the box the governor blends that step's torque
+    toward the floor, the plant's step from it gives the next state, and
+    the next block starts at the following step with one map.
     """
     tg = setup.tgrid
     n = len(tg)
@@ -351,15 +346,13 @@ def rollout(policy, xi, setup):
                 - mv(AK, s[..., :m] - x_d[i]))
 
     s = np.empty((n, 2 * m + 1))
-    s[0] = s_a = s0
+    s[0] = s0
     tau_trace = np.empty((n, m))
     events = []
     lim, alpha, D_floor = setup.limits, setup.alpha, setup.alpha * setup.H
-    c = math.isqrt(n - 2) + 1       # the chunk of one scan of all n - 1 maps
-    block = max(1, LOOP_BLOCK // c) * c
-    T = np.empty((min(block, n - 1), 2 * m + 1, 2 * m + 1))
+    T = np.empty((min(LOOP_BLOCK, n - 1), 2 * m + 1, 2 * m + 1))
     C = np.empty((len(T), m, 2 * m + 1))
-    a, L = 0, block                 # the block's first step and its maps
+    a, L = 0, LOOP_BLOCK            # the block's first step and its maps
     while a < n:
         L = min(L, n - 1 - a)
         e = n if a + L == n - 1 else a + L     # steps whose torque is taken
@@ -372,11 +365,11 @@ def rollout(policy, xi, setup):
                         + mv(AK[:L], x_d[a:a + L]))
         Tb = np.matmul(Q, C[:L], out=T[:L])
         Tb += P
-        s[a + 1:a + L + 1], s_a = affine_scan(Tb, s_a, c)
+        s[a + 1:a + L + 1] = affine_scan(Tb, s[a])
         tau = tau_trace[a:e] = torque(slice(a, e), AK, AD, s[a:e])
-        out = ((tau < lim.tau_min) | (tau > lim.tau_max)).any(axis=1)
+        out = lim.outside(tau).any(axis=1)
         if not out.any():
-            a, L = e, min(2 * L, block)
+            a, L = e, min(2 * L, LOOP_BLOCK)
             continue
         # Govern the first step out of the box, step the plant from it and
         # start the next block at the following step with one map.
@@ -395,7 +388,7 @@ def rollout(policy, xi, setup):
             arr[i] = floor + beta * (arr[i] - floor)
         beta_trace[i] = beta
         # s[i + 1:i + 2] is empty when i is the last step.
-        s[i + 1:i + 2] = s_a = P @ s[i] + Q @ (tau_trace[i] - g)
+        s[i + 1:i + 2] = P @ s[i] + Q @ (tau_trace[i] - g)
         a, L = i + 1, 1
     del T, C, AK, AD
     x_trace = s[:, :m]

@@ -30,7 +30,7 @@ from .errors import (
 DISSIPATION_TOL = 1e-5
 UUB_TOL = 1e-6
 # RK4 steps built at once: enough to batch the build, few enough that memory
-# does not grow with the horizon.  affine_scan takes them in chunks of 16.
+# does not grow with the horizon.
 SIM_BLOCK = 256
 EIG_BLOCK = 2048        # matrices per closed-form pass of eigvalsh_stack
 EIG_REPEAT_TOL = 1e-6   # it hands eigvalsh the matrices with |r| > 1 - this
@@ -164,34 +164,32 @@ def _sample(u_res, t, m):
     return U
 
 
-def affine_scan(maps, s0, chunk=None):
-    """(states, carried): the states after each map of s[i+1] = maps[i] s[i],
-    s[0] = s0, for L maps (N, N) and s0 a state (N,) or columns (N, R), by a
-    two-level scan in chunks of `chunk` maps (ceil(sqrt(L)) by default):
-    all chunks are composed at once and in place (overwriting maps), the
-    state is carried from chunk start to chunk start, and two batched
-    products give the states within the chunks.  carried is the state after
-    the last map as that carry forms it.  A sequence cut into blocks of
-    whole chunks and scanned block by block, each from the last block's
-    carried state and with the chunk of the whole sequence, gets the single
-    scan's states bit for bit: each block makes the same products."""
+def affine_scan(maps, s0):
+    """The states after each map of s[i+1] = maps[i] s[i], s[0] = s0, for
+    L maps (N, N) and s0 a state (N,) or columns (N, R), by a two-level
+    scan in chunks of ceil(sqrt(L)) maps: all chunks are composed at once
+    and in place (overwriting maps), the state is carried from chunk start
+    to chunk start, and two batched products give the states within the
+    chunks.  No maps give no states."""
     L, N = maps.shape[:2]
+    if not L:
+        return np.empty((0,) + s0.shape)
     R = s0.size // N
-    c = chunk or math.isqrt(L - 1) + 1
+    c = math.isqrt(L - 1) + 1
     C = -(-L // c)
     prod = np.empty((C, N, N))
-    for j in range(1, min(c, L)):
+    for j in range(1, c):
         Z = maps[j::c]          # step j of every chunk that has one
         Z[...] = np.matmul(Z, maps[j - 1::c][:len(Z)], out=prod[:len(Z)])
-    S = s0.reshape(1, N, R).repeat(C + 1, axis=0)   # the chunk starts
-    for k in range(C):
-        np.dot(maps[min(k * c + c, L) - 1], S[k], out=S[k + 1])
+    S = s0.reshape(1, N, R).repeat(C, axis=0)   # the chunk starts
+    for k in range(C - 1):
+        np.dot(maps[k * c + c - 1], S[k], out=S[k + 1])
     F = L // c * c
     out = np.empty((L, N, R))
     np.matmul(maps[:F].reshape(-1, c * N, N), S[:F // c],
               out=out[:F].reshape(-1, c * N, R))
     np.matmul(maps[F:].reshape(-1, N), S[C - 1], out=out[F:].reshape(-1, R))
-    return out.reshape((L,) + s0.shape), S[C].reshape(s0.shape)
+    return out.reshape((L,) + s0.shape)
 
 
 def eigvalsh_stack(A):
@@ -261,9 +259,9 @@ def simulate_error_dynamics(schedule, residuals, z0=None):
     h P3).  The maps are built SIM_BLOCK steps at a time, so memory does
     not grow with the horizon beyond the trajectories, which hold the
     samples until they are read.  Each block's maps are stepped by
-    affine_scan, in chunks of ceil(sqrt(L)) steps for a block of L, with
-    the columns [s; e_r] of the whole family as its state.  Raises
-    IntegrationDivergedError if a state becomes non-finite.
+    affine_scan from the block's start, with the columns [s; e_r] of the
+    whole family as its state.  Raises IntegrationDivergedError if a state
+    becomes non-finite.
     """
     m = schedule.m
     n2 = 2 * m
@@ -322,7 +320,7 @@ def simulate_error_dynamics(schedule, residuals, z0=None):
         P2 += P4
         P2 *= h / 6
         P2 += I
-        states, _ = affine_scan(P2, S)
+        states = affine_scan(P2, S)
         # Row b keeps its samples for the next block.
         out[:, a + 1:b] = states[:-1, :n2].transpose(2, 0, 1)
         S = states[-1]

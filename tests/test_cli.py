@@ -153,6 +153,22 @@ def test_exit_codes_config_error(tmp_path, capsys):
     assert rc == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("content, message", [
+    ("[run]\nscenario = hand%over\n", "unknown scenario"),
+    ("[cost]\nw0 = 0.2%\n", "cannot parse value"),
+])
+def test_percent_in_a_value_is_read_literally(tmp_path, capsys, content,
+                                              message):
+    # Values are not interpolated: a "%" used to escape load_config as
+    # configparser's InterpolationSyntaxError, a traceback and exit 1.
+    path = tmp_path / "percent.ini"
+    path.write_text(content)
+    rc = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and message in err[0]
+
+
 def test_exit_code_certification_failure(tmp_path, capsys):
     # Oversized stiffness slack drains K(t) through zero over the horizon,
     # which certified mode must reject rather than clamp.

@@ -1,7 +1,6 @@
 """Policy parameters, exploration noise, cost, rollouts, and the update."""
 
 import gc
-import math
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -9,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cgms import learning, plants
+from cgms import learning
 from cgms.config import compile_setup, load_config
 from cgms.dmp import build_basis
 from cgms.errors import (
@@ -36,7 +35,6 @@ from cgms.learning import (
     via_weight,
 )
 from cgms.plants import PlantModel
-from cgms.robustness import affine_scan
 from conftest import vec_triangle_inverse
 from test_gains import certificate_margins
 
@@ -262,8 +260,8 @@ def test_rollout_memory_peak(handover_setup, handover_policy):
     # memory, at the certificate audit of its schedule build.  The setup
     # holds its compiled bases (2.60 MB) for as long as it lives, so the
     # guard counts them too: 6.03 MB.  The closed loop forms and scans its
-    # maps a block of about LOOP_BLOCK at a time; all 5000 at once (1.96 MB
-    # of maps) peaked near 5.57 MB without the compiled bases.
+    # maps LOOP_BLOCK at a time; all 5000 at once (1.96 MB of maps) peaked
+    # near 5.57 MB without the compiled bases.
     rollout(handover_policy, None, handover_setup)
     tracemalloc.start()
     try:
@@ -516,7 +514,7 @@ def per_step_rollout(policy, xi, setup):
         xtd = v_cur - xd_d[i]
         u_ff = Lam @ xdd_d[i] + grav
         tau = u_ff - AHi @ D[i] @ xtd - AHi @ K[i] @ xt
-        if not setup.limits.contains(tau):
+        if setup.limits.outside(tau).any():
             tau0 = u_ff - AHi @ D_floor @ xtd - AHi @ K_floor[i] @ xt
             tau1 = tau - tau0
             beta[i], binding = beta_star_detail(tau0, tau1, setup.limits)
@@ -587,23 +585,21 @@ def model_terms_setup():
 
 
 def loop_block(n):
-    """Maps per block of rollout's closed loop on a grid of n samples:
-    LOOP_BLOCK rounded down to whole chunks of the single scan."""
-    c = math.isqrt(n - 2) + 1
-    return max(1, learning.LOOP_BLOCK // c) * c
+    """Maps in the first block of rollout's closed loop on a grid of n
+    samples."""
+    return min(learning.LOOP_BLOCK, n - 1)
 
 
-# (horizon, n - 1 less the block): n - 1 maps that end one below, at and
-# one above the first block boundary (992 maps in chunks of 32), and a
-# horizon shorter than one block (989 maps in chunks of 23).
-EDGE_HORIZONS = {"edge_below": (0.991, -1), "edge_at": (0.992, 0),
-                 "edge_above": (0.993, 1), "edge_short": (0.5, -489)}
+# (horizon, n - 1 less LOOP_BLOCK): n - 1 maps that end one below, at and
+# one above the first block boundary, and a horizon shorter than one block.
+EDGE_HORIZONS = {"edge_below": (0.999, -1), "edge_at": (1.0, 0),
+                 "edge_above": (1.001, 1), "edge_short": (0.5, -500)}
 
 
 @pytest.mark.parametrize("case", ["noisy", "offset", "model_terms",
                                   "governed", "governed_model_terms",
                                   "governed_late", *GOVERNED_RUNS, "stiff",
-                                  *EDGE_HORIZONS])
+                                  "one_map_blocks", *EDGE_HORIZONS])
 def test_affine_rollout_matches_per_step_loop(case, monkeypatch,
                                               handover_setup, handover_policy,
                                               handover_task):
@@ -611,21 +607,23 @@ def test_affine_rollout_matches_per_step_loop(case, monkeypatch,
         horizon, past = EDGE_HORIZONS[case]
         setup, noise = compile_setup(load_config(
             overrides={"run_horizon": horizon}))
-        n = len(setup.tgrid)
-        assert n - 1 - loop_block(n) == past
+        assert len(setup.tgrid) - 1 - learning.LOOP_BLOCK == past
         policy = initial_policy(setup)
         runs = [(policy, sample_noise(noise, policy, 0, r), setup)
                 for r in range(2)]
     elif case == "governed_late":
-        # Blocks of 3 chunks (96 maps) put the first governed step, 144,
-        # past the first block.
+        # Blocks of 100 maps put the first governed step, 144, past the
+        # first block.
         monkeypatch.setattr(learning, "LOOP_BLOCK", 100)
         setup, policy, xi, free = governed_scenario(monkeypatch)
-        lim = setup.limits
-        first = ((free.torque < lim.tau_min)
-                 | (free.torque > lim.tau_max)).any(axis=1).argmax()
-        assert first > loop_block(len(setup.tgrid)) == 96
+        first = setup.limits.outside(free.torque).any(axis=1).argmax()
+        assert first > loop_block(len(setup.tgrid)) == 100
         runs = [(policy, xi, setup)]
+    elif case == "one_map_blocks":
+        monkeypatch.setattr(learning, "LOOP_BLOCK", 1)
+        noise = replace(handover_task.noise, seed=8)
+        runs = [(handover_policy, sample_noise(noise, handover_policy, 0, 0),
+                 handover_setup)]
     elif case == "noisy":
         noise = replace(handover_task.noise, seed=3)
         runs = [(handover_policy, sample_noise(noise, handover_policy, 0, r),
@@ -681,33 +679,51 @@ def test_affine_rollout_matches_per_step_loop(case, monkeypatch,
 def test_governed_tail_starts_at_the_first_saturated_step(monkeypatch):
     setup, policy, xi, free = governed_scenario(monkeypatch)
     ro = rollout(policy, xi, setup)
-    lim = setup.limits
-    j = int(np.argmax(((free.torque < lim.tau_min)
-                       | (free.torque > lim.tau_max)).any(axis=1)))
+    j = int(np.argmax(setup.limits.outside(free.torque).any(axis=1)))
     assert j > 0 and ro.beta[j] < 1.0
     assert np.all(ro.beta[:j] == 1.0)
     assert np.array_equal(ro.x[:j + 1], free.x[:j + 1])
     assert np.array_equal(ro.torque[:j], free.torque[:j])
 
 
+def test_torque_within_box_tol_is_not_governed(monkeypatch):
+    # A box 5e-13 N under the free run's peak torque: the peak is outside
+    # by less than BOX_TOL, which the feed-forward pre-check and
+    # beta_star_detail count as inside, so the loop governs nothing.
+    setup, policy, xi, free = governed_scenario(monkeypatch)
+    peak = np.abs(free.torque).max()
+    setup = replace(setup, limits=TorqueLimits.box(peak - 5e-13, setup.m))
+    ro = rollout(policy, xi, setup)
+    assert np.all(ro.beta == 1.0) and ro.saturation_events == []
+    assert np.array_equal(ro.x, free.x)
+    assert np.array_equal(ro.torque, free.torque)
+    assert np.array_equal(ro.schedule.K, free.schedule.K)
+
+
 @pytest.mark.parametrize("case", GOVERNED_RUNS)
-def test_governed_runs_restart_the_scan_with_one_map(case, monkeypatch):
+def test_governed_runs_restart_the_scan_with_one_map(case, monkeypatch,
+                                                     handover_setup,
+                                                     handover_policy):
     # After a governed step i' the next block starts at i' + 1 with one
     # map and doubles while its steps stay in the box, so a block that
     # starts at a holds at most a - i' maps.  The maps a block scans from
     # its governed step i on are then at most i - i', n - 1 over the whole
     # rollout; add the first cut block (at most a full block) and the
     # n - 1 maps that stand.  A block kept long after a governed step
-    # would scan about a full block per governed run.
-    setup, policy, xi, _ = governed_runs_scenario(monkeypatch, case)
+    # would scan about a full block per governed run.  An ungoverned run
+    # scans full blocks of LOOP_BLOCK maps.
     scanned = []
     scan = learning.affine_scan
 
-    def counting_scan(maps, s0, chunk):
+    def counting_scan(maps, s0):
         scanned.append(len(maps))
-        return scan(maps, s0, chunk)
+        return scan(maps, s0)
 
     monkeypatch.setattr(learning, "affine_scan", counting_scan)
+    rollout(handover_policy, None, handover_setup)
+    assert scanned == [LOOP_BLOCK] * 5
+    setup, policy, xi, _ = governed_runs_scenario(monkeypatch, case)
+    scanned.clear()
     ro = rollout(policy, xi, setup)
     g = ro.beta < 1.0
     assert (g[1:] & ~g[:-1]).sum() > 1
@@ -715,63 +731,6 @@ def test_governed_runs_restart_the_scan_with_one_map(case, monkeypatch):
         assert g[0] and g[-1]
     n = len(ro.t)
     assert sum(scanned) <= 2 * (n - 1) + loop_block(n)
-
-
-def single_scan(policy, xi, setup):
-    """The closed loop at beta = 1 with all n - 1 maps formed at once and
-    stepped by one affine_scan: the oracle of rollout's blocked scan.
-    Returns (states (n, 2m + 1), torques (n, m))."""
-    m, dt = setup.m, setup.dt
-    sample = policy if xi is None else plus(policy, xi)
-    x_d, xd_d, xdd_d = learning.rollout_reference(
-        setup.dmp, setup.start, sample.theta_traj, setup.tgrid)
-    sched = sampled_schedule(setup, policy, sample)
-    s0 = plants.initial_state(setup.model, setup.start)
-    Lam, g = plants.operational_space_terms(setup.model)
-    u_ff = xdd_d @ Lam.T + g
-    Minv = np.linalg.inv(Lam)
-    AHi = Lam @ np.linalg.inv(setup.H)
-    mv = lambda M, x: np.einsum("...ij,...j->...i", M, x)
-    P = np.eye(2 * m + 1)
-    P[:m, m:-1] += dt * np.eye(m)
-    Q = np.vstack([dt * dt * Minv, dt * Minv, np.zeros((1, m))])
-    AK, AD = AHi @ sched.K, AHi @ sched.D
-    T = Q @ np.concatenate([-AK[:-1], -AD[:-1], (
-        u_ff[:-1] - g + mv(AD[:-1], xd_d[:-1])
-        + mv(AK[:-1], x_d[:-1]))[..., None]], axis=-1)
-    T += P
-    s = np.vstack([s0, affine_scan(T, s0)[0]])
-    tau = u_ff - mv(AD, s[:, m:-1] - xd_d) - mv(AK, s[:, :m] - x_d)
-    return s, tau
-
-
-@pytest.mark.parametrize("case", ["handover", "one_chunk_blocks",
-                                  "edge_above", "governed"])
-def test_blocked_scan_matches_the_single_scan(case, monkeypatch,
-                                              handover_setup,
-                                              handover_policy, handover_task):
-    # Every block is scanned from the last one's carried state with the
-    # chunk of the whole horizon, so it makes the single scan's products:
-    # states and torques agree bit for bit up to the first governed step.
-    policy, setup = handover_policy, handover_setup
-    xi = sample_noise(replace(handover_task.noise, seed=8), policy, 0, 0)
-    if case == "one_chunk_blocks":
-        monkeypatch.setattr(learning, "LOOP_BLOCK", 1)
-    elif case == "edge_above":
-        setup, noise = compile_setup(load_config(
-            overrides={"run_horizon": 0.993}))
-        policy = initial_policy(setup)
-        xi = sample_noise(noise, policy, 0, 0)
-    elif case == "governed":
-        monkeypatch.setattr(learning, "LOOP_BLOCK", 100)
-        setup, policy, xi, _ = governed_scenario(monkeypatch)
-    ro = rollout(policy, xi, setup)
-    s, tau = single_scan(policy, xi, setup)
-    governed = ro.beta < 1.0
-    assert governed.any() == (case == "governed")
-    j = int(governed.argmax()) if governed.any() else len(ro.t)
-    assert np.array_equal(ro.x[:j + 1], s[:j + 1, :setup.m])
-    assert np.array_equal(ro.torque[:j], tau[:j])
 
 
 def tight_box_samples(attempts):
