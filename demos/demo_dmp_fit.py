@@ -17,7 +17,7 @@ def main():
     params, start, tgrid = setup.dmp, setup.start, setup.tgrid
     goal, T = params.goal, params.tau
 
-    theta = fit_min_jerk(start, T, params, setup.dt)
+    theta = fit_min_jerk(start, tgrid, params)
     x, xd, _ = rollout_reference(params, start, theta, tgrid)
     x_ref, _, _ = min_jerk(start, goal, T, tgrid)
 

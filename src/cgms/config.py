@@ -116,7 +116,7 @@ class ExperimentConfig:
                 f"dt {self.run_dt} exceeds the horizon {self.run_horizon}; "
                 f"the time grid needs at least two points")
         if self.run_updates < 0 or self.run_rollouts < 1:
-            raise ConfigError("updates must be >= 0 and rollouts >= 1")
+            raise ConfigError("run_updates must be >= 0 and run_rollouts >= 1")
         for name in ("scenario_start", "scenario_via", "scenario_goal"):
             v = getattr(self, name)
             if v and len(v) != 3:
@@ -212,7 +212,8 @@ def load_config(path=None, overrides=None):
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
         except configparser.Error as exc:
-            raise ConfigError(f"malformed config: {exc}") from exc
+            msg = " ".join(str(exc).split())   # its message spans lines
+            raise ConfigError(f"malformed config: {msg}") from exc
     values = {}
     for section in parser.sections():
         if section not in known:
@@ -246,7 +247,8 @@ def compile_setup(cfg):
     x_ref[np.abs(tgrid - t_hat) <= VIA_WINDOW_SIGMAS * sigma_via] = via
     dmp_basis = build_basis(cfg.dmp_rbf_count, cfg.dmp_intersection_height)
     setup = TaskSetup(
-        model=PlantModel.point_mass(m=3), H=np.eye(3), alpha=cfg.gains_alpha,
+        model=PlantModel(3, np.eye(3), np.zeros(3)), H=np.eye(3),
+        alpha=cfg.gains_alpha,
         tgrid=tgrid, dmp=DmpParams(tau=T, k=cfg.dmp_stiffness, goal=goal,
                                    basis=dmp_basis,
                                    lam_reg=cfg.dmp_regularization),

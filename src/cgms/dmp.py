@@ -174,24 +174,21 @@ def min_jerk(start, goal, T, t):
     return start + delta * p, delta * pd, delta * pdd
 
 
-def fit_min_jerk(start, T, params, dt):
-    """Regularized least-squares fit of the forcing weights to a minimum-jerk
-    demonstration from start to params.goal over [0, T], sampled every dt,
-    in params.basis, with ridge term params.lam_reg.
+def fit_min_jerk(start, tgrid, params):
+    """Regularized least-squares fit of the forcing weights to the minimum-jerk
+    reach from start to params.goal over params.tau, sampled on tgrid, in
+    params.basis, with ridge term params.lam_reg.
 
-    The regression uses the design matrix gamma(t) Phi(s_t), avoiding the
-    division by the vanishing phase at t = T.
+    The reach runs on the DMP's own phase s_t = 1 - t / tau, as
+    rollout_reference does.  The regression uses the design matrix
+    gamma(t) Phi(s_t), avoiding the division by the vanishing phase at
+    t = tau.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
-    start = np.asarray(start, float)
     goal = np.asarray(params.goal, float)
-    basis = params.basis
-    t = np.arange(0.0, T + dt / 2, dt)
-    x, xd, xdd = min_jerk(start, goal, T, t)
-    s = 1.0 - t / T
-    scale = params.tau ** 2
-    target = scale * xdd + params.tau * params.d * xd - params.k * (goal - x)
-    A = s[:, None] * basis.eval(s)
-    gram = A.T @ A + params.lam_reg * np.eye(basis.count)
+    x, xd, xdd = min_jerk(start, goal, params.tau, tgrid)
+    s = 1.0 - np.asarray(tgrid) / params.tau
+    target = (params.tau ** 2 * xdd + params.tau * params.d * xd
+              - params.k * (goal - x))
+    A = s[:, None] * params.basis.eval(s)
+    gram = A.T @ A + params.lam_reg * np.eye(params.basis.count)
     return np.linalg.solve(gram, A.T @ target)

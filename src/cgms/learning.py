@@ -200,8 +200,7 @@ class TaskSetup:
 def initial_policy(setup):
     """Min-jerk trajectory fit plus slack weights reproducing the constant
     isotropic stiffness/damping initialization."""
-    theta_traj = fit_min_jerk(setup.start, setup.tgrid[-1], setup.dmp,
-                              setup.dt)
+    theta_traj = fit_min_jerk(setup.start, setup.tgrid, setup.dmp)
     sp = constant_slack_params(setup.slack_basis, setup.m, setup.d_init,
                                setup.k_init, setup.alpha, setup.H)
     return PolicyParams(theta_traj=theta_traj, theta_d=sp.theta_d,

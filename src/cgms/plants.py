@@ -31,12 +31,6 @@ class PlantModel:
         if np.linalg.eigvalsh(lam).min() <= 0.0:
             raise ValueError("lambda0 must be positive definite")
 
-    @staticmethod
-    def point_mass(lambda0=None, m=3, gravity_wrench=None):
-        lam = np.eye(m) if lambda0 is None else np.asarray(lambda0, float)
-        g = np.zeros(m) if gravity_wrench is None else np.asarray(gravity_wrench, float)
-        return PlantModel(m=m, lambda0=lam, gravity_wrench=g)
-
 
 def initial_state(model, x):
     """The homogeneous start state s0 = (x, 0, 1): at rest at x."""

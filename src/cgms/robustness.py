@@ -330,16 +330,16 @@ def simulate_error_dynamics(schedule, residuals, z0=None):
     return tgrid, out[:, :, :m], out[:, :, m:]
 
 
-def dissipation_check(schedule, inp, u_res, c1=None, z0=None):
+def dissipation_check(schedule, inp, u_res, z0=None):
     """Verify Vdot_aug <= -c1 ||z||^2 + c2 ||u_res||^2 along a simulation.
 
     The storage derivative is taken by central differences of the sampled
     augmented storage, so the schedule grid needs at least 3 samples.
     u_res follows simulate_error_dynamics' array contract, times (k,) to
     forces (k, m); ||u_res||^2 comes from one more call on the interior
-    grid.  Returns a report dict with the maximum violation.  c1 and the
-    initial error z0 = (xtd, xt) can be overridden, which allows
-    falsification runs with a deliberately wrong decay constant.
+    grid.  c1 and c2 are uub_constants(inp)'s, and the initial error
+    z0 = (xtd, xt) can be given.  Returns a report dict with the maximum
+    violation.
     """
     rep = schedule.report()
     if not rep.passes_strict:
@@ -349,7 +349,6 @@ def dissipation_check(schedule, inp, u_res, c1=None, z0=None):
             f"central differences need at least 3 grid samples, got "
             f"{len(schedule.t)}")
     res = uub_constants(inp)
-    c1 = res.c1 if c1 is None else c1
     tgrid, (XT,), (XTD,) = simulate_error_dynamics(schedule, [u_res], z0=z0)
     h = tgrid[1] - tgrid[0]
     alpha, H = schedule.alpha, schedule.H
@@ -360,13 +359,13 @@ def dissipation_check(schedule, inp, u_res, c1=None, z0=None):
     z2 = (XT ** 2 + XTD ** 2).sum(axis=1)[1:-1]
     U = _sample(u_res, tgrid[1:-1], schedule.m)
     u2 = np.einsum("ni,ni->n", U, U)
-    violation = vdot - (-c1 * z2 + res.c2 * u2)
+    violation = vdot - (-res.c1 * z2 + res.c2 * u2)
     max_violation = float(violation.max())
     return {
         "max_violation": max_violation,
         "passes": bool(max_violation <= DISSIPATION_TOL),
         "tol": DISSIPATION_TOL,
-        "c1": c1,
+        "c1": res.c1,
         "c2": res.c2,
     }
 

@@ -180,8 +180,8 @@ def test_criterion_9_component_oracles(monkeypatch, handover_task):
     start = np.array([0.55, 0.0, 0.11])
     goal = np.array([0.05, 0.72, 0.11])
     params = replace(setup.dmp, tau=5.0, goal=goal)
-    theta = fit_min_jerk(start, 5.0, params, setup.dt)
     tgrid = np.arange(0.0, 5.0 + 5e-4, 1e-3)
+    theta = fit_min_jerk(start, tgrid, params)
     x, _, _ = rollout_reference(params, start, theta, tgrid)
     x_ref, _, _ = min_jerk(start, goal, 5.0, tgrid)
     fit_err = float(np.abs(x - x_ref).max())

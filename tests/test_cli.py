@@ -73,6 +73,8 @@ def test_missing_config_file(tmp_path):
 
 def test_scenario_geometry():
     cfg = load_config(None, overrides={"run_scenario": "s2"})
+    args = cli.build_parser().parse_args(["train", "--scenario", "s2"])
+    assert cli._load(args) == cfg
     start, via, goal = cfg.geometry()
     assert np.array_equal(start, SCENARIOS["s2"]["start"])
     assert np.array_equal(via, SCENARIOS["s2"]["via"])
@@ -151,16 +153,26 @@ def test_exit_codes_config_error(tmp_path, capsys):
     rc = cli.main(["certify", "--config", str(tmp_path / "nope.ini"),
                    "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_CONFIG
+    capsys.readouterr()
+    # --out naming an existing file.
+    rc = cli.main(["certify", "--out", str(bad)])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "output directory not writable" in err[0]
 
 
 @pytest.mark.parametrize("content, message", [
     ("[run]\nscenario = hand%over\n", "unknown scenario"),
     ("[cost]\nw0 = 0.2%\n", "cannot parse value"),
+    # Files configparser cannot parse; its message spans several lines.
+    ("seed = 3\n", "malformed config"),
+    ("[run]\nseed\n", "malformed config"),
 ])
 def test_percent_in_a_value_is_read_literally(tmp_path, capsys, content,
                                               message):
     # Values are not interpolated: a "%" used to escape load_config as
     # configparser's InterpolationSyntaxError, a traceback and exit 1.
+    # Every config error, a parse error too, is one line and exit 2.
     path = tmp_path / "percent.ini"
     path.write_text(content)
     rc = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
@@ -221,6 +233,9 @@ def test_dt_longer_than_horizon_is_config_error(tmp_path, capsys):
     ("dmp_regularization", "nan"),
     ("dmp_regularization", -1000),
     ("scenario_start", "nan 0 0.1"),
+    ("scenario_start", "0.1 0.2"),
+    ("run_updates", -1),
+    ("run_rollouts", 0),
 ])
 def test_values_that_fail_in_training_are_config_errors(tmp_path, capsys,
                                                         key, value):

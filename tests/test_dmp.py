@@ -251,6 +251,12 @@ def test_build_basis_validation():
 # DMP dynamics
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("field", ["tau", "k"])
+def test_dmp_params_need_positive_tau_and_k(field, handover_setup):
+    with pytest.raises(ValueError, match="tau and k must be positive"):
+        replace(handover_setup.dmp, **{field: 0.0})
+
+
 def test_forcing_free_dmp_converges_without_overshoot(handover_setup):
     goal = np.array([0.5])
     params = replace(handover_setup.dmp, tau=5.0, goal=goal)
@@ -326,7 +332,7 @@ def test_rollout_reference_tracks_an_extended_precision_run(horizon):
 
 def test_fit_zero_displacement_gives_zero_weights(handover_setup):
     params = replace(handover_setup.dmp, goal=np.array([0.2, 0.2, 0.2]))
-    theta = fit_min_jerk(np.full(3, 0.2), 5.0, params, handover_setup.dt)
+    theta = fit_min_jerk(np.full(3, 0.2), handover_setup.tgrid, params)
     assert np.linalg.norm(theta) < 1e-8
 
 
@@ -335,8 +341,8 @@ def test_fit_round_trip_rmse(handover_setup):
     goal = np.array([0.05, 0.72, 0.11])
     T = 5.0
     params = replace(handover_setup.dmp, tau=T, goal=goal)
-    theta = fit_min_jerk(start, T, params, handover_setup.dt)
     tgrid = np.arange(0.0, T + 5e-4, 1e-3)
+    theta = fit_min_jerk(start, tgrid, params)
     x, _, _ = rollout_reference(params, start, theta, tgrid)
     x_ref, _, _ = min_jerk(start, goal, T, tgrid)
     rmse = np.sqrt(((x - x_ref) ** 2).mean())
@@ -350,8 +356,8 @@ def test_fit_endpoint_long_horizon(handover_setup):
     goal = np.array([0.05, 0.72, 0.11])
     T = 10.0
     params = replace(handover_setup.dmp, tau=T, goal=goal)
-    theta = fit_min_jerk(start, T, params, handover_setup.dt)
     tgrid = np.arange(0.0, T + 5e-4, 1e-3)
+    theta = fit_min_jerk(start, tgrid, params)
     x, _, _ = rollout_reference(params, start, theta, tgrid)
     assert np.linalg.norm(x[-1] - goal) < 1e-3
 
@@ -364,8 +370,8 @@ def test_nested_basis_monotonicity(handover_setup):
     def residual(M):
         basis = build_basis(M, 0.95)
         params = replace(handover_setup.dmp, tau=T, goal=goal, basis=basis)
-        theta = fit_min_jerk(start, T, params, handover_setup.dt)
         t = np.arange(0.0, T + 5e-4, 1e-3)
+        theta = fit_min_jerk(start, t, params)
         x, xd, xdd = min_jerk(start, goal, T, t)
         s = 1.0 - t / T
         scale = params.tau ** 2

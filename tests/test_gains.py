@@ -112,6 +112,14 @@ def test_slack_zero_params():
     assert np.array_equal(S_K, np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("channel", ["theta_d", "theta_k"])
+def test_slack_params_check_their_shapes(channel):
+    shapes = dict(theta_d=np.zeros((7, 6)), theta_k=np.zeros((7, 6)))
+    shapes[channel] = np.zeros((7, 3))
+    with pytest.raises(ValueError, match=f"{channel} shape mismatch"):
+        SlackParams(**shapes, basis=build_basis(7, 0.7), m=3)
+
+
 def test_slack_constant_single_basis(rng):
     basis = build_basis(1, 0.5)
     row = vec_triangle(np.tril(rng.standard_normal((3, 3))))

@@ -3,6 +3,7 @@
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from cgms.config import compile_setup, load_config
 from cgms.governor import TorqueLimits
@@ -23,12 +24,23 @@ def handover_rollout(model, H, T=1.0):
 
 
 def test_point_mass_terms_are_identity():
-    model = PlantModel.point_mass(m=3)
+    model = PlantModel(3, np.eye(3), np.zeros(3))
     s0 = initial_state(model, np.array([0.1, 0.2, 0.3]))
     Lam, g = operational_space_terms(model)
     assert np.array_equal(s0, [0.1, 0.2, 0.3, 0.0, 0.0, 0.0, 1.0])
     assert np.array_equal(Lam, np.eye(3))
     assert np.array_equal(g, np.zeros(3))
+
+
+@pytest.mark.parametrize("lam, message", [
+    (np.eye(2), "shape"),
+    (np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+     "symmetric"),
+    (np.diag([1.0, 0.0, 1.0]), "positive definite"),
+])
+def test_plant_model_rejects_a_bad_task_inertia(lam, message):
+    with pytest.raises(ValueError, match=message):
+        PlantModel(3, lam, np.zeros(3))
 
 
 def test_osid_substitution_reproduces_error_dynamics(rng, monkeypatch):
@@ -41,7 +53,7 @@ def test_osid_substitution_reproduces_error_dynamics(rng, monkeypatch):
         B = rng.standard_normal((3, 3))
         lam = A @ A.T + np.eye(3)
         H = 0.1 * B @ B.T + np.eye(3)
-        ro = handover_rollout(PlantModel.point_mass(lambda0=lam), H)
+        ro = handover_rollout(PlantModel(3, lam, np.zeros(3)), H)
         assert np.all(ro.beta == 1.0)
         assert error_equation_deviation(ro, H) < 1e-9
 
@@ -52,7 +64,7 @@ def test_point_mass_osid_matches_error_dynamics(monkeypatch):
     # makes them agree to round-off over 1 s.
     offset_reference(monkeypatch, np.array([0.1, -0.05, 0.02]))
     H = np.eye(3)
-    ro = handover_rollout(PlantModel.point_mass(m=3), H)
+    ro = handover_rollout(PlantModel(3, np.eye(3), np.zeros(3)), H)
     assert np.all(ro.beta == 1.0)
     xt = ro.x[0] - ro.x_d[0]
     xtd = np.zeros(3)

@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.interpolate import make_interp_spline
 
+from cgms import robustness
 from cgms.dmp import build_basis
 from cgms.errors import (
     ContractViolationError,
@@ -88,6 +89,8 @@ def test_young_parameter_ranges():
         uub_constants(RobustnessInputs(**dict(WORKED, eta=0.6)))
     with pytest.raises(MarginTooSmallError):
         uub_constants(RobustnessInputs(**dict(WORKED, eps_D=-1.0)))
+    with pytest.raises(MarginTooSmallError, match="nonnegative"):
+        uub_constants(RobustnessInputs(**dict(WORKED, h_min=-1.0)))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -460,14 +463,17 @@ def test_dissipation_inequality_sinusoid(schedules):
         assert report["passes"], report
 
 
-def test_negative_control_inflated_c1(schedules):
+def test_negative_control_inflated_c1(schedules, monkeypatch):
+    # A decay constant ten times too large must break the inequality.
     sched = schedules[0]
     inp = inputs_from_schedule(sched, 0.01, optimize=True)
     res = uub_constants(inp)
+    monkeypatch.setattr(robustness, "uub_constants",
+                        lambda _: replace(res, c1=10.0 * res.c1))
     m = sched.m
     z0 = np.array([0.3, -0.2, 0.25, 0.05, -0.02, 0.04])
     report = dissipation_check(sched, inp, lambda t: np.zeros((len(t), m)),
-                               c1=10.0 * res.c1, z0=z0)
+                               z0=z0)
     assert not report["passes"]
     assert report["max_violation"] > 1e-5
 
