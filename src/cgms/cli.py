@@ -25,7 +25,6 @@ from .errors import (
     IntegrationDivergedError,
     MarginTooSmallError,
 )
-from .gains import write_csv
 from .learning import (
     MODE_UNCERTIFIED_AFTER_VIA,
     PolicyParams,
@@ -37,6 +36,23 @@ from .learning import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CERTIFICATION = 3
+# What main prints on stderr, and returns, when a command raises one of these.
+FAILURES = {
+    ConfigError: ("config error", EXIT_CONFIG),
+    CertifiedFloorError: ("certification failure", EXIT_CERTIFICATION),
+    InfeasibleFloorError: ("infeasible torque floor", EXIT_CERTIFICATION),
+    IntegrationDivergedError: ("integration diverged", EXIT_CERTIFICATION),
+}
+
+
+def write_csv(path, header, rows):
+    """Write a header line and one line per row: ints as they are, every
+    other value as a round-tripping %.17g float."""
+    lines = [",".join(header)]
+    lines += [",".join(str(v) if isinstance(v, int) else format(float(v), ".17g")
+                       for v in row) for row in rows]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _write_json(path, obj):
@@ -147,7 +163,13 @@ def cmd_rollout(args):
               + [f"tau{i + 1}" for i in range(setup.m)] + ["beta"])
     rows = np.column_stack([ro.t, ro.x, ro.x_d, ro.torque, ro.beta])
     write_csv(out / "trajectory.csv", header, rows)
-    ro.schedule.to_csv(out / "gains.csv")
+    sched, n = ro.schedule, len(ro.t)
+    entries = [f"{i + 1}{j + 1}" for i in range(setup.m) for j in range(setup.m)]
+    header = (["t"] + [f"K{e}" for e in entries] + [f"D{e}" for e in entries]
+              + ["lamA", "lamC"])
+    rows = np.column_stack([sched.t, sched.K.reshape(n, -1),
+                            sched.D.reshape(n, -1), sched.lam_A, sched.lam_C])
+    write_csv(out / "gains.csv", header, rows)
     return EXIT_OK
 
 
@@ -256,18 +278,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CertifiedFloorError as exc:
-        print(f"certification failure: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATION
-    except InfeasibleFloorError as exc:
-        print(f"infeasible torque floor: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATION
-    except IntegrationDivergedError as exc:
-        print(f"integration diverged: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATION
+    except tuple(FAILURES) as exc:
+        label, code = FAILURES[type(exc)]
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

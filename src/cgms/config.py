@@ -115,6 +115,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"dt {self.run_dt} exceeds the horizon {self.run_horizon}; "
                 f"the time grid needs at least two points")
+        if abs(round(self.run_horizon / self.run_dt) * self.run_dt
+               - self.run_horizon) > 1e-9 * self.run_horizon:
+            # Else the grid ends short of the horizon or past it (phase < 0).
+            raise ConfigError(f"run_dt {self.run_dt!r} does not divide "
+                              f"run_horizon {self.run_horizon!r}")
         if self.run_updates < 0 or self.run_rollouts < 1:
             raise ConfigError("run_updates must be >= 0 and run_rollouts >= 1")
         for name in ("scenario_start", "scenario_via", "scenario_goal"):
@@ -129,7 +134,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be positive, "
                                   f"got {getattr(self, name)!r}")
         for name in ("run_seed", "gains_alpha", "learning_covariance_decay",
-                     "dmp_regularization"):
+                     "dmp_regularization", "learning_sigma_traj",
+                     "learning_sigma_k", "learning_sigma_d", "cost_lambda_k",
+                     "cost_lambda_acc", "cost_w0", "cost_gamma_via"):
             if not getattr(self, name) >= 0:
                 raise ConfigError(f"{name} must be non-negative, "
                                   f"got {getattr(self, name)!r}")

@@ -76,18 +76,18 @@ class SlackParams:
             raise ValueError("theta_k shape mismatch")
 
 
-def slack_trace(sp, s_all, phi=None):
-    """Vectorized slack evaluation over an array of phases.
+def slack_trace(theta_d, theta_k, phi):
+    """Slack weights mapped through an evaluated basis pair.
 
-    Returns (S_D, S_K, Sdot_D) as packed lower triangles of shape
-    (n, tri_dim(m)), in vec_triangle order.  Sdot_D is the damping slack's
-    derivative in the phase s; the caller multiplies it by ds/dt = -1/tau.
-    No gain rate needs the stiffness slack's derivative.  phi is the pair
-    sp.basis.eval_deriv(s_all); it is evaluated here when not given
-    (TaskSetup compiles it once over its grid).
+    phi is (Phi, dPhi/ds), a basis and its phase derivative evaluated on n
+    phases, (n, M_s) each (RbfBasis.eval_deriv).  Returns (S_D, S_K, Sdot_D)
+    as packed lower triangles of shape (n, tri_dim(m)), in vec_triangle
+    order.  Sdot_D is the damping slack's derivative in the phase s; the
+    caller multiplies it by ds/dt = -1/tau.  No gain rate needs the
+    stiffness slack's derivative.
     """
-    ph, dph = sp.basis.eval_deriv(s_all) if phi is None else phi
-    return ph @ sp.theta_d, ph @ sp.theta_k, dph @ sp.theta_d
+    ph, dph = phi
+    return ph @ theta_d, ph @ theta_k, dph @ theta_d
 
 
 # ---------------------------------------------------------------------------
@@ -154,30 +154,6 @@ class GainSchedule:
     def report(self):
         return CertificateReport(lam_A=self.lam_A, lam_C=self.lam_C,
                                  alpha=self.alpha)
-
-    def to_csv(self, path):
-        """Columns: t, K11..Kmm (row-major), D11..Dmm, lamA, lamC."""
-        m = self.m
-        names = ["t"]
-        names += [f"K{i + 1}{j + 1}" for i in range(m) for j in range(m)]
-        names += [f"D{i + 1}{j + 1}" for i in range(m) for j in range(m)]
-        names += ["lamA", "lamC"]
-        n = len(self.t)
-        data = np.column_stack([
-            self.t, self.K.reshape(n, -1), self.D.reshape(n, -1),
-            self.lam_A, self.lam_C,
-        ])
-        write_csv(path, names, data)
-
-
-def write_csv(path, header, rows):
-    """Write a header line and one line per row: ints as they are, every
-    other value as a round-tripping %.17g float."""
-    lines = [",".join(header)]
-    lines += [",".join(str(v) if isinstance(v, int) else format(float(v), ".17g")
-                       for v in row) for row in rows]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def integrate_cholesky_flow(B, alpha, K0, dt, clamp=False):
@@ -323,11 +299,14 @@ def schedule_from_products(G_D, G_K, Ddot, alpha, H, K0, tgrid, clamp=False):
 def build_gain_schedule(sp, alpha, H, tau, K0, tgrid):
     """Integrate the slack construction into a gain schedule.
 
+    The slack basis pair is evaluated on the phases 1 - t / tau of tgrid;
+    it is passed inline, so it is freed before the products are formed.
     Zero slacks yield the certified floor D = alpha H,
     K(t) = exp(2 alpha t) K0.
     """
     tgrid = np.asarray(tgrid, float)
-    S_D, S_K, Sd_D = slack_trace(sp, 1.0 - tgrid / tau)
+    S_D, S_K, Sd_D = slack_trace(sp.theta_d, sp.theta_k,
+                                 sp.basis.eval_deriv(1.0 - tgrid / tau))
     products = slack_products(S_D, S_K, Sd_D * (-1.0 / tau))
     return schedule_from_products(*products, alpha, H, K0, tgrid)
 

@@ -24,7 +24,6 @@ from .errors import (
 )
 from .gains import (
     GainSchedule,
-    SlackParams,
     constant_slack_params,
     integrate_cholesky_flow,  # noqa: F401  (wrapped by perfbench/tracer.py)
     schedule_from_products,
@@ -243,16 +242,15 @@ def sampled_schedule(setup, policy, sample):
     clamps instead of rejecting.
     """
     tau, t_hat = setup.dmp.tau, setup.weights.t_hat
-    slack = lambda p, s, phi=None: slack_trace(SlackParams(
-        theta_d=p.theta_d, theta_k=p.theta_k, basis=setup.slack_basis,
-        m=setup.m), s, phi)
-    S_D, S_K, Sd_D = slack(sample, 1.0 - setup.tgrid / tau, setup.slack_phi)
+    S_D, S_K, Sd_D = slack_trace(sample.theta_d, sample.theta_k,
+                                 setup.slack_phi)
     Sd_D *= -1.0 / tau
     products = slack_products(S_D, S_K, Sd_D)
     clamp = setup.mode == MODE_UNCERTIFIED_AFTER_VIA
     after = setup.tgrid > t_hat
     if clamp and after.any():
-        Sn_D, Sn_K, _ = slack(policy, np.array([1.0 - t_hat / tau]))
+        at_hat = setup.slack_basis.eval_deriv(np.array([1.0 - t_hat / tau]))
+        Sn_D, Sn_K, _ = slack_trace(policy.theta_d, policy.theta_k, at_hat)
         lin = slack_products(S_D[after] - Sn_D, S_K[after] - Sn_K, Sd_D[after])
         for G, dG in zip(products, lin):
             G[after] -= dG

@@ -12,7 +12,7 @@ import numpy as np
 from cgms import cli
 from cgms.config import compile_setup, load_config
 from cgms.dmp import build_basis, fit_min_jerk, min_jerk, rollout_reference
-from cgms.gains import SlackParams, integrate_cholesky_flow, slack_trace
+from cgms.gains import integrate_cholesky_flow, slack_trace
 from cgms.governor import beta_star_detail
 from cgms.learning import PolicyParams, initial_policy, pi2_update, pi2_weights, rollout
 from cgms.robustness import (
@@ -65,14 +65,13 @@ def test_criterion_4_stiffness_flow_identity():
     basis = build_basis(7, 0.7)
     dt = 1e-4
     tgrid = np.arange(0.0, 1.0, dt)
-    s_all = 1.0 - tgrid
+    phi = basis.eval_deriv(1.0 - tgrid)
     worst_rel, worst_min = 0.0, np.inf
     for _ in range(100):
-        sp = SlackParams(theta_d=0.5 * rng.standard_normal((7, 6)),
-                         theta_k=0.5 * rng.standard_normal((7, 6)),
-                         basis=basis, m=3)
+        theta_d = 0.5 * rng.standard_normal((7, 6))
+        theta_k = 0.5 * rng.standard_normal((7, 6))
         S_D, S_K, Sd_D = (vec_triangle_inverse(S, 3)
-                           for S in slack_trace(sp, s_all))
+                           for S in slack_trace(theta_d, theta_k, phi))
         Sd_D = -Sd_D
         Ddot = Sd_D @ np.swapaxes(S_D, 1, 2) + S_D @ np.swapaxes(Sd_D, 1, 2)
         B = -0.05 * Ddot - S_K @ np.swapaxes(S_K, 1, 2)

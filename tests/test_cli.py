@@ -86,7 +86,9 @@ def test_scenario_geometry():
 # Keys that cmd_train reads itself; compile_setup never sees them.
 TRAIN_KEYS = {"run_updates", "run_rollouts", "learning_softmax_sharpness"}
 # Valid non-default values for the keys that are not numbers.
+# run_dt must divide the horizon, which 0.9 of the default does not.
 OTHER_VALUE = {"run_scenario": "s1", "run_mode": MODE_UNCERTIFIED_AFTER_VIA,
+               "run_dt": 0.002,
                "scenario_start": (0.5, 0.1, 0.2),
                "scenario_via": (0.5, 0.1, 0.2),
                "scenario_goal": (0.5, 0.1, 0.2)}
@@ -236,11 +238,17 @@ def test_dt_longer_than_horizon_is_config_error(tmp_path, capsys):
     ("scenario_start", "0.1 0.2"),
     ("run_updates", -1),
     ("run_rollouts", 0),
+    # A grid of round(5 / 0.003) steps ends at 5.001 s, past the horizon.
+    ("run_dt", 0.003),
+    # A negative sigma mirrors every noise sample; a negative weight turns
+    # a penalty into a reward.
+    ("learning_sigma_traj", -8),
+    ("cost_lambda_acc", -0.001),
 ])
 def test_values_that_fail_in_training_are_config_errors(tmp_path, capsys,
                                                         key, value):
     # Each of these used to compile and then crash the first rollout or
-    # update with a traceback and exit code 1.
+    # update with a traceback and exit code 1, or silently change the run.
     section, name = key.split("_", 1)
     path = tmp_path / "bad.ini"
     path.write_text(f"[{section}]\n{name} = {value}\n")

@@ -26,9 +26,8 @@ from cgms.gains import (
     stiffness_floor,
     tri_dim,
     vec_triangle,
-    write_csv,
 )
-from cgms import robustness
+from cgms import cli, robustness
 from cgms.robustness import eigvalsh_stack
 from conftest import checkout_env, vec_triangle_inverse
 
@@ -46,7 +45,8 @@ def random_slack_params(rng, m=3, scale=1.0, basis=None):
 
 def unpacked_slack(sp, s_all):
     """slack_trace's (S_D, S_K, Sdot_D) unpacked to (n, m, m) stacks."""
-    return tuple(vec_triangle_inverse(S, sp.m) for S in slack_trace(sp, s_all))
+    return tuple(vec_triangle_inverse(S, sp.m) for S in slack_trace(
+        sp.theta_d, sp.theta_k, sp.basis.eval_deriv(s_all)))
 
 
 def slack_at(sp, s):
@@ -673,18 +673,16 @@ def test_constant_slack_params_reproduce_init():
     assert abs(sched.lam_C.max() + 20.0) < 1e-6
 
 
-def test_schedule_csv_round_trip(rng, tmp_path):
-    basis = build_basis(7, 0.7)
-    sp = random_slack_params(rng, scale=0.5, basis=basis)
-    tgrid = np.arange(0.0, 0.1, 1e-3)
-    sched = build_gain_schedule(sp, ALPHA, H3, 1.0, 200 * np.eye(3), tgrid)
+def test_schedule_csv_round_trip(nominal_rollout, tmp_path):
+    # cgms rollout writes the noise-free rollout's schedule to gains.csv.
+    assert cli.main(["rollout", "--out", str(tmp_path)]) == cli.EXIT_OK
+    sched = nominal_rollout.schedule
     path = tmp_path / "gains.csv"
-    sched.to_csv(path)
     header = path.read_text().splitlines()[0]
     assert header.startswith("t,K11,K12,K13,K21")
     assert header.endswith("lamA,lamC")
     back = np.genfromtxt(path, delimiter=",", skip_header=1)
-    n = len(tgrid)
+    n = len(sched.t)
     assert np.allclose(back[:, 0], sched.t)
     assert np.allclose(back[:, 1:10].reshape(n, 3, 3), sched.K)
     assert np.allclose(back[:, 10:19].reshape(n, 3, 3), sched.D)
@@ -694,9 +692,9 @@ def test_schedule_csv_round_trip(rng, tmp_path):
 def test_write_csv_format(tmp_path):
     # Ints verbatim, floats round-tripping; no rows gives the header alone.
     path = tmp_path / "trace.csv"
-    write_csv(path, ["update", "cost"], [[3, 0.1], [4, np.float64(2.0)]])
+    cli.write_csv(path, ["update", "cost"], [[3, 0.1], [4, np.float64(2.0)]])
     assert path.read_text() == "update,cost\n3,0.10000000000000001\n4,2\n"
-    write_csv(path, ["update", "cost"], [])
+    cli.write_csv(path, ["update", "cost"], [])
     assert path.read_text() == "update,cost\n"
 
 

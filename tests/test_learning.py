@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cgms import learning
+from cgms import gains, learning
 from cgms.config import compile_setup, load_config
 from cgms.dmp import build_basis
 from cgms.errors import (
@@ -322,15 +322,18 @@ def test_compiled_bases_follow_replace(handover_setup):
     assert new.dmp_phi.shape[1] == 21
 
 
-def bases_on_the_fly(monkeypatch):
+def bases_on_the_fly(monkeypatch, setup):
     """Make the rollout evaluate both bases on every call, ignoring the
     setup's compiled ones."""
     reference, slack = learning.rollout_reference, learning.slack_trace
+    s_all = 1.0 - setup.tgrid / setup.dmp.tau
     monkeypatch.setattr(learning, "rollout_reference",
                         lambda params, start, theta, tgrid, phi=None:
                         reference(params, start, theta, tgrid))
     monkeypatch.setattr(learning, "slack_trace",
-                        lambda sp, s_all, phi=None: slack(sp, s_all))
+                        lambda theta_d, theta_k, phi: slack(
+                            theta_d, theta_k,
+                            setup.slack_basis.eval_deriv(s_all)))
 
 
 @pytest.mark.parametrize("field", ["dmp", "slack_basis"])
@@ -343,7 +346,7 @@ def test_replaced_basis_rollout_matches_on_the_fly_bases(
     policy = initial_policy(setup)
     xi = sample_noise(replace(handover_task.noise, seed=6), policy, 0, 0)
     got = rollout(policy, xi, setup)
-    bases_on_the_fly(monkeypatch)
+    bases_on_the_fly(monkeypatch, setup)
     want = rollout(policy, xi, setup)
     for name in ("x", "x_d", "torque", "beta"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
@@ -373,6 +376,15 @@ def test_rollout_reads_the_compiled_bases(monkeypatch, handover_setup,
     assert [name for name, _ in seen] == ["reference", "slack"]
     assert seen[0][1] is handover_setup.dmp_phi
     assert seen[1][1] is handover_setup.slack_phi
+    # Nor does it wrap the weights in a SlackParams, on either path.
+
+    def no_slack_params(self):
+        raise AssertionError("rollout constructed a SlackParams")
+
+    monkeypatch.setattr(gains.SlackParams, "__post_init__", no_slack_params)
+    rollout(handover_policy, None, handover_setup)
+    rollout(handover_policy, None,
+            replace(handover_setup, mode=MODE_UNCERTIFIED_AFTER_VIA))
 
 
 def test_noisy_rollout_still_certified(handover_setup, handover_policy,
@@ -910,9 +922,9 @@ def test_ablation_linearizes_about_the_noise_free_policy(handover_setup,
     # After the via time D = alpha H + S S^T - (S - Sn)(S - Sn)^T, with S
     # the sample's damping slack and Sn the noise-free policy's at t_hat.
     def damping_slack(p, s):
-        sp = SlackParams(theta_d=p.theta_d, theta_k=p.theta_k,
-                         basis=setup.slack_basis, m=setup.m)
-        return vec_triangle_inverse(slack_trace(sp, s)[0], setup.m)
+        S_D = slack_trace(p.theta_d, p.theta_k,
+                          setup.slack_basis.eval_deriv(s))[0]
+        return vec_triangle_inverse(S_D, setup.m)
 
     S = damping_slack(sample, 1.0 - setup.tgrid[after] / tau)
     Sn = damping_slack(handover_policy, np.array([1.0 - t_hat / tau]))
