@@ -133,14 +133,16 @@ def rollout_reference(params, start, theta, tgrid, phi=None):
     [[A, F_i], [0, I]] with A = [[1 - kk, 1 - kd], [-kk, 1 - kd]] and both
     rows of F_i equal to w[i]; robustness.affine_scan steps all n - 1 maps.
     Sample 0 is start with zero velocity, and a grid of one sample has no
-    step.
+    step.  The forcing, the maps' column w, xdot_d and xddot_d are formed
+    in place.
     """
     n = len(tgrid)
     D = len(start)
     s_all = 1.0 - np.asarray(tgrid) / params.tau
     if phi is None:
         phi = params.basis.eval(s_all)
-    forcing = s_all[:, None] * (phi @ theta)   # (n, D)
+    forcing = phi @ theta                        # (n, D)
+    forcing *= s_all[:, None]
     scale = params.tau ** 2
     g = np.asarray(params.goal, float)
     x = np.empty((n, D))
@@ -153,12 +155,18 @@ def rollout_reference(params, start, theta, tgrid, phi=None):
         step = np.eye(2 + D)
         step[:2, :2] = [[1.0 - kk, 1.0 - kd], [-kk, 1.0 - kd]]
         maps = np.tile(step, (n - 1, 1, 1))
-        maps[:, :2, 2:] = ((dt * dt / scale)
-                           * (params.k * g + forcing[:-1]))[:, None]
+        col = maps[:, 0, 2:]                     # F_i's first row
+        np.add(forcing[:-1], params.k * g, out=col)
+        col *= dt * dt / scale
+        maps[:, 1, 2:] = col
         xv = affine_scan(maps, np.vstack([start, np.zeros(D), np.eye(D)]))
         x[1:] = xv[:, 0]
-        xd[1:] = xv[:, 1] / dt
-    xdd = (params.k * (g - x) - params.tau * params.d * xd + forcing) / scale
+        np.divide(xv[:, 1], dt, out=xd[1:])
+    xdd = np.subtract(g, x)
+    xdd *= params.k
+    xdd -= params.tau * params.d * xd
+    xdd += forcing
+    xdd /= scale
     return x, xd, xdd
 
 

@@ -278,16 +278,31 @@ def schedule_from_products(G_D, G_K, Ddot, alpha, H, K0, tgrid, clamp=False):
     B = -alpha Ddot - G_K, so the two certificate matrices are -G_D and
     -G_K; their largest eigenvalues (eigvalsh_stack) are the schedule's
     lam_A and lam_C.  clamp is integrate_cholesky_flow's.
+
+    The products are consumed: each of G_K and G_D is negated in place
+    for its audit, then G_K's buffer holds B and then Kdot, and G_D's
+    holds D; Ddot is the schedule's own.  A product that shares memory
+    with another or is not writeable is copied first, so every trace of
+    the schedule owns its memory.
     """
-    D = alpha * H + G_D
-    B = -alpha * Ddot - G_K
-    K = integrate_cholesky_flow(B, alpha, K0, tgrid[1] - tgrid[0], clamp=clamp)
+    products = []
+    for G in (G_D, G_K, Ddot):
+        G = np.asarray(G, float)
+        if not G.flags.writeable or any(np.may_share_memory(G, P)
+                                        for P in products):
+            G = G.copy()
+        products.append(G)
+    G_D, G_K, Ddot = products
     # Copies: a view would keep the whole (n, m) eigenvalue array alive.
-    lam_A, lam_C = (eigvalsh_stack(-G)[..., -1].copy() for G in (G_D, G_K))
+    lam_C = eigvalsh_stack(np.negative(G_K, out=G_K))[..., -1].copy()
+    B = np.add(-alpha * Ddot, G_K, out=G_K)
+    K = integrate_cholesky_flow(B, alpha, K0, tgrid[1] - tgrid[0], clamp=clamp)
+    lam_A = eigvalsh_stack(np.negative(G_D, out=G_D))[..., -1].copy()
+    D = np.subtract(alpha * H, G_D, out=G_D)
     # A K within a factor 2 alpha of the float maximum is finite, yet its
     # rate is not.
     with np.errstate(over="ignore"):
-        Kdot = 2.0 * alpha * K + B
+        Kdot = np.add(2.0 * alpha * K, B, out=B)
     if not np.isfinite(Kdot).all():
         raise IntegrationDivergedError(
             "stiffness flow diverged to a non-finite Kdot")

@@ -298,16 +298,20 @@ def rollout(policy, xi, setup):
 
     The closed loop is the plant's semi-implicit Euler step
     s' = P s + Q (tau - g), s = (x, v, 1), applied to the control law's
-    torque.  At beta = 1 the control law is a map tau - g = C[i] s, so the
-    loop is s[i+1] = T[i] s[i] with T = Q C + P.  It runs in blocks: each
-    forms its gain products AHi K and AHi D, its maps T in one reused
-    buffer, steps them by robustness.affine_scan from the state at its
-    first step, and takes its batched torques.  A block whose torques all
-    stay in the box (TorqueLimits.outside) stands, and the next starts at
-    its end with twice its maps, up to LOOP_BLOCK maps.  At the block's
-    first step out of the box the governor blends that step's torque
-    toward the floor, the plant's step from it gives the next state, and
-    the next block starts at the following step with one map.
+    torque.  At beta = 1 the control law is a map tau - g = C[i] s,
+    C = [-AHi K, -AHi D, u_ff - g + AHi (K x_d + D xdot_d)], so the loop
+    is s[i+1] = T[i] s[i] with T = Q C + P.  It runs in blocks: each forms
+    its maps C and T in two reused buffers, steps them by
+    robustness.affine_scan from the state at its first step, and takes its
+    batched torques from C as u_ff + C_v (v - xdot_d) + C_x (x - x_d); the
+    governed floor's torque comes the same way from its own C.  A block
+    whose torques all stay in the box (TorqueLimits.outside) stands, and
+    the next starts at its end with twice its maps, up to LOOP_BLOCK maps.
+    At the block's first step out of the box the governor blends that
+    step's torque toward the floor, the plant's step from it gives the
+    next state, and the next block starts at the following step with one
+    map.  The reference's acceleration goes once u_ff is formed, and x is
+    copied out of the state stack, so a kept Rollout holds neither.
     """
     tg = setup.tgrid
     n = len(tg)
@@ -322,7 +326,9 @@ def rollout(policy, xi, setup):
                                          sample.theta_traj, tg, setup.dmp_phi)
     s0 = plants.initial_state(setup.model, setup.start)
     Lam, g = plants.operational_space_terms(setup.model)
-    u_ff = xdd_d @ Lam.T + g
+    u_ff = xdd_d @ Lam.T
+    u_ff += g
+    del xdd_d       # the loop reads u_ff only
     if np.array_equal(np.r_[x_d[0], xd_d[0], 1.0], s0):
         _check_feedforward(u_ff, tg, setup.limits)
     sched = sampled_schedule(setup, policy, sample)
@@ -337,10 +343,11 @@ def rollout(policy, xi, setup):
     P[:m, m:-1] += dt * np.eye(m)
     Q = np.vstack([dt * dt * Minv, dt * Minv, np.zeros((1, m))])
 
-    def torque(i, AK, AD, s):
-        """The control law at steps i for AK = AHi K, AD = AHi D, states s."""
-        return (u_ff[i] - mv(AD, s[..., m:-1] - xd_d[i])
-                - mv(AK, s[..., :m] - x_d[i]))
+    def torque(i, C, s):
+        """The control law u_ff + C_v (v - xd_d) + C_x (x - x_d) at steps i
+        for control maps C = [C_x, C_v, ...] and states s = (x, v, 1)."""
+        return (u_ff[i] + mv(C[..., m:2 * m], s[..., m:-1] - xd_d[i])
+                + mv(C[..., :m], s[..., :m] - x_d[i]))
 
     s = np.empty((n, 2 * m + 1))
     s[0] = s0
@@ -348,22 +355,26 @@ def rollout(policy, xi, setup):
     events = []
     lim, alpha, D_floor = setup.limits, setup.alpha, setup.alpha * setup.H
     T = np.empty((min(LOOP_BLOCK, n - 1), 2 * m + 1, 2 * m + 1))
-    C = np.empty((len(T), m, 2 * m + 1))
+    # One more control map than maps: the last block takes the torque of
+    # the last step too.
+    C = np.empty((len(T) + 1, m, 2 * m + 1))
     a, L = 0, LOOP_BLOCK            # the block's first step and its maps
     while a < n:
         L = min(L, n - 1 - a)
         e = n if a + L == n - 1 else a + L     # steps whose torque is taken
-        AK, AD = AHi @ sched.K[a:e], AHi @ sched.D[a:e]
-        # The maps s' = T s at beta = 1, T = Q C + P, where tau - g = C s is
-        # the control law as a map of s.
-        np.negative(AK[:L], out=C[:L, :, :m])
-        np.negative(AD[:L], out=C[:L, :, m:-1])
-        C[:L, :, -1] = (u_ff[a:a + L] - g + mv(AD[:L], xd_d[a:a + L])
-                        + mv(AK[:L], x_d[a:a + L]))
-        Tb = np.matmul(Q, C[:L], out=T[:L])
+        # The control maps C of steps a..e-1 and the loop's maps T = Q C + P
+        # of the first L of them.
+        Cb = C[:e - a]
+        np.matmul(AHi, sched.K[a:e], out=Cb[:, :, :m])
+        np.matmul(AHi, sched.D[a:e], out=Cb[:, :, m:-1])
+        np.negative(Cb[:, :, :-1], out=Cb[:, :, :-1])
+        Cb[:L, :, -1] = (u_ff[a:a + L] - g
+                         - mv(Cb[:L, :, m:-1], xd_d[a:a + L])
+                         - mv(Cb[:L, :, :m], x_d[a:a + L]))
+        Tb = np.matmul(Q, Cb[:L], out=T[:L])
         Tb += P
         s[a + 1:a + L + 1] = affine_scan(Tb, s[a])
-        tau = tau_trace[a:e] = torque(slice(a, e), AK, AD, s[a:e])
+        tau = tau_trace[a:e] = torque(slice(a, e), Cb, s[a:e])
         out = lim.outside(tau).any(axis=1)
         if not out.any():
             a, L = e, min(2 * L, LOOP_BLOCK)
@@ -372,7 +383,7 @@ def rollout(policy, xi, setup):
         # start the next block at the following step with one map.
         i = a + int(out.argmax())
         K_floor = np.exp(2.0 * alpha * tg[i]) * (setup.k_init * np.eye(m))
-        tau0 = torque(i, AHi @ K_floor, AHi @ D_floor, s[i])
+        tau0 = torque(i, -np.hstack([AHi @ K_floor, AHi @ D_floor]), s[i])
         beta, binding = beta_star_detail(tau0, tau[i - a] - tau0, lim)
         if binding is not None:
             events.append({"t": float(tg[i]), "joint": binding,
@@ -387,8 +398,9 @@ def rollout(policy, xi, setup):
         # s[i + 1:i + 2] is empty when i is the last step.
         s[i + 1:i + 2] = P @ s[i] + Q @ (tau_trace[i] - g)
         a, L = i + 1, 1
-    del T, C, AK, AD
-    x_trace = s[:, :m]
+    del T, Tb, C, Cb
+    x_trace = s[:, :m].copy()       # its own memory: the state stack goes
+    del s
     if not np.all(np.isfinite(x_trace)):
         raise IntegrationDivergedError("rollout state diverged")
 

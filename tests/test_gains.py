@@ -644,6 +644,37 @@ def test_schedule_certified_by_construction(rng):
         assert np.abs(residual).max() < 1e-8
 
 
+def test_schedule_consumes_aliased_and_read_only_products_safely(rng):
+    # schedule_from_products writes D, B and Kdot into its products'
+    # buffers.  One array passed as several products, or a read-only view,
+    # gives the schedule of distinct copies bit for bit, and no trace
+    # shares memory with another: the governor blends each one in place.
+    sp = random_slack_params(rng, scale=0.8)
+    tgrid = np.arange(0.0, 0.2, 1e-3)
+    G = slack_products(*slack_trace(sp.theta_d, sp.theta_k,
+                                    sp.basis.eval_deriv(1.0 - tgrid)))[0]
+
+    def schedule(*products):
+        return schedule_from_products(*products, ALPHA, H3, 200 * np.eye(3),
+                                      tgrid)
+
+    names = ("K", "D", "Kdot", "Ddot", "lam_A", "lam_C")
+    distinct = schedule(G.copy(), G.copy(), G.copy())
+    read_only = np.broadcast_to(G, G.shape)
+    one, two = G.copy(), G.copy()
+    for products in ((one, one, one), (two, G.copy(), two[...]),
+                     (read_only, read_only, read_only)):
+        sched = schedule(*products)
+        for name in names:
+            assert (getattr(sched, name).tobytes()
+                    == getattr(distinct, name).tobytes()), name
+        for i, a in enumerate(names):
+            for b in names[i + 1:]:
+                assert not np.shares_memory(getattr(sched, a),
+                                            getattr(sched, b)), (a, b)
+    assert read_only.tobytes() == G.tobytes()
+
+
 def test_scale_beta_closure(rng):
     basis = build_basis(7, 0.7)
     tgrid = np.arange(0.0, 1.0, 1e-3)

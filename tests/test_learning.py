@@ -256,31 +256,42 @@ def test_rollout_determinism(handover_setup, handover_policy,
 
 
 def test_rollout_memory_peak(handover_setup, handover_policy):
-    # A warm noise-free handover rollout peaks near 3.43 MB of traced
-    # memory, at the certificate audit of its schedule build.  The setup
-    # holds its compiled bases (2.60 MB) for as long as it lives, so the
-    # guard counts them too: 6.03 MB.  The closed loop forms and scans its
+    # A warm noise-free handover rollout peaks near 3.04 MB of traced
+    # memory, in its closed loop: the schedule build consumes its slack
+    # products, the loop forms each block's control maps in one reused
+    # buffer, and the reference's acceleration goes once u_ff is formed.
+    # With the audit on copies and the gain products AHi K and AHi D taken
+    # per block it peaked near 3.43 MB, at the certificate audit.  The
+    # setup holds its compiled bases (2.60 MB) for as long as it lives, so
+    # the first guard counts them too.  The closed loop forms and scans its
     # maps LOOP_BLOCK at a time; all 5000 at once (1.96 MB of maps) peaked
     # near 5.57 MB without the compiled bases.
     rollout(handover_policy, None, handover_setup)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        rollout(handover_policy, None, handover_setup)
+        ro = rollout(handover_policy, None, handover_setup)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     compiled = sum(a.nbytes for a in (handover_setup.dmp_phi,
                                       *handover_setup.slack_phi))
     assert peak + compiled <= 6.5e6, (peak, compiled)
+    assert peak <= 3.25e6, peak
+    # x owns its memory: a view would keep the (n, 2m + 1) state stack
+    # alive in every rollout that is kept.
+    assert ro.x.base is None
 
 
 def test_schedule_build_memory_peak(handover_setup, handover_policy):
-    # A warm schedule build on the 5 s handover grid peaks near 3.67 MB of
-    # traced memory (4.27 MB with the slack products as batched matmuls of
-    # unpacked triangles).  The stiffness flow runs in place, and the
-    # closed-form audit takes EIG_BLOCK = 2048 matrices at a time: 4096
-    # read 3.93 MB, and whole stacks 4.05 MB.
+    # A warm schedule build on the 5 s handover grid peaks near 2.88 MB of
+    # traced memory: the audit negates the slack products in place, and D,
+    # B and Kdot are written into their buffers.  Auditing negated copies
+    # and forming D, B and Kdot anew read 3.67 MB, and the slack products
+    # as batched matmuls of unpacked triangles 4.27 MB.  The stiffness flow
+    # runs in place, and the closed-form audit takes EIG_BLOCK = 2048
+    # matrices at a time: 4096 read 3.93 MB, and whole stacks 4.05 MB
+    # (both with the audit on copies).
     setup, policy = handover_setup, handover_policy
     sp = SlackParams(theta_d=policy.theta_d, theta_k=policy.theta_k,
                      basis=setup.slack_basis, m=setup.m)
@@ -295,6 +306,7 @@ def test_schedule_build_memory_peak(handover_setup, handover_policy):
     finally:
         tracemalloc.stop()
     assert peak <= 4.0e6, peak
+    assert peak <= 3.1e6, peak
     # The certificate traces own their memory: a view of the top-eigenvalue
     # column would keep the whole (n, m) eigenvalue array alive.
     assert sched.lam_A.base is None and sched.lam_C.base is None
