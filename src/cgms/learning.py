@@ -276,47 +276,44 @@ def _check_feedforward(u_ff, tgrid, limits):
 def rollout(policy, xi, setup):
     """Simulate one governed episode of the closed loop.
 
-    The steps, in order: the sample policy + xi (the policy itself when xi
-    is None) is formed once; its weights drive the DMP reference on the
-    setup's compiled basis; the feed-forward torque u_ff = Lam xdd_d + g
-    is tested against the box; the sampled gain schedule at beta = 1
-    (sampled_schedule) is built; the closed loop runs and its cost is
-    taken.
+    The sample policy + xi (the policy itself when xi is None) is formed
+    once; its weights drive the DMP reference on the setup's compiled
+    basis, with feed-forward torque u_ff = Lam xdd_d + g.  The loop runs on
+    the tracking error e = (x - x_d, v - xdot_d).  With the plant's
+    semi-implicit Euler step s' = P s + Q (tau - g) on s = (x, v), the
+    reference r = (x_d, xdot_d) has the defects
+    delta[i] = r[i+1] - P r[i] - Q (u_ff[i] - g), and under the control law
+    tau = u_ff + C e, C = [-AHi K, -AHi D], each step is
+    e[i+1] = (P + Q C[i]) e[i] - delta[i]; a governed step adds
+    Q (tau[i] - u_ff[i] - C[i] e[i]).
 
-    The box test runs only when the reference starts at the initial state
-    (x_d[0] = x(0), xdot_d[0] = xdot(0)).  Controller and plant read one
-    model and the reference steps the plant's update, so the tracking
-    error then stays zero up to rounding and the torque is u_ff at every
-    beta: a u_ff out of the box is the governor's infeasible floor, raised
-    here before any schedule is built.  Otherwise the governed loop decides.
+    The DMP reference steps the plant's own update, so a defect within
+    32 eps max |r| (32 ulp of its largest entry) is rounding and counts as
+    none.  The error is then zero before step j: 0 when e[0] != 0, else one
+    past the first larger defect, else n.  There x = x_d and the torque is
+    u_ff at every beta, so a u_ff out of the box on those steps is the
+    governor's infeasible floor, raised (_check_feedforward) before the
+    gain schedule at beta = 1 (sampled_schedule) is built.  A rollout with
+    j = n forms no map.
+
+    From j the loop runs in blocks on (e, 1): each writes its control maps
+    C and maps [[P + Q C, -delta], [0, 1]] into reused buffers, scans them
+    from its first error (robustness.affine_scan) and takes its batched
+    torques.  A block whose torques all stay in the box
+    (TorqueLimits.outside) stands, and the next starts at its end with
+    twice its maps, up to LOOP_BLOCK maps.  At the block's first step out
+    of the box the governor blends that step's torque toward the floor, the
+    plant's step from it gives the next error, and the next block starts at
+    the following step with one map.
 
     The returned Rollout carries the schedule as executed: on governed
     steps (beta < 1) its gains, rates and certificate trace are blended
     toward the certified floor by beta.  The rates hold each step's beta
     fixed; the terms of beta's changes from step to step are not in them,
     nor in the pointwise certificate.
-
-    The closed loop is the plant's semi-implicit Euler step
-    s' = P s + Q (tau - g), s = (x, v, 1), applied to the control law's
-    torque.  At beta = 1 the control law is a map tau - g = C[i] s,
-    C = [-AHi K, -AHi D, u_ff - g + AHi (K x_d + D xdot_d)], so the loop
-    is s[i+1] = T[i] s[i] with T = Q C + P.  It runs in blocks: each forms
-    its maps C and T in two reused buffers, steps them by
-    robustness.affine_scan from the state at its first step, and takes its
-    batched torques from C as u_ff + C_v (v - xdot_d) + C_x (x - x_d); the
-    governed floor's torque comes the same way from its own C.  A block
-    whose torques all stay in the box (TorqueLimits.outside) stands, and
-    the next starts at its end with twice its maps, up to LOOP_BLOCK maps.
-    At the block's first step out of the box the governor blends that
-    step's torque toward the floor, the plant's step from it gives the
-    next state, and the next block starts at the following step with one
-    map.  The reference's acceleration goes once u_ff is formed, and x is
-    copied out of the state stack, so a kept Rollout holds neither.
     """
-    tg = setup.tgrid
+    tg, m, dt = setup.tgrid, setup.m, setup.dt
     n = len(tg)
-    m = setup.m
-    dt = setup.dt
 
     sample = policy if xi is None else PolicyParams(
         theta_traj=policy.theta_traj + xi.theta_traj,
@@ -324,83 +321,86 @@ def rollout(policy, xi, setup):
         theta_k=policy.theta_k + xi.theta_k)
     x_d, xd_d, xdd_d = rollout_reference(setup.dmp, setup.start,
                                          sample.theta_traj, tg, setup.dmp_phi)
-    s0 = plants.initial_state(setup.model, setup.start)
     Lam, g = plants.operational_space_terms(setup.model)
     u_ff = xdd_d @ Lam.T
     u_ff += g
     del xdd_d       # the loop reads u_ff only
-    if np.array_equal(np.r_[x_d[0], xd_d[0], 1.0], s0):
-        _check_feedforward(u_ff, tg, setup.limits)
+    Minv = np.linalg.inv(Lam)
+    # The plant's step v' = v + dt Lam^-1 (tau - g), x' = x + dt v' on
+    # s = (x, v): s' = P s + Q (tau - g).
+    P = np.eye(2 * m)
+    P[:m, m:] += dt * np.eye(m)
+    Q = np.vstack([dt * dt * Minv, dt * Minv])
+
+    def defects(a, b):      # delta[a:b], formed anew: no step holds delta
+        r = np.hstack([x_d[a:b + 1], xd_d[a:b + 1]])
+        return r[1:] - r[:-1] @ P.T - (u_ff[a:b] - g) @ Q.T
+
+    z0 = plants.initial_state(setup.model, setup.start) - np.r_[x_d[0],
+                                                               xd_d[0], 0.0]
+    tol = 32.0 * np.finfo(float).eps * np.abs([x_d, xd_d]).max()
+    over = np.append(~(np.abs(defects(0, n - 1)) <= tol).all(axis=1), True)
+    j = 0 if z0[:-1].any() else int(over.argmax()) + 1
+    _check_feedforward(u_ff[:j], tg, setup.limits)
     sched = sampled_schedule(setup, policy, sample)
 
     beta_trace = np.ones(n)
-    Minv = np.linalg.inv(Lam)
-    AHi = Lam @ np.linalg.inv(setup.H)
-    mv = lambda M, x: np.einsum("...ij,...j->...i", M, x)
-    # The plant's semi-implicit Euler step v' = v + dt Lam^-1 (tau - g),
-    # x' = x + dt v', on s = (x, v, 1): s' = P s + Q (tau - g).
-    P = np.eye(2 * m + 1)
-    P[:m, m:-1] += dt * np.eye(m)
-    Q = np.vstack([dt * dt * Minv, dt * Minv, np.zeros((1, m))])
-
-    def torque(i, C, s):
-        """The control law u_ff + C_v (v - xd_d) + C_x (x - x_d) at steps i
-        for control maps C = [C_x, C_v, ...] and states s = (x, v, 1)."""
-        return (u_ff[i] + mv(C[..., m:2 * m], s[..., m:-1] - xd_d[i])
-                + mv(C[..., :m], s[..., :m] - x_d[i]))
-
-    s = np.empty((n, 2 * m + 1))
-    s[0] = s0
-    tau_trace = np.empty((n, m))
+    x_trace, tau_trace = x_d.copy(), u_ff.copy()
     events = []
     lim, alpha, D_floor = setup.limits, setup.alpha, setup.alpha * setup.H
-    T = np.empty((min(LOOP_BLOCK, n - 1), 2 * m + 1, 2 * m + 1))
-    # One more control map than maps: the last block takes the torque of
-    # the last step too.
-    C = np.empty((len(T) + 1, m, 2 * m + 1))
-    a, L = 0, LOOP_BLOCK            # the block's first step and its maps
+    nAHi = -Lam @ np.linalg.inv(setup.H)
+    if j < n:
+        # affine_scan keeps the maps' last row (0, ..., 0, 1).  C and z hold
+        # one step more than T: the last block takes the last step's torque.
+        B = min(LOOP_BLOCK, n - 1 - j)
+        T = np.tile(np.eye(2 * m + 1), (B, 1, 1))
+        C = np.empty((B + 1, m, 2 * m))
+        z = np.empty((B + 1, 2 * m + 1))
+        z[0] = z0 if j == 0 else np.r_[-defects(j - 1, j)[0], 1.0]
+    a, L = j, LOOP_BLOCK    # the block's first step and its maps; none at n
     while a < n:
         L = min(L, n - 1 - a)
-        e = n if a + L == n - 1 else a + L     # steps whose torque is taken
-        # The control maps C of steps a..e-1 and the loop's maps T = Q C + P
-        # of the first L of them.
-        Cb = C[:e - a]
-        np.matmul(AHi, sched.K[a:e], out=Cb[:, :, :m])
-        np.matmul(AHi, sched.D[a:e], out=Cb[:, :, m:-1])
-        np.negative(Cb[:, :, :-1], out=Cb[:, :, :-1])
-        Cb[:L, :, -1] = (u_ff[a:a + L] - g
-                         - mv(Cb[:L, :, m:-1], xd_d[a:a + L])
-                         - mv(Cb[:L, :, :m], x_d[a:a + L]))
-        Tb = np.matmul(Q, Cb[:L], out=T[:L])
-        Tb += P
-        s[a + 1:a + L + 1] = affine_scan(Tb, s[a])
-        tau = tau_trace[a:e] = torque(slice(a, e), Cb, s[a:e])
+        b = n if a + L == n - 1 else a + L     # steps whose torque is taken
+        Cb = C[:b - a]
+        np.matmul(nAHi, sched.K[a:b], out=Cb[:, :, :m])
+        np.matmul(nAHi, sched.D[a:b], out=Cb[:, :, m:])
+        Tb = T[:L]
+        np.matmul(Q, Cb[:L], out=Tb[:, :-1, :-1])
+        Tb[:, :-1, :-1] += P
+        np.negative(defects(a, a + L), out=Tb[:, :-1, -1])
+        z[1:L + 1] = affine_scan(Tb, z[0])
+        tau = tau_trace[a:b] = u_ff[a:b] + np.einsum("kij,kj->ki", Cb,
+                                                     z[:b - a, :-1])
         out = lim.outside(tau).any(axis=1)
         if not out.any():
-            a, L = e, min(2 * L, LOOP_BLOCK)
+            x_trace[a:b] += z[:b - a, :m]
+            z[0] = z[L]
+            a, L = b, min(2 * L, LOOP_BLOCK)
             continue
         # Govern the first step out of the box, step the plant from it and
         # start the next block at the following step with one map.
-        i = a + int(out.argmax())
+        k = int(out.argmax())
+        i = a + k
+        x_trace[a:i + 1] += z[:k + 1, :m]
         K_floor = np.exp(2.0 * alpha * tg[i]) * (setup.k_init * np.eye(m))
-        tau0 = torque(i, -np.hstack([AHi @ K_floor, AHi @ D_floor]), s[i])
-        beta, binding = beta_star_detail(tau0, tau[i - a] - tau0, lim)
+        tau0 = u_ff[i] + nAHi @ (K_floor @ z[k, :m] + D_floor @ z[k, m:-1])
+        beta, binding = beta_star_detail(tau0, tau[k] - tau0, lim)
         if binding is not None:
             events.append({"t": float(tg[i]), "joint": binding,
                            "beta_star": beta})
-        tau_trace[i] = tau0 + beta * (tau[i - a] - tau0)
+        tau_trace[i] = tau0 + beta * (tau[k] - tau0)
         for arr, floor in ((sched.K, K_floor),
                            (sched.Kdot, 2.0 * alpha * K_floor),
                            (sched.D, D_floor), (sched.Ddot, 0.0),
                            (sched.lam_A, 0.0), (sched.lam_C, 0.0)):
             arr[i] = floor + beta * (arr[i] - floor)
         beta_trace[i] = beta
-        # s[i + 1:i + 2] is empty when i is the last step.
-        s[i + 1:i + 2] = P @ s[i] + Q @ (tau_trace[i] - g)
         a, L = i + 1, 1
-    del T, Tb, C, Cb
-    x_trace = s[:, :m].copy()       # its own memory: the state stack goes
-    del s
+        if a < n:
+            z[0, :-1] = (P @ z[k, :-1] + Q @ (tau_trace[i] - u_ff[i])
+                         - defects(i, i + 1)[0])
+    if j < n:
+        del T, Tb, C, Cb, z     # freed before the cost is taken
     if not np.all(np.isfinite(x_trace)):
         raise IntegrationDivergedError("rollout state diverged")
 

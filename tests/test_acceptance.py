@@ -140,6 +140,10 @@ def test_criterion_6_boundedness_guarantee():
 
 
 def test_criterion_7_scenario_tracking():
+    # Each scenario's reference starts at the initial state and steps the
+    # plant's update, so the rollout's tracking error is zero by
+    # construction: the RMSE reads exactly 0, which measures no tracking,
+    # and the message says so.
     worst = {}
     for name in ("s1", "s2", "s3", "s4", "s5"):
         cfg = load_config(overrides={"run_scenario": name})
@@ -148,8 +152,10 @@ def test_criterion_7_scenario_tracking():
         rmse = np.sqrt(((ro.x - ro.x_d) ** 2).mean(axis=0))
         worst[name] = float(rmse.max())
     ok = all(v < 5e-2 for v in worst.values())
+    zero = ("; zero error by construction, not a measure of tracking"
+            if not any(worst.values()) else "")
     verdict(7, "per-axis tracking RMSE under 5 cm on all five scenarios",
-            ok, ", ".join(f"{k}: {v:.1e}" for k, v in worst.items()))
+            ok, ", ".join(f"{k}: {v:.1e}" for k, v in worst.items()) + zero)
 
 
 def test_criterion_8_reproducibility(tmp_path):
