@@ -27,6 +27,9 @@ from .plants import PlantModel
 
 # Half-width of the cost reference's via window, in via-kernel sigmas.
 VIA_WINDOW_SIGMAS = 2.0
+# The largest sqrt(dmp_stiffness) run_dt / run_horizon, exclusive, on which
+# the DMP's semi-implicit step is stable.
+DMP_STEP_LIMIT = 2.0 * math.sqrt(2.0) - 2.0
 
 # Start / via / end geometry per scenario.  The s4 end z coordinate appears
 # in the source material with a doubled decimal point; it is read as 0.43.
@@ -151,6 +154,16 @@ class ExperimentConfig:
             raise ConfigError(
                 f"gains_d_init {self.gains_d_init!r} must exceed gains_alpha "
                 f"{self.gains_alpha!r}")
+        # The DMP's semi-implicit step has kk = u^2 and kd = 2u for
+        # u = sqrt(k) dt / tau, tau = run_horizon; it is stable (kd < 2 and
+        # kk + 2 kd < 4) iff u < DMP_STEP_LIMIT.  On a coarser grid the
+        # reference grows geometrically instead of reaching the goal.
+        u = math.sqrt(self.dmp_stiffness) * self.run_dt / self.run_horizon
+        if not u < DMP_STEP_LIMIT:
+            raise ConfigError(
+                f"run_dt {self.run_dt!r} is too coarse for the DMP: its step "
+                f"is stable only for sqrt(dmp_stiffness) run_dt / run_horizon "
+                f"< 2 sqrt(2) - 2 = {DMP_STEP_LIMIT:.4f}, got {u:.4g}")
         return self
 
     # -- geometry ----------------------------------------------------------

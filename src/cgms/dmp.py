@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBasisError
-from .robustness import affine_scan
 
 ACTIVATION_FLOOR = 1e-300
 
@@ -116,25 +115,75 @@ class DmpParams:
         return 2.0 * math.sqrt(self.k)
 
 
-def rollout_reference(params, start, theta, tgrid, phi=None):
+def compile_reference(params, tgrid):
+    """The operators rollout_reference steps the DMP with on the uniform
+    grid tgrid: (impulse, carry, powers), read-only.
+
+    The semi-implicit update in velocity form v = dt xdot,
+
+        v[i+1] = -kk x[i] + (1 - kd) v[i] + w[i],   x[i+1] = x[i] + v[i+1],
+
+    is s[i+1] = A s[i] + b w[i] on s = (x, v), with the constant
+    A = [[1 - kk, 1 - kd], [-kk, 1 - kd]] and b = (1, 1).  Its L = n - 1
+    steps run in C chunks of c = ceil(sqrt(L)) steps; step l of chunk k
+    reaches
+
+        s[kc + l + 1] = A^(l+1) s[kc] + sum_{q <= l} A^(l-q) b w[kc + q].
+
+    impulse (2c, c) holds A^(l-q) b in rows (l, x/v) and column q, the
+    forced part of a chunk; powers (2c, 2) stacks A^(l+1), the part from
+    the chunk's start; carry (2C, 2C) is the block-Toeplitz matrix whose
+    block (k, j), j <= k, is (A^c)^(k-j): it takes s[0] and the forced ends
+    of chunks 0..C-2 to every chunk start.  Each power is the product of
+    the one before it with A, or A^c.  A grid of one sample has no step
+    and no operators (None).
+    """
+    L = len(tgrid) - 1
+    if L < 1:
+        return None
+    c = math.isqrt(L - 1) + 1
+    C = -(-L // c)
+    dt = tgrid[1] - tgrid[0]
+    scale = params.tau ** 2
+    kd = params.tau * params.d * dt / scale
+    kk = params.k * dt * dt / scale
+    A = np.array([[1.0 - kk, 1.0 - kd], [-kk, 1.0 - kd]])
+    pw = np.empty((c + 1, 2, 2))            # A^0 .. A^c
+    pw[0] = np.eye(2)
+    for l in range(c):
+        np.matmul(A, pw[l], out=pw[l + 1])
+    pc = np.empty((C, 2, 2))                # (A^c)^0 .. (A^c)^(C-1)
+    pc[0] = np.eye(2)
+    for k in range(1, C):
+        np.matmul(pw[c], pc[k - 1], out=pc[k])
+    resp = pw[:c].sum(axis=2)               # A^l b
+    impulse = np.zeros((c, 2, c))
+    for l in range(c):
+        impulse[l, :, :l + 1] = resp[l::-1].T
+    carry = np.zeros((C, 2, C, 2))
+    for k in range(C):
+        carry[k, :, :k + 1] = pc[k::-1].transpose(1, 0, 2)
+    ops = (impulse.reshape(2 * c, c), carry.reshape(2 * C, 2 * C),
+           pw[1:].reshape(2 * c, 2))
+    for arr in ops:
+        arr.flags.writeable = False
+    return ops
+
+
+def rollout_reference(params, start, theta, tgrid, phi=None, ops=None):
     """Integrate the DMP with forcing weights theta (M, D) over tgrid;
     returns (x_d, xdot_d, xddot_d) arrays.
 
     Sample i holds the state at tgrid[i]; the acceleration is the RHS
     evaluated there.  phi is the basis matrix params.basis.eval over the
-    phases 1 - tgrid / tau, shape (n, M); it is evaluated here when not
-    given (TaskSetup compiles it once).
-    The semi-implicit update in velocity form v = dt xdot,
-
-        v[i+1] = -kk x[i] + (1 - kd) v[i] + w[i],   x[i+1] = x[i] + v[i+1],
-
-    is affine in (x, v).  Column j of the family state is (x_j, v_j, e_j),
-    with e_j the j-th unit vector of R^D, and step i is the square map
-    [[A, F_i], [0, I]] with A = [[1 - kk, 1 - kd], [-kk, 1 - kd]] and both
-    rows of F_i equal to w[i]; robustness.affine_scan steps all n - 1 maps.
-    Sample 0 is start with zero velocity, and a grid of one sample has no
-    step.  The forcing, the maps' column w, xdot_d and xddot_d are formed
-    in place.
+    phases 1 - tgrid / tau, shape (n, M), and ops the operators of
+    compile_reference(params, tgrid); each is formed here when not given
+    (TaskSetup compiles both once).  Sample 0 is start with zero velocity.
+    The inputs w = dt^2 (k g + f) / tau^2 of the steps are laid out one
+    chunk per column block, so one product with impulse gives every
+    chunk's forced part, one with carry every chunk start, and one with
+    powers adds each start's part.  The forcing, xdot_d and xddot_d are
+    formed in place.
     """
     n = len(tgrid)
     D = len(start)
@@ -149,19 +198,23 @@ def rollout_reference(params, start, theta, tgrid, phi=None):
     x[0] = start
     xd = np.zeros((n, D))
     if n > 1:
+        impulse, carry, powers = (compile_reference(params, tgrid)
+                                  if ops is None else ops)
+        L, c, C = n - 1, impulse.shape[1], len(carry) // 2
         dt = tgrid[1] - tgrid[0]
-        kd = params.tau * params.d * dt / scale
-        kk = params.k * dt * dt / scale
-        step = np.eye(2 + D)
-        step[:2, :2] = [[1.0 - kk, 1.0 - kd], [-kk, 1.0 - kd]]
-        maps = np.tile(step, (n - 1, 1, 1))
-        col = maps[:, 0, 2:]                     # F_i's first row
-        np.add(forcing[:-1], params.k * g, out=col)
-        col *= dt * dt / scale
-        maps[:, 1, 2:] = col
-        xv = affine_scan(maps, np.vstack([start, np.zeros(D), np.eye(D)]))
-        x[1:] = xv[:, 0]
-        np.divide(xv[:, 1], dt, out=xd[1:])
+        w = np.zeros((C * c, D))                 # the last chunk padded
+        np.add(forcing[:-1], params.k * g, out=w[:L])
+        w *= dt * dt / scale
+        # Columns (chunk k, coordinate d); rows (step l, x/v) of the states.
+        s = impulse @ w.reshape(C, c, D).transpose(1, 0, 2).reshape(c, C * D)
+        ends = np.empty((C, 2, D))               # s[0], then forced ends
+        ends[0, 0], ends[0, 1] = start, 0.0
+        ends[1:] = s[-2:, :-D].reshape(2, C - 1, D).transpose(1, 0, 2)
+        starts = (carry @ ends.reshape(2 * C, D)).reshape(C, 2, D)
+        s += powers @ starts.transpose(1, 0, 2).reshape(2, C * D)
+        s = s.reshape(c, 2, C, D).transpose(2, 0, 1, 3).reshape(C * c, 2, D)
+        x[1:] = s[:L, 0]
+        np.divide(s[:L, 1], dt, out=xd[1:])
     xdd = np.subtract(g, x)
     xdd *= params.k
     xdd -= params.tau * params.d * xd

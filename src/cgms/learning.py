@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import plants
-from .dmp import DmpParams, fit_min_jerk, rollout_reference
+from .dmp import DmpParams, compile_reference, fit_min_jerk, rollout_reference
 from .errors import (
     CertifiedFloorError,
     InfeasibleFloorError,
@@ -158,8 +158,10 @@ class TaskSetup:
     On construction it evaluates the bases every rollout reads on the
     phases 1 - t / tau of its grid: dmp_phi, the DMP basis (n, M), and
     slack_phi, the slack basis and its phase derivative, (n, M_s) each.
-    They are read-only and are not arguments of __init__, so
-    dataclasses.replace evaluates them anew for the new fields.
+    Beside dmp_phi it compiles dmp_ops, the operators that step the DMP
+    reference on its grid (dmp.compile_reference).  They are read-only and
+    are not arguments of __init__, so dataclasses.replace forms them anew
+    for the new fields.
     """
 
     model: PlantModel
@@ -176,6 +178,7 @@ class TaskSetup:
     d_init: float
     mode: str
     dmp_phi: np.ndarray = field(init=False, compare=False, repr=False)
+    dmp_ops: tuple = field(init=False, compare=False, repr=False)
     slack_phi: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -185,6 +188,8 @@ class TaskSetup:
         for arr in (dmp_phi, *slack_phi):
             arr.flags.writeable = False
         object.__setattr__(self, "dmp_phi", dmp_phi)
+        object.__setattr__(self, "dmp_ops",
+                           compile_reference(self.dmp, self.tgrid))
         object.__setattr__(self, "slack_phi", slack_phi)
 
     @property
@@ -293,8 +298,12 @@ def rollout(policy, xi, setup):
     past the first larger defect, else n.  There x = x_d and the torque is
     u_ff at every beta, so a u_ff out of the box on those steps is the
     governor's infeasible floor, raised (_check_feedforward) before the
-    gain schedule at beta = 1 (sampled_schedule) is built.  A rollout with
-    j = n forms no map.
+    gain schedule at beta = 1 (sampled_schedule) is built.  The verdict
+    comes first: with e[0] = 0 the rollout finds the first step i whose
+    u_ff is out of the box and forms the defects before i only (all n - 1
+    when u_ff stays in), because the sample is infeasible exactly when
+    none of those ends the prefix; with e[0] != 0 it forms none there.  A
+    rollout with j = n forms no map.
 
     From j the loop runs in blocks on (e, 1): each writes its control maps
     C and maps [[P + Q C, -delta], [0, 1]] into reused buffers, scans them
@@ -320,7 +329,8 @@ def rollout(policy, xi, setup):
         theta_d=policy.theta_d + xi.theta_d,
         theta_k=policy.theta_k + xi.theta_k)
     x_d, xd_d, xdd_d = rollout_reference(setup.dmp, setup.start,
-                                         sample.theta_traj, tg, setup.dmp_phi)
+                                         sample.theta_traj, tg, setup.dmp_phi,
+                                         setup.dmp_ops)
     Lam, g = plants.operational_space_terms(setup.model)
     u_ff = xdd_d @ Lam.T
     u_ff += g
@@ -338,10 +348,18 @@ def rollout(policy, xi, setup):
 
     z0 = plants.initial_state(setup.model, setup.start) - np.r_[x_d[0],
                                                                xd_d[0], 0.0]
-    tol = 32.0 * np.finfo(float).eps * np.abs([x_d, xd_d]).max()
-    over = np.append(~(np.abs(defects(0, n - 1)) <= tol).all(axis=1), True)
-    j = 0 if z0[:-1].any() else int(over.argmax()) + 1
-    _check_feedforward(u_ff[:j], tg, setup.limits)
+    j = 0
+    if not z0[:-1].any():
+        # u_ff leaves the box first at step i (n when it stays in); only a
+        # defect before i can end the zero-error prefix ahead of it.
+        i = int(np.append(setup.limits.outside(u_ff).any(axis=1),
+                          True).argmax())
+        tol = 32.0 * np.finfo(float).eps * max(np.abs(x_d).max(),
+                                               np.abs(xd_d).max())
+        over = ~(np.abs(defects(0, min(i, n - 1))) <= tol).all(axis=1)
+        j = int(np.append(over, True).argmax()) + 1
+        if i < j:
+            _check_feedforward(u_ff[:i + 1], tg, setup.limits)
     sched = sampled_schedule(setup, policy, sample)
 
     beta_trace = np.ones(n)

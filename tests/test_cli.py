@@ -209,6 +209,15 @@ def test_dt_longer_than_horizon_is_config_error(tmp_path, capsys):
     assert "dt" in capsys.readouterr().err
 
 
+def test_grid_too_coarse_for_the_dmp_step_is_config_error():
+    # sqrt(150) dt / 0.5 s is 0.875 at 14 steps and 0.817 at 15, either
+    # side of 2 sqrt(2) - 2.  At 0.875 the DMP's step has the eigenvalue
+    # -1.16, so the reference swings ever wider instead of settling.
+    with pytest.raises(ConfigError, match="too coarse for the DMP"):
+        load_config(None, overrides={"run_horizon": 0.5, "run_dt": 0.5 / 14})
+    load_config(None, overrides={"run_horizon": 0.5, "run_dt": 0.5 / 15})
+
+
 @pytest.mark.parametrize("key, value", [
     ("cost_sigma_via_frac", 0),
     ("gains_d_init", 0.05),

@@ -296,10 +296,11 @@ def test_rollout_reference_matches_stepper(handover_setup):
     "n", [1, 2, 3, 5, 6, 10, 11, 127, 128, 129, 130, 257, 5001])
 def test_rollout_reference_matches_the_filter_at_block_edges(
         n, handover_setup, handover_policy):
-    # n - 1 maps go to affine_scan in chunks of c = ceil(sqrt(n - 1)): one
-    # map (n = 2), full chunks only (n = 3, 5, 10) and a ragged last chunk
-    # (n = 6, 11); the longer grids take 12 to 71 maps per chunk, up to the
-    # full 5 s grid.
+    # The n - 1 steps run through the compiled operators in C chunks of
+    # c = ceil(sqrt(n - 1)) steps: no step (n = 1), one (n = 2), full chunks
+    # only (n = 3, 5, 10) and a last chunk padded with zero inputs (n = 6,
+    # 11); the longer grids take 12 to 71 steps per chunk and 11 to 71
+    # chunk starts from the carry, up to the full 5 s grid.
     params, start, tgrid = (handover_setup.dmp, handover_setup.start,
                             handover_setup.tgrid)
     theta = handover_policy.theta_traj

@@ -1,6 +1,7 @@
 """Policy parameters, exploration noise, cost, rollouts, and the update."""
 
 import gc
+import math
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -8,11 +9,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cgms import gains, learning
-from cgms.config import compile_setup, load_config
+from cgms import dmp, gains, learning
+from cgms.config import DMP_STEP_LIMIT, compile_setup, load_config
 from cgms.dmp import build_basis
 from cgms.errors import (
     CertifiedFloorError,
+    ConfigError,
     InfeasibleFloorError,
     IntegrationDivergedError,
 )
@@ -264,9 +266,11 @@ def test_rollout_memory_peak(monkeypatch, handover_setup, handover_policy):
     # runs from step 0 and peaks near 2.99 MB; the build's peak is the same
     # 3.01 MB, because the loop forms the reference's defects a block at a
     # time (held whole through the build, they lifted it to 3.25 MB).  The
-    # setup holds its compiled bases (2.60 MB) for as long as it lives, so
-    # the first guard counts them too.
+    # setup holds its compiled bases (2.60 MB) and the reference's
+    # operators (0.24 MB) for as long as it lives, so the first guard
+    # counts them too.
     compiled = sum(a.nbytes for a in (handover_setup.dmp_phi,
+                                      *handover_setup.dmp_ops,
                                       *handover_setup.slack_phi))
     for offset in (None, np.array([0.01, -0.01, 0.01])):
         if offset is not None:
@@ -285,6 +289,26 @@ def test_rollout_memory_peak(monkeypatch, handover_setup, handover_policy):
         # every rollout that is kept.
         assert ro.x.base is None
     assert np.abs(ro.x - ro.x_d).max() > 1e-3
+
+
+def test_reference_memory_peak(handover_setup, handover_policy):
+    # A warm reference on the compiled basis and operators of the 5 s
+    # handover grid peaks near 1.02 MB of traced memory: its three
+    # outputs and the forcing (0.48 MB), the padded step inputs and the
+    # chunked states with their step-major copy.  Scanning the (n - 1)
+    # maps of size 5 x 5 of the family state read 2.24 MB.
+    setup = handover_setup
+    args = (setup.dmp, setup.start, handover_policy.theta_traj, setup.tgrid,
+            setup.dmp_phi, setup.dmp_ops)
+    learning.rollout_reference(*args)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        learning.rollout_reference(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1e6, peak
 
 
 def test_schedule_build_memory_peak(handover_setup, handover_policy):
@@ -317,20 +341,24 @@ def test_schedule_build_memory_peak(handover_setup, handover_policy):
 
 
 def test_compiled_bases_are_read_only(handover_setup):
-    for arr in (handover_setup.dmp_phi, *handover_setup.slack_phi):
+    for arr in (handover_setup.dmp_phi, *handover_setup.dmp_ops,
+                *handover_setup.slack_phi):
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
 
 
 def test_compiled_bases_follow_replace(handover_setup):
     # A cost-reference change compiles the same values; a new basis
-    # compiles the new one.
+    # compiles the new one, and a new stiffness new reference operators.
     new = replace(handover_setup, weights=replace(handover_setup.weights,
                                                   t_hat=1.0),
                   limits=TorqueLimits.box(1e3, handover_setup.m))
-    for a, b in zip((new.dmp_phi, *new.slack_phi),
-                    (handover_setup.dmp_phi, *handover_setup.slack_phi)):
+    for a, b in zip((new.dmp_phi, *new.dmp_ops, *new.slack_phi),
+                    (handover_setup.dmp_phi, *handover_setup.dmp_ops,
+                     *handover_setup.slack_phi)):
         assert np.array_equal(a, b)
+    new = replace(handover_setup, dmp=replace(handover_setup.dmp, k=50.0))
+    assert not np.array_equal(new.dmp_ops[2], handover_setup.dmp_ops[2])
     basis = build_basis(21, 0.5)
     new = replace(handover_setup, slack_basis=basis)
     assert new.slack_phi[0].shape[1] == 21
@@ -344,8 +372,8 @@ def bases_on_the_fly(monkeypatch, setup):
     reference, slack = learning.rollout_reference, learning.slack_trace
     s_all = 1.0 - setup.tgrid / setup.dmp.tau
     monkeypatch.setattr(learning, "rollout_reference",
-                        lambda params, start, theta, tgrid, phi=None:
-                        reference(params, start, theta, tgrid))
+                        lambda params, start, theta, tgrid, phi=None,
+                        ops=None: reference(params, start, theta, tgrid))
     monkeypatch.setattr(learning, "slack_trace",
                         lambda theta_d, theta_k, phi: slack(
                             theta_d, theta_k,
@@ -375,23 +403,29 @@ def test_replaced_basis_rollout_matches_on_the_fly_bases(
 def test_rollout_reads_the_compiled_bases(monkeypatch, handover_setup,
                                           handover_policy):
     # The rollout hands the setup's arrays to both evaluations, so neither
-    # evaluates a basis over the grid.
+    # evaluates a basis over the grid, and the reference's operators, so
+    # no rollout compiles them.
     seen = []
     reference, slack = learning.rollout_reference, learning.slack_trace
 
     def spy(fn, name):
         def wrapper(*args):
-            seen.append((name, args[-1]))
+            seen.append((name, args))
             return fn(*args)
         return wrapper
+
+    def no_compile(*args):
+        raise AssertionError("a rollout compiled the reference operators")
 
     monkeypatch.setattr(learning, "rollout_reference",
                         spy(reference, "reference"))
     monkeypatch.setattr(learning, "slack_trace", spy(slack, "slack"))
+    monkeypatch.setattr(dmp, "compile_reference", no_compile)
     rollout(handover_policy, None, handover_setup)
     assert [name for name, _ in seen] == ["reference", "slack"]
-    assert seen[0][1] is handover_setup.dmp_phi
-    assert seen[1][1] is handover_setup.slack_phi
+    assert seen[0][1][4] is handover_setup.dmp_phi
+    assert seen[0][1][5] is handover_setup.dmp_ops
+    assert seen[1][1][2] is handover_setup.slack_phi
     # Nor does it wrap the weights in a SlackParams, on either path.
 
     def no_slack_params(self):
@@ -909,6 +943,53 @@ def test_offset_reference_leaves_the_verdict_to_the_governed_loop(
         assert np.abs(ro.torque - tau).max() <= 1e-9
         assert np.array_equal(ro.beta, beta)
         assert setup.limits.contains(ro.torque, tol=1e-12)
+
+
+@pytest.mark.parametrize("horizon", [0.05, 0.5, 5.0, 20.0])
+def test_reference_defects_are_rounding_on_every_accepted_grid(horizon,
+                                                              monkeypatch):
+    # On each grid of 0.5 to 25 ms that the config accepts, the references
+    # of the initial policy and of trajectory noise up to 30 x stay within
+    # the rollout's own rule, 32 ulp of max |r|, of the plant's step (the
+    # largest measured is 11.6 ulp, on the coarsest stable grids), so a
+    # default rollout forms no map.  A grid on which the DMP's step is
+    # unstable is refused: on 0.05 s at 25 ms a chunked product of the
+    # steps read up to 78 ulp, and a scan of the step maps 56 ulp.
+    scanned = []
+    scan = learning.affine_scan
+
+    def counting_scan(maps, s0):
+        scanned.append(len(maps))
+        return scan(maps, s0)
+
+    monkeypatch.setattr(learning, "affine_scan", counting_scan)
+    eps, k = np.finfo(float).eps, load_config().dmp_stiffness
+    for dt in (0.5e-3, 1e-3, 5e-3, 25e-3):
+        overrides = {"run_horizon": horizon, "run_dt": dt}
+        if math.sqrt(k) * dt / horizon >= DMP_STEP_LIMIT:
+            with pytest.raises(ConfigError, match="too coarse for the DMP"):
+                load_config(overrides=overrides)
+            continue
+        setup, noise = compile_setup(load_config(overrides=overrides))
+        setup = replace(setup, limits=TorqueLimits.box(1e12, setup.m))
+        policy = initial_policy(setup)
+        Lam, g = setup.model.lambda0, setup.model.gravity_wrench
+        Minv = np.linalg.inv(Lam)
+        P = np.eye(2 * setup.m) + np.eye(2 * setup.m, k=setup.m) * setup.dt
+        Q = np.vstack([setup.dt ** 2 * Minv, setup.dt * Minv])
+        for scale in (0.0, 1.0, 10.0, 30.0):
+            xi = sample_noise(noise, policy, 0, 0, int(scale))
+            xi = replace(xi, theta_traj=scale * xi.theta_traj,
+                         theta_d=0.0 * xi.theta_d, theta_k=0.0 * xi.theta_k)
+            x_d, xd_d, xdd_d = learning.rollout_reference(
+                setup.dmp, setup.start, plus(policy, xi).theta_traj,
+                setup.tgrid, setup.dmp_phi, setup.dmp_ops)
+            r = np.hstack([x_d, xd_d])
+            delta = r[1:] - r[:-1] @ P.T - (xdd_d @ Lam.T)[:-1] @ Q.T
+            rule = 32.0 * eps * np.abs(r).max()
+            assert np.abs(delta).max() <= rule, (dt, scale)
+            ro = rollout(policy, xi, setup)
+            assert np.array_equal(ro.x, x_d) and scanned == []
 
 
 def test_reference_defect_starts_the_loop_at_its_step(monkeypatch,
