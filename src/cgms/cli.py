@@ -1,9 +1,10 @@
-"""Command-line harness: training runs, single rollouts, certification,
-governor traces, robustness reports, and the uncertified ablation.
+"""Command-line harness: training runs, certified single rollouts,
+robustness reports, and the uncertified ablation.
 
-Exit codes: 0 success, 2 configuration error, 3 certification failure in
-certified mode, a torque floor that no resampled attempt could meet, or a
-simulation that diverged (such as a stiffness flow whose growth overflows).
+Exit codes: 0 success, 2 configuration error, 3 certification failure
+(also a rollout whose executed schedule fails its certificate), a torque
+floor that no resampled attempt could meet, or a simulation that diverged
+(such as a stiffness flow whose growth overflows).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .config import SCENARIOS, compile_setup, load_config, save_config
 from .errors import (
     CertifiedFloorError,
     ConfigError,
+    ContractViolationError,
     InfeasibleFloorError,
     IntegrationDivergedError,
     MarginTooSmallError,
@@ -74,7 +76,7 @@ def _out_dir(args):
 
 def _load(args, mode=None):
     overrides = {}
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         overrides["run_seed"] = args.seed
     if args.scenario is not None:
         overrides["run_scenario"] = args.scenario
@@ -119,8 +121,10 @@ def _summary(cfg, result, wall_time):
 
 
 def cmd_train(args, mode=None):
-    """Train; in the uncertified-after-via mode (``cgms ablate``) also write
-    each accepted rollout's certificate maxima after the via time."""
+    """Train (``cgms train``; ``cgms ablate`` forces ``mode``).  These are
+    the only commands that draw exploration noise, so the only ones that
+    take --seed.  In the uncertified-after-via mode also write each
+    accepted rollout's certificate maxima after the via time."""
     cfg = _load(args, mode)
     out = _out_dir(args)
     setup, noise = compile_setup(cfg)
@@ -160,6 +164,9 @@ def _noise_free_rollout(args):
 
 
 def cmd_rollout(args):
+    """Write the noise-free rollout's trajectory, gain schedule, certificate
+    and saturation events; exit 3 when the executed schedule fails its
+    certificate."""
     out, setup, ro = _noise_free_rollout(args)
     header = (["t"] + [f"x{i + 1}" for i in range(setup.m)]
               + [f"xd{i + 1}" for i in range(setup.m)]
@@ -173,26 +180,15 @@ def cmd_rollout(args):
     rows = np.column_stack([sched.t, sched.K.reshape(n, -1),
                             sched.D.reshape(n, -1), sched.lam_A, sched.lam_C])
     write_csv(out / "gains.csv", header, rows)
-    return EXIT_OK
-
-
-def cmd_certify(args):
-    out, _, ro = _noise_free_rollout(args)
-    schedule = ro.schedule
-    report = schedule.report()
-    _write_json(out / "certificate.json", report.to_dict())
-    write_csv(out / "eigtrace.csv", ["t", "lamA", "lamC"],
-              np.column_stack([schedule.t, schedule.lam_A, schedule.lam_C]))
-    if not report.passes:
-        return EXIT_CERTIFICATION
-    return EXIT_OK
-
-
-def cmd_govern(args):
-    out, _, ro = _noise_free_rollout(args)
-    write_csv(out / "beta_trace.csv", ["t", "beta_star"],
-              np.column_stack([ro.t, ro.beta]))
+    report = sched.report()
+    cert = report.to_dict()
+    _write_json(out / "certificate.json", cert)
     _write_json(out / "saturation_events.json", ro.saturation_events)
+    if not report.passes:
+        print(f"certification failure: the executed schedule leaves the "
+              f"certified cone (lam_A_max = {cert['lam_A_max']:.6g}, "
+              f"lam_C_max = {cert['lam_C_max']:.6g})", file=sys.stderr)
+        return EXIT_CERTIFICATION
     return EXIT_OK
 
 
@@ -219,7 +215,8 @@ def cmd_robustness(args):
             "dissipation": diss,
             "uub": {"inside": inside, "margin": margin},
         })
-    except (MarginTooSmallError, IntegrationDivergedError) as exc:
+    except (MarginTooSmallError, IntegrationDivergedError,
+            ContractViolationError) as exc:
         report["error"] = str(exc)
     _write_json(out / "robustness.json", report)
     return EXIT_OK
@@ -255,19 +252,18 @@ def build_parser():
     commands = {
         "train": cmd_train,
         "rollout": cmd_rollout,
-        "certify": cmd_certify,
-        "govern": cmd_govern,
         "robustness": cmd_robustness,
         "ablate": lambda args: cmd_train(args, MODE_UNCERTIFIED_AFTER_VIA),
     }
     for name, fn in commands.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="configuration file")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--scenario", default=None,
                        choices=sorted(SCENARIOS))
-        if name in ("rollout", "certify", "govern", "robustness"):
+        if name in ("train", "ablate"):
+            p.add_argument("--seed", type=int, default=None)
+        else:
             p.add_argument("--policy", default=None,
                            help="policy parameters JSON (default: initial)")
         if name == "robustness":

@@ -149,15 +149,15 @@ def test_invalid_values_rejected(tmp_path):
 def test_exit_codes_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[run]\nupdtaes = 2\n")
-    rc = cli.main(["certify", "--config", str(bad), "--out", str(tmp_path / "o")])
+    rc = cli.main(["rollout", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_CONFIG
     assert "updtaes" in capsys.readouterr().err
-    rc = cli.main(["certify", "--config", str(tmp_path / "nope.ini"),
+    rc = cli.main(["rollout", "--config", str(tmp_path / "nope.ini"),
                    "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_CONFIG
     capsys.readouterr()
     # --out naming an existing file.
-    rc = cli.main(["certify", "--out", str(bad)])
+    rc = cli.main(["rollout", "--out", str(bad)])
     assert rc == cli.EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "output directory not writable" in err[0]
@@ -192,7 +192,7 @@ def test_exit_code_certification_failure(tmp_path, capsys):
     d["theta_k"] = (10.0 * np.asarray(d["theta_k"])).tolist()
     path = tmp_path / "bad_policy.json"
     path.write_text(json.dumps(d))
-    rc = cli.main(["certify", "--policy", str(path),
+    rc = cli.main(["rollout", "--policy", str(path),
                    "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_CERTIFICATION
     assert "certification" in capsys.readouterr().err
@@ -313,10 +313,9 @@ GOOD_BLOCKS = {"theta_d": np.zeros((7, 6)).tolist(),
 
 
 @pytest.mark.parametrize("command, content", [
-    ("certify", None),
-    ("certify", "{"),
-    ("certify", json.dumps({"theta_traj": [[1.0]], "theta_d": [[1.0]]})),
-    ("certify", json.dumps(dict(GOOD_BLOCKS, theta_traj=[[1.0]]))),
+    ("rollout", None),
+    ("rollout", "{"),
+    ("rollout", json.dumps({"theta_traj": [[1.0]], "theta_d": [[1.0]]})),
     ("rollout", json.dumps(dict(GOOD_BLOCKS, theta_traj=[[1.0]]))),
     ("rollout", json.dumps([1.0])),
     ("rollout", json.dumps(dict(GOOD_BLOCKS, theta_traj=[[np.nan] * 3] * 51))),
@@ -398,29 +397,52 @@ def test_rollout_artifacts(tmp_path):
     rc = cli.main(["rollout", "--out", str(out)])
     assert rc == cli.EXIT_OK
     lines = (out / "trajectory.csv").read_text().splitlines()
-    assert lines[0].split(",")[:4] == ["t", "x1", "x2", "x3"]
-    assert lines[0].split(",")[-1] == "beta"
+    header = lines[0].split(",")
+    assert header[:4] == ["t", "x1", "x2", "x3"]
+    assert header[-1] == "beta"
     assert len(lines) == 1 + 5001
     assert (out / "gains.csv").exists()
 
 
 def test_certify_artifacts(tmp_path):
+    # The rollout writes its own certificate; the eigenvalue trace is the
+    # last two columns of gains.csv.
     out = tmp_path / "o"
-    rc = cli.main(["certify", "--out", str(out)])
+    rc = cli.main(["rollout", "--out", str(out)])
     assert rc == cli.EXIT_OK
     cert = json.loads((out / "certificate.json").read_text())
     assert cert["passes"] is True
     assert abs(cert["lam_A_max"] + 29.95) < 1e-6
     assert abs(cert["lam_C_max"] + 20.0) < 1e-6
-    eig = (out / "eigtrace.csv").read_text().splitlines()
-    assert eig[0] == "t,lamA,lamC"
-    assert len(eig) == 1 + 5001
+    gains = (out / "gains.csv").read_text().splitlines()
+    assert gains[0].split(",")[-2:] == ["lamA", "lamC"]
+    assert len(gains) == 1 + 5001
 
 
-def test_certify_audits_the_ablation_schedule(tmp_path):
+def test_govern_artifacts(tmp_path):
+    # The governor's scale is the beta column of trajectory.csv.
+    out = tmp_path / "o"
+    rc = cli.main(["rollout", "--out", str(out)])
+    assert rc == cli.EXIT_OK
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    assert lines[0].split(",")[-1] == "beta"
+    betas = np.array([float(l.split(",")[-1]) for l in lines[1:]])
+    assert np.all(betas == 1.0)
+    assert json.loads((out / "saturation_events.json").read_text()) == []
+
+
+def test_rollout_takes_no_seed(tmp_path, capsys):
+    # A noise-free rollout draws no noise, so it has no --seed to ignore.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["rollout", "--seed", "3", "--out", str(tmp_path / "o")])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+def test_certify_audits_the_ablation_schedule(tmp_path, capsys):
     # A slack that varies in time.  After the via time the ablation runs it
     # linearized about its via-time value, which leaves the certified cone;
-    # certify must audit that executed schedule in the configured mode.
+    # the rollout must audit that executed schedule in the configured mode.
     setup, noise = compile_setup(load_config(None))
     pol = initial_policy(setup)
     xi = sample_noise(replace(noise, seed=5, sigma_traj=0.0), pol, 0, 1)
@@ -431,25 +453,23 @@ def test_certify_audits_the_ablation_schedule(tmp_path):
     policy.write_text(json.dumps(d))
     ablate = tmp_path / "ablate.ini"
     ablate.write_text("[run]\nmode = uncertified-after-via\n")
-    rc = cli.main(["certify", "--config", str(ablate), "--policy", str(policy),
-                   "--out", str(tmp_path / "u")])
+    out = tmp_path / "u"
+    rc = cli.main(["rollout", "--config", str(ablate), "--policy", str(policy),
+                   "--out", str(out)])
     assert rc == cli.EXIT_CERTIFICATION
-    cert = json.loads((tmp_path / "u" / "certificate.json").read_text())
+    # Every file is written before the exit code reports the failure.
+    for name in ("trajectory.csv", "gains.csv", "certificate.json",
+                 "saturation_events.json"):
+        assert (out / name).exists(), name
+    cert = json.loads((out / "certificate.json").read_text())
     assert cert["passes"] is False and cert["lam_C_max"] > 0
-    rc = cli.main(["certify", "--policy", str(policy),
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("certification failure: ")
+    assert "lam_A_max" in err[0] and "lam_C_max" in err[0]
+    rc = cli.main(["rollout", "--policy", str(policy),
                    "--out", str(tmp_path / "c")])
     assert rc == cli.EXIT_OK
-
-
-def test_govern_artifacts(tmp_path):
-    out = tmp_path / "o"
-    rc = cli.main(["govern", "--out", str(out)])
-    assert rc == cli.EXIT_OK
-    lines = (out / "beta_trace.csv").read_text().splitlines()
-    assert lines[0] == "t,beta_star"
-    betas = np.array([float(l.split(",")[1]) for l in lines[1:]])
-    assert np.all(betas == 1.0)
-    assert json.loads((out / "saturation_events.json").read_text()) == []
+    assert capsys.readouterr().err == ""
 
 
 def test_robustness_artifacts(tmp_path):
@@ -463,9 +483,9 @@ def test_robustness_artifacts(tmp_path):
     assert ("constants" in rep) != ("error" in rep)
 
 
-def wider_margin_policy(tmp_path):
+def wider_margin_policy(tmp_path, config=None):
     """The initial policy with its stiffness slack scaled by 1.5."""
-    setup, _ = compile_setup(load_config(None))
+    setup, _ = compile_setup(load_config(config))
     d = initial_policy(setup).to_dict()
     d["theta_k"] = (np.sqrt(1.5) * np.asarray(d["theta_k"])).tolist()
     path = tmp_path / "policy.json"
@@ -485,6 +505,21 @@ def test_robustness_full_chain_on_wider_margin(tmp_path):
     assert "constants" in rep and "error" not in rep
     assert rep["dissipation"]["passes"] is True
     assert rep["uub"]["inside"] is True
+
+
+def test_robustness_records_a_grid_too_short_for_dissipation(tmp_path):
+    # Two grid samples, which validate accepts, leave the dissipation check
+    # no central difference.  That precondition is reported by name in
+    # robustness.json; it used to end in a traceback and exit 1.
+    config = tmp_path / "two_samples.ini"
+    config.write_text("[run]\nhorizon = 1.0\ndt = 1.0\n[dmp]\nstiffness = 0.5\n")
+    path = wider_margin_policy(tmp_path, config)
+    out = tmp_path / "o"
+    rc = cli.main(["robustness", "--config", str(config), "--policy", str(path),
+                   "--out", str(out)])
+    assert rc == cli.EXIT_OK
+    rep = json.loads((out / "robustness.json").read_text())
+    assert "3 grid samples" in rep["error"] and "dissipation" not in rep
 
 
 def test_robustness_records_a_diverged_simulation(tmp_path, monkeypatch):
@@ -518,6 +553,12 @@ def test_console_script_help():
     proc = subprocess.run([sys.executable, "-m", "cgms.cli", "--help"],
                           env=checkout_env(), capture_output=True, text=True)
     assert proc.returncode == 0
-    for name in ("train", "rollout", "certify", "govern", "robustness",
-                 "ablate"):
+    for name in ("train", "rollout", "robustness", "ablate"):
         assert name in proc.stdout
+    # rollout writes what certify and govern wrote; both are gone.
+    for name in ("certify", "govern"):
+        proc = subprocess.run([sys.executable, "-m", "cgms.cli", name],
+                              env=checkout_env(), capture_output=True,
+                              text=True)
+        assert proc.returncode == cli.EXIT_CONFIG
+        assert "invalid choice" in proc.stderr
