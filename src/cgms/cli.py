@@ -2,9 +2,9 @@
 robustness reports, and the uncertified ablation.
 
 Exit codes: 0 success, 2 configuration error, 3 certification failure
-(also a rollout whose executed schedule fails its certificate), a torque
-floor that no resampled attempt could meet, or a simulation that diverged
-(such as a stiffness flow whose growth overflows).
+(also a rollout whose executed schedule fails its certificate, or a failed
+robustness check), a torque floor that no resampled attempt could meet, or
+a simulation that diverged (such as a stiffness flow whose growth overflows).
 """
 
 from __future__ import annotations
@@ -89,10 +89,6 @@ TRACE_HEADER = ["update", "rollout", "cost", "cost_K", "cost_acc",
                 "cost_track", "lamA_max", "lamC_max", "beta_star_min"]
 
 
-def _write_trace(path, rows):
-    write_csv(path, TRACE_HEADER, [[r[h] for h in TRACE_HEADER] for r in rows])
-
-
 def _summary(cfg, result, wall_time):
     rows = result.rows
     final_ro = result.evaluation
@@ -147,7 +143,8 @@ def cmd_train(args, mode=None):
         write_csv(out / "ablate_eigs.csv",
                   ["update", "rollout", "lamA_max_post_via",
                    "lamC_max_post_via"], eig_rows)
-    _write_trace(out / "learning_trace.csv", result.rows)
+    write_csv(out / "learning_trace.csv", TRACE_HEADER,
+              [[r[h] for h in TRACE_HEADER] for r in result.rows])
     _write_json(out / "theta_initial.json", policy.to_dict())
     _write_json(out / "theta_final.json", result.policy.to_dict())
     _write_json(out / "summary.json", _summary(cfg, result, wall))
@@ -193,12 +190,15 @@ def cmd_rollout(args):
 
 
 def cmd_robustness(args):
+    """Write robustness.json for the noise-free rollout's schedule; exit 3
+    when its error loop diverges or fails a check, not a precondition."""
     if not (np.isfinite(args.u_bar) and args.u_bar >= 0):
         raise ConfigError(
             f"--u-bar must be finite and nonnegative, got {args.u_bar}")
     out, setup, ro = _noise_free_rollout(args)
     schedule = ro.schedule
     report = {"u_bar": args.u_bar, "schedule": schedule.report().to_dict()}
+    failure = None
     try:
         inp = rb.inputs_from_schedule(schedule, args.u_bar, optimize=True)
         res = rb.uub_constants(inp)
@@ -215,11 +215,18 @@ def cmd_robustness(args):
             "dissipation": diss,
             "uub": {"inside": inside, "margin": margin},
         })
-    except (MarginTooSmallError, IntegrationDivergedError,
-            ContractViolationError) as exc:
+        if not (diss["passes"] and inside):
+            failure = (f"robustness failure: max dissipation violation "
+                       f"{diss['max_violation']:.3g}, bound margin {margin:.3g}")
+    except (MarginTooSmallError, ContractViolationError) as exc:
         report["error"] = str(exc)
+    except IntegrationDivergedError as exc:
+        report["error"] = str(exc)
+        failure = f"integration diverged: {exc}"
     _write_json(out / "robustness.json", report)
-    return EXIT_OK
+    if failure:
+        print(failure, file=sys.stderr)
+    return EXIT_CERTIFICATION if failure else EXIT_OK
 
 
 def _policy_arg(args, setup):

@@ -154,6 +154,12 @@ class ExperimentConfig:
             raise ConfigError(
                 f"gains_d_init {self.gains_d_init!r} must exceed gains_alpha "
                 f"{self.gains_alpha!r}")
+        # The min-jerk fit's design matrix has a nonzero row per grid step
+        # (phase 0 at the end), so with no ridge it needs a step per basis.
+        steps = round(self.run_horizon / self.run_dt)
+        if self.dmp_regularization == 0 and steps < self.dmp_rbf_count:
+            raise ConfigError(f"dmp_regularization 0 needs dmp_rbf_count = "
+                              f"{self.dmp_rbf_count} grid steps, got {steps}")
         # The DMP's semi-implicit step has kk = u^2 and kd = 2u for
         # u = sqrt(k) dt / tau, tau = run_horizon; it is stable (kd < 2 and
         # kk + 2 kd < 4) iff u < DMP_STEP_LIMIT.  On a coarser grid the

@@ -32,15 +32,12 @@ from .gains import (
 )
 from .governor import TorqueLimits, beta_star_detail
 from .plants import PlantModel
-from .robustness import affine_scan
+from .robustness import LOOP_BLOCK, affine_scan, euler_step
 
 MODE_CERTIFIED = "certified"
 MODE_UNCERTIFIED_AFTER_VIA = "uncertified-after-via"
 
 MAX_RESAMPLE_ATTEMPTS = 100
-# The most closed-loop maps rollout forms and scans at once: memory does
-# not grow with the horizon beyond the traces.
-LOOP_BLOCK = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +282,8 @@ def rollout(policy, xi, setup):
     once; its weights drive the DMP reference on the setup's compiled
     basis, with feed-forward torque u_ff = Lam xdd_d + g.  The loop runs on
     the tracking error e = (x - x_d, v - xdot_d).  With the plant's
-    semi-implicit Euler step s' = P s + Q (tau - g) on s = (x, v), the
-    reference r = (x_d, xdot_d) has the defects
+    semi-implicit Euler step s' = P s + Q (tau - g) on s = (x, v)
+    (robustness.euler_step), the reference r = (x_d, xdot_d) has the defects
     delta[i] = r[i+1] - P r[i] - Q (u_ff[i] - g), and under the control law
     tau = u_ff + C e, C = [-AHi K, -AHi D], each step is
     e[i+1] = (P + Q C[i]) e[i] - delta[i]; a governed step adds
@@ -336,11 +333,7 @@ def rollout(policy, xi, setup):
     u_ff += g
     del xdd_d       # the loop reads u_ff only
     Minv = np.linalg.inv(Lam)
-    # The plant's step v' = v + dt Lam^-1 (tau - g), x' = x + dt v' on
-    # s = (x, v): s' = P s + Q (tau - g).
-    P = np.eye(2 * m)
-    P[:m, m:] += dt * np.eye(m)
-    Q = np.vstack([dt * dt * Minv, dt * Minv])
+    P, Q = euler_step(dt, Minv)
 
     def defects(a, b):      # delta[a:b], formed anew: no step holds delta
         r = np.hstack([x_d[a:b + 1], xd_d[a:b + 1]])

@@ -9,7 +9,8 @@ admit the dissipation inequality
 for the augmented storage V_aug = V + (alpha/2) xt^T D xt, and hence an
 ultimate bound ||z|| <= sqrt((m2'/m1') (c2/c1)) * u_bar.  This module
 evaluates the constant chain exactly and verifies both the inequality and
-the bound on simulated trajectories.
+the bound on the error loop a rollout executes (the plant's Euler step
+under the schedule's gains), where sampled damping can fail to dissipate.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from .errors import (
 # past the radius uub_empirical lets a simulated trajectory go.
 DISSIPATION_TOL = 1e-5
 UUB_TOL = 1e-6
-# RK4 steps built at once: enough to batch the build, few enough that memory
-# does not grow with the horizon.
-SIM_BLOCK = 256
+# The most error-loop maps formed and scanned at once: memory does not grow
+# with the horizon beyond the traces.
+LOOP_BLOCK = 1000
 EIG_BLOCK = 2048        # matrices per closed-form pass of eigvalsh_stack
 EIG_REPEAT_TOL = 1e-6   # it hands eigvalsh the matrices with |r| > 1 - this
 EIG_ZERO_TOL = 1e-9     # or an eigenvalue within this max(1, ||A||_F) of 0
@@ -164,6 +165,14 @@ def _sample(u_res, t, m):
     return U
 
 
+def euler_step(dt, Minv):
+    """(P, Q) of the semi-implicit Euler step v' = v + dt Minv f,
+    x' = x + dt v' on s = (x, v) as s' = P s + Q f."""
+    m = len(Minv)
+    return (np.eye(2 * m) + dt * np.eye(2 * m, k=m),
+            np.vstack([dt * dt * Minv, dt * Minv]))
+
+
 def affine_scan(maps, s0):
     """The states after each map of s[i+1] = maps[i] s[i], s[0] = s0, for
     L maps (N, N) and s0 a state (N,) or columns (N, R), by a two-level
@@ -234,37 +243,25 @@ def _eigvalsh_block(a, out):
 
 
 def simulate_error_dynamics(schedule, residuals, z0=None):
-    """RK4 integration of H xtdd + D(t) xtd + K(t) xt = u(t) for every
-    residual force u of the family ``residuals``, in one pass.
+    """The error loop H xtdd + D(t) xtd + K(t) xt = u(t) for every residual
+    force u of the family ``residuals``, stepped as learning.rollout steps
+    it, in one pass.
 
-    Each residual maps an array of times of shape (k,) to forces of shape
-    (k, m); any other result shape is a ContractViolationError, and so are
-    an empty family and a grid of fewer than 2 samples.  Each residual is
-    called twice, once on the grid and once on the half-steps, so it is
-    sampled exactly once at each of those 2n - 1 times.  K and D at a
-    half-step are the means of their grid neighbours, i.e. linear
-    interpolation.  The initial error z0 = (xtd, xt), shared by the family,
-    must have shape (2m,).  Returns (t, XT, XTD), where XT[r] and XTD[r],
-    of shape (n, m), are xt and xtd under residual r on the schedule grid.
+    Each residual maps times (k,) to forces (k, m) and is called once, on
+    the grid; any other result shape is a ContractViolationError, and so
+    are an empty family and a grid of fewer than 2 samples.  The initial
+    error z0 = (xtd, xt), shared by the family, must have shape (2m,).
+    Returns (t, XT, XTD), where XT[r] and XTD[r], of shape (n, m), are xt
+    and xtd under residual r on the schedule grid.
 
-    The dynamics are linear, so each RK4 step is an affine map
-    s[i+1] = Phi[i] s[i] + g[i] of s = (xt, xtd), one column of g per
-    residual.  Held in constant coordinates e_1..e_R, the family is the
-    homogeneous system d/dt (s, e) = [[A, f], [0, 0]] (s, e), with A the
-    field of the error dynamics and column r of f the forcing (0, H^-1 u_r)
-    in the velocity rows.  With that field at t_i, the half-step and
-    t_{i+1} (A1, A2, A3), the RK4 step of the augmented system is the
-    square map [[Phi, g], [0, I]] = I + h/6 (P1 + 2 P2 + 2 P3 + P4), where
-    P1 = A1, P2 = A2 (I + h/2 P1), P3 = A2 (I + h/2 P2) and P4 = A3 (I +
-    h P3).  The maps are built SIM_BLOCK steps at a time, so memory does
-    not grow with the horizon beyond the trajectories, which hold the
-    samples until they are read.  Each block's maps are stepped by
-    affine_scan from the block's start, with the columns [s; e_r] of the
-    whole family as its state.  Raises IntegrationDivergedError if a state
-    becomes non-finite.
+    With (P, Q) = euler_step(dt, H^-1), step i is e' = (P - Q [K_i, D_i]) e
+    + Q u_i on e = (xt, xtd): rollout's P + Q C_i, where the plant's inertia
+    cancels.  On the family's columns [e; e_r] (e_r picks member r's
+    forcing) the steps are [[P - Q [K_i, D_i], Q U_i], [0, I]], U_i the
+    residuals at t_i, scanned (affine_scan) LOOP_BLOCK maps at a time.
+    Raises IntegrationDivergedError if a state becomes non-finite.
     """
-    m = schedule.m
-    n2 = 2 * m
+    m, n2, tgrid = schedule.m, 2 * schedule.m, schedule.t
     z0 = np.zeros(n2) if z0 is None else np.asarray(z0, float)
     if z0.shape != (n2,):
         raise ContractViolationError(
@@ -272,56 +269,27 @@ def simulate_error_dynamics(schedule, residuals, z0=None):
     residuals = list(residuals)
     if not residuals:
         raise ContractViolationError("the residual family is empty")
-    tgrid = schedule.t
-    n = len(tgrid)
+    n, R = len(tgrid), len(residuals)
     if n < 2:
         raise ContractViolationError(
-            f"RK4 needs at least 2 grid samples, got {n}")
-    R = len(residuals)
-    Hinv = np.linalg.inv(schedule.H)
-    h = tgrid[1] - tgrid[0]
-    K, D = schedule.K, schedule.D
-    # Member r's trajectory is out[r], rows (xt, xtd).  Until its block has
-    # read them, row i holds the samples instead: the residual at t_i in
-    # the xtd slot and at the half-step after t_i in the xt slot.  So the
-    # samples take no memory beyond the trajectories.
+            f"the error loop needs at least 2 grid samples, got {n}")
+    P, Q = euler_step(tgrid[1] - tgrid[0], np.linalg.inv(schedule.H))
+    # out[r] is member r's trajectory, rows (xt, xtd); until its block reads
+    # it, row i holds the residual at t_i in the xtd slot.
     out = np.empty((R, n, n2))
     for r, u_res in enumerate(residuals):
         out[r, :, m:] = _sample(u_res, tgrid, m)
-        out[r, :-1, :m] = _sample(u_res, tgrid[:-1] + h / 2, m)
-    N = n2 + R
-    I = np.eye(N)
-    # The family's state as columns [s; I] of height N: member r's state
-    # over the unit vector that picks its forcing column.
-    S = np.eye(N, R, -n2)
+    S = np.eye(n2 + R, R, -n2)
     S[:n2] = np.r_[z0[m:], z0[:m]][:, None]
-    for a in range(0, n - 1, SIM_BLOCK):
-        b = min(a + SIM_BLOCK, n - 1)
-        # The augmented field [[A, f], [0, 0]] at grid points a..b and at
-        # the half-steps, where f has velocity rows H^-1 u.  At the
-        # half-steps K and D are the means of their neighbours.
-        A = np.zeros((b - a + 1, N, N))
-        A[:, :m, m:n2] = np.eye(m)
-        A[:, m:n2, :m] = -Hinv @ K[a:b + 1]
-        A[:, m:n2, m:n2] = -Hinv @ D[a:b + 1]
-        A_half = 0.5 * (A[:-1] + A[1:])
-        A[:, m:n2, n2:] = Hinv @ out[:, a:b + 1, m:].transpose(1, 2, 0)
-        A_half[:, m:n2, n2:] = Hinv @ out[:, a:b, :m].transpose(1, 2, 0)
-        # Row a's samples are read, so it takes the state at a.
-        out[:, a] = S[:n2].T
-        P1 = A[:-1]
-        P2 = A_half @ (I + h / 2 * P1)
-        P3 = A_half @ (I + h / 2 * P2)
-        P4 = A[1:] @ (I + h * P3)
-        # The step maps [[Phi, g], [0, I]], in place of P2.
-        P2 += P3
-        P2 *= 2.0
-        P2 += P1
-        P2 += P4
-        P2 *= h / 6
-        P2 += I
-        states = affine_scan(P2, S)
-        # Row b keeps its samples for the next block.
+    # affine_scan keeps the maps' last rows [0, I].
+    T = np.tile(np.eye(n2 + R), (min(LOOP_BLOCK, n - 1), 1, 1))
+    for a in range(0, n - 1, LOOP_BLOCK):
+        Tb = T[:n - 1 - a]
+        b = a + len(Tb)
+        Tb[:, :n2, :n2] = P - Q @ np.dstack((schedule.K[a:b], schedule.D[a:b]))
+        np.matmul(Q, out[:, a:b, m:].transpose(1, 2, 0), out=Tb[:, :n2, n2:])
+        out[:, a] = S[:n2].T        # row a's samples are read
+        states = affine_scan(Tb, S)
         out[:, a + 1:b] = states[:-1, :n2].transpose(2, 0, 1)
         S = states[-1]
     out[:, -1] = S[:n2].T
@@ -331,10 +299,10 @@ def simulate_error_dynamics(schedule, residuals, z0=None):
 
 
 def dissipation_check(schedule, inp, u_res, z0=None):
-    """Verify Vdot_aug <= -c1 ||z||^2 + c2 ||u_res||^2 along a simulation.
+    """Verify Vdot_aug <= -c1 ||z||^2 + c2 ||u_res||^2 along the error loop.
 
-    The storage derivative is taken by central differences of the sampled
-    augmented storage, so the schedule grid needs at least 3 samples.
+    The storage derivative is taken by central differences of the storage
+    on the loop's samples, so the schedule grid needs at least 3 samples.
     u_res follows simulate_error_dynamics' array contract, times (k,) to
     forces (k, m); ||u_res||^2 comes from one more call on the interior
     grid.  c1 and c2 are uub_constants(inp)'s, and the initial error

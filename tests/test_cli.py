@@ -267,6 +267,28 @@ def test_values_that_fail_in_training_are_config_errors(tmp_path, capsys,
     assert len(err) == 1 and key in err[0]
 
 
+@pytest.mark.parametrize("command", ["train", "rollout", "robustness"])
+def test_unridged_fit_on_too_few_steps_is_config_error(tmp_path, capsys,
+                                                       command):
+    # Three grid steps for 51 basis functions and no ridge leave the
+    # min-jerk fit's normal equations singular: every command used to end
+    # in numpy's LinAlgError traceback, exit 1.
+    path = tmp_path / "fit.ini"
+    path.write_text("[run]\nhorizon = 1.0\ndt = 0.3333333333333333\n"
+                    "[dmp]\nstiffness = 0.04\nregularization = 0.0\n"
+                    "intersection_height = 0.5\n")
+    rc = cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "dmp_regularization" in err[0]
+    # A ridge, or a grid step per basis function, makes the fit solvable;
+    # 51 samples are 50 steps, one short.
+    load_config(path, overrides={"dmp_regularization": 1e-6})
+    load_config(path, overrides={"run_dt": 1.0 / 51})
+    with pytest.raises(ConfigError, match="got 50"):
+        load_config(path, overrides={"run_dt": 1.0 / 50})
+
+
 def test_zero_alpha_is_accepted():
     assert load_config(None, overrides={"gains_alpha": 0.0}).gains_alpha == 0.0
 
@@ -505,6 +527,27 @@ def test_robustness_full_chain_on_wider_margin(tmp_path):
     assert "constants" in rep and "error" not in rep
     assert rep["dissipation"]["passes"] is True
     assert rep["uub"]["inside"] is True
+    assert 0.05 < rep["uub"]["margin"] < rep["constants"]["radius"]
+
+
+def test_robustness_judges_the_executed_euler_loop(tmp_path, capsys):
+    # At 62.5 ms the same policy's executed error loop grows to about
+    # 1.3e4 m under the standard residuals, although the continuous-time
+    # chain holds (Colgate & Schenkel 1997): both checks fail, and the
+    # command writes its report and exits 3 with one stderr line.
+    config = tmp_path / "coarse.ini"
+    config.write_text("[run]\ndt = 0.0625\n")
+    path = wider_margin_policy(tmp_path, config)
+    out = tmp_path / "o"
+    rc = cli.main(["robustness", "--config", str(config), "--policy", str(path),
+                   "--out", str(out)])
+    assert rc == cli.EXIT_CERTIFICATION
+    rep = json.loads((out / "robustness.json").read_text())
+    assert "constants" in rep and "error" not in rep
+    assert rep["dissipation"]["passes"] is False
+    assert rep["uub"]["inside"] is False and rep["uub"]["margin"] < -1e3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("robustness failure")
 
 
 def test_robustness_records_a_grid_too_short_for_dissipation(tmp_path):
@@ -522,9 +565,10 @@ def test_robustness_records_a_grid_too_short_for_dissipation(tmp_path):
     assert "3 grid samples" in rep["error"] and "dissipation" not in rep
 
 
-def test_robustness_records_a_diverged_simulation(tmp_path, monkeypatch):
+def test_robustness_records_a_diverged_simulation(tmp_path, monkeypatch,
+                                                  capsys):
     # A residual family whose simulation diverges is reported by name in
-    # robustness.json, like a failed precondition, not as a passing bound.
+    # robustness.json, not as a passing bound, and exits 3.
     def nan_residuals(u_bar, m):
         return [lambda t: np.full((len(t), m), np.nan)] * 3
 
@@ -532,9 +576,11 @@ def test_robustness_records_a_diverged_simulation(tmp_path, monkeypatch):
     path = wider_margin_policy(tmp_path)
     out = tmp_path / "o"
     rc = cli.main(["robustness", "--policy", str(path), "--out", str(out)])
-    assert rc == cli.EXIT_OK
+    assert rc == cli.EXIT_CERTIFICATION
     rep = json.loads((out / "robustness.json").read_text())
     assert "diverged" in rep["error"] and "uub" not in rep
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("integration diverged")
 
 
 def test_ablate_artifacts(tmp_path, small_config):

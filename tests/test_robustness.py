@@ -6,10 +6,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
-from scipy.interpolate import make_interp_spline
 
 from cgms import robustness
+from cgms.config import compile_setup, load_config
 from cgms.dmp import build_basis
 from cgms.errors import (
     ContractViolationError,
@@ -17,6 +16,7 @@ from cgms.errors import (
     MarginTooSmallError,
 )
 from cgms.gains import SlackParams, build_gain_schedule, vec_triangle
+from cgms.learning import initial_policy, rollout
 from cgms.robustness import (
     RobustnessInputs,
     affine_scan,
@@ -27,6 +27,7 @@ from cgms.robustness import (
     uub_constants,
     uub_empirical,
 )
+from test_learning import closed_loop_error_step, offset_reference
 
 ALPHA = 0.05
 H3 = np.eye(3)
@@ -180,65 +181,54 @@ def test_optimize_matches_full_grid_search(schedules):
 # Simulation checks
 # ---------------------------------------------------------------------------
 
-def per_step_error_dynamics(schedule, u_res, z0=None):
-    """The error-dynamics RK4 stepped one stage at a time for one residual:
-    the reference for simulate_error_dynamics' affine step maps.  Returns
-    (t, xt, xtd), one member of simulate_error_dynamics' return.
-    """
-    m = schedule.m
-    Hinv = np.linalg.inv(schedule.H)
-    tgrid = schedule.t
-    h = tgrid[1] - tgrid[0]
-    K, D = schedule.K, schedule.D
-    K_half = 0.5 * (K[:-1] + K[1:])
-    D_half = 0.5 * (D[:-1] + D[1:])
-    U = u_res(tgrid)
-    U_half = u_res(tgrid[:-1] + h / 2)
-    xt = np.zeros(m) if z0 is None else np.array(z0[m:], float)
-    xtd = np.zeros(m) if z0 is None else np.array(z0[:m], float)
-    XT = np.empty((len(tgrid), m))
-    XTD = np.empty((len(tgrid), m))
-    XT[0], XTD[0] = xt, xtd
-
-    def stage(u, Dk, Kk, a, v):
-        return v, Hinv @ (u - Dk @ v - Kk @ a)
-
-    for i in range(len(tgrid) - 1):
-        k1 = stage(U[i], D[i], K[i], xt, xtd)
-        k2 = stage(U_half[i], D_half[i], K_half[i],
-                   xt + h / 2 * k1[0], xtd + h / 2 * k1[1])
-        k3 = stage(U_half[i], D_half[i], K_half[i],
-                   xt + h / 2 * k2[0], xtd + h / 2 * k2[1])
-        k4 = stage(U[i + 1], D[i + 1], K[i + 1],
-                   xt + h * k3[0], xtd + h * k3[1])
-        xt = xt + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        xtd = xtd + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        XT[i + 1], XTD[i + 1] = xt, xtd
-    return tgrid, XT, XTD
-
-
-@pytest.mark.parametrize("steps", [1, 15, 16, 17, 255, 256, 257, 5000])
+@pytest.mark.parametrize("steps", [1, 15, 16, 17, 999, 1000, 1001, 5000])
 def test_affine_maps_match_per_step_oracle(steps):
-    # Grids around the SIM_BLOCK = 256 block edges and across many blocks;
-    # a block of L steps is scanned in chunks of ceil(sqrt(L)), 16 for a
-    # full block, so these grids also end in full and ragged last chunks.
-    # Families of one, two and three residuals, with and without an
-    # initial error: every member matches its own per-step run.
+    # Grids around the LOOP_BLOCK = 1000 block edges and across many
+    # blocks; a block of L steps is scanned in chunks of ceil(sqrt(L)), 32
+    # for a full block, so these grids also end in full and ragged last
+    # chunks.  Families of one, two and three residuals, with and without
+    # an initial error: every member matches its own run of the Euler
+    # step, one step at a time.
     dt = 1e-3
     sched = certified_schedule(np.random.default_rng(steps), T=steps * dt,
                                dt=dt)
     assert len(sched.t) == steps + 1
-    residuals = standard_residuals(0.01, sched.m, seed=steps)
+    m = sched.m
+    residuals = standard_residuals(0.01, m, seed=steps)
     for z0 in (None, np.array([0.1, -0.05, 0.08, 0.02, 0.0, -0.03])):
-        ref = [per_step_error_dynamics(sched, u, z0=z0) for u in residuals]
+        ref = []
+        for u in residuals:
+            U = u(sched.t)
+            xt, xtd = (np.zeros(m),) * 2 if z0 is None else (z0[m:], z0[:m])
+            Z = [np.r_[xt, xtd]]
+            for i in range(steps):
+                xt, xtd = closed_loop_error_step(xt, xtd, sched.H, sched.D[i],
+                                                 sched.K[i], U[i], dt)
+                Z.append(np.r_[xt, xtd])
+            ref.append(np.array(Z))
         for R in (1, 2, 3):
             t, XT, XTD = simulate_error_dynamics(sched, residuals[-R:],
                                                  z0=z0)
-            assert XT.shape == XTD.shape == (R, steps + 1, sched.m)
-            for r, (t_ref, XT_ref, XTD_ref) in enumerate(ref[-R:]):
-                assert np.array_equal(t, t_ref)
-                assert np.abs(XT[r] - XT_ref).max() <= 1e-13
-                assert np.abs(XTD[r] - XTD_ref).max() <= 1e-13
+            assert np.array_equal(t, sched.t)
+            assert XT.shape == XTD.shape == (R, steps + 1, m)
+            for r, Z in enumerate(ref[-R:]):
+                assert np.abs(XT[r] - Z[:, :m]).max() <= 1e-13
+                assert np.abs(XTD[r] - Z[:, m:]).max() <= 1e-13
+
+
+def test_simulation_is_the_rollout_error_loop(monkeypatch):
+    # The loop the checks judge is the loop a rollout executes: the default
+    # handover started 1 mm off its reference, ungoverned, against the
+    # unforced simulation of its executed schedule from that error.
+    offset_reference(monkeypatch, np.array([1e-3, -5e-4, 2e-4]))
+    setup, _ = compile_setup(load_config())
+    ro = rollout(initial_policy(setup), None, setup)
+    assert np.all(ro.beta == 1.0)
+    z0 = np.r_[np.zeros(setup.m), ro.x[0] - ro.x_d[0]]
+    t, (XT,), _ = simulate_error_dynamics(
+        ro.schedule, [lambda t: np.zeros((len(t), setup.m))], z0=z0)
+    assert np.array_equal(t, ro.t)
+    assert np.abs(ro.x - ro.x_d - XT).max() <= 1e-12
 
 
 @pytest.mark.parametrize("L", [0, 1, 2, 3, 15, 16, 17, 70, 71, 256, 5000])
@@ -301,7 +291,7 @@ def traced_peak(sched, family):
 
 def test_simulation_memory_does_not_grow_with_horizon():
     # One residual on a 5001-step schedule stays under 2 MB of traced
-    # memory; building every step's map at once would take about 14 MB.
+    # memory (1.33 MB); building every step's map at once takes 5.1 MB.
     sched = certified_schedule(np.random.default_rng(5), T=5.0, dt=1e-3)
     peak = traced_peak(sched, standard_residuals(0.01, sched.m)[2:])
     assert peak <= 2e6, peak
@@ -322,8 +312,8 @@ def test_non_finite_state_raises():
     with pytest.raises(IntegrationDivergedError):
         simulate_error_dynamics(
             sched, [lambda t: np.full((len(t), sched.m), np.nan)])
-    # Stiffness 1e8 puts h sqrt(k) = 10 outside RK4's stability region, so
-    # the state overflows within the 0.5 s horizon.
+    # Stiffness 1e8 puts h^2 k = 100 past the Euler step's stability limit
+    # of 4, so the state overflows within the 0.5 s horizon.
     stiff = constant_gain_schedule(0.5, k=1e8, d=1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IntegrationDivergedError):
@@ -396,53 +386,6 @@ def test_dissipation_check_needs_three_samples():
     residual = standard_residuals(0.01, sched.m)[2]
     with pytest.raises(ContractViolationError, match="at least 3"):
         dissipation_check(sched, inp, residual)
-
-
-def test_rk4_matches_reference_and_samples_residual_once():
-    # A 0.5 s, 1 ms certified schedule against a tight DOP853 solve with K
-    # and D linearly interpolated between grid points.  Each member of the
-    # family is called exactly twice, once on the grid and once on the
-    # half-steps, so it is sampled once at each of those 2n - 1 times.
-    sched = certified_schedule(np.random.default_rng(3), T=0.5, dt=1e-3)
-    family = standard_residuals(0.01, sched.m)
-    residual = family[2]
-    calls = [[] for _ in family]
-
-    def counted(u, seen):
-        def sampled(t):
-            seen.append(np.array(t))
-            return u(t)
-        return sampled
-
-    z0 = np.array([0.1, -0.05, 0.08, 0.02, 0.0, -0.03])
-    t, XT, XTD = simulate_error_dynamics(
-        sched, [counted(u, seen) for u, seen in zip(family, calls)], z0=z0)
-    half = t[:-1] + (t[1] - t[0]) / 2
-    for seen in calls:
-        assert len(seen) == 2
-        grid_first = len(seen[0]) == len(t)
-        on_grid, on_half = seen if grid_first else seen[::-1]
-        assert np.array_equal(on_grid, t)
-        assert np.array_equal(on_half, half)
-    XT, XTD = XT[2], XTD[2]
-
-    m = sched.m
-    Hinv = np.linalg.inv(sched.H)
-    K_at = make_interp_spline(t, sched.K, k=1, axis=0)
-    D_at = make_interp_spline(t, sched.D, k=1, axis=0)
-
-    def rhs(ti, y):
-        xt, xtd = y[:m], y[m:]
-        return np.concatenate(
-            [xtd, Hinv @ (residual(np.array([ti]))[0] - D_at(ti) @ xtd
-                          - K_at(ti) @ xt)])
-
-    ref = solve_ivp(rhs, (t[0], t[-1]), np.concatenate([z0[m:], z0[:m]]),
-                    method="DOP853", t_eval=t, rtol=1e-12, atol=1e-14,
-                    max_step=t[1] - t[0])
-    assert ref.success
-    err = np.abs(np.hstack([XT, XTD]) - ref.y.T).max()
-    assert err <= 1e-9, err
 
 
 def test_unforced_storage_nonincreasing(schedules):
