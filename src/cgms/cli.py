@@ -1,15 +1,17 @@
-"""Command-line harness: training runs, certified single rollouts,
-robustness reports, and the uncertified ablation.
+"""Command-line harness: training runs, certified single rollouts with
+their robustness reports, and the uncertified ablation.
 
 Exit codes: 0 success, 2 configuration error, 3 certification failure
-(also a rollout whose executed schedule fails its certificate, or a failed
-robustness check), a torque floor that no resampled attempt could meet, or
-a simulation that diverged (such as a stiffness flow whose growth overflows).
+(also a rollout whose executed schedule fails its certificate, or whose
+error loop fails a robustness check), a torque floor that no resampled
+attempt could meet, or a simulation that diverged (such as a stiffness flow
+whose growth overflows, or the rollout's error loop).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -153,18 +155,19 @@ def cmd_train(args, mode=None):
     return EXIT_OK
 
 
-def _noise_free_rollout(args):
-    """(out, setup, noise-free rollout of the --policy or initial policy)."""
+def cmd_rollout(args):
+    """Write the noise-free rollout's trajectory, gain schedule, certificate,
+    saturation events and robustness report.  Exit 3, with one stderr line
+    per failure, when the executed schedule fails its certificate, or its
+    error loop diverges or fails a robustness check; a failed precondition
+    of the robustness chain is an "error" in robustness.json, not a
+    failure."""
+    if not (np.isfinite(args.u_bar) and args.u_bar >= 0):
+        raise ConfigError(
+            f"--u-bar must be finite and nonnegative, got {args.u_bar}")
     cfg, out = _load(args), _out_dir(args)
     setup, _ = compile_setup(cfg)
-    return out, setup, rollout(_policy_arg(args, setup), None, setup)
-
-
-def cmd_rollout(args):
-    """Write the noise-free rollout's trajectory, gain schedule, certificate
-    and saturation events; exit 3 when the executed schedule fails its
-    certificate."""
-    out, setup, ro = _noise_free_rollout(args)
+    ro = rollout(_policy_arg(args, setup), None, setup)
     header = (["t"] + [f"x{i + 1}" for i in range(setup.m)]
               + [f"xd{i + 1}" for i in range(setup.m)]
               + [f"tau{i + 1}" for i in range(setup.m)] + ["beta"])
@@ -177,56 +180,40 @@ def cmd_rollout(args):
     rows = np.column_stack([sched.t, sched.K.reshape(n, -1),
                             sched.D.reshape(n, -1), sched.lam_A, sched.lam_C])
     write_csv(out / "gains.csv", header, rows)
-    report = sched.report()
-    cert = report.to_dict()
+    cert = sched.report().to_dict()
     _write_json(out / "certificate.json", cert)
     _write_json(out / "saturation_events.json", ro.saturation_events)
-    if not report.passes:
-        print(f"certification failure: the executed schedule leaves the "
-              f"certified cone (lam_A_max = {cert['lam_A_max']:.6g}, "
-              f"lam_C_max = {cert['lam_C_max']:.6g})", file=sys.stderr)
-        return EXIT_CERTIFICATION
-    return EXIT_OK
-
-
-def cmd_robustness(args):
-    """Write robustness.json for the noise-free rollout's schedule; exit 3
-    when its error loop diverges or fails a check, not a precondition."""
-    if not (np.isfinite(args.u_bar) and args.u_bar >= 0):
-        raise ConfigError(
-            f"--u-bar must be finite and nonnegative, got {args.u_bar}")
-    out, setup, ro = _noise_free_rollout(args)
-    schedule = ro.schedule
-    report = {"u_bar": args.u_bar, "schedule": schedule.report().to_dict()}
-    failure = None
+    failures = []
+    if not cert["passes"]:
+        failures.append(
+            f"certification failure: the executed schedule leaves the "
+            f"certified cone (lam_A_max = {cert['lam_A_max']:.6g}, "
+            f"lam_C_max = {cert['lam_C_max']:.6g})")
+    report = {"u_bar": args.u_bar, "schedule": cert}
     try:
-        inp = rb.inputs_from_schedule(schedule, args.u_bar, optimize=True)
+        inp = rb.inputs_from_schedule(sched, args.u_bar, optimize=True)
         res = rb.uub_constants(inp)
         residuals = rb.standard_residuals(args.u_bar, setup.m)
-        diss = rb.dissipation_check(schedule, inp, residuals[2])
-        inside, margin = rb.uub_empirical(schedule, inp, residuals)
-        report.update({
-            "inputs": {"gamma": inp.gamma, "eta": inp.eta,
-                       "h_min": inp.h_min, "h_max": inp.h_max,
-                       "k_lower": inp.k_lower, "k_upper": inp.k_upper,
-                       "d_upper": inp.d_upper, "eps_D": inp.eps_D,
-                       "eps_K": inp.eps_K},
-            "constants": res.to_dict(),
-            "dissipation": diss,
-            "uub": {"inside": inside, "margin": margin},
-        })
+        diss = rb.dissipation_check(sched, inp, residuals[2])
+        inside, margin = rb.uub_empirical(sched, inp, residuals)
+        inputs = dataclasses.asdict(inp)
+        del inputs["alpha"], inputs["u_bar"]
+        report.update({"inputs": inputs, "constants": res.to_dict(),
+                       "dissipation": diss,
+                       "uub": {"inside": inside, "margin": margin}})
         if not (diss["passes"] and inside):
-            failure = (f"robustness failure: max dissipation violation "
-                       f"{diss['max_violation']:.3g}, bound margin {margin:.3g}")
+            failures.append(
+                f"robustness failure: max dissipation violation "
+                f"{diss['max_violation']:.3g}, bound margin {margin:.3g}")
     except (MarginTooSmallError, ContractViolationError) as exc:
         report["error"] = str(exc)
     except IntegrationDivergedError as exc:
         report["error"] = str(exc)
-        failure = f"integration diverged: {exc}"
+        failures.append(f"integration diverged: {exc}")
     _write_json(out / "robustness.json", report)
-    if failure:
-        print(failure, file=sys.stderr)
-    return EXIT_CERTIFICATION if failure else EXIT_OK
+    for line in failures:
+        print(line, file=sys.stderr)
+    return EXIT_CERTIFICATION if failures else EXIT_OK
 
 
 def _policy_arg(args, setup):
@@ -259,7 +246,6 @@ def build_parser():
     commands = {
         "train": cmd_train,
         "rollout": cmd_rollout,
-        "robustness": cmd_robustness,
         "ablate": lambda args: cmd_train(args, MODE_UNCERTIFIED_AFTER_VIA),
     }
     for name, fn in commands.items():
@@ -273,8 +259,8 @@ def build_parser():
         else:
             p.add_argument("--policy", default=None,
                            help="policy parameters JSON (default: initial)")
-        if name == "robustness":
-            p.add_argument("--u-bar", dest="u_bar", type=float, default=0.01)
+            p.add_argument("--u-bar", dest="u_bar", type=float, default=0.01,
+                           help="residual bound of the robustness checks")
         p.set_defaults(func=fn)
     return parser
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBasisError
+from .errors import ConfigError, DegenerateBasisError
 
 ACTIVATION_FLOOR = 1e-300
 
@@ -243,7 +243,8 @@ def fit_min_jerk(start, tgrid, params):
     The reach runs on the DMP's own phase s_t = 1 - t / tau, as
     rollout_reference does.  The regression uses the design matrix
     gamma(t) Phi(s_t), avoiding the division by the vanishing phase at
-    t = tau.
+    t = tau.  Normal equations that are exactly singular raise a
+    ConfigError naming the [dmp] keys that set them.
     """
     goal = np.asarray(params.goal, float)
     x, xd, xdd = min_jerk(start, goal, params.tau, tgrid)
@@ -252,4 +253,11 @@ def fit_min_jerk(start, tgrid, params):
               - params.k * (goal - x))
     A = s[:, None] * params.basis.eval(s)
     gram = A.T @ A + params.lam_reg * np.eye(params.basis.count)
-    return np.linalg.solve(gram, A.T @ target)
+    try:
+        return np.linalg.solve(gram, A.T @ target)
+    except np.linalg.LinAlgError as exc:
+        raise ConfigError(
+            f"the min-jerk fit's normal equations are singular ({exc}): "
+            f"raise dmp_regularization above {params.lam_reg:g}, or lower "
+            f"dmp_rbf_count ({params.basis.count}) or "
+            f"dmp_intersection_height") from exc

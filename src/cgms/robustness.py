@@ -173,13 +173,16 @@ def euler_step(dt, Minv):
             np.vstack([dt * dt * Minv, dt * Minv]))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def affine_scan(maps, s0):
     """The states after each map of s[i+1] = maps[i] s[i], s[0] = s0, for
     L maps (N, N) and s0 a state (N,) or columns (N, R), by a two-level
     scan in chunks of ceil(sqrt(L)) maps: all chunks are composed at once
     and in place (overwriting maps), the state is carried from chunk start
     to chunk start, and two batched products give the states within the
-    chunks.  No maps give no states."""
+    chunks.  No maps give no states.  An unstable loop overflows to inf or
+    NaN without a RuntimeWarning: the callers check the states they keep
+    for finiteness and raise IntegrationDivergedError."""
     L, N = maps.shape[:2]
     if not L:
         return np.empty((0,) + s0.shape)
