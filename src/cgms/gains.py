@@ -21,7 +21,7 @@ import numpy as np
 
 from .dmp import RbfBasis
 from .errors import CertifiedFloorError, IntegrationDivergedError
-from .robustness import eigvalsh_stack
+from .robustness import eigvalsh_rows
 
 K_EIG_FLOOR = 1e-12   # smallest admissible stiffness eigenvalue
 
@@ -156,87 +156,108 @@ class GainSchedule:
                                  alpha=self.alpha)
 
 
-def integrate_cholesky_flow(B, alpha, K0, dt, clamp=False):
-    """Integrate the stiffness flow over a stack of B(t) samples.
+def unpack_rows(P, m):
+    """The symmetric (n, m, m) stack of matrices packed as rows P
+    (tri_dim(m), n) of their lower triangles in vec_triangle order, by one
+    gather: the stack views an (m, m, n) array, so each entry stays
+    contiguous in time."""
+    rows, cols = _tri_index_arrays(m)
+    at = np.empty((m, m), int)
+    at[rows, cols] = at[cols, rows] = range(len(rows))
+    return P.T[:, at]
 
-    Returns the (n, m, m) stiffness trace.  With B held constant over each
-    step the flow Kdot = 2 alpha K + B has the exact update
-    K[i+1] = r K[i] + c B[i], r = exp(2 alpha dt), c = (r - 1) / (2 alpha).
-    Up to a growth r**(n-1) of e**2 its closed form
-    K[i] = r**i (K0 + c sum_{j<i} r**-(j+1) B[j]) is as accurate; it is
-    written into K[1:] in place (multiply, cumulative sum, scale by c, add
-    K0, multiply by r**i), so it allocates no (n, m, m) temporary.  Past
-    that growth the closed form cancels, so the update runs step by step in
-    scipy.signal.lfilter, imported only then (about 1.5 s and 76 MB with
-    scipy 1.17).  Both act on each entry alone, so a symmetric
-    K0 and B stack (slack_products writes both halves) give a bitwise
-    symmetric trace.  The trace then passes stiffness_floor.
+
+def _eigenvalues(P, m):
+    """Ascending eigenvalues, (n, m), of the symmetric matrices packed as
+    rows P: eigvalsh_rows' closed form for m = 3, eigvalsh otherwise."""
+    if m == 3:
+        return eigvalsh_rows(P)
+    return np.linalg.eigvalsh(unpack_rows(P, m))
+
+
+def integrate_cholesky_flow(B, alpha, K0, dt, clamp=False):
+    """Integrate the stiffness flow over B(t) samples packed as rows
+    (tri_dim(m), n) in vec_triangle order, from a symmetric K0 (m, m).
+
+    Returns the stiffness trace as rows of the same shape.  With B held
+    constant over each step the flow Kdot = 2 alpha K + B has the exact
+    update K[i+1] = r K[i] + c B[i], r = exp(2 alpha dt),
+    c = (r - 1) / (2 alpha).  Up to a growth r**(n-1) of e**2 its closed
+    form K[i] = r**i (K0 + c sum_{j<i} r**-(j+1) B[j]) is as accurate; it is
+    written into K[:, 1:] in place (multiply, cumulative sum along time,
+    scale by c, add K0, multiply by r**i), so it allocates no temporary of
+    the trace's size.  Past that growth the closed form cancels, so the
+    update runs step by step in scipy.signal.lfilter along time, imported
+    only then (about 1.5 s and 76 MB with scipy 1.17).  Both act on each
+    entry alone.  The trace then passes stiffness_floor.
     """
     B = np.asarray(B, float)
-    n, m = B.shape[0], B.shape[-1]
-    K0 = np.asarray(K0, float)
+    n = B.shape[1]
+    K0 = vec_triangle(np.asarray(K0, float))[:, None]
     r = np.exp(2.0 * alpha * dt)
     c = (r - 1.0) / (2.0 * alpha) if alpha != 0.0 else dt
-    K = np.empty((n, m, m))
-    K[0] = K0
+    K = np.empty(B.shape)
+    K[:, :1] = K0
     if 2.0 * alpha * dt * (n - 1) <= 2.0:
-        idx = np.arange(1, n)[:, None, None]
-        Kt = K[1:]
-        np.multiply(r ** -idx, B[:-1], out=Kt)
-        np.cumsum(Kt, axis=0, out=Kt)
+        idx = np.arange(1, n)
+        Kt = K[:, 1:]
+        np.multiply(r ** -idx, B[:, :-1], out=Kt)
+        np.cumsum(Kt, axis=1, out=Kt)
         Kt *= c
         Kt += K0
         Kt *= r ** idx
     else:
         from scipy.signal import lfilter
-        K[1:] = lfilter([c], [1.0, -r], B[:-1].reshape(n - 1, -1), axis=0,
-                        zi=r * K0.reshape(1, -1))[0].reshape(n - 1, m, m)
+        K[:, 1:] = lfilter([c], [1.0, -r], B[:, :-1], axis=1, zi=r * K0)[0]
     return stiffness_floor(K, clamp)
 
 
 def stiffness_floor(K, clamp=False):
-    """Check a symmetric (n, m, m) stiffness stack against the positivity
-    floor K_EIG_FLOOR and return it.
+    """Check a stiffness trace, packed as rows (tri_dim(m), n) in
+    vec_triangle order, against the positivity floor K_EIG_FLOOR and return
+    it.
 
     A non-finite entry anywhere (the flow overflowed) raises
-    IntegrationDivergedError in either mode.  A 3 x 3 stack passes at once
-    if _clears_floor; otherwise the least eigenvalues (eigvalsh_stack, which
+    IntegrationDivergedError in either mode.  A 3 x 3 trace passes at once
+    if _clears_floor; otherwise the least eigenvalues (eigvalsh_rows, which
     leaves every eigenvalue at rounding level to LAPACK's eigvalsh, as the
     certificate audit does) decide: below the floor the schedule is
     rejected, or with clamp=True, a path for explicitly uncertified
-    (ablation) runs, floored pointwise through eigh.
+    (ablation) runs, floored pointwise through eigh on the unpacked stack,
+    whose symmetrised lower triangle is packed back.
     """
     if not np.isfinite(K).all():
         raise IntegrationDivergedError("stiffness flow diverged to a non-finite K")
-    if ((K.shape[-1] == 3 and _clears_floor(K))
-            or (eigvalsh_stack(K)[:, 0] >= K_EIG_FLOOR).all()):
+    m = (math.isqrt(8 * len(K) + 1) - 1) // 2
+    if ((m == 3 and _clears_floor(K))
+            or (_eigenvalues(K, m)[:, 0] >= K_EIG_FLOOR).all()):
         return K
     if not clamp:
         raise CertifiedFloorError(
             f"stiffness eigenvalue below positivity floor {K_EIG_FLOOR}")
-    w, V = np.linalg.eigh(K)
+    w, V = np.linalg.eigh(unpack_rows(K, m))
     w = np.maximum(w, K_EIG_FLOOR)
     K = np.einsum("nij,nj,nkj->nik", V, w, V)
-    return 0.5 * (K + np.swapaxes(K, 1, 2))
+    return vec_triangle(0.5 * (K + np.swapaxes(K, 1, 2))).T
 
 
 def _clears_floor(K):
-    """Whether every matrix of a symmetric (n, 3, 3) stack has LDL^T pivots
-    of A = K - K_EIG_FLOOR I, d0 = a00, d1 = a11 - l10 a10 and
+    """Whether every matrix of a 3 x 3 trace packed as rows (6, n) has
+    LDL^T pivots of A = K - K_EIG_FLOOR I, d0 = a00, d1 = a11 - l10 a10 and
     d2 = a22 - l20 a20 - l21 (a21 - l20 a10), above 1e-9 max(1, max diag K).
     Computed pivots are exact for A plus a perturbation of a few eps max
     diag K (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10),
-    so the margin leaves every rounding-level case to eigvalsh_stack.  A
+    so the margin leaves every rounding-level case to eigvalsh_rows.  A
     zero, NaN or inf pivot reads as not clear.
     """
     with np.errstate(all="ignore"):
-        a00, a11, a22 = (K[:, i, i] - K_EIG_FLOOR for i in range(3))
-        a10, a20, a21 = K[:, 1, 0], K[:, 2, 0], K[:, 2, 1]
+        a00, a11, a22 = K[:3] - K_EIG_FLOOR
+        a10, a20, a21 = K[3:]
         l20 = a20 / a00
         d1 = a11 - a10 / a00 * a10
         e21 = a21 - l20 * a10
         d2 = a22 - l20 * a20 - e21 / d1 * e21
-        tol = 1e-9 * np.maximum(1.0, np.diagonal(K, 0, 1, 2).max(axis=1))
+        tol = 1e-9 * np.maximum(1.0, K[:3].max(axis=0))
         return bool(((a00 > tol) & (d1 > tol) & (d2 > tol)).all())
 
 
@@ -244,22 +265,21 @@ def slack_products(S_D, S_K, Sd_D):
     """Slack products (G_D, G_K, Ddot) = (S_D S_D^T, S_K S_K^T, d/dt G_D)
     of packed (n, tri_dim(m)) slacks as slack_trace returns them; Sd_D is
     the damping slack's time derivative.  Entry (i, j) of S S^T is the sum
-    over k <= min(i, j) of S_ik S_jk, and Ddot = X + X^T, X = Sd_D S_D^T;
-    each lower entry is formed once from contiguous columns and written to
-    (i, j) and (j, i), so the (n, m, m) products are exactly symmetric.
+    over k <= min(i, j) of S_ik S_jk, and Ddot = X + X^T, X = Sd_D S_D^T.
+    Each product is symmetric, so it is returned as C-contiguous rows
+    (tri_dim(m), n) of its lower triangle in vec_triangle order, each row
+    formed once from contiguous columns: time runs along the last axis.
     """
     a, b, c = (np.ascontiguousarray(np.transpose(S)) for S in (S_D, S_K, Sd_D))
     d, n = a.shape
     m = (math.isqrt(8 * d + 1) - 1) // 2
     at = dict(zip(zip(*_tri_index_arrays(m)), range(d)))   # (i, k) -> row
-    G_D, G_K, Ddot = (np.empty((n, m, m)) for _ in range(3))
-    for i in range(m):
-        for j in range(i + 1):
-            pairs = [(at[i, k], at[j, k]) for k in range(j + 1)]
-            G_D[:, i, j] = G_D[:, j, i] = _column_dot(a, a, pairs)
-            G_K[:, i, j] = G_K[:, j, i] = _column_dot(b, b, pairs)
-            Ddot[:, i, j] = Ddot[:, j, i] = (_column_dot(c, a, pairs)
-                                             + _column_dot(a, c, pairs))
+    G_D, G_K, Ddot = (np.empty((d, n)) for _ in range(3))
+    for (i, j), row in at.items():
+        pairs = [(at[i, k], at[j, k]) for k in range(j + 1)]
+        G_D[row] = _column_dot(a, a, pairs)
+        G_K[row] = _column_dot(b, b, pairs)
+        Ddot[row] = _column_dot(c, a, pairs) + _column_dot(a, c, pairs)
     return G_D, G_K, Ddot
 
 
@@ -272,18 +292,20 @@ def _column_dot(x, y, pairs):
 
 
 def schedule_from_products(G_D, G_K, Ddot, alpha, H, K0, tgrid, clamp=False):
-    """The gain schedule of the slack construction, from its products.
+    """The gain schedule of the slack construction, from its products as
+    slack_products returns them, rows (tri_dim(m), n).
 
     D = alpha H + G_D, and K follows the flow Kdot = 2 alpha K + B with
     B = -alpha Ddot - G_K, so the two certificate matrices are -G_D and
-    -G_K; their largest eigenvalues (eigvalsh_stack) are the schedule's
-    lam_A and lam_C.  clamp is integrate_cholesky_flow's.
+    -G_K; their largest eigenvalues are the schedule's lam_A and lam_C.
+    H and K0 are symmetric (m, m); D is formed from H's lower triangle.
+    clamp is integrate_cholesky_flow's.
 
     The products are consumed: each of G_K and G_D is negated in place
     for its audit, then G_K's buffer holds B and then Kdot, and G_D's
-    holds D; Ddot is the schedule's own.  A product that shares memory
-    with another or is not writeable is copied first, so every trace of
-    the schedule owns its memory.
+    holds D.  A product that shares memory with another or is not writeable
+    is copied first.  The schedule's K, D, Kdot and Ddot are each unpacked
+    once, at the end, to (n, m, m) stacks that own their memory.
     """
     products = []
     for G in (G_D, G_K, Ddot):
@@ -293,12 +315,14 @@ def schedule_from_products(G_D, G_K, Ddot, alpha, H, K0, tgrid, clamp=False):
             G = G.copy()
         products.append(G)
     G_D, G_K, Ddot = products
+    m = np.shape(H)[-1]
     # Copies: a view would keep the whole (n, m) eigenvalue array alive.
-    lam_C = eigvalsh_stack(np.negative(G_K, out=G_K))[..., -1].copy()
+    lam_C = _eigenvalues(np.negative(G_K, out=G_K), m)[:, -1].copy()
     B = np.add(-alpha * Ddot, G_K, out=G_K)
     K = integrate_cholesky_flow(B, alpha, K0, tgrid[1] - tgrid[0], clamp=clamp)
-    lam_A = eigvalsh_stack(np.negative(G_D, out=G_D))[..., -1].copy()
-    D = np.subtract(alpha * H, G_D, out=G_D)
+    lam_A = _eigenvalues(np.negative(G_D, out=G_D), m)[:, -1].copy()
+    D = np.subtract(vec_triangle(alpha * np.asarray(H, float))[:, None], G_D,
+                    out=G_D)
     # A K within a factor 2 alpha of the float maximum is finite, yet its
     # rate is not.
     with np.errstate(over="ignore"):
@@ -306,8 +330,10 @@ def schedule_from_products(G_D, G_K, Ddot, alpha, H, K0, tgrid, clamp=False):
     if not np.isfinite(Kdot).all():
         raise IntegrationDivergedError(
             "stiffness flow diverged to a non-finite Kdot")
-    return GainSchedule(t=tgrid, K=K, D=D, Kdot=Kdot,
-                        Ddot=Ddot, lam_A=lam_A, lam_C=lam_C, alpha=alpha,
+    K = unpack_rows(K, m)   # frees K's rows, which no caller holds
+    return GainSchedule(t=tgrid, K=K, D=unpack_rows(D, m),
+                        Kdot=unpack_rows(Kdot, m), Ddot=unpack_rows(Ddot, m),
+                        lam_A=lam_A, lam_C=lam_C, alpha=alpha,
                         H=np.asarray(H, float))
 
 
@@ -322,7 +348,9 @@ def build_gain_schedule(sp, alpha, H, tau, K0, tgrid):
     tgrid = np.asarray(tgrid, float)
     S_D, S_K, Sd_D = slack_trace(sp.theta_d, sp.theta_k,
                                  sp.basis.eval_deriv(1.0 - tgrid / tau))
-    products = slack_products(S_D, S_K, Sd_D * (-1.0 / tau))
+    Sd_D *= -1.0 / tau
+    products = slack_products(S_D, S_K, Sd_D)
+    del S_D, S_K, Sd_D      # the flow and the audit read the products only
     return schedule_from_products(*products, alpha, H, K0, tgrid)
 
 

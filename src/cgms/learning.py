@@ -255,7 +255,7 @@ def sampled_schedule(setup, policy, sample):
         Sn_D, Sn_K, _ = slack_trace(policy.theta_d, policy.theta_k, at_hat)
         lin = slack_products(S_D[after] - Sn_D, S_K[after] - Sn_K, Sd_D[after])
         for G, dG in zip(products, lin):
-            G[after] -= dG
+            G[:, after] -= dG
     del S_D, S_K, Sd_D      # the flow and the audit read the products only
     return schedule_from_products(*products, setup.alpha, setup.H,
                                   setup.k_init * np.eye(setup.m), setup.tgrid,

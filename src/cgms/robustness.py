@@ -38,6 +38,16 @@ EIG_REPEAT_TOL = 1e-6   # it hands eigvalsh the matrices with |r| > 1 - this
 EIG_ZERO_TOL = 1e-9     # or an eigenvalue within this max(1, ||A||_F) of 0
 
 
+def _square(x):
+    """x ** 2, or inf where Python's float ** raises OverflowError.  Not
+    x * x: libm's pow, which ** calls, differs from it in the last bit on
+    about 0.1% of values."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class RobustnessInputs:
     """Schedule bounds, strict margins, and the free Young parameters."""
@@ -72,9 +82,10 @@ class RobustnessInputs:
             raise MarginTooSmallError(
                 f"need 0 < eta < eps_D - gamma, got eta={self.eta}, "
                 f"eps_D - gamma={self.eps_D - self.gamma}")
+        # A NaN floor (0 * inf) fails the test as well.
         floor = (2.0 * self.alpha * self.k_upper
-                 + self.alpha ** 2 * self.d_upper ** 2 / self.gamma)
-        if self.eps_K <= floor:
+                 + _square(self.alpha) * _square(self.d_upper) / self.gamma)
+        if not self.eps_K > floor:
             raise MarginTooSmallError(
                 f"need eps_K > 2 alpha k_upper + alpha^2 d_upper^2 / gamma "
                 f"= {floor:.6g}, got eps_K = {self.eps_K:.6g}")
@@ -102,7 +113,7 @@ def uub_constants(inp):
     inp.validate()
     c1 = min(inp.alpha * inp.h_min + inp.eps_D - inp.gamma - inp.eta,
              inp.eps_K / 2.0 - inp.alpha * inp.k_upper
-             - inp.alpha ** 2 * inp.d_upper ** 2 / (2.0 * inp.gamma))
+             - _square(inp.alpha) * _square(inp.d_upper) / (2.0 * inp.gamma))
     c2 = 1.0 / (4.0 * inp.eta)
     m1p = 0.5 * min(inp.h_min, inp.k_lower + inp.alpha * inp.eps_D)
     m2p = 0.5 * max(inp.h_max, inp.k_upper + inp.alpha * inp.d_upper)
@@ -206,24 +217,31 @@ def affine_scan(maps, s0):
 
 def eigvalsh_stack(A):
     """Ascending eigenvalues of a symmetric stack from its lower triangle,
-    as np.linalg.eigvalsh gives them.  An (n, 3, 3) stack takes Smith's
-    closed form, EIG_BLOCK matrices at a time: with q = tr/3,
-    p = ||A - qI||_F / sqrt(6) and r = det(A - qI) / (2p^3), they are
-    q + 2p cos((arccos(r) + 2k pi)/3).  eigvalsh redoes a matrix whose
-    closed form is not finite (a NaN raises LinAlgError), near-repeated
-    extremes, where arccos loses sqrt(eps), and an eigenvalue near zero, so
-    every sign at rounding level is LAPACK's.  Other shapes go to eigvalsh."""
+    as np.linalg.eigvalsh gives them: an (n, 3, 3) stack through
+    eigvalsh_rows, other shapes through eigvalsh."""
     if A.ndim != 3 or A.shape[1:] != (3, 3) or not len(A):
         return np.linalg.eigvalsh(A)
-    w = np.empty((len(A), 3))
-    for i in range(0, len(A), EIG_BLOCK):
-        _eigvalsh_block(A[i:i + EIG_BLOCK], w[i:i + EIG_BLOCK])
+    return eigvalsh_rows(A[:, [0, 1, 2, 1, 2, 2], [0, 1, 2, 0, 0, 1]].T)
+
+
+def eigvalsh_rows(P):
+    """Ascending eigenvalues, (n, 3), of n symmetric 3 x 3 matrices packed
+    as rows P (6, n) of their entries 00, 11, 22, 10, 20, 21 (the
+    vec_triangle order of cgms.gains).  Smith's closed form takes EIG_BLOCK
+    matrices at a time: with q = tr/3, p = ||A - qI||_F / sqrt(6) and
+    r = det(A - qI) / (2p^3), they are q + 2p cos((arccos(r) + 2k pi)/3).
+    eigvalsh redoes a matrix whose closed form is not finite (a NaN raises
+    LinAlgError), near-repeated extremes, where arccos loses sqrt(eps), and
+    an eigenvalue near zero, so every sign at rounding level is LAPACK's."""
+    w = np.empty((P.shape[1], 3))
+    for i in range(0, len(w), EIG_BLOCK):
+        _eigvalsh_block(P[:, i:i + EIG_BLOCK], w[i:i + EIG_BLOCK])
     return w
 
 
-def _eigvalsh_block(a, out):
-    """eigvalsh_stack on one block a of shape (b, 3, 3), into out (b, 3)."""
-    v = a.reshape(-1, 9).T[[0, 4, 8, 3, 6, 7]]   # diagonal, then lower
+def _eigvalsh_block(rows, out):
+    """eigvalsh_rows on one block of rows (6, b), into out (b, 3)."""
+    v = rows.copy()
     with np.errstate(over="ignore", invalid="ignore"):   # redone below
         q = v[:3].sum(axis=0) / 3.0
         v[:3] -= q
@@ -242,7 +260,9 @@ def _eigvalsh_block(a, out):
         w = np.minimum(np.minimum(w[0], w[1]), w[2])
         redo = np.flatnonzero(~(w > tol) | (np.abs(r) > 1.0 - EIG_REPEAT_TOL))
     if redo.size:
-        out[redo] = np.linalg.eigvalsh(a[redo])
+        out[redo] = np.linalg.eigvalsh(rows[:, redo].T[:, [[0, 3, 4],
+                                                           [3, 1, 5],
+                                                           [4, 5, 2]]])
 
 
 def simulate_error_dynamics(schedule, residuals, z0=None):

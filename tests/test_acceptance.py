@@ -12,7 +12,12 @@ import numpy as np
 from cgms import cli
 from cgms.config import compile_setup, load_config
 from cgms.dmp import build_basis, fit_min_jerk, min_jerk, rollout_reference
-from cgms.gains import integrate_cholesky_flow, slack_trace
+from cgms.gains import (
+    integrate_cholesky_flow,
+    slack_trace,
+    unpack_rows,
+    vec_triangle,
+)
 from cgms.governor import beta_star_detail
 from cgms.learning import PolicyParams, initial_policy, pi2_update, pi2_weights, rollout
 from cgms.robustness import (
@@ -75,7 +80,8 @@ def test_criterion_4_stiffness_flow_identity():
         Sd_D = -Sd_D
         Ddot = Sd_D @ np.swapaxes(S_D, 1, 2) + S_D @ np.swapaxes(Sd_D, 1, 2)
         B = -0.05 * Ddot - S_K @ np.swapaxes(S_K, 1, 2)
-        K = integrate_cholesky_flow(B, 0.05, 200.0 * np.eye(3), dt)
+        K = unpack_rows(integrate_cholesky_flow(vec_triangle(B).T, 0.05,
+                                                200.0 * np.eye(3), dt), 3)
         fd = (K[2:] - K[:-2]) / (2 * dt)
         target = 2 * 0.05 * K[1:-1] + B[1:-1]
         rel = np.abs(fd - target).max() / max(np.abs(target).max(), 1.0)

@@ -25,6 +25,7 @@ from cgms.gains import (
     slack_trace,
     stiffness_floor,
     tri_dim,
+    unpack_rows,
     vec_triangle,
 )
 from cgms import cli, robustness
@@ -64,6 +65,26 @@ def constant_slack(S_D):
 
 def short_schedule(sp, tgrid=np.arange(0.0, 0.01, 1e-3), tau=1.0):
     return build_gain_schedule(sp, ALPHA, H3, tau, 200 * np.eye(3), tgrid)
+
+
+def rows(A):
+    """A symmetric (n, m, m) stack as the packed rows (tri_dim(m), n) that
+    the schedule build works on."""
+    return vec_triangle(A).T
+
+
+def flow_on_stack(B, alpha, K0, dt, clamp=False):
+    """integrate_cholesky_flow on a symmetric (n, m, m) B stack, unpacked."""
+    K = integrate_cholesky_flow(rows(B), alpha, K0, dt, clamp=clamp)
+    return unpack_rows(K, B.shape[-1])
+
+
+def floor_on_stack(K, clamp=False):
+    """stiffness_floor on a symmetric (n, m, m) stack: the stack itself when
+    its rows pass, else the floored rows unpacked."""
+    P = rows(K)
+    out = stiffness_floor(P, clamp)
+    return K if out is P else unpack_rows(out, K.shape[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +219,9 @@ def test_constant_slack_rate_is_zero(rng):
 @pytest.mark.parametrize("rank", ["full", "deficient"])
 def test_slack_products_match_batched_matmul(m, rank, rng):
     # The packed column products against a batched matmul of the unpacked
-    # triangles, with row scales from 1e-6 to 1e6.  A deficient slack has
-    # a zero first and last diagonal entry (for m = 1, a zero slack).
+    # triangles, packed to rows, with row scales from 1e-6 to 1e6.  A
+    # deficient slack has a zero first and last diagonal entry (for m = 1,
+    # a zero slack).
     n = 400
     S_D, S_K, Sd_D = (rng.standard_normal((n, tri_dim(m)))
                       * 10.0 ** rng.uniform(-6, 6, (n, 1)) for _ in range(3))
@@ -214,11 +236,10 @@ def test_slack_products_match_batched_matmul(m, rank, rng):
             (G_D, U_D @ T(U_D), norm(S_D) ** 2),
             (G_K, U_K @ T(U_K), norm(S_K) ** 2),
             (Ddot, Ud_D @ T(U_D) + U_D @ T(Ud_D), 2 * norm(Sd_D) * norm(S_D))):
-        assert got.shape == (n, m, m)
-        assert (np.abs(got - ref).max(axis=(1, 2)) <= 1e-14 * bound).all()
-        assert np.array_equal(got, T(got))
+        assert got.shape == (tri_dim(m), n) and got.flags.c_contiguous
+        assert (np.abs(got - rows(ref)).max(axis=0) <= 1e-14 * bound).all()
     for G in (G_D, G_K):
-        assert (np.diagonal(G, 0, 1, 2) >= 0.0).all()
+        assert (G[:m] >= 0.0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +247,7 @@ def test_slack_products_match_batched_matmul(m, rank, rng):
 # ---------------------------------------------------------------------------
 
 def test_flow_step_zero_b_is_exponential():
-    K = integrate_cholesky_flow(np.zeros((2, 3, 3)), ALPHA,
-                                200.0 * np.eye(3), 1e-3)
+    K = flow_on_stack(np.zeros((2, 3, 3)), ALPHA, 200.0 * np.eye(3), 1e-3)
     K_expected = np.exp(2 * ALPHA * 1e-3) * 200.0 * np.eye(3)
     assert np.abs(K[1] - K_expected).max() / 200.0 < 1e-12
 
@@ -236,7 +256,7 @@ def test_flow_zero_slack_certificate_boundary():
     # S_K = 0, Ddot = 0 gives Kdot - 2 alpha K = 0 exactly.
     tgrid = np.arange(0.0, 1.0, 1e-3)
     B = np.zeros((len(tgrid), 3, 3))
-    K = integrate_cholesky_flow(B, ALPHA, 200.0 * np.eye(3), 1e-3)
+    K = flow_on_stack(B, ALPHA, 200.0 * np.eye(3), 1e-3)
     expected = np.exp(2 * ALPHA * tgrid)[:, None, None] * 200.0 * np.eye(3)
     assert np.abs(K - expected).max() / 200.0 < 1e-12
     lam_C = np.linalg.eigvalsh(2 * ALPHA * K + B - 2 * ALPHA * K)[..., -1]
@@ -255,7 +275,7 @@ def test_flow_kdot_identity_finite_difference(rng):
     SDt = np.swapaxes(S_D, 1, 2)
     Ddot = Sd_D @ SDt + S_D @ np.swapaxes(Sd_D, 1, 2)
     B = -ALPHA * Ddot - S_K @ np.swapaxes(S_K, 1, 2)
-    K = integrate_cholesky_flow(B, ALPHA, 200.0 * np.eye(3), dt)
+    K = flow_on_stack(B, ALPHA, 200.0 * np.eye(3), dt)
     fd = (K[2:] - K[:-2]) / (2 * dt)
     target = 2 * ALPHA * K[1:-1] + B[1:-1]
     rel = np.abs(fd - target).max() / max(np.abs(target).max(), 1.0)
@@ -280,12 +300,12 @@ def test_flow_holds_the_nominal_stiffness_at_large_alpha_T():
 def test_flow_matches_the_step_update(alpha, rng):
     # 2 alpha T = 0.2 takes the closed form, 2 alpha T = 4 the step-by-step
     # recurrence; both must be K[i+1] = r K[i] + c B[i] applied per step.
-    # Both act on each entry alone, so the symmetric B gives a K equal to
-    # its transpose bit for bit, with no symmetrisation.
+    # Both act on each packed entry alone, and K is unpacked from its
+    # lower triangle, so it equals its transpose bit for bit.
     n, dt = 2001, 1e-3
     B = rng.standard_normal((n, 3, 3))
     B = B + np.swapaxes(B, 1, 2)
-    K = integrate_cholesky_flow(B, alpha, 200.0 * np.eye(3), dt)
+    K = flow_on_stack(B, alpha, 200.0 * np.eye(3), dt)
     assert np.array_equal(K, np.swapaxes(K, 1, 2))
     r = np.exp(2 * alpha * dt)
     c = (r - 1) / (2 * alpha)
@@ -349,13 +369,13 @@ def test_flow_rejects_lost_definiteness():
     n = 2000
     B = np.tile(-50.0 * np.eye(2), (n, 1, 1))
     with pytest.raises(CertifiedFloorError):
-        integrate_cholesky_flow(B, ALPHA, 1.0 * np.eye(2), 1e-3)
+        flow_on_stack(B, ALPHA, 1.0 * np.eye(2), 1e-3)
 
 
 def test_flow_clamp_mode_stays_finite():
     n = 2000
     B = np.tile(-50.0 * np.eye(2), (n, 1, 1))
-    K = integrate_cholesky_flow(B, ALPHA, 1.0 * np.eye(2), 1e-3, clamp=True)
+    K = flow_on_stack(B, ALPHA, 1.0 * np.eye(2), 1e-3, clamp=True)
     assert np.all(np.isfinite(K))
     assert np.linalg.eigvalsh(K)[..., 0].min() >= 0.0
 
@@ -375,7 +395,7 @@ def eigh_clamp(K):
 
 def accepted(K):
     try:
-        stiffness_floor(K)
+        floor_on_stack(K)
     except CertifiedFloorError:
         return False
     return True
@@ -390,19 +410,19 @@ def test_floor_check_agrees_with_eigvalsh(lam_min, ok, rng):
     assert accepted(K) == ok
     assert ok == (np.linalg.eigvalsh(K)[..., 0].min() >= K_EIG_FLOOR)
     if ok:
-        assert stiffness_floor(K) is K
+        assert floor_on_stack(K) is K
 
 
 def test_floor_clamp_matches_the_eigh_path(rng):
     K = stacks_with_min_eigenvalue(rng, 50, -1.0)
-    np.testing.assert_array_equal(stiffness_floor(K, clamp=True),
+    np.testing.assert_array_equal(floor_on_stack(K, clamp=True),
                                   eigh_clamp(K))
 
 
 @pytest.mark.parametrize("bad", [0, 2917, 5001])
 def test_floor_check_finds_one_bad_sample(bad, rng):
     # 5001 good samples and one bad one, in the first, a middle and the
-    # last (partial) block of eigvalsh_stack.
+    # last (partial) block of eigvalsh_rows.
     K = stacks_with_min_eigenvalue(rng, 5002, 1.0)
     assert accepted(K)
     K[bad] = stacks_with_min_eigenvalue(rng, 1, 1e-13)[0]
@@ -416,26 +436,26 @@ def test_floor_check_passes_no_nan_stack(rng):
     K = stacks_with_min_eigenvalue(rng, 10, 1.0)
     K[4] = np.nan
     with pytest.raises(IntegrationDivergedError, match="stiffness flow"):
-        stiffness_floor(K)
+        floor_on_stack(K)
 
 
 @pytest.mark.parametrize("clamp", [False, True])
 @pytest.mark.parametrize("bad", ["inf_matrix", "one_nan_pair",
-                                 "upper_nan"])
+                                 "diagonal_nan"])
 def test_floor_names_a_non_finite_stack(bad, clamp, rng):
-    # An overflowed matrix, or one NaN entry (mirrored, as the stack is
-    # symmetric, or in the upper triangle alone, which eigvalsh_stack never
-    # reads), is a diverged flow in either mode: not a floor rejection to
-    # resample, and not a clamped schedule.
+    # An overflowed matrix, or one NaN entry (a mirrored pair, one packed
+    # off-diagonal row entry, or on a diagonal row), is a diverged flow in
+    # either mode: not a floor rejection to resample, and not a clamped
+    # schedule.
     K = stacks_with_min_eigenvalue(rng, 10, 1.0)
     if bad == "inf_matrix":
         K[4] = np.inf
     elif bad == "one_nan_pair":
         K[4, 1, 2] = K[4, 2, 1] = np.nan
     else:
-        K[4, 1, 2] = np.nan
+        K[4, 1, 1] = np.nan
     with pytest.raises(IntegrationDivergedError, match="stiffness flow"):
-        stiffness_floor(K, clamp=clamp)
+        floor_on_stack(K, clamp=clamp)
 
 
 def floor_oracle(K, clamp=False):
@@ -470,7 +490,7 @@ def test_floor_pretest_keeps_every_verdict(scale, rng):
         K = 0.5 * (K + np.swapaxes(K, 1, 2))
         for clamp in (False, True):
             for k in (K, *K[:, None]):
-                got = floor_outcome(stiffness_floor, k, clamp)
+                got = floor_outcome(floor_on_stack, k, clamp)
                 ref = floor_outcome(floor_oracle, k, clamp)
                 if isinstance(ref, str):
                     assert got == ref, (lam_min, scale)
@@ -495,12 +515,12 @@ def lapack_spy(monkeypatch, name):
                                      K_EIG_FLOOR * (1 + 1e-3), 1e-9])
 def test_near_floor_stacks_reach_eigvalsh(lam_min, monkeypatch, rng):
     # Pivots within 1e-9 max(1, max diag K) of the floor fail the pre-test;
-    # eigvalsh_stack then hands LAPACK the rows with an eigenvalue near 0.
+    # eigvalsh_rows then hands LAPACK the matrices with an eigenvalue near 0.
     K = stacks_with_min_eigenvalue(rng, 50, 0.5)
     near = np.arange(3, 50, 7)
     K[near] = stacks_with_min_eigenvalue(rng, len(near), lam_min)
     calls = lapack_spy(monkeypatch, "eigvalsh")
-    got = floor_outcome(stiffness_floor, K)
+    got = floor_outcome(floor_on_stack, K)
     assert calls == [(len(near), 3, 3)]
     assert got == ("unchanged" if lam_min > K_EIG_FLOOR else "rejected")
 
@@ -508,7 +528,7 @@ def test_near_floor_stacks_reach_eigvalsh(lam_min, monkeypatch, rng):
 def test_clear_stacks_skip_lapack(monkeypatch, rng):
     K = stacks_with_min_eigenvalue(rng, 5001, 1.0)
     calls = [lapack_spy(monkeypatch, name) for name in ("eigvalsh", "cholesky")]
-    assert stiffness_floor(K) is K
+    assert floor_on_stack(K) is K
     assert calls == [[], []]
 
 
@@ -516,7 +536,7 @@ def test_floor_pretest_is_for_3x3_only(monkeypatch):
     # An m = 2 stack goes to eigvalsh whatever its margin.
     K = np.tile(200.0 * np.eye(2), (10, 1, 1))
     calls = lapack_spy(monkeypatch, "eigvalsh")
-    assert stiffness_floor(K) is K
+    assert floor_on_stack(K) is K
     assert calls == [(10, 2, 2)]
 
 
@@ -524,33 +544,32 @@ def test_floor_pretest_is_for_3x3_only(monkeypatch):
 def test_floor_below_zero_makes_no_cholesky_call(clamp, monkeypatch, rng):
     K = stacks_with_min_eigenvalue(rng, 50, -1.0)
     calls = lapack_spy(monkeypatch, "cholesky")
-    floor_outcome(stiffness_floor, K, clamp)
+    floor_outcome(floor_on_stack, K, clamp)
     assert calls == []
 
 
 def test_floor_pretest_warns_nothing_on_zero_pivots():
     # A zero leading pivot divides by zero in the pre-test; it falls
-    # through to eigvalsh_stack without a RuntimeWarning.
+    # through to eigvalsh_rows without a RuntimeWarning.
     K = np.tile(np.diag([K_EIG_FLOOR, 1.0, 1.0]), (5, 1, 1))
     K[:, 1, 0] = K[:, 0, 1] = 0.5
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(CertifiedFloorError):
-            stiffness_floor(K)
+            floor_on_stack(K)
 
 
 def test_flow_overflow_raises_integration_diverged():
     # alpha = 100 over 5 s: the growth e^(2 alpha T) = e^1000 overflows.
     with pytest.raises(IntegrationDivergedError, match="stiffness flow"):
-        integrate_cholesky_flow(np.zeros((5001, 3, 3)), 100.0,
-                                200.0 * np.eye(3), 1e-3)
+        flow_on_stack(np.zeros((5001, 3, 3)), 100.0, 200.0 * np.eye(3), 1e-3)
 
 
 def test_schedule_with_a_non_finite_rate_raises_integration_diverged():
     # alpha = 70 over 5 s: K reaches 2.0e306, still finite, but its rate
     # 2 alpha K + B does not fit in a float.
     n = 5001
-    zeros = np.zeros((n, 3, 3))
+    zeros = np.zeros((6, n))
     with pytest.raises(IntegrationDivergedError, match="Kdot"):
         schedule_from_products(zeros, zeros, zeros, 70.0, H3,
                                200.0 * np.eye(3), np.arange(n) * 1e-3)
@@ -560,8 +579,7 @@ def test_flow_step_rejects_floor():
     # A stiffness of 1e-13 already sits below the 1e-12 eigenvalue floor,
     # which must reject rather than continue.
     with pytest.raises(CertifiedFloorError):
-        integrate_cholesky_flow(np.zeros((2, 2, 2)), ALPHA, 1e-13 * np.eye(2),
-                                1e-3)
+        flow_on_stack(np.zeros((2, 2, 2)), ALPHA, 1e-13 * np.eye(2), 1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -258,15 +258,15 @@ def test_rollout_determinism(handover_setup, handover_policy,
 
 
 def test_rollout_memory_peak(monkeypatch, handover_setup, handover_policy):
-    # A warm noise-free handover rollout peaks near 3.01 MB of traced
-    # memory, in its schedule build, which consumes its slack products
-    # while x_d, xdot_d and u_ff (0.37 MB) are held; the reference's
-    # acceleration goes once u_ff is formed.  Its tracking error is zero,
-    # so it forms no closed-loop map.  Under a 1 cm offset of x_d the loop
-    # runs from step 0 and peaks near 2.99 MB; the build's peak is the same
-    # 3.01 MB, because the loop forms the reference's defects a block at a
-    # time (held whole through the build, they lifted it to 3.25 MB).  The
-    # setup holds its compiled bases (2.60 MB) and the reference's
+    # A warm noise-free handover rollout peaks near 2.65 MB of traced
+    # memory, in its schedule build, which forms its slack products as
+    # packed rows while x_d, xdot_d and u_ff (0.37 MB) are held; the
+    # reference's acceleration goes once u_ff is formed.  Its tracking
+    # error is zero, so it forms no closed-loop map.  Under a 1 cm offset
+    # of x_d the loop runs from step 0 and the rollout peaks near 2.98 MB,
+    # in the loop, because the loop forms the reference's defects a block
+    # at a time.  The (n, 3, 3) schedule build peaked at 3.01 MB in both.
+    # The setup holds its compiled bases (2.60 MB) and the reference's
     # operators (0.24 MB) for as long as it lives, so the first guard
     # counts them too.
     compiled = sum(a.nbytes for a in (handover_setup.dmp_phi,
@@ -312,14 +312,14 @@ def test_reference_memory_peak(handover_setup, handover_policy):
 
 
 def test_schedule_build_memory_peak(handover_setup, handover_policy):
-    # A warm schedule build on the 5 s handover grid peaks near 2.88 MB of
-    # traced memory: the audit negates the slack products in place, and D,
-    # B and Kdot are written into their buffers.  Auditing negated copies
-    # and forming D, B and Kdot anew read 3.67 MB, and the slack products
-    # as batched matmuls of unpacked triangles 4.27 MB.  The stiffness flow
-    # runs in place, and the closed-form audit takes EIG_BLOCK = 2048
-    # matrices at a time: 4096 read 3.93 MB, and whole stacks 4.05 MB
-    # (both with the audit on copies).
+    # A warm schedule build on the 5 s handover grid peaks near 2.28 MB of
+    # traced memory, in slack_products: the slacks, their transposes and
+    # the three products as packed rows (tri_dim(m), n), 0.72 MB each.
+    # The slacks go before the schedule is built from the rows, which
+    # then peaks near 2.25 MB with the four unpacked traces: the audit
+    # negates the rows in place, D, B and Kdot are written into them, and
+    # K's rows go as K is unpacked.  The (n, 3, 3) build, which held the
+    # slacks throughout, peaked near 2.88 MB.
     setup, policy = handover_setup, handover_policy
     sp = SlackParams(theta_d=policy.theta_d, theta_k=policy.theta_k,
                      basis=setup.slack_basis, m=setup.m)
@@ -1147,8 +1147,8 @@ def test_schedule_from_rollout_consistent(handover_setup, handover_policy,
 
 def test_noisy_sampled_stiffness_is_bitwise_symmetric(
         handover_setup, handover_policy, handover_task):
-    # slack_products writes each entry to both halves and the flow acts on
-    # each entry alone, so the stiffness needs no symmetrisation.
+    # The build unpacks the stiffness once from its packed lower triangle,
+    # so it needs no symmetrisation.
     checked = 0
     for r in range(6):
         xi = sample_noise(handover_task.noise, handover_policy, 0, r)

@@ -102,6 +102,25 @@ def test_non_finite_inputs_rejected(name, value):
         uub_constants(RobustnessInputs(**dict(WORKED, **{name: value})))
 
 
+@pytest.mark.parametrize("name, value", [("d_upper", 1e300),
+                                         ("alpha", 1e300)])
+def test_squares_past_the_float_range_fail_by_name(name, value):
+    # alpha^2 d_upper^2 overflows; Python's float ** raised OverflowError
+    # there.  With alpha = 1e300 the floor is inf as well (2 alpha k_upper).
+    inp = RobustnessInputs(**dict(WORKED, **{name: value}))
+    with pytest.raises(MarginTooSmallError, match="eps_K > "):
+        inp.validate()
+    with pytest.raises(MarginTooSmallError, match="eps_K > "):
+        uub_constants(inp)
+
+
+def test_zero_alpha_with_an_overflowing_d_upper_fails_by_name():
+    # 0 * inf is a NaN floor, which no eps_K exceeds.
+    inp = RobustnessInputs(**dict(WORKED, alpha=0.0, d_upper=1e300))
+    with pytest.raises(MarginTooSmallError, match="eps_K > "):
+        inp.validate()
+
+
 def test_radius_monotone_in_margins_and_linear_in_ubar():
     base = uub_constants(RobustnessInputs(**WORKED))
     # Larger margins never increase the radius (gamma, eta rescaled with
