@@ -130,17 +130,29 @@ def via_weight(t, weights):
 
 
 def trajectory_cost(t, x, x_ref, accel, K_trace, weights):
-    """Total cost and per-term breakdown over aligned traces."""
+    """Total cost and per-term breakdown over aligned traces.
+
+    The per-step sums over joints, tr K and |x - x_ref|^2, add the columns
+    in joint order, each a pass along time.  A term or a total that is not
+    finite (a loop that grew inside a box wide enough to hold it) raises
+    IntegrationDivergedError naming it."""
     n = len(t)
     if not (len(x) == len(x_ref) == len(accel) == len(K_trace) == n):
         raise ValueError("trace lengths differ")
-    cost_k = weights.lam_k * float(np.trace(K_trace, axis1=1, axis2=2).sum())
-    cost_acc = weights.lam_acc * float((accel ** 2).sum())
-    w = via_weight(t, weights)
-    cost_track = float((w * ((x - x_ref) ** 2).sum(axis=1)).sum())
+    with np.errstate(over="ignore", invalid="ignore"):     # checked below
+        diag = K_trace.diagonal(axis1=1, axis2=2).T
+        cost_k = weights.lam_k * float(sum(diag[1:], diag[0]).sum())
+        cost_acc = weights.lam_acc * float((accel ** 2).sum())
+        sq = ((x - x_ref) ** 2).T
+        cost_track = float((via_weight(t, weights)
+                            * sum(sq[1:], sq[0])).sum())
     total = cost_k + cost_acc + cost_track
-    return total, {"cost_K": cost_k, "cost_acc": cost_acc,
-                   "cost_track": cost_track}
+    terms = {"cost_K": cost_k, "cost_acc": cost_acc,
+             "cost_track": cost_track}
+    for name, value in (*terms.items(), ("cost", total)):
+        if not math.isfinite(value):
+            raise IntegrationDivergedError(f"{name} is not finite ({value})")
+    return total, terms
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +287,47 @@ def _check_feedforward(u_ff, tgrid, limits):
             f"[{limits.tau_min[j]:.6g}, {limits.tau_max[j]:.6g}]")
 
 
+def _reference_defects(x_d, xd_d, u_ff, g, P, Q):
+    """The defects delta[i] = r[i+1] - P r[i] - Q (u_ff[i] - g) of the
+    reference r = (x_d, xdot_d) under the plant's step (P, Q), for the k
+    steps of u_ff (k, m) and the k + 1 samples of x_d and xd_d, as rows
+    (2m, k) with time on the last axis."""
+    m = x_d.shape[1]
+    r = np.empty((2 * m, len(x_d)))
+    r[:m], r[m:] = x_d.T, xd_d.T
+    d = np.matmul(P, r[:, :-1])
+    np.subtract(r[:, 1:], d, out=d)
+    d -= Q @ (u_ff - g).T
+    return d
+
+
+def _zero_error_prefix(x_d, xd_d, u_ff, g, P, Q, limits, tgrid):
+    """The step j before which a rollout that starts on its reference
+    keeps a zero error: one past the first defect (_reference_defects)
+    larger than 32 eps max |r|, 32 ulp of r's largest entry, else n.  The
+    DMP reference steps the plant's own update, so a smaller defect is
+    rounding and counts as none.
+
+    Before j the torque is u_ff at every beta, so a u_ff out of the box
+    there is the governor's infeasible floor: _check_feedforward raises it.
+    The verdict comes first: the box test finds the first step i whose u_ff
+    is out of the box, and only the defects before i are formed (all n - 1
+    when u_ff stays in), because the sample is infeasible exactly when none
+    of those ends the prefix.  Given u_ff as the (n, m) view of rows
+    (m, n), as rollout forms it, the box test runs along time."""
+    n = len(tgrid)
+    i = int(np.append(limits.outside(u_ff).any(axis=1), True).argmax())
+    k = min(i, n - 1)
+    tol = 32.0 * np.finfo(float).eps * max(np.abs(x_d).max(),
+                                           np.abs(xd_d).max())
+    d = _reference_defects(x_d[:k + 1], xd_d[:k + 1], u_ff[:k], g, P, Q)
+    over = ~(np.abs(d) <= tol).all(axis=0)
+    j = int(np.append(over, True).argmax()) + 1
+    if i < j:
+        _check_feedforward(u_ff[:i + 1], tgrid, limits)
+    return j
+
+
 def rollout(policy, xi, setup):
     """Simulate one governed episode of the closed loop.
 
@@ -289,18 +342,11 @@ def rollout(policy, xi, setup):
     e[i+1] = (P + Q C[i]) e[i] - delta[i]; a governed step adds
     Q (tau[i] - u_ff[i] - C[i] e[i]).
 
-    The DMP reference steps the plant's own update, so a defect within
-    32 eps max |r| (32 ulp of its largest entry) is rounding and counts as
-    none.  The error is then zero before step j: 0 when e[0] != 0, else one
-    past the first larger defect, else n.  There x = x_d and the torque is
-    u_ff at every beta, so a u_ff out of the box on those steps is the
-    governor's infeasible floor, raised (_check_feedforward) before the
-    gain schedule at beta = 1 (sampled_schedule) is built.  The verdict
-    comes first: with e[0] = 0 the rollout finds the first step i whose
-    u_ff is out of the box and forms the defects before i only (all n - 1
-    when u_ff stays in), because the sample is infeasible exactly when
-    none of those ends the prefix; with e[0] != 0 it forms none there.  A
-    rollout with j = n forms no map.
+    The error is zero before step j: 0 when e[0] != 0, else
+    _zero_error_prefix's j.  There x = x_d and the torque is u_ff at every
+    beta, so a u_ff out of the box on those steps is the governor's
+    infeasible floor, raised before the gain schedule at beta = 1
+    (sampled_schedule) is built.  A rollout with j = n forms no map.
 
     From j the loop runs in blocks on (e, 1): each writes its control maps
     C and maps [[P + Q C, -delta], [0, 1]] into reused buffers, scans them
@@ -329,30 +375,22 @@ def rollout(policy, xi, setup):
                                          sample.theta_traj, tg, setup.dmp_phi,
                                          setup.dmp_ops)
     Lam, g = plants.operational_space_terms(setup.model)
-    u_ff = xdd_d @ Lam.T
+    # u_ff is the (n, m) view of rows (m, n), time on the last axis, so the
+    # box test and the defects run along time in one pass each.
+    u_ff = (Lam @ xdd_d.T).T
     u_ff += g
     del xdd_d       # the loop reads u_ff only
     Minv = np.linalg.inv(Lam)
     P, Q = euler_step(dt, Minv)
 
     def defects(a, b):      # delta[a:b], formed anew: no step holds delta
-        r = np.hstack([x_d[a:b + 1], xd_d[a:b + 1]])
-        return r[1:] - r[:-1] @ P.T - (u_ff[a:b] - g) @ Q.T
+        return _reference_defects(x_d[a:b + 1], xd_d[a:b + 1], u_ff[a:b],
+                                  g, P, Q)
 
     z0 = plants.initial_state(setup.model, setup.start) - np.r_[x_d[0],
                                                                xd_d[0], 0.0]
-    j = 0
-    if not z0[:-1].any():
-        # u_ff leaves the box first at step i (n when it stays in); only a
-        # defect before i can end the zero-error prefix ahead of it.
-        i = int(np.append(setup.limits.outside(u_ff).any(axis=1),
-                          True).argmax())
-        tol = 32.0 * np.finfo(float).eps * max(np.abs(x_d).max(),
-                                               np.abs(xd_d).max())
-        over = ~(np.abs(defects(0, min(i, n - 1))) <= tol).all(axis=1)
-        j = int(np.append(over, True).argmax()) + 1
-        if i < j:
-            _check_feedforward(u_ff[:i + 1], tg, setup.limits)
+    j = 0 if z0[:-1].any() else _zero_error_prefix(
+        x_d, xd_d, u_ff, g, P, Q, setup.limits, tg)
     sched = sampled_schedule(setup, policy, sample)
 
     beta_trace = np.ones(n)
@@ -367,7 +405,7 @@ def rollout(policy, xi, setup):
         T = np.tile(np.eye(2 * m + 1), (B, 1, 1))
         C = np.empty((B + 1, m, 2 * m))
         z = np.empty((B + 1, 2 * m + 1))
-        z[0] = z0 if j == 0 else np.r_[-defects(j - 1, j)[0], 1.0]
+        z[0] = z0 if j == 0 else np.r_[-defects(j - 1, j)[:, 0], 1.0]
     a, L = j, LOOP_BLOCK    # the block's first step and its maps; none at n
     while a < n:
         L = min(L, n - 1 - a)
@@ -378,7 +416,7 @@ def rollout(policy, xi, setup):
         Tb = T[:L]
         np.matmul(Q, Cb[:L], out=Tb[:, :-1, :-1])
         Tb[:, :-1, :-1] += P
-        np.negative(defects(a, a + L), out=Tb[:, :-1, -1])
+        np.negative(defects(a, a + L).T, out=Tb[:, :-1, -1])
         z[1:L + 1] = affine_scan(Tb, z[0])
         tau = tau_trace[a:b] = u_ff[a:b] + np.einsum("kij,kj->ki", Cb,
                                                      z[:b - a, :-1])
@@ -409,7 +447,7 @@ def rollout(policy, xi, setup):
         a, L = i + 1, 1
         if a < n:
             z[0, :-1] = (P @ z[k, :-1] + Q @ (tau_trace[i] - u_ff[i])
-                         - defects(i, i + 1)[0])
+                         - defects(i, i + 1)[:, 0])
     if j < n:
         del T, Tb, C, Cb, z     # freed before the cost is taken
     if not np.all(np.isfinite(x_trace)):
@@ -431,7 +469,9 @@ def pi2_weights(costs, beta_softmax):
     """Min-max normalized exponential weights, decreasing in cost."""
     costs = np.asarray(costs, float)
     jmin, jmax = costs.min(), costs.max()
-    w = np.exp(-beta_softmax * (costs - jmin) / (jmax - jmin + 1e-12))
+    # beta (c - c_min) past the float range gives exp(-inf) = 0, its limit.
+    with np.errstate(over="ignore"):
+        w = np.exp(-beta_softmax * (costs - jmin) / (jmax - jmin + 1e-12))
     return w / w.sum()
 
 

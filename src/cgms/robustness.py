@@ -33,7 +33,6 @@ UUB_TOL = 1e-6
 # The most error-loop maps formed and scanned at once: memory does not grow
 # with the horizon beyond the traces.
 LOOP_BLOCK = 1000
-EIG_BLOCK = 2048        # matrices per closed-form pass of eigvalsh_stack
 EIG_REPEAT_TOL = 1e-6   # it hands eigvalsh the matrices with |r| > 1 - this
 EIG_ZERO_TOL = 1e-9     # or an eigenvalue within this max(1, ||A||_F) of 0
 
@@ -227,42 +226,72 @@ def eigvalsh_stack(A):
 def eigvalsh_rows(P):
     """Ascending eigenvalues, (n, 3), of n symmetric 3 x 3 matrices packed
     as rows P (6, n) of their entries 00, 11, 22, 10, 20, 21 (the
-    vec_triangle order of cgms.gains).  Smith's closed form takes EIG_BLOCK
-    matrices at a time: with q = tr/3, p = ||A - qI||_F / sqrt(6) and
+    vec_triangle order of cgms.gains).  Smith's closed form runs once over
+    all n matrices, in place, into contiguous rows (3, n), returned
+    transposed: with q = tr/3, p = ||A - qI||_F / sqrt(6) and
     r = det(A - qI) / (2p^3), they are q + 2p cos((arccos(r) + 2k pi)/3).
     eigvalsh redoes a matrix whose closed form is not finite (a NaN raises
     LinAlgError), near-repeated extremes, where arccos loses sqrt(eps), and
     an eigenvalue near zero, so every sign at rounding level is LAPACK's."""
-    w = np.empty((P.shape[1], 3))
-    for i in range(0, len(w), EIG_BLOCK):
-        _eigvalsh_block(P[:, i:i + EIG_BLOCK], w[i:i + EIG_BLOCK])
-    return w
-
-
-def _eigvalsh_block(rows, out):
-    """eigvalsh_rows on one block of rows (6, b), into out (b, 3)."""
-    v = rows.copy()
+    v = P.copy()
+    w = np.empty((3, v.shape[1]))
+    lo, mid, hi = w
     with np.errstate(over="ignore", invalid="ignore"):   # redone below
-        q = v[:3].sum(axis=0) / 3.0
+        q = v[:3].sum(axis=0)
+        q /= 3.0
         v[:3] -= q
-        p = np.sqrt((np.einsum("ij,ij->j", v, v)
-                     + np.einsum("ij,ij->j", v[3:], v[3:])) / 6.0)
+        p = np.einsum("ij,ij->j", v, v)
+        p += np.einsum("ij,ij->j", v[3:], v[3:])
+        p /= 6.0
+        np.sqrt(p, out=p)
         v /= np.where(p > 0.0, p, 1.0)
         b0, b1, b2, c0, c1, c2 = v
-        r = 0.5 * (b0 * (b1 * b2 - c2 * c2) - c0 * (c0 * b2 - c1 * c2)
-                   + c1 * (c0 * c2 - c1 * b1))
-        phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
-        out[:, 2] = q + 2.0 * p * np.cos(phi)
-        out[:, 0] = q + 2.0 * p * np.cos(phi + 2.0 * math.pi / 3.0)
-        out[:, 1] = 3.0 * q - out[:, 2] - out[:, 0]
-        tol = EIG_ZERO_TOL * np.maximum(1.0, np.sqrt(6 * p * p + 3 * q * q))
-        w = np.abs(out).T   # a NaN, or tol = inf, fails w > tol: redone
-        w = np.minimum(np.minimum(w[0], w[1]), w[2])
-        redo = np.flatnonzero(~(w > tol) | (np.abs(r) > 1.0 - EIG_REPEAT_TOL))
+        # r = (b0 (b1 b2 - c2^2) - c0 (c0 b2 - c1 c2) + c1 (c0 c2 - c1 b1)) / 2
+        r = b1 * b2
+        r -= c2 * c2
+        r *= b0
+        t = c0 * b2
+        t -= c1 * c2
+        t *= c0
+        r -= t
+        np.multiply(c0, c2, out=t)
+        t -= c1 * b1
+        t *= c1
+        r += t
+        r *= 0.5
+        phi = np.clip(r, -1.0, 1.0, out=t)
+        np.arccos(phi, out=phi)
+        phi /= 3.0
+        two_p = 2.0 * p
+        np.cos(phi, out=hi)
+        hi *= two_p
+        hi += q
+        phi += 2.0 * math.pi / 3.0
+        np.cos(phi, out=lo)
+        lo *= two_p
+        lo += q
+        np.multiply(3.0, q, out=mid)
+        mid -= hi
+        mid -= lo
+        # tol = EIG_ZERO_TOL max(1, sqrt(6 p^2 + 3 q^2)), in two_p
+        tol = np.multiply(6.0, p, out=two_p)
+        tol *= p
+        q2 = np.multiply(3.0, q, out=p)
+        q2 *= q
+        tol += q2
+        np.sqrt(tol, out=tol)
+        np.maximum(1.0, tol, out=tol)
+        tol *= EIG_ZERO_TOL
+        a = np.abs(w, out=v[:3])    # a NaN, or tol = inf, fails a > tol
+        least = np.minimum(a[0], a[1], out=a[0])
+        np.minimum(least, a[2], out=least)
+        redo = np.flatnonzero(~(least > tol)
+                              | (np.abs(r) > 1.0 - EIG_REPEAT_TOL))
     if redo.size:
-        out[redo] = np.linalg.eigvalsh(rows[:, redo].T[:, [[0, 3, 4],
-                                                           [3, 1, 5],
-                                                           [4, 5, 2]]])
+        w[:, redo] = np.linalg.eigvalsh(P[:, redo].T[:, [[0, 3, 4],
+                                                         [3, 1, 5],
+                                                         [4, 5, 2]]]).T
+    return w.T
 
 
 def simulate_error_dynamics(schedule, residuals, z0=None):

@@ -410,8 +410,9 @@ def test_bad_policy_file_is_config_error(tmp_path, capsys, command, content):
 BELOW_ONE = float(np.nextafter(1.0, 0.0))
 # (low, high, scale) of each numeric key over values that validate accepts.
 # An unbounded end is cut at a wide finite value: near the float limit
-# (1e300) gains_k_init, gains_d_init, governor_limit and
-# learning_softmax_sharpness still overflow, a known fault not swept here.
+# (1e300) gains_k_init and governor_limit still overflow (the stiffness
+# flow, and the governor floor's torque in a diverging loop), a known fault
+# not swept here.
 # "log" draws a zero low end as high * 1e-9.
 SWEEP_RANGES = {
     "run_horizon": (0.01, 2.0, "log"),

@@ -28,7 +28,7 @@ from cgms.gains import (
     unpack_rows,
     vec_triangle,
 )
-from cgms import cli, robustness
+from cgms import cli
 from cgms.robustness import eigvalsh_stack
 from conftest import checkout_env, vec_triangle_inverse
 
@@ -421,8 +421,7 @@ def test_floor_clamp_matches_the_eigh_path(rng):
 
 @pytest.mark.parametrize("bad", [0, 2917, 5001])
 def test_floor_check_finds_one_bad_sample(bad, rng):
-    # 5001 good samples and one bad one, in the first, a middle and the
-    # last (partial) block of eigvalsh_rows.
+    # 5001 good samples and one bad one: the first, a middle and the last.
     K = stacks_with_min_eigenvalue(rng, 5002, 1.0)
     assert accepted(K)
     K[bad] = stacks_with_min_eigenvalue(rng, 1, 1e-13)[0]
@@ -845,16 +844,6 @@ def test_eigvalsh_stack_nan_raises_like_eigvalsh(rng):
         np.linalg.eigvalsh(A)
     with pytest.raises(np.linalg.LinAlgError):
         eigvalsh_stack(A)
-
-
-def test_eigvalsh_stack_is_independent_of_the_block(monkeypatch, rng):
-    # The closed form acts on each matrix alone, so EIG_BLOCK, which bounds
-    # its temporaries, changes no bit of the result.
-    S = rng.standard_normal((5001, 3, 2))
-    A = -(S @ np.swapaxes(S, 1, 2))
-    want = eigvalsh_stack(A)
-    monkeypatch.setattr(robustness, "EIG_BLOCK", 7)
-    assert np.array_equal(eigvalsh_stack(A), want)
 
 
 def test_eigvalsh_stack_other_shapes_are_eigvalsh(rng):

@@ -3,6 +3,7 @@
 import gc
 import math
 import tracemalloc
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -170,6 +171,25 @@ def test_cost_tracking_quadratic(rng, handover_setup):
     assert abs(J2 - 4 * J1) < 1e-8 * max(J1, 1.0)
 
 
+@pytest.mark.parametrize("term", ["cost_K", "cost_acc", "cost_track"])
+def test_cost_past_the_float_range_raises_integration_diverged(
+        term, handover_setup):
+    # A loop that grows inside a box wide enough to hold it gives finite
+    # traces whose squares or sums overflow: the term is named, and no
+    # RuntimeWarning is raised on the way.
+    n = 100
+    t = np.arange(n) * 1e-3
+    z, big = np.zeros((n, 3)), np.full((n, 3), 1e200)
+    x = big if term == "cost_track" else z
+    accel = big if term == "cost_acc" else z
+    K = np.tile((1e308 if term == "cost_K" else 0.0) * np.eye(3), (n, 1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationDivergedError,
+                           match=f"^{term} is not finite"):
+            trajectory_cost(t, x, z, accel, K, handover_setup.weights)
+
+
 def test_cost_length_mismatch(handover_setup):
     t = np.arange(10) * 1e-3
     with pytest.raises(ValueError):
@@ -186,6 +206,17 @@ def test_weights_uniform_when_costs_equal(handover_task):
     beta = handover_task.cfg.learning_softmax_sharpness
     w = pi2_weights([5.0, 5.0, 5.0], beta)
     assert np.allclose(w, 1.0 / 3.0)
+
+
+def test_weights_past_the_float_range_warn_nothing():
+    # beta (c - c_min) overflows to inf: its weight is exp(-inf) = 0, and a
+    # tie at the minimum splits the weight.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = pi2_weights([0.0, 1e10], 1e300)
+        tie = pi2_weights([0.0, 1e10, 0.0], 1e300)
+    assert np.array_equal(w, [1.0, 0.0])
+    assert np.array_equal(tie, [0.5, 0.0, 0.5])
 
 
 def test_weights_monotone(rng, handover_task):
@@ -262,10 +293,12 @@ def test_rollout_memory_peak(monkeypatch, handover_setup, handover_policy):
     # memory, in its schedule build, which forms its slack products as
     # packed rows while x_d, xdot_d and u_ff (0.37 MB) are held; the
     # reference's acceleration goes once u_ff is formed.  Its tracking
-    # error is zero, so it forms no closed-loop map.  Under a 1 cm offset
-    # of x_d the loop runs from step 0 and the rollout peaks near 2.98 MB,
-    # in the loop, because the loop forms the reference's defects a block
-    # at a time.  The (n, 3, 3) schedule build peaked at 3.01 MB in both.
+    # error is zero, so it forms no closed-loop map.  The two audits, each
+    # one pass over all n matrices, peak near 2.09 MB (1.77 MB in blocks
+    # of 2048 matrices), the cost near 2.53 MB.  Under a 1 cm offset of
+    # x_d the loop runs from step 0 and the rollout peaks near 2.98 MB, in
+    # the loop, because the loop forms the reference's defects a block at
+    # a time.  The (n, 3, 3) schedule build peaked at 3.01 MB in both.
     # The setup holds its compiled bases (2.60 MB) and the reference's
     # operators (0.24 MB) for as long as it lives, so the first guard
     # counts them too.
@@ -318,8 +351,10 @@ def test_schedule_build_memory_peak(handover_setup, handover_policy):
     # The slacks go before the schedule is built from the rows, which
     # then peaks near 2.25 MB with the four unpacked traces: the audit
     # negates the rows in place, D, B and Kdot are written into them, and
-    # K's rows go as K is unpacked.  The (n, 3, 3) build, which held the
-    # slacks throughout, peaked near 2.88 MB.
+    # K's rows go as K is unpacked.  Each audit runs once over all n
+    # matrices and peaks near 1.72 MB (1.39 MB in blocks of 2048).  The
+    # (n, 3, 3) build, which held the slacks throughout, peaked near
+    # 2.88 MB.
     setup, policy = handover_setup, handover_policy
     sp = SlackParams(theta_d=policy.theta_d, theta_k=policy.theta_k,
                      basis=setup.slack_basis, m=setup.m)
