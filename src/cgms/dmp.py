@@ -243,8 +243,8 @@ def fit_min_jerk(start, tgrid, params):
     The reach runs on the DMP's own phase s_t = 1 - t / tau, as
     rollout_reference does.  The regression uses the design matrix
     gamma(t) Phi(s_t), avoiding the division by the vanishing phase at
-    t = tau.  Normal equations that are exactly singular raise a
-    ConfigError naming the [dmp] keys that set them.
+    t = tau.  Normal equations that are exactly singular, or whose solution
+    is not finite, raise a ConfigError naming the [dmp] keys that set them.
     """
     goal = np.asarray(params.goal, float)
     x, xd, xdd = min_jerk(start, goal, params.tau, tgrid)
@@ -254,10 +254,13 @@ def fit_min_jerk(start, tgrid, params):
     A = s[:, None] * params.basis.eval(s)
     gram = A.T @ A + params.lam_reg * np.eye(params.basis.count)
     try:
-        return np.linalg.solve(gram, A.T @ target)
+        theta = np.linalg.solve(gram, A.T @ target)
+        if not np.isfinite(theta).all():
+            raise np.linalg.LinAlgError("the weights are not finite")
     except np.linalg.LinAlgError as exc:
         raise ConfigError(
             f"the min-jerk fit's normal equations are singular ({exc}): "
-            f"raise dmp_regularization above {params.lam_reg:g}, or lower "
-            f"dmp_rbf_count ({params.basis.count}) or "
-            f"dmp_intersection_height") from exc
+            f"raise dmp_regularization above {params.lam_reg:g}, lower "
+            f"dmp_rbf_count ({params.basis.count}), or move "
+            f"dmp_intersection_height away from 0 or 1") from exc
+    return theta

@@ -21,9 +21,12 @@ import numpy as np
 
 from .dmp import RbfBasis
 from .errors import CertifiedFloorError, IntegrationDivergedError
-from .robustness import eigvalsh_rows
 
 K_EIG_FLOOR = 1e-12   # smallest admissible stiffness eigenvalue
+# eigvalsh_rows hands eigvalsh the matrices with |r| > 1 - EIG_REPEAT_TOL
+# or an eigenvalue within EIG_ZERO_TOL max(1, ||A||_F) of 0.
+EIG_REPEAT_TOL = 1e-6
+EIG_ZERO_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +170,81 @@ def unpack_rows(P, m):
     return P.T[:, at]
 
 
-def _eigenvalues(P, m):
+def eigenvalues(P, m):
     """Ascending eigenvalues, (n, m), of the symmetric matrices packed as
     rows P: eigvalsh_rows' closed form for m = 3, eigvalsh otherwise."""
     if m == 3:
         return eigvalsh_rows(P)
     return np.linalg.eigvalsh(unpack_rows(P, m))
+
+
+def eigvalsh_rows(P):
+    """Ascending eigenvalues, (n, 3), of n symmetric 3 x 3 matrices packed
+    as rows P (6, n) of their entries 00, 11, 22, 10, 20, 21 (vec_triangle
+    order).  Smith's closed form runs once over all n matrices, in place,
+    into contiguous rows (3, n), returned transposed: with q = tr/3,
+    p = ||A - qI||_F / sqrt(6) and r = det(A - qI) / (2p^3), they are
+    q + 2p cos((arccos(r) + 2k pi)/3).  eigvalsh redoes, on unpack_rows'
+    stack, a matrix whose closed form is not finite (a NaN raises
+    LinAlgError), near-repeated extremes, where arccos loses sqrt(eps), and
+    an eigenvalue near zero, so every sign at rounding level is LAPACK's."""
+    v = P.copy()
+    w = np.empty((3, v.shape[1]))
+    lo, mid, hi = w
+    with np.errstate(over="ignore", invalid="ignore"):   # redone below
+        q = v[:3].sum(axis=0)
+        q /= 3.0
+        v[:3] -= q
+        p = np.einsum("ij,ij->j", v, v)
+        p += np.einsum("ij,ij->j", v[3:], v[3:])
+        p /= 6.0
+        np.sqrt(p, out=p)
+        v /= np.where(p > 0.0, p, 1.0)
+        b0, b1, b2, c0, c1, c2 = v
+        # r = (b0 (b1 b2 - c2^2) - c0 (c0 b2 - c1 c2) + c1 (c0 c2 - c1 b1)) / 2
+        r = b1 * b2
+        r -= c2 * c2
+        r *= b0
+        t = c0 * b2
+        t -= c1 * c2
+        t *= c0
+        r -= t
+        np.multiply(c0, c2, out=t)
+        t -= c1 * b1
+        t *= c1
+        r += t
+        r *= 0.5
+        phi = np.clip(r, -1.0, 1.0, out=t)
+        np.arccos(phi, out=phi)
+        phi /= 3.0
+        two_p = 2.0 * p
+        np.cos(phi, out=hi)
+        hi *= two_p
+        hi += q
+        phi += 2.0 * math.pi / 3.0
+        np.cos(phi, out=lo)
+        lo *= two_p
+        lo += q
+        np.multiply(3.0, q, out=mid)
+        mid -= hi
+        mid -= lo
+        # tol = EIG_ZERO_TOL max(1, sqrt(6 p^2 + 3 q^2)), in two_p
+        tol = np.multiply(6.0, p, out=two_p)
+        tol *= p
+        q2 = np.multiply(3.0, q, out=p)
+        q2 *= q
+        tol += q2
+        np.sqrt(tol, out=tol)
+        np.maximum(1.0, tol, out=tol)
+        tol *= EIG_ZERO_TOL
+        a = np.abs(w, out=v[:3])    # a NaN, or tol = inf, fails a > tol
+        least = np.minimum(a[0], a[1], out=a[0])
+        np.minimum(least, a[2], out=least)
+        redo = np.flatnonzero(~(least > tol)
+                              | (np.abs(r) > 1.0 - EIG_REPEAT_TOL))
+    if redo.size:
+        w[:, redo] = np.linalg.eigvalsh(unpack_rows(P[:, redo], 3)).T
+    return w.T
 
 
 def integrate_cholesky_flow(B, alpha, K0, dt, clamp=False):
@@ -230,7 +302,7 @@ def stiffness_floor(K, clamp=False):
         raise IntegrationDivergedError("stiffness flow diverged to a non-finite K")
     m = (math.isqrt(8 * len(K) + 1) - 1) // 2
     if ((m == 3 and _clears_floor(K))
-            or (_eigenvalues(K, m)[:, 0] >= K_EIG_FLOOR).all()):
+            or (eigenvalues(K, m)[:, 0] >= K_EIG_FLOOR).all()):
         return K
     if not clamp:
         raise CertifiedFloorError(
@@ -317,10 +389,10 @@ def schedule_from_products(G_D, G_K, Ddot, alpha, H, K0, tgrid, clamp=False):
     G_D, G_K, Ddot = products
     m = np.shape(H)[-1]
     # Copies: a view would keep the whole (n, m) eigenvalue array alive.
-    lam_C = _eigenvalues(np.negative(G_K, out=G_K), m)[:, -1].copy()
+    lam_C = eigenvalues(np.negative(G_K, out=G_K), m)[:, -1].copy()
     B = np.add(-alpha * Ddot, G_K, out=G_K)
     K = integrate_cholesky_flow(B, alpha, K0, tgrid[1] - tgrid[0], clamp=clamp)
-    lam_A = _eigenvalues(np.negative(G_D, out=G_D), m)[:, -1].copy()
+    lam_A = eigenvalues(np.negative(G_D, out=G_D), m)[:, -1].copy()
     D = np.subtract(vec_triangle(alpha * np.asarray(H, float))[:, None], G_D,
                     out=G_D)
     # A K within a factor 2 alpha of the float maximum is finite, yet its
@@ -355,7 +427,8 @@ def build_gain_schedule(sp, alpha, H, tau, K0, tgrid):
 
 
 def constant_slack_params(basis, m, d_init, k_init, alpha, H):
-    """Slack weights reproducing constant gains D = d_init I, K = k_init I.
+    """Slack weights (theta_d, theta_k), (basis.count, tri_dim(m)) each,
+    reproducing constant gains D = d_init I, K = k_init I.
 
     Solves alpha H + S_D S_D^T = d_init I for a constant S_D and picks
     S_K = sqrt(2 alpha k_init) I so the stiffness flow holds K constant.
@@ -363,8 +436,4 @@ def constant_slack_params(basis, m, d_init, k_init, alpha, H):
     H = np.asarray(H, float)
     Sd = np.linalg.cholesky(d_init * np.eye(m) - alpha * H)
     Sk = np.sqrt(2.0 * alpha * k_init) * np.eye(m)
-    row_d = vec_triangle(Sd)
-    row_k = vec_triangle(Sk)
-    return SlackParams(theta_d=np.tile(row_d, (basis.count, 1)),
-                       theta_k=np.tile(row_k, (basis.count, 1)),
-                       basis=basis, m=m)
+    return tuple(np.tile(vec_triangle(S), (basis.count, 1)) for S in (Sd, Sk))

@@ -35,10 +35,6 @@ class TorqueLimits:
         lim = np.full(n, float(limit))
         return TorqueLimits(tau_min=-lim, tau_max=lim)
 
-    def contains(self, tau, tol=0.0):
-        return bool(np.all(tau >= self.tau_min - tol)
-                    and np.all(tau <= self.tau_max + tol))
-
     def outside(self, tau):
         """Mask of the entries of tau outside the box by more than BOX_TOL,
         elementwise; a NaN is never outside."""
@@ -51,10 +47,10 @@ def beta_star_detail(tau0, tau1, limits):
     beta = 1).
 
     Joints whose slope is NaN or within ZERO_SLOPE_TOL of zero impose no
-    bound.  An infeasible tau0 (the beta=0 floor already saturates) raises
-    rather than clamping.
+    bound.  An infeasible tau0 (the beta=0 floor already saturates, or
+    holds a NaN) raises rather than clamping.
     """
-    if not limits.contains(tau0, tol=BOX_TOL):
+    if limits.outside(tau0).any() or np.isnan(tau0).any():
         raise InfeasibleFloorError("torque at beta = 0 violates the box limits")
     room = np.where(tau1 > 0, limits.tau_max, limits.tau_min) - tau0
     bound = np.divide(room, tau1, out=np.full(len(tau0), np.inf),

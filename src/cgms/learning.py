@@ -214,10 +214,11 @@ def initial_policy(setup):
     """Min-jerk trajectory fit plus slack weights reproducing the constant
     isotropic stiffness/damping initialization."""
     theta_traj = fit_min_jerk(setup.start, setup.tgrid, setup.dmp)
-    sp = constant_slack_params(setup.slack_basis, setup.m, setup.d_init,
-                               setup.k_init, setup.alpha, setup.H)
-    return PolicyParams(theta_traj=theta_traj, theta_d=sp.theta_d,
-                        theta_k=sp.theta_k)
+    theta_d, theta_k = constant_slack_params(
+        setup.slack_basis, setup.m, setup.d_init, setup.k_init, setup.alpha,
+        setup.H)
+    return PolicyParams(theta_traj=theta_traj, theta_d=theta_d,
+                        theta_k=theta_k)
 
 
 @dataclass(frozen=True)

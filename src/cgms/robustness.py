@@ -25,6 +25,7 @@ from .errors import (
     IntegrationDivergedError,
     MarginTooSmallError,
 )
+from .gains import eigenvalues, vec_triangle
 
 # The largest storage-rate violation dissipation_check passes, and how far
 # past the radius uub_empirical lets a simulated trajectory go.
@@ -33,8 +34,6 @@ UUB_TOL = 1e-6
 # The most error-loop maps formed and scanned at once: memory does not grow
 # with the horizon beyond the traces.
 LOOP_BLOCK = 1000
-EIG_REPEAT_TOL = 1e-6   # it hands eigvalsh the matrices with |r| > 1 - this
-EIG_ZERO_TOL = 1e-9     # or an eigenvalue within this max(1, ||A||_F) of 0
 
 
 def _square(x):
@@ -131,10 +130,10 @@ def inputs_from_schedule(schedule, u_bar, optimize=False):
     """
     H = schedule.H
     h_eigs = np.linalg.eigvalsh(H)
-    k_eigs = eigvalsh_stack(schedule.K)
+    k_eigs = eigenvalues(vec_triangle(schedule.K).T, len(H))
     # D = alpha H + G_D is symmetric, so its 2-norm is its largest
     # eigenvalue magnitude.
-    d_norm = np.abs(eigvalsh_stack(schedule.D)).max()
+    d_norm = np.abs(eigenvalues(vec_triangle(schedule.D).T, len(H))).max()
     rep = schedule.report()
     eps_D, eps_K = rep.eps_D, rep.eps_K
     base = dict(alpha=schedule.alpha, h_min=float(h_eigs.min()),
@@ -212,86 +211,6 @@ def affine_scan(maps, s0):
               out=out[:F].reshape(-1, c * N, R))
     np.matmul(maps[F:].reshape(-1, N), S[C - 1], out=out[F:].reshape(-1, R))
     return out.reshape((L,) + s0.shape)
-
-
-def eigvalsh_stack(A):
-    """Ascending eigenvalues of a symmetric stack from its lower triangle,
-    as np.linalg.eigvalsh gives them: an (n, 3, 3) stack through
-    eigvalsh_rows, other shapes through eigvalsh."""
-    if A.ndim != 3 or A.shape[1:] != (3, 3) or not len(A):
-        return np.linalg.eigvalsh(A)
-    return eigvalsh_rows(A[:, [0, 1, 2, 1, 2, 2], [0, 1, 2, 0, 0, 1]].T)
-
-
-def eigvalsh_rows(P):
-    """Ascending eigenvalues, (n, 3), of n symmetric 3 x 3 matrices packed
-    as rows P (6, n) of their entries 00, 11, 22, 10, 20, 21 (the
-    vec_triangle order of cgms.gains).  Smith's closed form runs once over
-    all n matrices, in place, into contiguous rows (3, n), returned
-    transposed: with q = tr/3, p = ||A - qI||_F / sqrt(6) and
-    r = det(A - qI) / (2p^3), they are q + 2p cos((arccos(r) + 2k pi)/3).
-    eigvalsh redoes a matrix whose closed form is not finite (a NaN raises
-    LinAlgError), near-repeated extremes, where arccos loses sqrt(eps), and
-    an eigenvalue near zero, so every sign at rounding level is LAPACK's."""
-    v = P.copy()
-    w = np.empty((3, v.shape[1]))
-    lo, mid, hi = w
-    with np.errstate(over="ignore", invalid="ignore"):   # redone below
-        q = v[:3].sum(axis=0)
-        q /= 3.0
-        v[:3] -= q
-        p = np.einsum("ij,ij->j", v, v)
-        p += np.einsum("ij,ij->j", v[3:], v[3:])
-        p /= 6.0
-        np.sqrt(p, out=p)
-        v /= np.where(p > 0.0, p, 1.0)
-        b0, b1, b2, c0, c1, c2 = v
-        # r = (b0 (b1 b2 - c2^2) - c0 (c0 b2 - c1 c2) + c1 (c0 c2 - c1 b1)) / 2
-        r = b1 * b2
-        r -= c2 * c2
-        r *= b0
-        t = c0 * b2
-        t -= c1 * c2
-        t *= c0
-        r -= t
-        np.multiply(c0, c2, out=t)
-        t -= c1 * b1
-        t *= c1
-        r += t
-        r *= 0.5
-        phi = np.clip(r, -1.0, 1.0, out=t)
-        np.arccos(phi, out=phi)
-        phi /= 3.0
-        two_p = 2.0 * p
-        np.cos(phi, out=hi)
-        hi *= two_p
-        hi += q
-        phi += 2.0 * math.pi / 3.0
-        np.cos(phi, out=lo)
-        lo *= two_p
-        lo += q
-        np.multiply(3.0, q, out=mid)
-        mid -= hi
-        mid -= lo
-        # tol = EIG_ZERO_TOL max(1, sqrt(6 p^2 + 3 q^2)), in two_p
-        tol = np.multiply(6.0, p, out=two_p)
-        tol *= p
-        q2 = np.multiply(3.0, q, out=p)
-        q2 *= q
-        tol += q2
-        np.sqrt(tol, out=tol)
-        np.maximum(1.0, tol, out=tol)
-        tol *= EIG_ZERO_TOL
-        a = np.abs(w, out=v[:3])    # a NaN, or tol = inf, fails a > tol
-        least = np.minimum(a[0], a[1], out=a[0])
-        np.minimum(least, a[2], out=least)
-        redo = np.flatnonzero(~(least > tol)
-                              | (np.abs(r) > 1.0 - EIG_REPEAT_TOL))
-    if redo.size:
-        w[:, redo] = np.linalg.eigvalsh(P[:, redo].T[:, [[0, 3, 4],
-                                                         [3, 1, 5],
-                                                         [4, 5, 2]]]).T
-    return w.T
 
 
 def simulate_error_dynamics(schedule, residuals, z0=None):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cgms.config import compile_setup, load_config
-from cgms.gains import tri_dim, vec_triangle
+from cgms.gains import eigenvalues, tri_dim, vec_triangle
 from cgms.governor import TorqueLimits
 from cgms.learning import MODE_UNCERTIFIED_AFTER_VIA, initial_policy, rollout, train
 
@@ -35,6 +35,19 @@ def seven_joint_box():
     whose joints differ, for the governor's closed form."""
     half = np.array([43.5, 43.5, 43.5, 43.5, 6.0, 6.0, 6.0])
     return TorqueLimits(tau_min=-half, tau_max=half)
+
+
+def box_contains(limits, tau, tol=0.0):
+    """Whether every entry of tau lies in the box widened by tol; a NaN
+    never does."""
+    return bool(np.all(tau >= limits.tau_min - tol)
+                and np.all(tau <= limits.tau_max + tol))
+
+
+def eigvalsh_stack(A):
+    """Ascending eigenvalues of a symmetric (n, m, m) stack from its lower
+    triangle, through the library's one path for packed rows."""
+    return eigenvalues(vec_triangle(A).T, A.shape[-1])
 
 
 def vec_triangle_inverse(v, m):

@@ -28,7 +28,7 @@ from cgms.robustness import (
     uub_constants,
     uub_empirical,
 )
-from conftest import seven_joint_box, vec_triangle_inverse
+from conftest import box_contains, seven_joint_box, vec_triangle_inverse
 from test_learning import error_equation_deviation, offset_reference
 from test_robustness import certified_schedule
 
@@ -99,7 +99,7 @@ def test_criterion_5_governor_exactness(training_runs):
 
     def bisect(tau0, tau1):
         def feasible(b):
-            return limits.contains(tau0 + b * tau1, tol=1e-15)
+            return box_contains(limits, tau0 + b * tau1, tol=1e-15)
         if feasible(1.0):
             return 1.0
         lo, hi = 0.0, 1.0
@@ -114,7 +114,7 @@ def test_criterion_5_governor_exactness(training_runs):
         tau1 = 30.0 * rng.standard_normal(7)
         b, _ = beta_star_detail(tau0, tau1, limits)
         worst = max(worst, abs(b - bisect(tau0, tau1)))
-        assert limits.contains(tau0 + b * tau1, tol=1e-9)
+        assert box_contains(limits, tau0 + b * tau1, tol=1e-9)
     events = sum(len(r.saturation_events) for _, r, _ in training_runs.values())
     ok = worst < 1e-9 and events == 0
     verdict(5, "closed-form gain scaling matches bisection, no saturation",

@@ -318,6 +318,31 @@ def test_singular_fit_that_validate_accepts_is_config_error(tmp_path, capsys,
         assert key in err[0]
 
 
+@pytest.mark.parametrize("command", ["train", "rollout"])
+def test_non_finite_fit_that_validate_accepts_is_config_error(tmp_path,
+                                                             capsys, command):
+    # 100 basis functions so narrow (intersection height 1e-98) on 121 grid
+    # steps leave some column of the unridged design numerically zero:
+    # numpy's solve returned inf weights without an error, and the forcing
+    # product then warned "invalid value encountered in matmul", exit 1.
+    # Seed 1 of the config sweep's generator draws this config.
+    path = tmp_path / "fit.ini"
+    path.write_text("[run]\nhorizon = 0.09390404116569599\n"
+                    "dt = 0.0007760664559148429\n"
+                    "[dmp]\nrbf_count = 100\n"
+                    "intersection_height = 1.0913552598205495e-98\n"
+                    "regularization = 0\nstiffness = 10000\n")
+    load_config(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main([command, "--config", str(path),
+                       "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert "not finite" in err[0] and "dmp_regularization" in err[0]
+
+
 def test_zero_alpha_is_accepted():
     assert load_config(None, overrides={"gains_alpha": 0.0}).gains_alpha == 0.0
 

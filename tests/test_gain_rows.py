@@ -3,7 +3,7 @@ replaced.
 
 The oracle below is the stacked build: the slack products written to both
 halves of (n, m, m) stacks, the stiffness flow and its floor on those
-stacks, and the audits through robustness.eigvalsh_stack.  The library
+stacks, and the audits through conftest.eigvalsh_stack.  The library
 does the same arithmetic on each lower-triangle entry, as rows
 (tri_dim(m), n) with time on the last axis, so every trace of a schedule
 must agree with the oracle's byte for byte, and every failure must be of
@@ -23,7 +23,7 @@ from cgms.gains import (
     slack_products,
     tri_dim,
 )
-from cgms.robustness import eigvalsh_stack
+from conftest import eigvalsh_stack
 
 TRACES = ("K", "D", "Kdot", "Ddot", "lam_A", "lam_C")
 

@@ -29,8 +29,7 @@ from cgms.gains import (
     vec_triangle,
 )
 from cgms import cli
-from cgms.robustness import eigvalsh_stack
-from conftest import checkout_env, vec_triangle_inverse
+from conftest import checkout_env, eigvalsh_stack, vec_triangle_inverse
 
 ALPHA = 0.05
 H3 = np.eye(3)
@@ -290,7 +289,8 @@ def test_flow_holds_the_nominal_stiffness_at_large_alpha_T():
     # step by step keeps 200 I.
     alpha, T = 2.0, 10.0
     basis = build_basis(7, 0.7)
-    sp = constant_slack_params(basis, 3, 30.0, 200.0, alpha, H3)
+    sp = SlackParams(*constant_slack_params(basis, 3, 30.0, 200.0, alpha, H3),
+                     basis=basis, m=3)
     tgrid = np.arange(0.0, T + 5e-4, 1e-3)
     K = build_gain_schedule(sp, alpha, H3, T, 200 * np.eye(3), tgrid).K
     assert np.abs(K - 200.0 * np.eye(3)).max() <= 1e-9 * 200.0
@@ -320,8 +320,10 @@ import sys
 import numpy as np
 import cgms.cli
 from cgms.dmp import build_basis
-from cgms.gains import build_gain_schedule, constant_slack_params
-sp = constant_slack_params(build_basis(7, 0.7), 3, 30.0, 200.0, 0.05, np.eye(3))
+from cgms.gains import SlackParams, build_gain_schedule, constant_slack_params
+basis = build_basis(7, 0.7)
+sp = SlackParams(*constant_slack_params(basis, 3, 30.0, 200.0, 0.05, np.eye(3)),
+                 basis=basis, m=3)
 tgrid = np.arange(0.0, 5.0 + 5e-4, 1e-3)
 sched = build_gain_schedule(sp, 0.05, np.eye(3), 5.0, 200 * np.eye(3), tgrid)
 assert sched.report().passes
@@ -362,6 +364,16 @@ def test_default_train_leaves_scipy_signal_unimported(tmp_path):
     modules = scipy_signal_modules_after(DEFAULT_TRAIN_IMPORTS, str(config),
                                          str(tmp_path / "out"))
     assert modules == "[]"
+
+
+def test_gains_imports_no_robustness():
+    # gains owns the packed-triangle layout and its eigenvalues, and
+    # robustness reads them from there: the import runs one way only.
+    script = "import sys, cgms.gains; print('cgms.robustness' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], env=checkout_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_flow_rejects_lost_definiteness():
@@ -712,7 +724,8 @@ def test_scale_beta_closure(rng):
 
 def test_constant_slack_params_reproduce_init():
     basis = build_basis(7, 0.7)
-    sp = constant_slack_params(basis, 3, 30.0, 200.0, ALPHA, H3)
+    sp = SlackParams(*constant_slack_params(basis, 3, 30.0, 200.0, ALPHA, H3),
+                     basis=basis, m=3)
     tgrid = np.arange(0.0, 5.0, 1e-3)
     sched = build_gain_schedule(sp, ALPHA, H3, 5.0, 200 * np.eye(3), tgrid)
     assert np.abs(sched.D - 30.0 * np.eye(3)).max() < 1e-9

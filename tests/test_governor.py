@@ -12,7 +12,7 @@ from cgms.governor import (
     TorqueLimits,
     beta_star_detail,
 )
-from conftest import seven_joint_box
+from conftest import box_contains, seven_joint_box
 
 
 def test_limit_presets():
@@ -100,10 +100,18 @@ def test_beta_star_infeasible_floor():
                          TorqueLimits.box(5.0, 1))
 
 
+def test_beta_star_nan_floor_is_infeasible():
+    # TorqueLimits.outside never marks a NaN, so the floor test must: a
+    # NaN floor torque is not inside the box, whatever the other joints.
+    tau0 = np.array([0.0, np.nan, 1.0])
+    with pytest.raises(InfeasibleFloorError):
+        beta_star_detail(tau0, np.ones(3), TorqueLimits.box(5.0, 3))
+
+
 def bisect_beta(tau0, tau1, limits, tol=1e-12):
     """Bisection oracle on the saturation predicate."""
     def ok(b):
-        return limits.contains(tau0 + b * tau1, tol=1e-15)
+        return box_contains(limits, tau0 + b * tau1, tol=1e-15)
     if ok(1.0):
         return 1.0
     lo, hi = 0.0, 1.0
@@ -123,7 +131,7 @@ def test_beta_star_matches_bisection_oracle(rng):
         tau1 = 30.0 * rng.standard_normal(7)
         beta, _ = beta_star_detail(tau0, tau1, limits)
         assert abs(beta - bisect_beta(tau0, tau1, limits)) < 1e-9
-        assert limits.contains(tau0 + beta * tau1, tol=1e-9)
+        assert box_contains(limits, tau0 + beta * tau1, tol=1e-9)
 
 
 def test_beta_star_maximality(rng):
@@ -133,7 +141,8 @@ def test_beta_star_maximality(rng):
         tau1 = 50.0 * rng.standard_normal(7)
         beta, _ = beta_star_detail(tau0, tau1, limits)
         if beta < 1.0:
-            assert not limits.contains(tau0 + (beta + 1e-6) * tau1, tol=1e-9)
+            assert not box_contains(limits, tau0 + (beta + 1e-6) * tau1,
+                                    tol=1e-9)
 
 
 def test_governed_schedule_still_certified(rng):

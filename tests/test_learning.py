@@ -38,7 +38,7 @@ from cgms.learning import (
     via_weight,
 )
 from cgms.plants import PlantModel
-from conftest import vec_triangle_inverse
+from conftest import box_contains, vec_triangle_inverse
 from test_gains import certificate_margins
 
 
@@ -651,7 +651,7 @@ def test_governed_steps_scale_the_sampled_gains(monkeypatch):
     g = ro.beta < 1.0
     assert g.sum() > 0
     assert len(ro.saturation_events) == g.sum()
-    assert all(limits.contains(tau, tol=1e-9) for tau in ro.torque[g])
+    assert all(box_contains(limits, tau, tol=1e-9) for tau in ro.torque[g])
     beta = ro.beta[g][:, None, None]
     K_floor = (np.exp(2.0 * setup.alpha * setup.tgrid)[:, None, None]
                * (setup.k_init * np.eye(setup.m)))
@@ -977,7 +977,7 @@ def test_offset_reference_leaves_the_verdict_to_the_governed_loop(
         assert np.abs(ro.x - x).max() <= 1e-12
         assert np.abs(ro.torque - tau).max() <= 1e-9
         assert np.array_equal(ro.beta, beta)
-        assert setup.limits.contains(ro.torque, tol=1e-12)
+        assert box_contains(setup.limits, ro.torque, tol=1e-12)
 
 
 @pytest.mark.parametrize("horizon", [0.05, 0.5, 5.0, 20.0])

@@ -18,8 +18,8 @@ import pytest
 from cgms import learning, plants
 from cgms.config import compile_setup, load_config
 from cgms.errors import InfeasibleFloorError
+from cgms.gains import EIG_REPEAT_TOL, EIG_ZERO_TOL, eigvalsh_rows
 from cgms.learning import initial_policy, rollout, sample_noise
-from cgms.robustness import EIG_REPEAT_TOL, EIG_ZERO_TOL, eigvalsh_rows
 from test_gains import rotated
 from test_learning import (
     model_terms_setup,
